@@ -8,6 +8,7 @@ the only approximate bound is the double-precision cross-oracle (< 1e-6).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import time
@@ -39,6 +40,7 @@ from wooddesargues.kernel import (
     point_on_unit_circle,
     similarity_between,
 )
+from wooddesargues.serialize import dumps
 from wooddesargues.verifier import DEGENERATE, FAIL, PASS, float_cross_residuals
 
 from conftest import ACCEPTANCE_LINES, REFERENCE_SEED, mutate_configuration
@@ -160,6 +162,9 @@ def test_criterion_3_fuzz_campaign():
             "three-circle-collinearity": 51,
         }
         assert outcome.rejections == 117
+        document = dumps(outcome.to_document()).encode("utf-8")
+        assert hashlib.sha256(document).hexdigest() == \
+            "26fe31e9abff47504c8094b9832ea51454c5e93c66d580b40818901e4e8be4ba"
         assert elapsed < 120.0, f"campaign took {elapsed:.1f}s"
         ok = True
     finally:

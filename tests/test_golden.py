@@ -1,0 +1,155 @@
+"""Golden bytes: SHA-256 of the byte-stable outputs the engine emits.
+
+Documents, reports and SVG are pure functions of their input, so a refactor
+that keeps the proofs intact keeps these digests too.  A digest that moves is
+either a bug or a deliberate format change; the latter must say which bytes
+moved and why, and pin the new digest here.
+
+Pinned outputs: the reference configuration document, its report and its SVG;
+the report of every mutation probe of the acceptance suite (each one carries
+failing witnesses); and the full report of the first seed of the 1000/42/12
+campaign to reach each degenerate-note branch.  The campaign seeds are given
+as seed text so this file does not run the campaign; the campaign document
+digest itself is pinned in ``test_criterion_3_fuzz_campaign``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from wooddesargues import build_configuration, verify_all
+from wooddesargues.render import render_svg
+from wooddesargues.serialize import (
+    configuration_to_document,
+    dumps,
+    parse_seed_text,
+    report_to_document,
+)
+
+from conftest import mutate_configuration
+from test_acceptance import MUTATIONS
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _report_text(config) -> str:
+    return dumps(report_to_document(verify_all(config)))
+
+
+REFERENCE_DOCUMENT = "806df40038e88624cc593be2738d8f81212ede9585f8d565b222f7455cc54545"
+REFERENCE_REPORT = "d31cfd0d7c9dd10e31bc99f2bd8d002202ad6825f332bebcf700287b9e307529"
+REFERENCE_SVG = "44ba7a5fda53b33f06fa9beaaf854fdfff3e665bee1d34a48080fc1be5ae9a8e"
+
+# check name -> report digest of the reference configuration under that
+# check's mutation probe (probes shared by two checks share a digest)
+MUTATION_REPORTS = {
+    "perspective:K":
+        "569eeee4aebb4d5e9d8a63ba099cb1fe91d90f9d3f8076bf40eacd71633231af",
+    "perspective:A":
+        "eda96800cdaf19957d95c1d8f3b9e0ddd473975d424344355286df9c6433ab88",
+    "perspective:B":
+        "b161af7db22066e2b8da6a5b65049bb4e6a8e39ec559317f2709682402380bc8",
+    "perspective:C":
+        "e3a84af58adfdba98e91fc2f44a946f791dd594c2fb3681b24b816d6524df19c",
+    "perspective:1":
+        "fe1a6423d04c6f322db582c48e6f080a9d59a8cef020ec660c193ed8d22fca50",
+    "perspective:2":
+        "e60b39e60c70a3c488b47349e9aa7c62fcbb16333edd9200103a759dfc96a23b",
+    "perspective:3":
+        "8c2fac0b18868eb753673a576cbeff056192206a54de016a67208ee8b57b69a6",
+    "perspective:a":
+        "8a803794d5334775c60bae2b2ad3488d83e243a32b3541e6de431c98e108fe0f",
+    "perspective:b":
+        "2fb5d3958bbcc521d7ecc98d4edb5ee73a7cde567c94c1e0f9b9d1bb4f861dea",
+    "perspective:c":
+        "65f1d157cb45ff55547d281ff572e2aa48e652d368ef1483597e2c4919cc7ab9",
+    "five-circles":
+        "650a6af92ef5bb9f3750ad1115d7bb80647ea82d293f6abde7d377cc8cacbf4f",
+    "core-similarity":
+        "53ac2ad416a04de2b9d77138ec035b1667c6b47c484f179e6a11cd9cb87af33f",
+    "orthocentre-quadrangle:ABCK":
+        "baabccc0dc9993deb1970e07bf99ae988e709baaf38dd2e991ef9f73f2d1fe4a",
+    "orthocentre-quadrangle:abcK":
+        "cfff8ff2ca52ddaeb9cb39841d4036665c99468996374f571986bc7898f4a3c6",
+    "orthocentre-quadrangle:Aa23":
+        "641b0a845550aca8ed959f872376e0537c773a80b808462e7572eb23af0a97a8",
+    "orthocentre-quadrangle:Bb31":
+        "ed9292d1d3589b94aaaed8c47b7dda1d73519f9fb30e7d73dea939b9b6cc95e9",
+    "orthocentre-quadrangle:Cc12":
+        "cdb8e89403bcfd75adf5a4e2f3ebaafa27492f4fee794b44a28c63ea2ad0cfa7",
+    "steiner-line:ABCK":
+        "871dcb4a04838ab0239f7975433bdb9e9e1f6a0789697aaf0d7e130be46644c9",
+    "steiner-line:abcK":
+        "0bb46036361aa24b7413e9c6d6ff077b3b130466c042a55da9fb8543f17ba9a1",
+    "steiner-line:Aa23":
+        "5b0bce4431bcb622645eeb9fa2253a42ce28f914d4603f59c55c40cd8eba3e4a",
+    "steiner-line:Bb31":
+        "10c9970423cbbb39756f95f9b6dc0aac122bcd20693c0b35ac088a07db55e00b",
+    "steiner-line:Cc12":
+        "cfff8ff2ca52ddaeb9cb39841d4036665c99468996374f571986bc7898f4a3c6",
+    "pentagon-perspectives":
+        "10c9970423cbbb39756f95f9b6dc0aac122bcd20693c0b35ac088a07db55e00b",
+    "pentagon-quadrangles":
+        "65f1d157cb45ff55547d281ff572e2aa48e652d368ef1483597e2c4919cc7ab9",
+    "tangent-concurrency":
+        "baabccc0dc9993deb1970e07bf99ae988e709baaf38dd2e991ef9f73f2d1fe4a",
+    "hagge-suite":
+        "1aa1e5a2b7d8a19f0704e0f3e9181365f5c4c33f3dae459c98c7c6c433c424a0",
+    "perpendicular-concurrency":
+        "5b0bce4431bcb622645eeb9fa2253a42ce28f914d4603f59c55c40cd8eba3e4a",
+    "three-circle-collinearity":
+        "277f4f157c8d08af51f52dd90482d6f2f41933425d840d1ec6ebfb9578b1c0d6",
+}
+
+# campaign index -> (seed text, report digest); each index is the first seed
+# of the 1000/42/12 campaign whose report reaches a new degenerate note:
+#   1    Z coincides with N (line CNZ)
+#   15   pentagon circle tangent to ABCK at J
+#   188  pentagon circle tangent to Aa23 at J
+#   243  Z coincides with L; three-circle triple (L, A, Z) coincident
+#   348  Z and W coincide with A; three-circle triple (U, A, W) coincident
+#   636  W coincides with U
+#   909  Z coincides with B (line BMZ)
+CAMPAIGN_SEED_REPORTS = {
+    1: ("tJ=4/3,tK=1/5,tA=4/1,tB=-5/8,tC=0/1,s=-1/1",
+        "d47b2f882a912eff9af765473bdbe9c7a7096beca5adddbe4cb565cb958b79c3"),
+    15: ("tJ=-9/5,tK=8/5,tA=4/5,tB=-11/12,tC=-5/1,s=0/1",
+         "ab147469d56939e2d7a60f9416f552f7292d4eb5021fe126b740057ba7858622"),
+    188: ("tJ=1/3,tK=-3/2,tA=-3/1,tB=1/4,tC=-5/12,s=8/5",
+          "9282ff3544c2904e65463b47ad16438591996f64b53d8b58f81fdb7a8055f7d3"),
+    243: ("tJ=-1/3,tK=11/12,tA=1/3,tB=1/1,tC=9/8,s=3/2",
+          "1b4045f0b0d2154d6ff988b9ce0cb7c4c6dd1e566622c54d3ebfc01d32a98cd1"),
+    348: ("tJ=-1/1,tK=7/10,tA=3/1,tB=5/9,tC=1/4,s=1/1",
+          "6906e9020e55fdd8896a21c88977c11c3a51a609398d86bc5b1b8b0fed856f64"),
+    636: ("tJ=1/3,tK=-8/9,tA=0/1,tB=-1/12,tC=-5/2,s=-2/3",
+          "bfc07a9b01b1a598754f641808d90dab6f2396d8149c4e9035585e60d79f9a7b"),
+    909: ("tJ=2/1,tK=-3/11,tA=-2/1,tB=-2/9,tC=-3/10,s=2/1",
+          "4fa1e7d4947fd4f921e8ad3459980adf4317e1cc91bdd1a4191480e41fc3d174"),
+}
+
+
+def test_reference_outputs(reference_config):
+    assert _sha256(dumps(configuration_to_document(reference_config))) == REFERENCE_DOCUMENT
+    assert _sha256(_report_text(reference_config)) == REFERENCE_REPORT
+    assert _sha256(render_svg(reference_config)) == REFERENCE_SVG
+
+
+def test_every_mutation_probe_is_pinned():
+    assert set(MUTATION_REPORTS) == set(MUTATIONS)
+
+
+@pytest.mark.parametrize("name", sorted(MUTATION_REPORTS))
+def test_mutation_report(reference_config, name):
+    mutated = mutate_configuration(reference_config, *MUTATIONS[name])
+    assert _sha256(_report_text(mutated)) == MUTATION_REPORTS[name]
+
+
+@pytest.mark.parametrize("index", sorted(CAMPAIGN_SEED_REPORTS))
+def test_campaign_seed_report(index):
+    seed_text, digest = CAMPAIGN_SEED_REPORTS[index]
+    config = build_configuration(parse_seed_text(seed_text))
+    assert _sha256(_report_text(config)) == digest
