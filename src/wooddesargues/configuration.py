@@ -21,11 +21,13 @@ from .kernel import (
     GeometryError,
     ParallelLinesError,
     Circle,
+    Line,
     Point,
     UnitParameter,
     _Infinity,
     circle_through,
     distance_squared,
+    distinct,
     incident,
     line_through,
     meet,
@@ -170,6 +172,13 @@ class WoodDesarguesConfiguration:
         return tuple(self.points[v] for v in CIRCLE_POINTS[circle_label])
 
 
+def perspectrix_line(config: WoodDesarguesConfiguration,
+                     record: PerspectiveRecord) -> Optional[Line]:
+    """The line through a row's perspectrix points, None if they all coincide."""
+    w = distinct(config.points[x] for x in record.perspectrix)
+    return line_through(w[0], w[1]) if len(w) > 1 else None
+
+
 def build_configuration(seed: ConfigurationSeed) -> WoodDesarguesConfiguration:
     """Construct the configuration, rejecting degenerate seeds with a reason code."""
     ts = seed.t_values()
@@ -257,11 +266,9 @@ class OrthocentreFigures:
     triangle's partner in its table row, i.e. the same twenty points indexed
     the second way round (once per perspectrix-line quadruple).  A triangle
     that has collapsed to a line (impossible for valid configurations, reported
-    defensively for tampered ones) gets ``None`` and a failure note.
+    defensively for tampered ones) gets ``None``.
     """
 
-    by_triangle: dict[tuple[str, str, str], Optional[Point]]
-    failures: dict[tuple[str, str, str], str]
     h_role: dict[tuple[str, str], Optional[Point]]
     f_role: dict[tuple[str, str], Optional[Point]]
     by_row: dict[str, tuple[Optional[Point], Optional[Point]]]  # vertex -> (H, F)
@@ -277,7 +284,6 @@ class HaggeFigure:
 class PentagonFigures:
     # circle through U, V and J; None only for tampered inputs (collinear/coincident)
     circle: Optional[Circle]
-    circle_note: str
     # second meet of the pentagon circle with each initial circle, from J
     meets: dict[str, Optional[Point]]
     meet_notes: dict[str, str]
@@ -298,7 +304,6 @@ class DerivedFigures:
 
 def derive_orthocentres(config: WoodDesarguesConfiguration) -> OrthocentreFigures:
     by_triangle: dict[tuple[str, str, str], Optional[Point]] = {}
-    failures: dict[tuple[str, str, str], str] = {}
     h_role: dict[tuple[str, str], Optional[Point]] = {}
     for rec in PERSPECTIVE_TABLE:
         for tri in (rec.triangle1, rec.triangle2):
@@ -306,15 +311,13 @@ def derive_orthocentres(config: WoodDesarguesConfiguration) -> OrthocentreFigure
                 h = orthocentre(*(config.points[v] for v in tri))
             except CollinearPointsError:
                 h = None
-                failures[tri] = f"triangle {''.join(tri)} is collinear"
             by_triangle[tri] = h
             h_role[TRIANGLE_QUAD[frozenset(tri)]] = h
     f_role = {(quad, vertex): h_role[(PARTNER_QUAD[(quad, vertex)], vertex)]
               for (quad, vertex) in h_role}
     by_row = {rec.vertex: (by_triangle[rec.triangle1], by_triangle[rec.triangle2])
               for rec in PERSPECTIVE_TABLE}
-    return OrthocentreFigures(by_triangle=by_triangle, failures=failures,
-                              h_role=h_role, f_role=f_role, by_row=by_row)
+    return OrthocentreFigures(h_role=h_role, f_role=f_role, by_row=by_row)
 
 
 def derive_hagge_centres(config: WoodDesarguesConfiguration,
@@ -356,10 +359,8 @@ def derive_pentagon(config: WoodDesarguesConfiguration) -> PentagonFigures:
     tangencies: dict[str, bool] = {clbl: False for clbl in CIRCLE_LABELS}
     try:
         pentagon: Optional[Circle] = circle_through(u, v, config.j)
-        note = ""
     except (CollinearPointsError, CoincidentPointsError):
         pentagon = None
-        note = "U, V, J do not span a circle"
 
     if pentagon is not None:
         for clbl in CIRCLE_LABELS:
@@ -376,9 +377,8 @@ def derive_pentagon(config: WoodDesarguesConfiguration) -> PentagonFigures:
     w = meets["Aa23"]
     x = config.circles["ABCK"].center.scale(2) - z if z is not None else None
     y = pentagon.center.scale(2) - z if (z is not None and pentagon is not None) else None
-    return PentagonFigures(circle=pentagon, circle_note=note, meets=meets,
-                           meet_notes=meet_notes, tangencies=tangencies,
-                           z=z, w=w, x=x, y=y)
+    return PentagonFigures(circle=pentagon, meets=meets, meet_notes=meet_notes,
+                           tangencies=tangencies, z=z, w=w, x=x, y=y)
 
 
 def derive_figures(config: WoodDesarguesConfiguration) -> DerivedFigures:

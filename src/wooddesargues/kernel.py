@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Fraction
 
@@ -123,6 +123,20 @@ ONE = Point(Fraction(1), Fraction(0))
 
 def point(x, y) -> Point:
     return Point(_frac(x), _frac(y))
+
+
+def float_point(p: Point) -> tuple[float, float]:
+    """Double-precision reading of p, for residuals and drawing only."""
+    return (float(p.x), float(p.y))
+
+
+def distinct(points: Iterable[Point]) -> list[Point]:
+    """The points in first-seen order with exact repeats dropped."""
+    out: list[Point] = []
+    for p in points:
+        if p not in out:
+            out.append(p)
+    return out
 
 
 def midpoint(p: Point, q: Point) -> Point:
@@ -329,19 +343,20 @@ def concyclicity_determinant(p: Point, q: Point, r: Point, s: Point) -> Fraction
             + m[0][2] * (m[1][0] * m[2][1] - m[2][0] * m[1][1]))
 
 
+def collapses_to_line(points: Sequence[Point]) -> bool:
+    """Collapse rule for a vanishing concyclicity determinant.
+
+    True when at least three of the points are distinct and the first three
+    distinct ones are collinear: the determinant then vanishes because the
+    points share a line, not a circle.
+    """
+    d = distinct(points)
+    return len(d) >= 3 and is_collinear(d[0], d[1], d[2])
+
+
 def is_concyclic(p: Point, q: Point, r: Point, s: Point) -> bool:
     """True iff the four points lie on one genuine circle (a common line does not count)."""
-    if concyclicity_determinant(p, q, r, s) != 0:
-        return False
-    distinct: list[Point] = []
-    for t in (p, q, r, s):
-        if t not in distinct:
-            distinct.append(t)
-    if len(distinct) <= 2:
-        return True
-    if len(distinct) == 3:
-        return not is_collinear(*distinct)
-    return not is_collinear(distinct[0], distinct[1], distinct[2])
+    return concyclicity_determinant(p, q, r, s) == 0 and not collapses_to_line((p, q, r, s))
 
 
 Carrier = Union[Line, Circle]
@@ -363,6 +378,20 @@ class Similarity:
     def __post_init__(self) -> None:
         if self.alpha == ORIGIN:
             raise DegenerateInputError("similarity multiplier must be nonzero")
+
+    @classmethod
+    def pinned_by(cls, source: Sequence[Point], target: Sequence[Point]) -> Optional["Similarity"]:
+        """The map sending the first two source points to the first two targets.
+
+        None when the targets coincide, since no similarity collapses two
+        distinct points.
+        """
+        if source[0] == source[1]:
+            raise DegenerateInputError("first two source points must be distinct")
+        alpha = (target[1] - target[0]).cdiv(source[1] - source[0])
+        if alpha == ORIGIN:
+            return None
+        return cls(alpha, target[0] - alpha.cmul(source[0]))
 
     def apply(self, p: Point) -> Point:
         return self.alpha.cmul(p) + self.beta
@@ -390,13 +419,9 @@ def similarity_between(source: Sequence[Point], target: Sequence[Point]) -> Opti
     """
     if len(source) != len(target) or len(source) < 2:
         raise DegenerateInputError("similarity needs two lists of equal length >= 2")
-    if source[0] == source[1]:
-        raise DegenerateInputError("first two source points must be distinct")
-    alpha = (target[1] - target[0]).cdiv(source[1] - source[0])
-    if alpha == ORIGIN:
+    sim = Similarity.pinned_by(source, target)
+    if sim is None:
         return None
-    beta = target[0] - alpha.cmul(source[0])
-    sim = Similarity(alpha, beta)
     for s, t in zip(source[2:], target[2:]):
         if sim.apply(s) != t:
             return None

@@ -21,8 +21,9 @@ from .configuration import (
     WoodDesarguesConfiguration,
     DerivedFigures,
     derive_figures,
+    perspectrix_line,
 )
-from .kernel import Line, Point, line_through
+from .kernel import Line, float_point
 
 LAYERS = ("points", "circles", "perspectrices", "haggeCentres", "pentagon")
 
@@ -52,10 +53,6 @@ def _fmt(v: float) -> str:
     return f"{v:.6f}"
 
 
-def _fpoint(p: Point) -> tuple[float, float]:
-    return (float(p.x), float(p.y))
-
-
 def _clip_line(line: Line, box: tuple[float, float, float, float]):
     """Segment of an infinite line inside a rectangle, or None."""
     a, b, c = float(line.a), float(line.b), float(line.c)
@@ -81,17 +78,6 @@ def _clip_line(line: Line, box: tuple[float, float, float, float]):
     return dedup[0], dedup[-1]
 
 
-def _perspectrix_lines(config: WoodDesarguesConfiguration) -> list[tuple[str, Line]]:
-    out = []
-    for rec in PERSPECTIVE_TABLE:
-        w = [config.points[x] for x in rec.perspectrix]
-        if w[0] != w[1]:
-            out.append(("".join(rec.perspectrix), line_through(w[0], w[1])))
-        elif w[0] != w[2]:
-            out.append(("".join(rec.perspectrix), line_through(w[0], w[2])))
-    return out
-
-
 def render_svg(config: WoodDesarguesConfiguration,
                style: RenderStyle = RenderStyle(),
                derived: DerivedFigures | None = None) -> str:
@@ -103,40 +89,43 @@ def render_svg(config: WoodDesarguesConfiguration,
     if "circles" in layers:
         for lbl in CIRCLE_LABELS:
             c = config.circles[lbl]
-            cx, cy = _fpoint(c.center)
+            cx, cy = float_point(c.center)
             circles.append((lbl, cx, cy, math.sqrt(float(c.radius_squared)), _CIRCLE_STROKE))
     if "pentagon" in layers and derived.pentagon.circle is not None:
         c = derived.pentagon.circle
-        cx, cy = _fpoint(c.center)
+        cx, cy = float_point(c.center)
         circles.append(("pentagon", cx, cy, math.sqrt(float(c.radius_squared)), _PENTAGON_STROKE))
     if "haggeCentres" in layers:
         for rec in PERSPECTIVE_TABLE:
             fig = derived.hagge[rec.vertex]
             if fig is None:
                 continue
-            cx, cy = _fpoint(fig.circle.center)
+            cx, cy = float_point(fig.circle.center)
             circles.append((f"hagge-{rec.vertex}", cx, cy,
                             math.sqrt(float(fig.circle.radius_squared)), _HAGGE_STROKE))
 
     markers: list[tuple[str, float, float]] = []
     if "points" in layers:
         for lbl in POINT_LABELS:
-            x, y = _fpoint(config.points[lbl])
+            x, y = float_point(config.points[lbl])
             markers.append((lbl, x, y))
-        x, y = _fpoint(config.j)
+        x, y = float_point(config.j)
         markers.append(("J", x, y))
         for lbl in CENTER_LABELS:
-            x, y = _fpoint(config.centers[lbl])
+            x, y = float_point(config.centers[lbl])
             markers.append((lbl, x, y))
     if "haggeCentres" in layers:
         for rec in PERSPECTIVE_TABLE:
             fig = derived.hagge[rec.vertex]
             if fig is None:
                 continue
-            x, y = _fpoint(fig.centre)
+            x, y = float_point(fig.centre)
             markers.append((f"h({rec.vertex})", x, y))
 
-    perspectrices = _perspectrix_lines(config) if "perspectrices" in layers else []
+    perspectrices: list[Line] = []
+    if "perspectrices" in layers:
+        lines = (perspectrix_line(config, rec) for rec in PERSPECTIVE_TABLE)
+        perspectrices = [line for line in lines if line is not None]
 
     # bounding box over everything that will be drawn
     xs: list[float] = []
@@ -150,7 +139,7 @@ def render_svg(config: WoodDesarguesConfiguration,
     if perspectrices:
         for rec in PERSPECTIVE_TABLE:
             for plbl in rec.perspectrix:
-                x, y = _fpoint(config.points[plbl])
+                x, y = float_point(config.points[plbl])
                 xs.append(x)
                 ys.append(y)
     if not xs:
@@ -183,7 +172,7 @@ def render_svg(config: WoodDesarguesConfiguration,
     for lbl, cx, cy, r, stroke in circles:
         out.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
                    f'stroke="{stroke}" stroke-width="{_fmt(sw)}"/>')
-    for lbl, line in perspectrices:
+    for line in perspectrices:
         seg = _clip_line(line, (x0, y0, x1, y1))
         if seg is None:
             continue

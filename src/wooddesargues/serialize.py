@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .configuration import (
     CENTER_LABELS,
@@ -21,7 +21,9 @@ from .configuration import (
     WoodDesarguesConfiguration,
 )
 from .kernel import INFINITY, Circle, Point, _Infinity
-from .verifier import VerificationReport
+
+if TYPE_CHECKING:  # the verifier formats its witnesses with this module
+    from .verifier import VerificationReport
 
 SEED_KEYS = ("tJ", "tK", "tA", "tB", "tC", "s")
 
@@ -39,7 +41,10 @@ def format_scalar(x: Fraction) -> str:
 def parse_scalar(text: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise FormatError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:  # past the interpreter's integer-string length limit
+        raise FormatError(f"rational literal too long ({len(text)} characters)") from None
 
 
 def format_parameter(value: Union[Fraction, _Infinity]) -> str:
@@ -79,19 +84,7 @@ def parse_seed_text(text: str) -> ConfigurationSeed:
         if key in fields:
             raise FormatError(f"seed key {key!r} given twice")
         fields[key] = value.strip()
-    missing = [k for k in SEED_KEYS if k not in fields]
-    if missing:
-        raise FormatError(f"missing seed keys: {', '.join(missing)}")
-    if fields["s"] == "inf":
-        raise FormatError("the offset s must be rational, not inf")
-    return ConfigurationSeed(
-        t_j=parse_parameter(fields["tJ"]),
-        t_k=parse_parameter(fields["tK"]),
-        t_a=parse_parameter(fields["tA"]),
-        t_b=parse_parameter(fields["tB"]),
-        t_c=parse_parameter(fields["tC"]),
-        s=parse_scalar(fields["s"]),
-    )
+    return seed_from_dict(fields)
 
 
 def format_seed_text(seed: ConfigurationSeed) -> str:
@@ -222,5 +215,5 @@ def dumps(obj) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or a bare number over the length limit
         raise FormatError(f"invalid JSON: {exc}") from None

@@ -9,6 +9,9 @@ from wooddesargues.cli import main
 
 REFERENCE_SEED_TEXT = "tJ=0,tK=1,tA=-1,tB=2,tC=3,s=-3/2"
 
+# longer than the interpreter's default 4300-digit integer-string limit
+HUGE_LITERAL = "7" * 5000
+
 
 @pytest.fixture()
 def reference_document(tmp_path: Path) -> Path:
@@ -28,6 +31,15 @@ def test_gen_exit_codes(tmp_path: Path):
                  "-o", str(tmp_path / "x.json")]) == 2
     assert main(["gen", "--seed", "tJ=zebra,tK=1,tA=-1,tB=2,tC=3,s=0",
                  "-o", str(tmp_path / "x.json")]) == 3
+    assert main(["gen", "--seed", f"tJ=0,tK=1,tA=-1,tB=2,tC=3,s=1/{HUGE_LITERAL}",
+                 "-o", str(tmp_path / "x.json")]) == 3
+
+
+def _document_with_huge_literal(reference_document: Path, out: Path) -> Path:
+    doc = json.loads(reference_document.read_text())
+    doc["points"]["A"] = [HUGE_LITERAL, "0/1"]
+    out.write_text(json.dumps(doc))
+    return out
 
 
 def test_verify_reference_document(reference_document: Path, tmp_path: Path, capsys):
@@ -48,13 +60,17 @@ def test_verify_tampered_document(reference_document: Path, tmp_path: Path, caps
     assert "FAIL" in err
 
 
-def test_verify_format_errors(tmp_path: Path):
+def test_verify_format_errors(reference_document: Path, tmp_path: Path):
     empty = tmp_path / "empty.json"
     empty.write_text("")
     assert main(["verify", str(empty)]) == 3
     assert main(["verify", str(tmp_path / "missing.json")]) == 3
     bad = tmp_path / "bad.json"
     bad.write_text('{"points": {}}')
+    assert main(["verify", str(bad)]) == 3
+    huge = _document_with_huge_literal(reference_document, tmp_path / "huge.json")
+    assert main(["verify", str(huge)]) == 3
+    bad.write_text('{"points": ' + HUGE_LITERAL + '}')  # a bare JSON number
     assert main(["verify", str(bad)]) == 3
 
 
@@ -93,6 +109,8 @@ def test_render_cli(reference_document: Path, tmp_path: Path):
     assert main(["render", str(reference_document), "-o", str(out),
                  "--layers", "bogus"]) == 3
     assert main(["render", str(tmp_path / "missing.json"), "-o", str(out)]) == 3
+    huge = _document_with_huge_literal(reference_document, tmp_path / "huge.json")
+    assert main(["render", str(huge), "-o", str(out)]) == 3
 
 
 def test_usage_errors_map_to_format_exit(capsys):

@@ -50,6 +50,16 @@ def test_check_names_are_frozen():
     assert check_names() == EXPECTED_NAMES
 
 
+def test_report_follows_the_registry(reference_config):
+    # every check result carries the name its registry entry gives it,
+    # in registry order, on passing and failing reports alike
+    passing = verify_all(reference_config)
+    failing = verify_all(mutate_configuration(reference_config, "j", "J", "x", 1))
+    assert failing.failed
+    for report in (passing, failing):
+        assert tuple(r.name for r in report.results) == check_names()
+
+
 def test_reference_report(reference_config):
     report = verify_all(reference_config)
     assert tuple(r.name for r in report.results) == EXPECTED_NAMES
