@@ -12,7 +12,7 @@ from typing import Optional
 
 from .configuration import DegenerateSeedError, build_configuration
 from .fuzz import FuzzPolicy, RetryBudgetExhausted, run_campaign
-from .render import LAYERS, RenderStyle, render_svg
+from .render import LAYERS, RenderStyle, UnrenderableError, render_svg
 from .serialize import (
     FormatError,
     configuration_from_document,
@@ -119,7 +119,11 @@ def cmd_render(args) -> int:
     except ValueError as exc:
         print(f"bad style: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    svg = render_svg(config, style)
+    try:
+        svg = render_svg(config, style)
+    except UnrenderableError as exc:
+        print(f"cannot render: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
     try:
         _write_output(svg, args.output)
     except OSError as exc:

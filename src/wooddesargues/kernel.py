@@ -1,15 +1,26 @@
 """Exact rational plane geometry: points, lines, circles, direct similarities.
 
-Every value is an exact ``fractions.Fraction``; every predicate is a zero-tolerance
-equality test.  All constructions stay inside the rationals because a second
-intersection with a carrier that already shares a known rational point is a
-rational function of the inputs (Vieta).  No radicals, no epsilons.
+Values are exact ``fractions.Fraction`` at the boundary: a point's ``x`` and
+``y``, a circle's squared radius, and every residual handed back.  Inside, a
+point is read through its integer homogeneous coordinates ``(X, Y, Z)``
+(``Point.hom``), and every construction and predicate works on integers alone,
+building a ``Fraction`` once, at its output.  Collinearity is a 3x3 and
+concyclicity a 4x4 integer determinant, so a predicate holds exactly when an
+integer is zero: fraction-free in the sense of Bareiss (Math. Comp. 1968),
+with the bracket predicates of Richter-Gebert, *Perspectives on Projective
+Geometry* (2011).
+
+All constructions stay inside the rationals because a second intersection
+with a carrier that already shares a known rational point is a rational
+function of the inputs (Vieta).  No radicals, no epsilons.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
@@ -67,6 +78,54 @@ def _frac(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+def decimal(n: int) -> str:
+    """Decimal digits of ``n``, also past the interpreter's int-to-str digit limit."""
+    if n < 0:
+        return "-" + decimal(-n)
+    try:
+        return str(n)
+    except ValueError:  # over sys.get_int_max_str_digits(): split at 10**k
+        k = n.bit_length() * 3 // 20  # about half the digits (log10(2) > 3/10)
+        hi, lo = divmod(n, 10 ** k)
+        return decimal(hi) + decimal(lo).rjust(k, "0")
+
+
+def rational_text(q: Fraction) -> str:
+    """``str(q)`` without the digit limit: ``n`` for integers, else ``n/d``."""
+    if q.denominator == 1:
+        return decimal(q.numerator)
+    return f"{decimal(q.numerator)}/{decimal(q.denominator)}"
+
+
+def _quotient(n: int, d: int) -> float:
+    """Correctly rounded double of n/d for d > 0; +-inf past the double range."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
+def to_float(q: Fraction) -> float:
+    """Double reading of q, equal to ``float(q)`` wherever that does not overflow."""
+    return _quotient(q.numerator, q.denominator)
+
+
+def float_sqrt(q: Fraction) -> float:
+    """Double reading of sqrt(q) for q > 0, finite whenever the root fits.
+
+    Equal to ``math.sqrt(float(q))`` wherever ``float(q)`` does not overflow.
+    """
+    f = to_float(q)
+    if f != math.inf:
+        return math.sqrt(f)
+    # q >= 2**1024: divide by an even power of two, take the root, scale back
+    k = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    try:
+        return math.ldexp(math.sqrt(q.numerator / (q.denominator << (2 * k))), k)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class Point:
     """A point of the rational plane, also read as the complex number x + iy."""
@@ -74,47 +133,93 @@ class Point:
     x: Fraction
     y: Fraction
 
+    @cached_property
+    def hom(self) -> tuple[int, int, int]:
+        """Integer homogeneous coordinates (X, Y, Z): x = X/Z, y = Y/Z.
+
+        Z is the lcm of the two denominators, so Z > 0 and gcd(X, Y, Z) = 1:
+        the triple is canonical, and two points are equal iff their triples are.
+        """
+        x, y = self.x, self.y
+        dx, dy = x.denominator, y.denominator
+        if dx == dy:
+            return (x.numerator, y.numerator, dx)
+        z = dx // gcd(dx, dy) * dy
+        return (x.numerator * (z // dx), y.numerator * (z // dy), z)
+
+    def __eq__(self, other: object) -> bool:
+        # same answer as comparing (x, y), since the triples are canonical
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.hom == other.hom
+
     def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
+        X1, Y1, Z1 = self.hom
+        X2, Y2, Z2 = other.hom
+        return _point(X1 * Z2 + X2 * Z1, Y1 * Z2 + Y2 * Z1, Z1 * Z2)
 
     def __sub__(self, other: "Point") -> "Point":
-        return Point(self.x - other.x, self.y - other.y)
+        X1, Y1, Z1 = self.hom
+        X2, Y2, Z2 = other.hom
+        return _point(X1 * Z2 - X2 * Z1, Y1 * Z2 - Y2 * Z1, Z1 * Z2)
 
     def __neg__(self) -> "Point":
-        return Point(-self.x, -self.y)
+        X, Y, Z = self.hom
+        return _point(-X, -Y, Z)
 
     def scale(self, k) -> "Point":
         k = _frac(k)
-        return Point(self.x * k, self.y * k)
+        X, Y, Z = self.hom
+        return _point(X * k.numerator, Y * k.numerator, Z * k.denominator)
 
     def rot90(self) -> "Point":
         """Counter-clockwise quarter turn about the origin."""
-        return Point(-self.y, self.x)
+        X, Y, Z = self.hom
+        return _point(-Y, X, Z)
 
     def dot(self, other: "Point") -> Fraction:
-        return self.x * other.x + self.y * other.y
+        X1, Y1, Z1 = self.hom
+        X2, Y2, Z2 = other.hom
+        return Fraction(X1 * X2 + Y1 * Y2, Z1 * Z2)
 
     def cross(self, other: "Point") -> Fraction:
-        return self.x * other.y - self.y * other.x
+        X1, Y1, Z1 = self.hom
+        X2, Y2, Z2 = other.hom
+        return Fraction(X1 * Y2 - Y1 * X2, Z1 * Z2)
 
     def norm_squared(self) -> Fraction:
-        return self.x * self.x + self.y * self.y
+        X, Y, Z = self.hom
+        return Fraction(X * X + Y * Y, Z * Z)
 
     # complex-number reading ------------------------------------------------
 
     def cmul(self, other: "Point") -> "Point":
-        return Point(self.x * other.x - self.y * other.y,
-                     self.x * other.y + self.y * other.x)
+        X1, Y1, Z1 = self.hom
+        X2, Y2, Z2 = other.hom
+        return _point(X1 * X2 - Y1 * Y2, X1 * Y2 + Y1 * X2, Z1 * Z2)
 
     def cdiv(self, other: "Point") -> "Point":
-        d = other.norm_squared()
+        X1, Y1, Z1 = self.hom
+        X2, Y2, Z2 = other.hom
+        d = X2 * X2 + Y2 * Y2
         if d == 0:
             raise DegenerateInputError("complex division by zero")
-        return Point((self.x * other.x + self.y * other.y) / d,
-                     (self.y * other.x - self.x * other.y) / d)
+        return _point((X1 * X2 + Y1 * Y2) * Z2, (Y1 * X2 - X1 * Y2) * Z2, Z1 * d)
 
     def __repr__(self) -> str:
-        return f"({self.x}, {self.y})"
+        return f"({rational_text(self.x)}, {rational_text(self.y)})"
+
+
+def _point(X: int, Y: int, Z: int) -> Point:
+    """The point (X/Z, Y/Z) for integers with Z != 0; the one Fraction exit."""
+    g = gcd(X, Y, Z)
+    if Z < 0:
+        g = -g
+    if g != 1:
+        X, Y, Z = X // g, Y // g, Z // g
+    p = Point(Fraction(X, Z), Fraction(Y, Z))
+    p.__dict__["hom"] = (X, Y, Z)  # prefill the cached view: already canonical
+    return p
 
 
 ORIGIN = Point(Fraction(0), Fraction(0))
@@ -126,8 +231,16 @@ def point(x, y) -> Point:
 
 
 def float_point(p: Point) -> tuple[float, float]:
-    """Double-precision reading of p, for residuals and drawing only."""
-    return (float(p.x), float(p.y))
+    """Double-precision reading of p, for residuals and drawing only.
+
+    Bit-identical to ``(float(p.x), float(p.y))`` (integer true division is
+    correctly rounded); a coordinate past the double range reads as +-inf.
+    """
+    X, Y, Z = p.hom
+    try:
+        return (X / Z, Y / Z)
+    except OverflowError:
+        return (_quotient(X, Z), _quotient(Y, Z))
 
 
 def distinct(points: Iterable[Point]) -> list[Point]:
@@ -140,11 +253,16 @@ def distinct(points: Iterable[Point]) -> list[Point]:
 
 
 def midpoint(p: Point, q: Point) -> Point:
-    return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
+    X1, Y1, Z1 = p.hom
+    X2, Y2, Z2 = q.hom
+    return _point(X1 * Z2 + X2 * Z1, Y1 * Z2 + Y2 * Z1, 2 * Z1 * Z2)
 
 
 def distance_squared(p: Point, q: Point) -> Fraction:
-    return (p - q).norm_squared()
+    X1, Y1, Z1 = p.hom
+    X2, Y2, Z2 = q.hom
+    dx, dy, z = X1 * Z2 - X2 * Z1, Y1 * Z2 - Y2 * Z1, Z1 * Z2
+    return Fraction(dx * dx + dy * dy, z * z)
 
 
 @dataclass(frozen=True)
@@ -160,21 +278,22 @@ class Line:
     c: int
 
     @staticmethod
-    def from_coefficients(a, b, c) -> "Line":
-        a, b, c = _frac(a), _frac(b), _frac(c)
+    def from_coefficients(a: int, b: int, c: int) -> "Line":
+        """Normal form of a*x + b*y + c = 0 for integer coefficients."""
         if a == 0 and b == 0:
             raise DegenerateInputError("line requires (a, b) != (0, 0)")
-        denom = a.denominator * b.denominator * c.denominator
-        ia, ib, ic = (int(a * denom), int(b * denom), int(c * denom))
-        g = gcd(gcd(abs(ia), abs(ib)), abs(ic))
-        ia, ib, ic = ia // g, ib // g, ic // g
-        lead = ia if ia != 0 else (ib if ib != 0 else ic)
-        if lead < 0:
-            ia, ib, ic = -ia, -ib, -ic
-        return Line(ia, ib, ic)
+        g = gcd(a, b, c)
+        if (a if a != 0 else b) < 0:
+            g = -g
+        return Line(a // g, b // g, c // g)
+
+    def _at(self, p: Point) -> int:
+        """a*X + b*Y + c*Z: Z times the value at p, with the sign of that value."""
+        X, Y, Z = p.hom
+        return self.a * X + self.b * Y + self.c * Z
 
     def evaluate(self, p: Point) -> Fraction:
-        return self.a * p.x + self.b * p.y + self.c
+        return Fraction(self._at(p), p.hom[2])
 
     def direction(self) -> Point:
         return Point(Fraction(-self.b), Fraction(self.a))
@@ -182,8 +301,22 @@ class Line:
     def normal(self) -> Point:
         return Point(Fraction(self.a), Fraction(self.b))
 
+    def float_coefficients(self) -> tuple[float, float, float]:
+        """(a, b, c) as doubles, for residuals and drawing only.
+
+        Equal to the plain conversions while a and b fit in a double; past
+        that all three are divided by one power of two, which leaves the line
+        and every scale-free residual unchanged.
+        """
+        a, b, c = self.a, self.b, self.c
+        try:
+            return float(a), float(b), _quotient(c, 1)
+        except OverflowError:  # a or b rounds past the double range
+            unit = 1 << (max(abs(a).bit_length(), abs(b).bit_length()) - 1000)
+        return _quotient(a, unit), _quotient(b, unit), _quotient(c, unit)
+
     def __repr__(self) -> str:
-        return f"[{self.a}x + {self.b}y + {self.c} = 0]"
+        return f"[{decimal(self.a)}x + {decimal(self.b)}y + {decimal(self.c)} = 0]"
 
 
 @dataclass(frozen=True)
@@ -195,12 +328,21 @@ class Circle:
         if self.radius_squared <= 0:
             raise DegenerateInputError("circle needs radiusSquared > 0")
 
+    def _power(self, p: Point) -> tuple[int, int]:
+        """Numerator and positive denominator of the power of p."""
+        X, Y, Z = p.hom
+        Xc, Yc, Zc = self.center.hom
+        r2 = self.radius_squared
+        dx, dy, z = X * Zc - Xc * Z, Y * Zc - Yc * Z, Z * Zc
+        d, zz = r2.denominator, z * z
+        return d * (dx * dx + dy * dy) - r2.numerator * zz, d * zz
+
     def power(self, p: Point) -> Fraction:
         """Power of the point: zero exactly when p lies on the circle."""
-        return distance_squared(p, self.center) - self.radius_squared
+        return Fraction(*self._power(p))
 
     def __repr__(self) -> str:
-        return f"Circle(center={self.center}, r2={self.radius_squared})"
+        return f"Circle(center={self.center}, r2={rational_text(self.radius_squared)})"
 
 
 def point_on_unit_circle(t: UnitParameter) -> Point:
@@ -208,53 +350,61 @@ def point_on_unit_circle(t: UnitParameter) -> Point:
     if isinstance(t, _Infinity):
         return Point(Fraction(-1), Fraction(0))
     t = _frac(t)
-    d = 1 + t * t
-    return Point((1 - t * t) / d, 2 * t / d)
+    n, d = t.numerator, t.denominator
+    return _point(d * d - n * n, 2 * n * d, d * d + n * n)
 
 
 def line_through(p: Point, q: Point) -> Line:
     if p == q:
         raise CoincidentPointsError(f"line through coincident points {p}")
-    a = q.y - p.y
-    b = p.x - q.x
-    c = -(a * p.x + b * p.y)
-    return Line.from_coefficients(a, b, c)
+    X1, Y1, Z1 = p.hom
+    X2, Y2, Z2 = q.hom
+    return Line.from_coefficients(Y1 * Z2 - Z1 * Y2, Z1 * X2 - X1 * Z2, X1 * Y2 - Y1 * X2)
 
 
 def meet(l1: Line, l2: Line) -> Point:
-    det = l1.a * l2.b - l2.a * l1.b
-    if det == 0:
+    z = l1.a * l2.b - l2.a * l1.b
+    if z == 0:
         raise ParallelLinesError(f"no unique intersection of {l1} and {l2}")
-    x = Fraction(l1.b * l2.c - l2.b * l1.c, det)
-    y = Fraction(l1.c * l2.a - l2.c * l1.a, det)
-    return Point(x, y)
+    return _point(l1.b * l2.c - l2.b * l1.c, l1.c * l2.a - l2.c * l1.a, z)
 
 
 def perpendicular_bisector(p: Point, q: Point) -> Line:
     if p == q:
         raise CoincidentPointsError(f"perpendicular bisector of coincident points {p}")
-    a = 2 * (q.x - p.x)
-    b = 2 * (q.y - p.y)
-    c = -(q.norm_squared() - p.norm_squared())
-    return Line.from_coefficients(a, b, c)
+    X1, Y1, Z1 = p.hom
+    X2, Y2, Z2 = q.hom
+    # 2 (q - p).(x, y) = |q|^2 - |p|^2, times Z1^2 Z2^2
+    z = 2 * Z1 * Z2
+    return Line.from_coefficients((X2 * Z1 - X1 * Z2) * z, (Y2 * Z1 - Y1 * Z2) * z,
+                                  (X1 * X1 + Y1 * Y1) * Z2 * Z2 - (X2 * X2 + Y2 * Y2) * Z1 * Z1)
 
 
 def perpendicular_at(p: Point, l: Line) -> Line:
     # new normal = direction of l
     a, b = -l.b, l.a
-    return Line.from_coefficients(a, b, -(a * p.x + b * p.y))
+    X, Y, Z = p.hom
+    return Line.from_coefficients(a * Z, b * Z, -(a * X + b * Y))
 
 
 def parallel_through(p: Point, l: Line) -> Line:
-    return Line.from_coefficients(l.a, l.b, -(l.a * p.x + l.b * p.y))
+    X, Y, Z = p.hom
+    return Line.from_coefficients(l.a * Z, l.b * Z, -(l.a * X + l.b * Y))
+
+
+def _det3(p: Point, q: Point, r: Point) -> int:
+    """Bracket [p q r] of the homogeneous triples: Z1 Z2 Z3 (q - p) x (r - p)."""
+    (a, b, c), (d, e, f), (g, h, i) = p.hom, q.hom, r.hom
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def is_collinear(p: Point, q: Point, r: Point) -> bool:
-    return (q - p).cross(r - p) == 0
+    return _det3(p, q, r) == 0
 
 
 def collinearity_residual(p: Point, q: Point, r: Point) -> Fraction:
-    return (q - p).cross(r - p)
+    """(q - p) x (r - p), the bracket divided by Z1 Z2 Z3."""
+    return Fraction(_det3(p, q, r), p.hom[2] * q.hom[2] * r.hom[2])
 
 
 def circumcenter(p: Point, q: Point, r: Point) -> Point:
@@ -268,7 +418,7 @@ def circumcenter(p: Point, q: Point, r: Point) -> Point:
 def circle_through(p: Point, q: Point, r: Point) -> Circle:
     center = circumcenter(p, q, r)
     circle = Circle(center, distance_squared(center, p))
-    assert circle.power(q) == 0 and circle.power(r) == 0
+    assert circle._power(q)[0] == 0 and circle._power(r)[0] == 0
     return circle
 
 
@@ -278,16 +428,19 @@ def second_intersection_with_line(circle: Circle, l: Line, known: Point) -> tupl
     Returns ``(point, tangent)``; when ``l`` touches the circle at ``known`` the
     known point itself comes back with the tangency flag set.
     """
-    if l.evaluate(known) != 0:
+    if l._at(known) != 0:
         raise NotIncidentError(f"{known} not on {l}")
-    if circle.power(known) != 0:
+    if circle._power(known)[0] != 0:
         raise NotIncidentError(f"{known} not on {circle}")
-    d = l.direction()
-    # known + t*d on the circle: t * (t*|d|^2 + 2 d.(known - center)) = 0
-    t = Fraction(-2) * d.dot(known - circle.center) / d.norm_squared()
-    if t == 0:
+    X, Y, Z = known.hom
+    Xc, Yc, Zc = circle.center.hom
+    # known + t*d on the circle, d = (-b, a): t * (t*|d|^2 + 2 d.(known - center)) = 0,
+    # so t = T / S with the integers below
+    T = -2 * (l.a * (Y * Zc - Yc * Z) - l.b * (X * Zc - Xc * Z))
+    if T == 0:
         return known, True
-    return known + d.scale(t), False
+    S = Z * Zc * (l.a * l.a + l.b * l.b)
+    return _point(X * S - l.b * T * Z, Y * S + l.a * T * Z, Z * S), False
 
 
 def radical_axis(c1: Circle, c2: Circle) -> Line:
@@ -295,32 +448,41 @@ def radical_axis(c1: Circle, c2: Circle) -> Line:
         raise IdenticalCirclesError("radical axis of identical circles")
     if c1.center == c2.center:
         raise DegenerateInputError("concentric circles have no radical axis")
-    a = 2 * (c2.center.x - c1.center.x)
-    b = 2 * (c2.center.y - c1.center.y)
-    c = ((c1.center.norm_squared() - c1.radius_squared)
-         - (c2.center.norm_squared() - c2.radius_squared))
-    return Line.from_coefficients(a, b, c)
+    X1, Y1, Z1 = c1.center.hom
+    X2, Y2, Z2 = c2.center.hom
+    n1, d1 = c1.radius_squared.numerator, c1.radius_squared.denominator
+    n2, d2 = c2.radius_squared.numerator, c2.radius_squared.denominator
+    # 2 (c2 - c1).(x, y) + (|c1|^2 - r1^2) - (|c2|^2 - r2^2) = 0, times Z1^2 Z2^2 d1 d2
+    k1 = (X1 * X1 + Y1 * Y1) * d1 - n1 * Z1 * Z1
+    k2 = (X2 * X2 + Y2 * Y2) * d2 - n2 * Z2 * Z2
+    s = 2 * Z1 * Z2 * d1 * d2
+    return Line.from_coefficients((X2 * Z1 - X1 * Z2) * s, (Y2 * Z1 - Y1 * Z2) * s,
+                                  k1 * Z2 * Z2 * d2 - k2 * Z1 * Z1 * d1)
 
 
 def second_intersection_of_circles(c1: Circle, c2: Circle, known: Point) -> tuple[Point, bool]:
     if c1 == c2:
         raise IdenticalCirclesError("second intersection of identical circles")
-    if c1.power(known) != 0 or c2.power(known) != 0:
+    if c1._power(known)[0] != 0 or c2._power(known)[0] != 0:
         raise NotIncidentError(f"{known} not on both circles")
     return second_intersection_with_line(c1, radical_axis(c1, c2), known)
 
 
 def antipode(circle: Circle, p: Point) -> Point:
-    if circle.power(p) != 0:
+    if circle._power(p)[0] != 0:
         raise NotIncidentError(f"{p} not on {circle}")
-    return circle.center.scale(2) - p
+    X, Y, Z = p.hom
+    Xc, Yc, Zc = circle.center.hom
+    return _point(2 * Xc * Z - X * Zc, 2 * Yc * Z - Y * Zc, Zc * Z)
 
 
 def tangent_at(circle: Circle, p: Point) -> Line:
-    if circle.power(p) != 0:
+    if circle._power(p)[0] != 0:
         raise NotIncidentError(f"{p} not on {circle}")
-    n = p - circle.center
-    return Line.from_coefficients(n.x, n.y, -(n.x * p.x + n.y * p.y))
+    X, Y, Z = p.hom
+    Xc, Yc, Zc = circle.center.hom
+    nx, ny = X * Zc - Xc * Z, Y * Zc - Yc * Z  # Z Zc (p - center)
+    return Line.from_coefficients(nx * Z, ny * Z, -(nx * X + ny * Y))
 
 
 def orthocentre(p: Point, q: Point, r: Point) -> Point:
@@ -329,18 +491,37 @@ def orthocentre(p: Point, q: Point, r: Point) -> Point:
         raise CollinearPointsError(f"orthocentre of collinear points {p}, {q}, {r}")
     h = meet(perpendicular_at(p, line_through(q, r)),
              perpendicular_at(q, line_through(p, r)))
-    assert h == p + q + r - circumcenter(p, q, r).scale(2)
+    # Euler: h = p + q + r - 2 o, compared over the common denominator
+    (X1, Y1, Z1), (X2, Y2, Z2), (X3, Y3, Z3) = p.hom, q.hom, r.hom
+    Xo, Yo, Zo = circumcenter(p, q, r).hom
+    Xh, Yh, Zh = h.hom
+    z12, z = Z1 * Z2, Z1 * Z2 * Z3
+    xs = ((X1 * Z2 + X2 * Z1) * Z3 + X3 * z12) * Zo - 2 * Xo * z
+    ys = ((Y1 * Z2 + Y2 * Z1) * Z3 + Y3 * z12) * Zo - 2 * Yo * z
+    assert Xh * z * Zo == xs * Zh and Yh * z * Zo == ys * Zh
     return h
 
 
+def _det4_rows(p: Point) -> tuple[int, int, int, int]:
+    X, Y, Z = p.hom
+    return X * Z, Y * Z, X * X + Y * Y, Z * Z
+
+
 def concyclicity_determinant(p: Point, q: Point, r: Point, s: Point) -> Fraction:
-    """4x4 determinant with rows (x, y, x^2 + y^2, 1); zero iff on a common circle or line."""
-    rows = [(t.x, t.y, t.norm_squared()) for t in (p, q, r, s)]
-    # expand along the constant column by subtracting the first row
-    m = [(rx - rows[0][0], ry - rows[0][1], rz - rows[0][2]) for rx, ry, rz in rows[1:]]
-    return (m[0][0] * (m[1][1] * m[2][2] - m[2][1] * m[1][2])
-            - m[0][1] * (m[1][0] * m[2][2] - m[2][0] * m[1][2])
-            + m[0][2] * (m[1][0] * m[2][1] - m[2][0] * m[1][1]))
+    """4x4 determinant with rows (x, y, x^2 + y^2, 1), negated; zero iff on a common circle or line.
+
+    Computed over the integer rows (XZ, YZ, X^2 + Y^2, Z^2), each Z^2 times the
+    rational one, by Laplace expansion along the first two columns.
+    """
+    (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3) = (
+        _det4_rows(p), _det4_rows(q), _det4_rows(r), _det4_rows(s))
+    det = ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+           - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+           + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+           + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+           - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+           + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
+    return Fraction(-det, d0 * d1 * d2 * d3)
 
 
 def collapses_to_line(points: Sequence[Point]) -> bool:
@@ -364,8 +545,8 @@ Carrier = Union[Line, Circle]
 
 def incident(carrier: Carrier, p: Point) -> bool:
     if isinstance(carrier, Line):
-        return carrier.evaluate(p) == 0
-    return carrier.power(p) == 0
+        return carrier._at(p) == 0
+    return carrier._power(p)[0] == 0
 
 
 @dataclass(frozen=True)
@@ -394,7 +575,11 @@ class Similarity:
         return cls(alpha, target[0] - alpha.cmul(source[0]))
 
     def apply(self, p: Point) -> Point:
-        return self.alpha.cmul(p) + self.beta
+        Xa, Ya, Za = self.alpha.hom
+        Xb, Yb, Zb = self.beta.hom
+        X, Y, Z = p.hom
+        z = Za * Z
+        return _point((Xa * X - Ya * Y) * Zb + Xb * z, (Xa * Y + Ya * X) * Zb + Yb * z, z * Zb)
 
     @property
     def ratio_squared(self) -> Fraction:

@@ -23,7 +23,7 @@ from .configuration import (
     derive_figures,
     perspectrix_line,
 )
-from .kernel import Line, float_point
+from .kernel import Line, float_point, float_sqrt
 
 LAYERS = ("points", "circles", "perspectrices", "haggeCentres", "pentagon")
 
@@ -47,6 +47,10 @@ class RenderStyle:
             raise ValueError("size must be positive and margin in [0, 0.5)")
 
 
+class UnrenderableError(ValueError):
+    """A drawn coordinate, or the drawing's extent, does not fit in a double."""
+
+
 def _fmt(v: float) -> str:
     if v == 0.0:
         v = 0.0  # normalize -0.0
@@ -55,7 +59,7 @@ def _fmt(v: float) -> str:
 
 def _clip_line(line: Line, box: tuple[float, float, float, float]):
     """Segment of an infinite line inside a rectangle, or None."""
-    a, b, c = float(line.a), float(line.b), float(line.c)
+    a, b, c = line.float_coefficients()
     x0, y0, x1, y1 = box
     pts = []
     if b != 0.0:
@@ -90,11 +94,11 @@ def render_svg(config: WoodDesarguesConfiguration,
         for lbl in CIRCLE_LABELS:
             c = config.circles[lbl]
             cx, cy = float_point(c.center)
-            circles.append((lbl, cx, cy, math.sqrt(float(c.radius_squared)), _CIRCLE_STROKE))
+            circles.append((lbl, cx, cy, float_sqrt(c.radius_squared), _CIRCLE_STROKE))
     if "pentagon" in layers and derived.pentagon.circle is not None:
         c = derived.pentagon.circle
         cx, cy = float_point(c.center)
-        circles.append(("pentagon", cx, cy, math.sqrt(float(c.radius_squared)), _PENTAGON_STROKE))
+        circles.append(("pentagon", cx, cy, float_sqrt(c.radius_squared), _PENTAGON_STROKE))
     if "haggeCentres" in layers:
         for rec in PERSPECTIVE_TABLE:
             fig = derived.hagge[rec.vertex]
@@ -102,7 +106,7 @@ def render_svg(config: WoodDesarguesConfiguration,
                 continue
             cx, cy = float_point(fig.circle.center)
             circles.append((f"hagge-{rec.vertex}", cx, cy,
-                            math.sqrt(float(fig.circle.radius_squared)), _HAGGE_STROKE))
+                            float_sqrt(fig.circle.radius_squared), _HAGGE_STROKE))
 
     markers: list[tuple[str, float, float]] = []
     if "points" in layers:
@@ -144,6 +148,8 @@ def render_svg(config: WoodDesarguesConfiguration,
                 ys.append(y)
     if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
+    if not all(map(math.isfinite, xs + ys)):
+        raise UnrenderableError("a drawn coordinate does not fit in a double")
 
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
@@ -152,6 +158,8 @@ def render_svg(config: WoodDesarguesConfiguration,
     pad = style.margin * max(w, h)
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
     w, h = x1 - x0, y1 - y0
+    if not (math.isfinite(w) and math.isfinite(h)):
+        raise UnrenderableError("the drawing's extent does not fit in a double")
     k = style.size / max(w, h)
     width, height = k * w, k * h
     tx, ty = -k * x0, k * y1

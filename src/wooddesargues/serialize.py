@@ -20,7 +20,7 @@ from .configuration import (
     ConfigurationSeed,
     WoodDesarguesConfiguration,
 )
-from .kernel import INFINITY, Circle, Point, _Infinity
+from .kernel import INFINITY, Circle, Point, _Infinity, decimal
 
 if TYPE_CHECKING:  # the verifier formats its witnesses with this module
     from .verifier import VerificationReport
@@ -35,7 +35,10 @@ class FormatError(ValueError):
 
 
 def format_scalar(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        return f"{decimal(x.numerator)}/{decimal(x.denominator)}"
 
 
 def parse_scalar(text: str) -> Fraction:

@@ -61,6 +61,7 @@ from .kernel import (
     radical_axis,
     second_intersection_of_circles,
     tangent_at,
+    to_float,
 )
 from .serialize import format_scalar
 
@@ -79,6 +80,14 @@ def _hyp(p: tuple[float, float]) -> float:
 
 def _sub(p, q) -> tuple[float, float]:
     return (p[0] - q[0], p[1] - q[1])
+
+
+def _square(v: float) -> float:
+    """``v ** 2``, or inf where that overflows (float ``**`` raises, ``*`` does not)."""
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -133,20 +142,22 @@ class ClaimSet:
     def on_line(self, label: str, line: Line, p: Point) -> bool:
         res = line.evaluate(p)
         fp = float_point(p)
-        den = math.hypot(line.a, line.b) * (1.0 + _hyp(fp))
-        fres = (line.a * fp[0] + line.b * fp[1] + line.c) / den
+        a, b, c = line.float_coefficients()
+        den = math.hypot(a, b) * (1.0 + _hyp(fp))
+        fres = (a * fp[0] + b * fp[1] + c) / den
         return self._push(Claim(label, res == 0, format_scalar(res), fres))
 
     def on_circle(self, label: str, circle: Circle, p: Point) -> bool:
         res = circle.power(p)
         d = _sub(float_point(p), float_point(circle.center))
-        fres = (d[0] * d[0] + d[1] * d[1] - float(circle.radius_squared)) / float(circle.radius_squared)
+        r2 = to_float(circle.radius_squared)
+        fres = (d[0] * d[0] + d[1] * d[1] - r2) / r2 if r2 else math.inf
         return self._push(Claim(label, res == 0, format_scalar(res), fres))
 
     def points_equal(self, label: str, got: Point, expected: Point) -> bool:
-        diff = got - expected
-        fres = _hyp(float_point(diff)) / (1.0 + _hyp(float_point(expected)))
-        holds = diff == ORIGIN
+        holds = got == expected
+        fres = 0.0 if holds else (_hyp(float_point(got - expected))
+                                  / (1.0 + _hyp(float_point(expected))))
         return self._push(Claim(label, holds, fmt_point(got), fres))
 
     def lines_meet_at(self, label: str, l1: Line, l2: Line, target: Point,
@@ -162,7 +173,7 @@ class ClaimSet:
 
     def scalars_equal(self, label: str, got: Fraction, expected: Fraction) -> bool:
         holds = got == expected
-        fres = abs(float(got) - float(expected)) / (1.0 + abs(float(expected)))
+        fres = abs(to_float(got) - to_float(expected)) / (1.0 + abs(to_float(expected)))
         return self._push(Claim(label, holds, format_scalar(got), fres))
 
     def concyclic(self, label: str, a: Point, b: Point, c: Point, d: Point) -> bool:
@@ -178,11 +189,13 @@ class ClaimSet:
             fres = 0.0
         else:
             m = [(r[0] - q[0][0], r[1] - q[0][1],
-                  r[0] * r[0] + r[1] * r[1] - q[0][0] ** 2 - q[0][1] ** 2) for r in q[1:]]
+                  r[0] * r[0] + r[1] * r[1] - _square(q[0][0]) - _square(q[0][1]))
+                 for r in q[1:]]
             fdet = (m[0][0] * (m[1][1] * m[2][2] - m[2][1] * m[1][2])
                     - m[0][1] * (m[1][0] * m[2][2] - m[2][0] * m[1][2])
                     + m[0][2] * (m[1][0] * m[2][1] - m[2][0] * m[1][1]))
-            fres = fdet / (4.0 * scale * scale)
+            den = 4.0 * scale * scale
+            fres = fdet / den if den else 0.0
         witness = "collinear-quadruple" if collapsed else format_scalar(det)
         return self._push(Claim(label, holds, witness, fres))
 

@@ -117,3 +117,33 @@ def test_usage_errors_map_to_format_exit(capsys):
     assert main(["bogus-command"]) == 3
     assert main(["fuzz", "--count", "notanint", "--rng-seed", "1", "--max-num", "2"]) == 3
     assert main(["--help"]) == 0
+
+
+# legal coordinates that do not fit in a double: 10**3999, its inverse, and a
+# ratio of two 4000-digit integers whose value (about 10) does fit
+OUT_OF_RANGE_COORDINATES = {
+    "huge": str(10 ** 3999),
+    "tiny": f"1/{10 ** 3999}",
+    "ratio": f"{10 ** 4000 + 3}/{10 ** 3999}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE_COORDINATES))
+def test_coordinates_past_the_double_range(name: str, reference_document: Path,
+                                           tmp_path: Path, capsys):
+    doc = json.loads(reference_document.read_text())
+    doc["points"]["1"][0] = OUT_OF_RANGE_COORDINATES[name]
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(doc))
+
+    # the point left its place, so the exact checks fail; the floats do not matter
+    assert main(["verify", str(moved), "--report", str(tmp_path / "report.json")]) == 1
+    assert "FAIL" in capsys.readouterr().err
+
+    svg = tmp_path / "figure.svg"
+    if name == "huge":  # point 1 is drawn, and 10**3999 is past the double range
+        assert main(["render", str(moved), "-o", str(svg)]) == 3
+        assert "cannot render" in capsys.readouterr().err
+    else:
+        assert main(["render", str(moved), "-o", str(svg)]) == 0
+        assert svg.read_text().startswith("<?xml")

@@ -1,0 +1,367 @@
+"""The integer kernel against step-by-step Fraction formulas.
+
+Every kernel construction and predicate works on integer homogeneous
+coordinates.  The functions prefixed ``fraction_`` below compute the same
+quantities with plain ``Fraction`` arithmetic, one operation at a time; they
+are the oracle, kept here and not in the package.  Each property holds one
+kernel function equal to its formula on rationals with unequal denominators,
+negative values and 200-digit numerators and denominators.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction as F
+from math import gcd, isclose, sqrt
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from wooddesargues.kernel import (
+    Circle,
+    Line,
+    ONE,
+    Point,
+    Similarity,
+    antipode,
+    circle_through,
+    circumcenter,
+    collinearity_residual,
+    concyclicity_determinant,
+    distance_squared,
+    float_point,
+    float_sqrt,
+    incident,
+    is_collinear,
+    line_through,
+    meet,
+    midpoint,
+    orthocentre,
+    parallel_through,
+    perpendicular_at,
+    perpendicular_bisector,
+    point_on_unit_circle,
+    radical_axis,
+    second_intersection_of_circles,
+    second_intersection_with_line,
+    tangent_at,
+    to_float,
+)
+
+HUGE = 10 ** 200
+small = st.fractions(min_value=-40, max_value=40, max_denominator=50)
+huge = st.builds(F, st.integers(-HUGE, HUGE), st.integers(1, HUGE))
+rationals = st.one_of(small, huge)
+points = st.builds(Point, rationals, rationals)
+# a coarse grid, so that equal and collinear points come up often
+grid = st.builds(Point, st.fractions(-2, 2, max_denominator=2),
+                 st.fractions(-2, 2, max_denominator=2))
+lines = st.builds(Line, st.integers(-HUGE, HUGE), st.integers(-HUGE, HUGE),
+                  st.integers(-HUGE, HUGE)).filter(lambda l: l.a or l.b)
+
+EXAMPLES = settings(max_examples=60, deadline=None)
+
+
+# --- the Fraction formulas ------------------------------------------------------
+
+
+def fraction_line(a, b, c) -> Line:
+    a, b, c = F(a), F(b), F(c)
+    denom = a.denominator * b.denominator * c.denominator
+    ia, ib, ic = (int(a * denom), int(b * denom), int(c * denom))
+    g = gcd(gcd(abs(ia), abs(ib)), abs(ic))
+    ia, ib, ic = ia // g, ib // g, ic // g
+    lead = ia if ia != 0 else (ib if ib != 0 else ic)
+    if lead < 0:
+        ia, ib, ic = -ia, -ib, -ic
+    return Line(ia, ib, ic)
+
+
+def fraction_add(p, q):
+    return Point(p.x + q.x, p.y + q.y)
+
+
+def fraction_sub(p, q):
+    return Point(p.x - q.x, p.y - q.y)
+
+
+def fraction_scale(p, k):
+    return Point(p.x * k, p.y * k)
+
+
+def fraction_norm_squared(p):
+    return p.x * p.x + p.y * p.y
+
+
+def fraction_cmul(p, q):
+    return Point(p.x * q.x - p.y * q.y, p.x * q.y + p.y * q.x)
+
+
+def fraction_cdiv(p, q):
+    d = fraction_norm_squared(q)
+    return Point((p.x * q.x + p.y * q.y) / d, (p.y * q.x - p.x * q.y) / d)
+
+
+def fraction_evaluate(l, p):
+    return l.a * p.x + l.b * p.y + l.c
+
+
+def fraction_power(circle, p):
+    return fraction_norm_squared(fraction_sub(p, circle.center)) - circle.radius_squared
+
+
+def fraction_line_through(p, q):
+    a = q.y - p.y
+    b = p.x - q.x
+    return fraction_line(a, b, -(a * p.x + b * p.y))
+
+
+def fraction_meet(l1, l2):
+    det = l1.a * l2.b - l2.a * l1.b
+    return Point(F(l1.b * l2.c - l2.b * l1.c, det), F(l1.c * l2.a - l2.c * l1.a, det))
+
+
+def fraction_perpendicular_bisector(p, q):
+    return fraction_line(2 * (q.x - p.x), 2 * (q.y - p.y),
+                         -(fraction_norm_squared(q) - fraction_norm_squared(p)))
+
+
+def fraction_perpendicular_at(p, l):
+    a, b = -l.b, l.a
+    return fraction_line(a, b, -(a * p.x + b * p.y))
+
+
+def fraction_parallel_through(p, l):
+    return fraction_line(l.a, l.b, -(l.a * p.x + l.b * p.y))
+
+
+def fraction_collinearity_residual(p, q, r):
+    u, v = fraction_sub(q, p), fraction_sub(r, p)
+    return u.x * v.y - u.y * v.x
+
+
+def fraction_circumcenter(p, q, r):
+    return fraction_meet(fraction_perpendicular_bisector(p, q),
+                         fraction_perpendicular_bisector(q, r))
+
+
+def fraction_orthocentre(p, q, r):
+    return fraction_meet(fraction_perpendicular_at(p, fraction_line_through(q, r)),
+                         fraction_perpendicular_at(q, fraction_line_through(p, r)))
+
+
+def fraction_concyclicity_determinant(p, q, r, s):
+    rows = [(t.x, t.y, fraction_norm_squared(t)) for t in (p, q, r, s)]
+    m = [(rx - rows[0][0], ry - rows[0][1], rz - rows[0][2]) for rx, ry, rz in rows[1:]]
+    return (m[0][0] * (m[1][1] * m[2][2] - m[2][1] * m[1][2])
+            - m[0][1] * (m[1][0] * m[2][2] - m[2][0] * m[1][2])
+            + m[0][2] * (m[1][0] * m[2][1] - m[2][0] * m[1][1]))
+
+
+def fraction_second_intersection_with_line(circle, l, known):
+    d = Point(F(-l.b), F(l.a))
+    k = fraction_sub(known, circle.center)
+    t = F(-2) * (d.x * k.x + d.y * k.y) / fraction_norm_squared(d)
+    if t == 0:
+        return known, True
+    return fraction_add(known, fraction_scale(d, t)), False
+
+
+def fraction_radical_axis(c1, c2):
+    return fraction_line(2 * (c2.center.x - c1.center.x), 2 * (c2.center.y - c1.center.y),
+                         (fraction_norm_squared(c1.center) - c1.radius_squared)
+                         - (fraction_norm_squared(c2.center) - c2.radius_squared))
+
+
+def fraction_tangent_at(circle, p):
+    n = fraction_sub(p, circle.center)
+    return fraction_line(n.x, n.y, -(n.x * p.x + n.y * p.y))
+
+
+def circle_on(center, p) -> Circle:
+    """The circle about ``center`` through ``p``, radius from the Fraction formula."""
+    return Circle(center, fraction_norm_squared(fraction_sub(p, center)))
+
+
+# --- the homogeneous view -----------------------------------------------------
+
+
+@given(points)
+@EXAMPLES
+def test_view_is_canonical(p):
+    X, Y, Z = p.hom
+    assert Z > 0 and gcd(X, Y, Z) == 1
+    assert F(X, Z) == p.x and F(Y, Z) == p.y
+    assert Z == p.x.denominator * p.y.denominator // gcd(p.x.denominator, p.y.denominator)
+
+
+@given(points, points)
+@EXAMPLES
+def test_prefilled_views_equal_computed_ones(p, q):
+    for made in (p + q, p - q, -p, p.rot90(), p.cmul(q), midpoint(p, q)):
+        assert made.hom == Point(made.x, made.y).hom
+        X, Y, Z = made.hom
+        assert Z > 0 and gcd(X, Y, Z) == 1
+
+
+@given(st.one_of(grid, points), st.one_of(grid, points))
+@EXAMPLES
+def test_points_are_equal_exactly_when_views_are(p, q):
+    same = (p.x, p.y) == (q.x, q.y)
+    assert (p == q) == same == (p.hom == q.hom)
+    assert (p != q) == (not same)
+    if same:
+        assert hash(p) == hash(q)
+
+
+@given(points, points, rationals)
+@EXAMPLES
+def test_point_arithmetic(p, q, k):
+    assert p + q == fraction_add(p, q)
+    assert p - q == fraction_sub(p, q)
+    assert -p == Point(-p.x, -p.y)
+    assert p.scale(k) == fraction_scale(p, k)
+    assert p.rot90() == Point(-p.y, p.x)
+    assert p.dot(q) == p.x * q.x + p.y * q.y
+    assert p.cross(q) == p.x * q.y - p.y * q.x
+    assert p.norm_squared() == fraction_norm_squared(p)
+    assert p.cmul(q) == fraction_cmul(p, q)
+    assert midpoint(p, q) == Point((p.x + q.x) / 2, (p.y + q.y) / 2)
+    assert distance_squared(p, q) == fraction_norm_squared(fraction_sub(p, q))
+    if q.x or q.y:
+        assert p.cdiv(q) == fraction_cdiv(p, q)
+
+
+@given(rationals)
+@EXAMPLES
+def test_point_on_unit_circle(t):
+    d = 1 + t * t
+    assert point_on_unit_circle(t) == Point((1 - t * t) / d, 2 * t / d)
+
+
+@given(points, points, points)
+@EXAMPLES
+def test_similarity_arithmetic(a, b, p):
+    assume(a.x or a.y)
+    sim = Similarity(a, b)
+    assert sim.apply(p) == fraction_add(fraction_cmul(a, p), b)
+    assert sim.ratio_squared == fraction_norm_squared(a)
+    if a != ONE:
+        assert sim.fixed_point() == fraction_cdiv(b, fraction_sub(ONE, a))
+
+
+# --- lines ------------------------------------------------------------------------
+
+
+@given(points, points, lines)
+@EXAMPLES
+def test_lines(p, q, l):
+    assert l.evaluate(p) == fraction_evaluate(l, p)
+    assert incident(l, p) == (fraction_evaluate(l, p) == 0)
+    assert perpendicular_at(p, l) == fraction_perpendicular_at(p, l)
+    assert parallel_through(p, l) == fraction_parallel_through(p, l)
+    if p != q:
+        assert line_through(p, q) == fraction_line_through(p, q)
+        assert perpendicular_bisector(p, q) == fraction_perpendicular_bisector(p, q)
+
+
+@given(lines, lines)
+@EXAMPLES
+def test_meet(l1, l2):
+    assume(l1.a * l2.b != l2.a * l1.b)
+    assert meet(l1, l2) == fraction_meet(l1, l2)
+
+
+@given(lines)
+@EXAMPLES
+def test_line_normal_form(l):
+    a, b, c = l.a, l.b, l.c
+    assert Line.from_coefficients(a, b, c) == fraction_line(a, b, c)
+    assert Line.from_coefficients(-3 * a, -3 * b, -3 * c) == fraction_line(a, b, c)
+
+
+# --- predicates -------------------------------------------------------------------
+
+
+@given(st.one_of(grid, points), st.one_of(grid, points), st.one_of(grid, points))
+@EXAMPLES
+def test_collinearity(p, q, r):
+    residual = fraction_collinearity_residual(p, q, r)
+    assert collinearity_residual(p, q, r) == residual
+    assert is_collinear(p, q, r) == (residual == 0)
+
+
+@given(st.one_of(grid, points), st.one_of(grid, points),
+       st.one_of(grid, points), st.one_of(grid, points))
+@EXAMPLES
+def test_concyclicity_determinant(p, q, r, s):
+    assert concyclicity_determinant(p, q, r, s) == fraction_concyclicity_determinant(p, q, r, s)
+
+
+@given(points, points, points)
+@EXAMPLES
+def test_circumcentre_and_orthocentre(p, q, r):
+    assume(fraction_collinearity_residual(p, q, r) != 0)
+    assert circumcenter(p, q, r) == fraction_circumcenter(p, q, r)
+    assert orthocentre(p, q, r) == fraction_orthocentre(p, q, r)
+    circle = circle_through(p, q, r)
+    assert circle == circle_on(fraction_circumcenter(p, q, r), p)
+
+
+# --- circles ----------------------------------------------------------------------
+
+
+@given(points, points, points)
+@EXAMPLES
+def test_power_antipode_and_tangent(center, on, p):
+    assume(center != on)
+    circle = circle_on(center, on)
+    assert circle.power(p) == fraction_power(circle, p)
+    assert incident(circle, p) == (fraction_power(circle, p) == 0)
+    assert antipode(circle, on) == fraction_sub(fraction_scale(center, 2), on)
+    assert tangent_at(circle, on) == fraction_tangent_at(circle, on)
+
+
+@given(points, points, points)
+@EXAMPLES
+def test_second_intersection_with_line(center, known, other):
+    assume(center != known and known != other)
+    circle = circle_on(center, known)
+    line = fraction_line_through(known, other)
+    assert (second_intersection_with_line(circle, line, known)
+            == fraction_second_intersection_with_line(circle, line, known))
+
+
+@given(points, points, points)
+@EXAMPLES
+def test_radical_axis_and_second_intersection_of_circles(c1, c2, known):
+    assume(c1 != c2 and known != c1 and known != c2)
+    s1, s2 = circle_on(c1, known), circle_on(c2, known)
+    axis = fraction_radical_axis(s1, s2)
+    assert radical_axis(s1, s2) == axis
+    assert (second_intersection_of_circles(s1, s2, known)
+            == fraction_second_intersection_with_line(s1, axis, known))
+
+
+# --- double readings ---------------------------------------------------------------
+
+
+@given(points, lines, st.fractions(min_value=F(1, 10 ** 200), max_value=10 ** 200))
+@EXAMPLES
+def test_float_readings_are_the_plain_conversions(p, l, r2):
+    assert float_point(p) == (float(p.x), float(p.y))
+    assert to_float(r2) == float(r2)
+    assert float_sqrt(r2) == sqrt(float(r2))
+    assert l.float_coefficients() == (float(l.a), float(l.b), float(l.c))
+
+
+def test_float_readings_past_the_double_range():
+    big = F(10 ** 400)
+    assert float_point(Point(big, -big)) == (float("inf"), float("-inf"))
+    assert float_point(Point(1 / big, big / (big - 1))) == (0.0, 1.0)
+    assert to_float(-big) == float("-inf")
+    assert isclose(float_sqrt(big), 1e200, rel_tol=1e-15)
+    assert float_sqrt(big * big) == float("inf")
+    a, b, c = Line(3 * 10 ** 400, 4 * 10 ** 400, 10 ** 400).float_coefficients()
+    assert isclose(b / a, 4 / 3, rel_tol=1e-15) and isclose(c / a, 1 / 3, rel_tol=1e-15)
+    a, b, c = Line(1, 1, 10 ** 400).float_coefficients()
+    assert (a, b, c) == (1.0, 1.0, float("inf"))
