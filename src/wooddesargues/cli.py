@@ -65,7 +65,7 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     try:
         config = configuration_from_document(loads(_read_input(args.document)))
-    except (OSError, FormatError) as exc:
+    except (OSError, UnicodeDecodeError, FormatError) as exc:
         print(f"cannot load document: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     report = verify_all(config)
@@ -107,7 +107,7 @@ def cmd_fuzz(args) -> int:
 def cmd_render(args) -> int:
     try:
         config = configuration_from_document(loads(_read_input(args.document)))
-    except (OSError, FormatError) as exc:
+    except (OSError, UnicodeDecodeError, FormatError) as exc:
         print(f"cannot load document: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     if args.layers is None:

@@ -22,6 +22,7 @@ from .kernel import (
     ParallelLinesError,
     Circle,
     Line,
+    ORIGIN,
     Point,
     UnitParameter,
     _Infinity,
@@ -52,7 +53,6 @@ CIRCLE_POINTS = {
 }
 
 CIRCLE_CENTER = {"ABCK": "U", "abcK": "V", "Aa23": "L", "Bb31": "M", "Cc12": "N"}
-CENTER_CIRCLE = {v: k for k, v in CIRCLE_CENTER.items()}
 
 
 @dataclass(frozen=True)
@@ -165,9 +165,6 @@ class WoodDesarguesConfiguration:
     centers: dict[str, Point]
     seed: Optional[ConfigurationSeed] = None
 
-    def point(self, label: str) -> Point:
-        return self.points[label]
-
     def quadrangle(self, circle_label: str) -> tuple[Point, ...]:
         return tuple(self.points[v] for v in CIRCLE_POINTS[circle_label])
 
@@ -193,7 +190,7 @@ def build_configuration(seed: ConfigurationSeed) -> WoodDesarguesConfiguration:
     pb = point_on_unit_circle(seed.t_b)
     pc = point_on_unit_circle(seed.t_c)
 
-    circle1 = Circle(Point(Fraction(0), Fraction(0)), Fraction(1))
+    circle1 = Circle(ORIGIN, Fraction(1))
     center2 = midpoint(pj, pk) + (pk - pj).rot90().scale(seed.s)
     circle2 = Circle(center2, distance_squared(center2, pj))
     if circle2 == circle1:
@@ -275,12 +272,6 @@ class OrthocentreFigures:
 
 
 @dataclass(frozen=True)
-class HaggeFigure:
-    centre: Point
-    circle: Circle
-
-
-@dataclass(frozen=True)
 class PentagonFigures:
     # circle through U, V and J; None only for tampered inputs (collinear/coincident)
     circle: Optional[Circle]
@@ -288,16 +279,14 @@ class PentagonFigures:
     meets: dict[str, Optional[Point]]
     meet_notes: dict[str, str]
     tangencies: dict[str, bool]
-    z: Optional[Point]
-    w: Optional[Point]
-    x: Optional[Point]  # antipode of z on circle ABCK
+    x: Optional[Point]  # antipode of z = meets["ABCK"] on circle ABCK
     y: Optional[Point]  # antipode of z on the pentagon circle
 
 
 @dataclass(frozen=True)
 class DerivedFigures:
     orthocentres: OrthocentreFigures
-    hagge: dict[str, Optional[HaggeFigure]]
+    hagge: dict[str, Optional[Circle]]  # vertex -> Hagge circle, centred at h(vertex)
     hagge_notes: dict[str, str]
     pentagon: PentagonFigures
 
@@ -321,13 +310,13 @@ def derive_orthocentres(config: WoodDesarguesConfiguration) -> OrthocentreFigure
 
 
 def derive_hagge_centres(config: WoodDesarguesConfiguration,
-                         orthos: OrthocentreFigures) -> tuple[dict[str, Optional[HaggeFigure]], dict[str, str]]:
-    """Per table row: circumcenter of (J, H, F) and the circle itself.
+                         orthos: OrthocentreFigures) -> tuple[dict[str, Optional[Circle]], dict[str, str]]:
+    """Per table row: the circle through (J, H, F), centred at the Hagge centre.
 
     Rows where J, H, F fail to span a circle are marked degenerate and skipped;
     the other rows are unaffected.
     """
-    out: dict[str, Optional[HaggeFigure]] = {}
+    out: dict[str, Optional[Circle]] = {}
     notes: dict[str, str] = {}
     j = config.j
     for rec in PERSPECTIVE_TABLE:
@@ -348,7 +337,7 @@ def derive_hagge_centres(config: WoodDesarguesConfiguration,
             continue
         centre = meet(perpendicular_bisector(j, h_pt), perpendicular_bisector(j, f_pt))
         assert centre == circle.center
-        out[rec.vertex] = HaggeFigure(centre=centre, circle=circle)
+        out[rec.vertex] = circle
     return out, notes
 
 
@@ -374,11 +363,10 @@ def derive_pentagon(config: WoodDesarguesConfiguration) -> PentagonFigures:
             tangencies[clbl] = tangent
 
     z = meets["ABCK"]
-    w = meets["Aa23"]
     x = config.circles["ABCK"].center.scale(2) - z if z is not None else None
     y = pentagon.center.scale(2) - z if (z is not None and pentagon is not None) else None
     return PentagonFigures(circle=pentagon, meets=meets, meet_notes=meet_notes,
-                           tangencies=tangencies, z=z, w=w, x=x, y=y)
+                           tangencies=tangencies, x=x, y=y)
 
 
 def derive_figures(config: WoodDesarguesConfiguration) -> DerivedFigures:

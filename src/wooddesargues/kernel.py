@@ -1,14 +1,13 @@
 """Exact rational plane geometry: points, lines, circles, direct similarities.
 
-Values are exact ``fractions.Fraction`` at the boundary: a point's ``x`` and
-``y``, a circle's squared radius, and every residual handed back.  Inside, a
-point is read through its integer homogeneous coordinates ``(X, Y, Z)``
-(``Point.hom``), and every construction and predicate works on integers alone,
-building a ``Fraction`` once, at its output.  Collinearity is a 3x3 and
-concyclicity a 4x4 integer determinant, so a predicate holds exactly when an
-integer is zero: fraction-free in the sense of Bareiss (Math. Comp. 1968),
-with the bracket predicates of Richter-Gebert, *Perspectives on Projective
-Geometry* (2011).
+A point is its canonical integer homogeneous coordinates ``(X, Y, Z)``
+(``Point.hom``), and every construction and predicate works on integers alone.
+Values handed back are exact ``fractions.Fraction``: a point's ``x`` and ``y``
+(computed when read), a circle's squared radius, and every residual.
+Collinearity is a 3x3 and concyclicity a 4x4 integer determinant, so a
+predicate holds exactly when an integer is zero: fraction-free in the sense of
+Bareiss (Math. Comp. 1968), with the bracket predicates of Richter-Gebert,
+*Perspectives on Projective Geometry* (2011).
 
 All constructions stay inside the rationals because a second intersection
 with a carrier that already shares a known rational point is a rational
@@ -20,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
@@ -128,30 +126,23 @@ def float_sqrt(q: Fraction) -> float:
 
 @dataclass(frozen=True)
 class Point:
-    """A point of the rational plane, also read as the complex number x + iy."""
+    """A point of the rational plane, also read as the complex number x + iy.
 
-    x: Fraction
-    y: Fraction
+    Stored as its integer homogeneous coordinates ``hom = (X, Y, Z)`` with
+    x = X/Z, y = Y/Z, Z > 0 and gcd(X, Y, Z) = 1: the triple is canonical, so
+    two points are equal iff their triples are.  Build a point from its
+    coordinates with :func:`point`.
+    """
 
-    @cached_property
-    def hom(self) -> tuple[int, int, int]:
-        """Integer homogeneous coordinates (X, Y, Z): x = X/Z, y = Y/Z.
+    hom: tuple[int, int, int]
 
-        Z is the lcm of the two denominators, so Z > 0 and gcd(X, Y, Z) = 1:
-        the triple is canonical, and two points are equal iff their triples are.
-        """
-        x, y = self.x, self.y
-        dx, dy = x.denominator, y.denominator
-        if dx == dy:
-            return (x.numerator, y.numerator, dx)
-        z = dx // gcd(dx, dy) * dy
-        return (x.numerator * (z // dx), y.numerator * (z // dy), z)
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.hom[0], self.hom[2])
 
-    def __eq__(self, other: object) -> bool:
-        # same answer as comparing (x, y), since the triples are canonical
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.hom == other.hom
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.hom[1], self.hom[2])
 
     def __add__(self, other: "Point") -> "Point":
         X1, Y1, Z1 = self.hom
@@ -211,23 +202,30 @@ class Point:
 
 
 def _point(X: int, Y: int, Z: int) -> Point:
-    """The point (X/Z, Y/Z) for integers with Z != 0; the one Fraction exit."""
+    """The point (X/Z, Y/Z) for integers with Z != 0."""
     g = gcd(X, Y, Z)
     if Z < 0:
         g = -g
     if g != 1:
         X, Y, Z = X // g, Y // g, Z // g
-    p = Point(Fraction(X, Z), Fraction(Y, Z))
-    p.__dict__["hom"] = (X, Y, Z)  # prefill the cached view: already canonical
-    return p
-
-
-ORIGIN = Point(Fraction(0), Fraction(0))
-ONE = Point(Fraction(1), Fraction(0))
+    return Point((X, Y, Z))
 
 
 def point(x, y) -> Point:
-    return Point(_frac(x), _frac(y))
+    """The point (x, y) for rational or integer coordinates.
+
+    Z is the lcm of the two denominators, which makes the triple canonical.
+    """
+    x, y = _frac(x), _frac(y)
+    dx, dy = x.denominator, y.denominator
+    if dx == dy:
+        return Point((x.numerator, y.numerator, dx))
+    z = dx // gcd(dx, dy) * dy
+    return Point((x.numerator * (z // dx), y.numerator * (z // dy), z))
+
+
+ORIGIN = Point((0, 0, 1))
+ONE = Point((1, 0, 1))
 
 
 def float_point(p: Point) -> tuple[float, float]:
@@ -296,10 +294,10 @@ class Line:
         return Fraction(self._at(p), p.hom[2])
 
     def direction(self) -> Point:
-        return Point(Fraction(-self.b), Fraction(self.a))
+        return Point((-self.b, self.a, 1))
 
     def normal(self) -> Point:
-        return Point(Fraction(self.a), Fraction(self.b))
+        return Point((self.a, self.b, 1))
 
     def float_coefficients(self) -> tuple[float, float, float]:
         """(a, b, c) as doubles, for residuals and drawing only.
@@ -348,7 +346,7 @@ class Circle:
 def point_on_unit_circle(t: UnitParameter) -> Point:
     """Tangent-half-angle sweep of the unit circle; the infinity token maps to (-1, 0)."""
     if isinstance(t, _Infinity):
-        return Point(Fraction(-1), Fraction(0))
+        return Point((-1, 0, 1))
     t = _frac(t)
     n, d = t.numerator, t.denominator
     return _point(d * d - n * n, 2 * n * d, d * d + n * n)

@@ -43,8 +43,12 @@ class RenderStyle:
         unknown = [l for l in self.layers if l not in LAYERS]
         if unknown:
             raise ValueError(f"unknown layers: {unknown}")
-        if self.size <= 0 or not (0.0 <= self.margin < 0.5):
-            raise ValueError("size must be positive and margin in [0, 0.5)")
+        try:
+            size = float(self.size)
+        except OverflowError:  # an int past the double range
+            size = math.inf
+        if not (0.0 < size < math.inf and 0.0 <= self.margin < 0.5):
+            raise ValueError("size must be a positive finite double and margin in [0, 0.5)")
 
 
 class UnrenderableError(ValueError):
@@ -101,12 +105,12 @@ def render_svg(config: WoodDesarguesConfiguration,
         circles.append(("pentagon", cx, cy, float_sqrt(c.radius_squared), _PENTAGON_STROKE))
     if "haggeCentres" in layers:
         for rec in PERSPECTIVE_TABLE:
-            fig = derived.hagge[rec.vertex]
-            if fig is None:
+            c = derived.hagge[rec.vertex]
+            if c is None:
                 continue
-            cx, cy = float_point(fig.circle.center)
+            cx, cy = float_point(c.center)
             circles.append((f"hagge-{rec.vertex}", cx, cy,
-                            float_sqrt(fig.circle.radius_squared), _HAGGE_STROKE))
+                            float_sqrt(c.radius_squared), _HAGGE_STROKE))
 
     markers: list[tuple[str, float, float]] = []
     if "points" in layers:
@@ -120,10 +124,10 @@ def render_svg(config: WoodDesarguesConfiguration,
             markers.append((lbl, x, y))
     if "haggeCentres" in layers:
         for rec in PERSPECTIVE_TABLE:
-            fig = derived.hagge[rec.vertex]
-            if fig is None:
+            c = derived.hagge[rec.vertex]
+            if c is None:
                 continue
-            x, y = float_point(fig.centre)
+            x, y = float_point(c.center)
             markers.append((f"h({rec.vertex})", x, y))
 
     perspectrices: list[Line] = []

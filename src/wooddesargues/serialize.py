@@ -20,7 +20,7 @@ from .configuration import (
     ConfigurationSeed,
     WoodDesarguesConfiguration,
 )
-from .kernel import INFINITY, Circle, Point, _Infinity, decimal
+from .kernel import INFINITY, Circle, Point, _Infinity, decimal, point
 
 if TYPE_CHECKING:  # the verifier formats its witnesses with this module
     from .verifier import VerificationReport
@@ -67,7 +67,7 @@ def format_point(p: Point) -> list[str]:
 def parse_point(value) -> Point:
     if not isinstance(value, list) or len(value) != 2:
         raise FormatError(f"point must be a [x, y] pair: {value!r}")
-    return Point(parse_scalar(value[0]), parse_scalar(value[1]))
+    return point(parse_scalar(value[0]), parse_scalar(value[1]))
 
 
 # ---------------------------------------------------------------------------

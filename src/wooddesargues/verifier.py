@@ -586,8 +586,8 @@ def check_hagge(config: WoodDesarguesConfiguration,
 
     for rec in PERSPECTIVE_TABLE:
         v = rec.vertex
-        fig = derived.hagge[v]
-        if fig is None:
+        circle = derived.hagge[v]
+        if circle is None:
             note = derived.hagge_notes.get(v, "")
             if "missing orthocentre" in note:
                 cs.fail(f"h({v}) derivable", note)
@@ -595,7 +595,7 @@ def check_hagge(config: WoodDesarguesConfiguration,
                 cs.degenerate(f"h({v}) undefined: {note}")
             hs[v] = None
             continue
-        h = fig.centre
+        h = circle.center
         hs[v] = h
         perspectrix = perspectrix_line(config, rec)
         if perspectrix is None:

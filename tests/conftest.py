@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from wooddesargues import ConfigurationSeed, build_configuration, derive_figures
-from wooddesargues.kernel import Point
+from wooddesargues.kernel import Point, point
 
 
 REFERENCE_SEED = ConfigurationSeed(F(0), F(1), F(-1), F(2), F(3), F(-3, 2))
@@ -37,7 +37,7 @@ def mutate_configuration(config, kind: str, label: str, axis: str, delta):
     delta = F(delta)
 
     def bump(p: Point) -> Point:
-        return Point(p.x + delta, p.y) if axis == "x" else Point(p.x, p.y + delta)
+        return point(p.x + delta, p.y) if axis == "x" else point(p.x, p.y + delta)
 
     points = dict(config.points)
     centers = dict(config.centers)

@@ -72,6 +72,8 @@ def test_verify_format_errors(reference_document: Path, tmp_path: Path):
     assert main(["verify", str(huge)]) == 3
     bad.write_text('{"points": ' + HUGE_LITERAL + '}')  # a bare JSON number
     assert main(["verify", str(bad)]) == 3
+    bad.write_bytes(b"\xff\xfe")  # not UTF-8
+    assert main(["verify", str(bad)]) == 3
 
 
 def test_fuzz_exit_codes(tmp_path: Path):
@@ -111,6 +113,8 @@ def test_render_cli(reference_document: Path, tmp_path: Path):
     assert main(["render", str(tmp_path / "missing.json"), "-o", str(out)]) == 3
     huge = _document_with_huge_literal(reference_document, tmp_path / "huge.json")
     assert main(["render", str(huge), "-o", str(out)]) == 3
+    assert main(["render", str(reference_document), "-o", str(out),
+                 "--size", "1" + "0" * 400]) == 3  # past the double range
 
 
 def test_usage_errors_map_to_format_exit(capsys):

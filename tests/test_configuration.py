@@ -138,13 +138,13 @@ def test_reference_derived_figures(reference_derived):
         "b": point(-1, 1),
         "c": point(F(-3, 5), F(4, 5)),
     }
-    assert {v: fig.centre for v, fig in hagge.items()} == expected_h
-    assert hagge["K"].circle.radius_squared == F(74, 5)
+    assert {v: fig.center for v, fig in hagge.items()} == expected_h
+    assert hagge["K"].radius_squared == F(74, 5)
 
     pent = der.pentagon
     assert pent.circle == Circle(point(F(1, 2), F(3, 2)), F(5, 2))
-    assert pent.z == point(F(-4, 5), F(3, 5))  # coincides with C at this seed
-    assert pent.w == point(0, 3)               # coincides with a at this seed
+    assert pent.meets["ABCK"] == point(F(-4, 5), F(3, 5))  # coincides with C at this seed
+    assert pent.meets["Aa23"] == point(0, 3)               # coincides with a at this seed
     assert pent.x == point(F(4, 5), F(-3, 5))
     assert pent.y == point(F(9, 5), F(12, 5))
     assert pent.tangencies == {lbl: False for lbl in CIRCLE_LABELS}
@@ -178,7 +178,7 @@ def test_reference_against_independent_sympy_oracle(reference_config, reference_
     fk = Triangle(pts["a"], pts["b"], pts["c"]).orthocenter
     got = Segment(j, hk).perpendicular_bisector().intersection(
         Segment(j, fk).perpendicular_bisector())[0]
-    assert got == sp(reference_derived.hagge["K"].centre)
+    assert got == sp(reference_derived.hagge["K"].center)
 
     pent = SC(sp(cfg.centers["U"]), sp(cfg.centers["V"]), j)
     assert pent.center == sp(reference_derived.pentagon.circle.center)

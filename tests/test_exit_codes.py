@@ -1,10 +1,15 @@
-"""The exit-code contract under hostile documents.
+"""The exit-code contract under hostile documents and hostile argv.
 
 Whatever one field of a configuration document holds, ``verify`` and
 ``render`` answer with an exit code in {0, 1, 2, 3} and never raise.  Each
 example starts from the reference document and changes one field: a rational
 literal of up to 4000 digits, a value of a wrong JSON type, a missing key, or
 a point snapped onto another point, J or a centre.
+
+The same holds for ``gen``, ``verify``, ``render`` and ``fuzz`` argv built from
+hostile integers, floats, seed strings and paths, run in-process through
+``cli.main``.  Counts, magnitudes and retry budgets that would be accepted stay
+small, so every campaign finishes in milliseconds.
 """
 
 from __future__ import annotations
@@ -15,10 +20,11 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wooddesargues.cli import main
+from wooddesargues.render import LAYERS
 from wooddesargues.serialize import configuration_to_document
 
 EXIT_CODES = {0, 1, 2, 3}
@@ -110,4 +116,114 @@ def test_verify_and_render_keep_the_exit_code_contract(data, reference_document,
         verify = main(["verify", str(path), "--report", str(workdir / "report.json")])
         render = main(["render", str(path), "-o", str(workdir / "figure.svg")])
     assert verify in EXIT_CODES and render in EXIT_CODES
+    assert "Traceback" not in stderr.getvalue()
+
+
+# --- argv ------------------------------------------------------------------------
+
+SEED_KEYS = ("tJ", "tK", "tA", "tB", "tC", "s")
+HOSTILE_TEXT = ["", " ", "-", "--1", "+1", "1.5", "1e3", "nan", "inf", "-inf", "1/0",
+                "0/0", "0x10", "7" * 5000, "1/" + "7" * 5000, "1" + "0" * 400]
+# file names are placeholders ("@name"), resolved against a per-module directory;
+# "@name:<text>" names a file in a subdirectory of its own, away from the fixtures
+INPUT_FILES = ["@not-utf8", "@empty", "@bad-json", "@huge-literal", "@directory",
+               "@missing"]
+OUTPUT_FILES = ["@directory", "@nowhere"]
+# a real argv is a C string: no NUL byte, and no surrogate that is not an
+# undecodable byte; "/" is left out so that a name stays inside the directory
+file_names = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="/\x00"),
+                     min_size=1, max_size=300).map(lambda name: "@name:" + name)
+hostile_text = st.one_of(st.sampled_from(HOSTILE_TEXT), st.text(max_size=12))
+
+
+def _ints(lo=None, hi=None):
+    return st.integers(lo, hi).map(str)
+
+
+def _join_seed(pairs) -> str:
+    return ",".join(f"{key}={value}" for key, value in pairs)
+
+
+seed_values = st.one_of(st.fractions(max_denominator=1000).map(str), _ints(), st.just("inf"))
+valid_seeds = st.lists(seed_values, min_size=6, max_size=6).map(
+    lambda values: _join_seed(zip(SEED_KEYS, values)))
+hostile_seeds = st.one_of(
+    st.lists(st.tuples(st.sampled_from(SEED_KEYS + ("tX",)),
+                       st.one_of(seed_values, hostile_text)), max_size=7).map(_join_seed),
+    st.text())
+hostile_inputs = st.one_of(st.sampled_from(INPUT_FILES), file_names)
+outputs = st.sampled_from(["-", "@out"])
+hostile_outputs = st.one_of(st.sampled_from(OUTPUT_FILES), file_names)
+
+# per command: (flag, None for a positional; valid values; hostile values; required).
+# Valid counts, magnitudes and retry budgets stay small, so campaigns are quick.
+ARGV_SLOTS = {
+    "gen": [("--seed", valid_seeds, hostile_seeds, True),
+            ("-o", outputs, hostile_outputs, False)],
+    "verify": [(None, st.just("@reference"), hostile_inputs, True),
+               ("--report", outputs, hostile_outputs, False)],
+    "render": [(None, st.just("@reference"), hostile_inputs, True),
+               ("-o", outputs, hostile_outputs, True),
+               ("--layers", st.lists(st.sampled_from(LAYERS), min_size=1).map(",".join),
+                hostile_text, False),
+               ("--size", _ints(1, 4000), st.one_of(_ints(), hostile_text), False),
+               ("--margin", st.floats(0, 0.49).map(repr),
+                st.one_of(st.floats().map(repr), hostile_text), False)],
+    "fuzz": [("--count", _ints(1, 3), st.one_of(_ints(hi=0), hostile_text), True),
+             ("--rng-seed", _ints(), hostile_text, True),
+             ("--max-num", _ints(1, 30), st.one_of(_ints(hi=0), hostile_text), True),
+             ("--max-retries", _ints(1, 20), st.one_of(_ints(hi=0), hostile_text), False),
+             ("-o", outputs, hostile_outputs, False)],
+}
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """A valid argv, or one with a single hostile slot; now and then a token is dropped."""
+    command = draw(st.sampled_from(sorted(ARGV_SLOTS)))
+    slots = ARGV_SLOTS[command]
+    bad = draw(st.one_of(st.none(), st.integers(0, len(slots) - 1)))
+    argv = [command]
+    for i, (flag, valid, hostile, required) in enumerate(slots):
+        if i != bad and not required and not draw(st.booleans()):
+            continue
+        value = draw(hostile if i == bad else valid)
+        argv += [value] if flag is None else [flag, value]
+    if draw(st.integers(0, 9)) == 0:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory, reference_document) -> dict[str, str]:
+    root = tmp_path_factory.mktemp("argv")
+    (root / "reference").write_text(json.dumps(reference_document))
+    (root / "not-utf8").write_bytes(b"\xff\xfe")
+    (root / "empty").write_text("")
+    (root / "bad-json").write_text('{"points": [')
+    huge = copy.deepcopy(reference_document)
+    huge["points"]["A"][0] = "7" * 5000
+    (root / "huge-literal").write_text(json.dumps(huge))
+    (root / "directory").mkdir()
+    files = {name: str(root / name[1:]) for name in ["@reference", "@out"] + INPUT_FILES}
+    (root / "names").mkdir()
+    files.update({"@names": str(root / "names"), "@nowhere": str(root / "missing" / "out")})
+    return files
+
+
+def _resolve(token: str, files: dict[str, str]) -> str:
+    if token.startswith("@name:"):
+        return files["@names"] + "/" + token[len("@name:"):]
+    return files.get(token, token)
+
+
+@given(argv=argvs())
+@example(argv=["verify", "@not-utf8"])
+@example(argv=["render", "@reference", "-o", "@out", "--size", "1" + "0" * 400])
+@settings(max_examples=150, deadline=None)
+def test_argv_keeps_the_exit_code_contract(argv, argv_files):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([_resolve(token, argv_files) for token in argv])
+    assert code in EXIT_CODES
     assert "Traceback" not in stderr.getvalue()

@@ -20,7 +20,6 @@ from wooddesargues.kernel import (
     Circle,
     Line,
     ONE,
-    Point,
     Similarity,
     antipode,
     circle_through,
@@ -39,6 +38,7 @@ from wooddesargues.kernel import (
     parallel_through,
     perpendicular_at,
     perpendicular_bisector,
+    point,
     point_on_unit_circle,
     radical_axis,
     second_intersection_of_circles,
@@ -51,9 +51,9 @@ HUGE = 10 ** 200
 small = st.fractions(min_value=-40, max_value=40, max_denominator=50)
 huge = st.builds(F, st.integers(-HUGE, HUGE), st.integers(1, HUGE))
 rationals = st.one_of(small, huge)
-points = st.builds(Point, rationals, rationals)
+points = st.builds(point, rationals, rationals)
 # a coarse grid, so that equal and collinear points come up often
-grid = st.builds(Point, st.fractions(-2, 2, max_denominator=2),
+grid = st.builds(point, st.fractions(-2, 2, max_denominator=2),
                  st.fractions(-2, 2, max_denominator=2))
 lines = st.builds(Line, st.integers(-HUGE, HUGE), st.integers(-HUGE, HUGE),
                   st.integers(-HUGE, HUGE)).filter(lambda l: l.a or l.b)
@@ -77,15 +77,15 @@ def fraction_line(a, b, c) -> Line:
 
 
 def fraction_add(p, q):
-    return Point(p.x + q.x, p.y + q.y)
+    return point(p.x + q.x, p.y + q.y)
 
 
 def fraction_sub(p, q):
-    return Point(p.x - q.x, p.y - q.y)
+    return point(p.x - q.x, p.y - q.y)
 
 
 def fraction_scale(p, k):
-    return Point(p.x * k, p.y * k)
+    return point(p.x * k, p.y * k)
 
 
 def fraction_norm_squared(p):
@@ -93,12 +93,12 @@ def fraction_norm_squared(p):
 
 
 def fraction_cmul(p, q):
-    return Point(p.x * q.x - p.y * q.y, p.x * q.y + p.y * q.x)
+    return point(p.x * q.x - p.y * q.y, p.x * q.y + p.y * q.x)
 
 
 def fraction_cdiv(p, q):
     d = fraction_norm_squared(q)
-    return Point((p.x * q.x + p.y * q.y) / d, (p.y * q.x - p.x * q.y) / d)
+    return point((p.x * q.x + p.y * q.y) / d, (p.y * q.x - p.x * q.y) / d)
 
 
 def fraction_evaluate(l, p):
@@ -117,7 +117,7 @@ def fraction_line_through(p, q):
 
 def fraction_meet(l1, l2):
     det = l1.a * l2.b - l2.a * l1.b
-    return Point(F(l1.b * l2.c - l2.b * l1.c, det), F(l1.c * l2.a - l2.c * l1.a, det))
+    return point(F(l1.b * l2.c - l2.b * l1.c, det), F(l1.c * l2.a - l2.c * l1.a, det))
 
 
 def fraction_perpendicular_bisector(p, q):
@@ -158,7 +158,7 @@ def fraction_concyclicity_determinant(p, q, r, s):
 
 
 def fraction_second_intersection_with_line(circle, l, known):
-    d = Point(F(-l.b), F(l.a))
+    d = point(F(-l.b), F(l.a))
     k = fraction_sub(known, circle.center)
     t = F(-2) * (d.x * k.x + d.y * k.y) / fraction_norm_squared(d)
     if t == 0:
@@ -198,7 +198,7 @@ def test_view_is_canonical(p):
 @EXAMPLES
 def test_prefilled_views_equal_computed_ones(p, q):
     for made in (p + q, p - q, -p, p.rot90(), p.cmul(q), midpoint(p, q)):
-        assert made.hom == Point(made.x, made.y).hom
+        assert made.hom == point(made.x, made.y).hom
         X, Y, Z = made.hom
         assert Z > 0 and gcd(X, Y, Z) == 1
 
@@ -218,14 +218,14 @@ def test_points_are_equal_exactly_when_views_are(p, q):
 def test_point_arithmetic(p, q, k):
     assert p + q == fraction_add(p, q)
     assert p - q == fraction_sub(p, q)
-    assert -p == Point(-p.x, -p.y)
+    assert -p == point(-p.x, -p.y)
     assert p.scale(k) == fraction_scale(p, k)
-    assert p.rot90() == Point(-p.y, p.x)
+    assert p.rot90() == point(-p.y, p.x)
     assert p.dot(q) == p.x * q.x + p.y * q.y
     assert p.cross(q) == p.x * q.y - p.y * q.x
     assert p.norm_squared() == fraction_norm_squared(p)
     assert p.cmul(q) == fraction_cmul(p, q)
-    assert midpoint(p, q) == Point((p.x + q.x) / 2, (p.y + q.y) / 2)
+    assert midpoint(p, q) == point((p.x + q.x) / 2, (p.y + q.y) / 2)
     assert distance_squared(p, q) == fraction_norm_squared(fraction_sub(p, q))
     if q.x or q.y:
         assert p.cdiv(q) == fraction_cdiv(p, q)
@@ -235,7 +235,7 @@ def test_point_arithmetic(p, q, k):
 @EXAMPLES
 def test_point_on_unit_circle(t):
     d = 1 + t * t
-    assert point_on_unit_circle(t) == Point((1 - t * t) / d, 2 * t / d)
+    assert point_on_unit_circle(t) == point((1 - t * t) / d, 2 * t / d)
 
 
 @given(points, points, points)
@@ -356,8 +356,8 @@ def test_float_readings_are_the_plain_conversions(p, l, r2):
 
 def test_float_readings_past_the_double_range():
     big = F(10 ** 400)
-    assert float_point(Point(big, -big)) == (float("inf"), float("-inf"))
-    assert float_point(Point(1 / big, big / (big - 1))) == (0.0, 1.0)
+    assert float_point(point(big, -big)) == (float("inf"), float("-inf"))
+    assert float_point(point(1 / big, big / (big - 1))) == (0.0, 1.0)
     assert to_float(-big) == float("-inf")
     assert isclose(float_sqrt(big), 1e200, rel_tol=1e-15)
     assert float_sqrt(big * big) == float("inf")

@@ -18,7 +18,6 @@ from wooddesargues.kernel import (
     Line,
     ONE,
     ORIGIN,
-    Point,
     antipode,
     circle_through,
     distance_squared,
@@ -43,7 +42,7 @@ from wooddesargues.kernel import (
 UNIT = Circle(ORIGIN, F(1))
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
-points = st.builds(Point, rationals, rationals)
+points = st.builds(point, rationals, rationals)
 
 
 # --- parametrization ---------------------------------------------------------
