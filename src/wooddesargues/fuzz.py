@@ -57,8 +57,12 @@ class FuzzPolicy:
     max_retries: int = 1000
 
     def __post_init__(self) -> None:
-        if self.count <= 0 or self.max_magnitude <= 0 or self.max_retries <= 0:
-            raise ValueError("count, max magnitude and retry budget must be positive")
+        if self.count <= 0 or self.max_retries <= 0:
+            raise ValueError("count and retry budget must be positive")
+        # magnitude 1 offers only the values -1, 0 and 1 for the five t
+        # parameters, so every draw would be rejected as a duplicate
+        if self.max_magnitude < 2:
+            raise ValueError("max magnitude must be at least 2")
 
 
 class RetryBudgetExhausted(RuntimeError):

@@ -1,10 +1,14 @@
 """Exact verification of every incidence theorem over a built configuration.
 
 Each check reduces its statement to primitive claims (collinearity, incidence,
-exact point/scalar equality, similarity transport).  A claim is decided with
-zero-tolerance rational arithmetic and simultaneously records a scale-invariant
-double-precision residual, so a passing report can be cross-checked against
-floating-point geometry (see :func:`float_cross_residuals`).
+exact point/scalar equality, similarity transport).  A claim is decided on an
+integer that is exactly zero when it holds; the exact witness text of a
+violation is built only for a failing claim.  Every claim also carries a
+scale-invariant double-precision recomputation of the same statement, so a
+passing report can be cross-checked against floating-point geometry.  That
+recomputation is deferred: it runs only when :func:`float_cross_residuals`
+reads it, never during :func:`verify_all` (and so never in ``verify`` or
+``fuzz``).
 
 Statuses: ``pass``, ``fail`` (at least one violated equality, with an exact
 witness), and ``degenerate-pass`` (the claim is vacuous because of a point
@@ -16,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .configuration import (
@@ -90,21 +95,98 @@ def _square(v: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class Claim:
-    """One primitive assertion: exact verdict plus a normalized float residual."""
+# Scale-invariant double-precision residuals, one per primitive claim.  A
+# claim holds one of these, bound to its arguments, and evaluates it only when
+# its residual is read.
 
-    label: str
-    holds: bool
-    witness: str           # exact value demonstrating the violation when not holds
-    residual: float        # scale-invariant double-precision recomputation
+
+def _no_residual() -> float:
+    return 0.0
+
+
+def _collinear_residual(a: Point, b: Point, c: Point) -> float:
+    fa, fb, fc = float_point(a), float_point(b), float_point(c)
+    u, v = _sub(fb, fa), _sub(fc, fa)
+    den = _hyp(u) * _hyp(v)
+    return (u[0] * v[1] - u[1] * v[0]) / den if den else 0.0
+
+
+def _line_residual(line: Line, p: Point) -> float:
+    fp = float_point(p)
+    a, b, c = line.float_coefficients()
+    den = math.hypot(a, b) * (1.0 + _hyp(fp))
+    return (a * fp[0] + b * fp[1] + c) / den
+
+
+def _circle_residual(circle: Circle, p: Point) -> float:
+    d = _sub(float_point(p), float_point(circle.center))
+    r2 = to_float(circle.radius_squared)
+    return (d[0] * d[0] + d[1] * d[1] - r2) / r2 if r2 else math.inf
+
+
+def _distance_residual(got: Point, expected: Point) -> float:
+    return _hyp(float_point(got - expected)) / (1.0 + _hyp(float_point(expected)))
+
+
+def _scalar_residual(got: Fraction, expected: Fraction) -> float:
+    return abs(to_float(got) - to_float(expected)) / (1.0 + abs(to_float(expected)))
+
+
+def _concyclic_residual(a: Point, b: Point, c: Point, d: Point) -> float:
+    pts = [float_point(t) for t in (a, b, c, d)]
+    cx = sum(p[0] for p in pts) / 4.0
+    cy = sum(p[1] for p in pts) / 4.0
+    q = [(p[0] - cx, p[1] - cy) for p in pts]
+    scale = sum(t[0] * t[0] + t[1] * t[1] for t in q) / 4.0
+    if scale == 0.0:
+        return 0.0
+    m = [(r[0] - q[0][0], r[1] - q[0][1],
+          r[0] * r[0] + r[1] * r[1] - _square(q[0][0]) - _square(q[0][1]))
+         for r in q[1:]]
+    fdet = (m[0][0] * (m[1][1] * m[2][2] - m[2][1] * m[1][2])
+            - m[0][1] * (m[1][0] * m[2][2] - m[2][0] * m[1][2])
+            + m[0][2] * (m[1][0] * m[2][1] - m[2][0] * m[1][1]))
+    den = 4.0 * scale * scale
+    return fdet / den if den else 0.0
+
+
+def _map_residual(sim: Similarity, src: Point, dst: Point) -> float:
+    fa, fb = float_point(sim.alpha), float_point(sim.beta)
+    fs, fd = float_point(src), float_point(dst)
+    gx = fa[0] * fs[0] - fa[1] * fs[1] + fb[0]
+    gy = fa[0] * fs[1] + fa[1] * fs[0] + fb[1]
+    return math.hypot(gx - fd[0], gy - fd[1]) / (1.0 + _hyp(fd))
+
+
+class Claim:
+    """One primitive assertion: the exact verdict, the exact witness of a
+    violation ("" when the claim holds), and a deferred double-precision
+    recomputation of the same statement, evaluated when ``residual`` is read."""
+
+    __slots__ = ("label", "holds", "witness", "_residual")
+
+    def __init__(self, label: str, holds: bool, witness: str,
+                 residual: Callable[[], float]) -> None:
+        self.label = label
+        self.holds = holds
+        self.witness = witness
+        self._residual = residual
+
+    @property
+    def residual(self) -> float:
+        """Scale-invariant double-precision residual of the claim."""
+        return self._residual()
 
     def __bool__(self) -> bool:
         return self.holds
 
 
 class ClaimSet:
-    """Accumulates claims and degeneracy/info notes for one check."""
+    """Accumulates claims and degeneracy/info notes for one check.
+
+    Each primitive decides its claim on an integer that is exactly zero when
+    the claim holds; witness text is built only for a failing claim.
+    """
 
     def __init__(self) -> None:
         self.claims: list[Claim] = []
@@ -124,41 +206,34 @@ class ClaimSet:
         self.extra_witnesses.append((label, value))
 
     def fail(self, label: str, witness: str) -> bool:
-        return self._push(Claim(label, False, witness, 0.0))
+        return self._push(Claim(label, False, witness, _no_residual))
 
     # primitive claims -------------------------------------------------------
 
     def collinear(self, label: str, a: Point, b: Point, c: Point) -> bool:
         """Assert a, b, c collinear; coincident points make it vacuously true."""
         if a == b or a == c or b == c:
-            return self._push(Claim(label, True, "", 0.0))
-        res = collinearity_residual(a, b, c)
-        fa, fb, fc = float_point(a), float_point(b), float_point(c)
-        u, v = _sub(fb, fa), _sub(fc, fa)
-        den = _hyp(u) * _hyp(v)
-        fres = (u[0] * v[1] - u[1] * v[0]) / den if den else 0.0
-        return self._push(Claim(label, res == 0, format_scalar(res), fres))
+            return self._push(Claim(label, True, "", _no_residual))
+        holds = is_collinear(a, b, c)
+        witness = "" if holds else format_scalar(collinearity_residual(a, b, c))
+        return self._push(Claim(label, holds, witness, partial(_collinear_residual, a, b, c)))
 
     def on_line(self, label: str, line: Line, p: Point) -> bool:
-        res = line.evaluate(p)
-        fp = float_point(p)
-        a, b, c = line.float_coefficients()
-        den = math.hypot(a, b) * (1.0 + _hyp(fp))
-        fres = (a * fp[0] + b * fp[1] + c) / den
-        return self._push(Claim(label, res == 0, format_scalar(res), fres))
+        holds = line._at(p) == 0
+        witness = "" if holds else format_scalar(line.evaluate(p))
+        return self._push(Claim(label, holds, witness, partial(_line_residual, line, p)))
 
     def on_circle(self, label: str, circle: Circle, p: Point) -> bool:
-        res = circle.power(p)
-        d = _sub(float_point(p), float_point(circle.center))
-        r2 = to_float(circle.radius_squared)
-        fres = (d[0] * d[0] + d[1] * d[1] - r2) / r2 if r2 else math.inf
-        return self._push(Claim(label, res == 0, format_scalar(res), fres))
+        num, den = circle._power(p)
+        holds = num == 0
+        witness = "" if holds else format_scalar(Fraction(num, den))
+        return self._push(Claim(label, holds, witness, partial(_circle_residual, circle, p)))
 
     def points_equal(self, label: str, got: Point, expected: Point) -> bool:
-        holds = got == expected
-        fres = 0.0 if holds else (_hyp(float_point(got - expected))
-                                  / (1.0 + _hyp(float_point(expected))))
-        return self._push(Claim(label, holds, fmt_point(got), fres))
+        if got == expected:
+            return self._push(Claim(label, True, "", _no_residual))
+        return self._push(Claim(label, False, fmt_point(got),
+                                partial(_distance_residual, got, expected)))
 
     def lines_meet_at(self, label: str, l1: Line, l2: Line, target: Point,
                       coincide_note: str, parallel_witness: str = "parallel lines") -> None:
@@ -173,40 +248,26 @@ class ClaimSet:
 
     def scalars_equal(self, label: str, got: Fraction, expected: Fraction) -> bool:
         holds = got == expected
-        fres = abs(to_float(got) - to_float(expected)) / (1.0 + abs(to_float(expected)))
-        return self._push(Claim(label, holds, format_scalar(got), fres))
+        witness = "" if holds else format_scalar(got)
+        return self._push(Claim(label, holds, witness,
+                                partial(_scalar_residual, got, expected)))
 
     def concyclic(self, label: str, a: Point, b: Point, c: Point, d: Point) -> bool:
         det = concyclicity_determinant(a, b, c, d)
-        collapsed = det == 0 and collapses_to_line((a, b, c, d))
-        holds = det == 0 and not collapsed
-        pts = [float_point(t) for t in (a, b, c, d)]
-        cx = sum(p[0] for p in pts) / 4.0
-        cy = sum(p[1] for p in pts) / 4.0
-        q = [(p[0] - cx, p[1] - cy) for p in pts]
-        scale = sum(t[0] * t[0] + t[1] * t[1] for t in q) / 4.0
-        if scale == 0.0:
-            fres = 0.0
+        if det != 0:
+            holds, witness = False, format_scalar(det)
+        elif collapses_to_line((a, b, c, d)):
+            holds, witness = False, "collinear-quadruple"
         else:
-            m = [(r[0] - q[0][0], r[1] - q[0][1],
-                  r[0] * r[0] + r[1] * r[1] - _square(q[0][0]) - _square(q[0][1]))
-                 for r in q[1:]]
-            fdet = (m[0][0] * (m[1][1] * m[2][2] - m[2][1] * m[1][2])
-                    - m[0][1] * (m[1][0] * m[2][2] - m[2][0] * m[1][2])
-                    + m[0][2] * (m[1][0] * m[2][1] - m[2][0] * m[1][1]))
-            den = 4.0 * scale * scale
-            fres = fdet / den if den else 0.0
-        witness = "collinear-quadruple" if collapsed else format_scalar(det)
-        return self._push(Claim(label, holds, witness, fres))
+            holds, witness = True, ""
+        return self._push(Claim(label, holds, witness,
+                                partial(_concyclic_residual, a, b, c, d)))
 
     def maps_to(self, label: str, sim: Similarity, src: Point, dst: Point) -> bool:
         got = sim.apply(src)
-        fa, fb = float_point(sim.alpha), float_point(sim.beta)
-        fs, fd = float_point(src), float_point(dst)
-        gx = fa[0] * fs[0] - fa[1] * fs[1] + fb[0]
-        gy = fa[0] * fs[1] + fa[1] * fs[0] + fb[1]
-        fres = math.hypot(gx - fd[0], gy - fd[1]) / (1.0 + _hyp(fd))
-        return self._push(Claim(label, got == dst, fmt_point(got), fres))
+        holds = got == dst
+        witness = "" if holds else fmt_point(got)
+        return self._push(Claim(label, holds, witness, partial(_map_residual, sim, src, dst)))
 
     def _push(self, claim: Claim) -> bool:
         self.claims.append(claim)

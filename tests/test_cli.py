@@ -82,9 +82,12 @@ def test_fuzz_exit_codes(tmp_path: Path):
                  "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["summary"]["verified"] == 5 and doc["summary"]["fail"] == 0
-    # magnitude 1 cannot produce five distinct parameters
-    assert main(["fuzz", "--count", "1", "--rng-seed", "1", "--max-num", "1",
+    # an exhausted retry budget exits 2
+    assert main(["fuzz", "--count", "1", "--rng-seed", "1", "--max-num", "2",
                  "--max-retries", "5", "-o", str(out)]) == 2
+    # magnitude 1 cannot produce five distinct parameters: refused at once
+    assert main(["fuzz", "--count", "1", "--rng-seed", "1", "--max-num", "1",
+                 "--max-retries", "5", "-o", str(out)]) == 3
     assert main(["fuzz", "--count", "0", "--rng-seed", "1", "--max-num", "5",
                  "-o", str(out)]) == 3
 

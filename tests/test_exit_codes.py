@@ -171,7 +171,7 @@ ARGV_SLOTS = {
                 st.one_of(st.floats().map(repr), hostile_text), False)],
     "fuzz": [("--count", _ints(1, 3), st.one_of(_ints(hi=0), hostile_text), True),
              ("--rng-seed", _ints(), hostile_text, True),
-             ("--max-num", _ints(1, 30), st.one_of(_ints(hi=0), hostile_text), True),
+             ("--max-num", _ints(2, 30), st.one_of(_ints(hi=1), hostile_text), True),
              ("--max-retries", _ints(1, 20), st.one_of(_ints(hi=0), hostile_text), False),
              ("-o", outputs, hostile_outputs, False)],
 }

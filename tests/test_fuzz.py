@@ -73,10 +73,10 @@ def test_single_seed_campaign():
 
 
 def test_retry_budget_exhaustion():
-    # with magnitude 1 every t parameter is one of -1, 0, 1: five distinct
-    # values are impossible, so every draw is rejected
+    # magnitude 2 leaves few parameter values, and the first nine draws of
+    # this stream all repeat a t parameter
     with pytest.raises(RetryBudgetExhausted) as exc:
-        run_campaign(FuzzPolicy(count=1, rng_seed=1, max_magnitude=1, max_retries=8))
+        run_campaign(FuzzPolicy(count=1, rng_seed=1, max_magnitude=2, max_retries=8))
     assert exc.value.index == 0
     assert set(exc.value.reasons) == {"duplicate-parameter"}
     assert len(exc.value.reasons) == 9  # initial try plus eight retries
@@ -87,5 +87,7 @@ def test_policy_validation():
         FuzzPolicy(count=0, rng_seed=1, max_magnitude=5)
     with pytest.raises(ValueError):
         FuzzPolicy(count=1, rng_seed=1, max_magnitude=0)
+    with pytest.raises(ValueError):  # only -1, 0, 1: no five distinct parameters
+        FuzzPolicy(count=1, rng_seed=1, max_magnitude=1)
     with pytest.raises(ValueError):
         FuzzPolicy(count=1, rng_seed=1, max_magnitude=5, max_retries=0)

@@ -211,3 +211,37 @@ def test_three_circle_fuzzed_instances_use_corrected_triples():
 def test_float_cross_residuals_are_tiny(reference_config):
     report = verify_all(reference_config)
     assert float_cross_residuals(report) < 1e-9
+
+
+def test_float_cross_oracle_runs_only_when_read(reference_config, monkeypatch):
+    from wooddesargues import verifier
+
+    original = verifier.float_point
+    calls = []
+
+    def counting_float_point(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(verifier, "float_point", counting_float_point)
+    report = verify_all(reference_config)
+    assert calls == []
+    assert float_cross_residuals(report) == float.fromhex("0x1.999999999999ap-52")
+    assert calls
+
+
+def test_failing_claims_carry_exact_witnesses(reference_config):
+    # one witness from each primitive, decided on an integer and then
+    # formatted exactly; A moved by +1 in x breaks every family that reads it
+    report = verify_all(mutate_configuration(reference_config, "point", "A", "x", 1))
+    witnesses = {(r.name, label): value for r in report.failed for label, value in r.witnesses}
+    assert witnesses[("five-circles", "ABCK concyclic")] == "-2/25"
+    assert witnesses[("five-circles", "A on ABCK")] == "1/1"
+    assert witnesses[("pentagon-perspectives", "A, L, Z collinear")] == "2/5"
+    assert witnesses[("hagge-suite", "h(B) on perspectrix c2a")] == "-2/3"
+    assert witnesses[("core-similarity", "fixed point is J")] == "(261/197, 108/197)"
+    assert witnesses[("core-similarity", "ABC~abc: pair 3 transported")] == "(123/29, 84/29)"
+    assert witnesses[("core-similarity", "ratio^2 equals circle r2 ratio")] == "90/29"
+    # a passing claim builds no witness text
+    passing = verify_all(reference_config)
+    assert all(c.witness == "" for r in passing.results for c in r.claims if c.holds)
