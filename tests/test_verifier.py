@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from wooddesargues import check_perpendicular_concurrency, check_three_circle_collinearity, check_names, verify_all
+from wooddesargues import verifier
 from wooddesargues.configuration import CIRCLE_LABELS, PERSPECTIVE_TABLE
 from wooddesargues.kernel import (
     DegenerateInputError,
@@ -214,8 +215,6 @@ def test_float_cross_residuals_are_tiny(reference_config):
 
 
 def test_float_cross_oracle_runs_only_when_read(reference_config, monkeypatch):
-    from wooddesargues import verifier
-
     original = verifier.float_point
     calls = []
 
