@@ -26,6 +26,7 @@ from .kernel import (
     Point,
     UnitParameter,
     _Infinity,
+    antipode,
     circle_through,
     distance_squared,
     distinct,
@@ -363,8 +364,8 @@ def derive_pentagon(config: WoodDesarguesConfiguration) -> PentagonFigures:
             tangencies[clbl] = tangent
 
     z = meets["ABCK"]
-    x = config.circles["ABCK"].center.scale(2) - z if z is not None else None
-    y = pentagon.center.scale(2) - z if (z is not None and pentagon is not None) else None
+    x = antipode(config.circles["ABCK"], z) if z is not None else None
+    y = antipode(pentagon, z) if (z is not None and pentagon is not None) else None
     return PentagonFigures(circle=pentagon, meets=meets, meet_notes=meet_notes,
                            tangencies=tangencies, x=x, y=y)
 

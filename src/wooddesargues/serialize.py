@@ -20,14 +20,14 @@ from .configuration import (
     ConfigurationSeed,
     WoodDesarguesConfiguration,
 )
-from .kernel import INFINITY, Circle, Point, _Infinity, decimal, point
+from .kernel import INFINITY, Circle, Line, Point, _Infinity, decimal, point
 
-if TYPE_CHECKING:  # the verifier formats its witnesses with this module
-    from .verifier import VerificationReport
+if TYPE_CHECKING:  # the verifier imports this module
+    from .verifier import VerificationReport, Witness
 
 SEED_KEYS = ("tJ", "tK", "tA", "tB", "tC", "s")
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 class FormatError(ValueError):
@@ -42,7 +42,7 @@ def format_scalar(x: Fraction) -> str:
 
 
 def parse_scalar(text: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise FormatError(f"not a rational literal: {text!r}")
     try:
         return Fraction(text)
@@ -62,6 +62,15 @@ def parse_parameter(text: str) -> Union[Fraction, _Infinity]:
 
 def format_point(p: Point) -> list[str]:
     return [format_scalar(p.x), format_scalar(p.y)]
+
+
+def format_witness(value: Witness) -> str:
+    """Report text of an exact witness: ``p/q``, ``(x, y)``, a line's repr, or the phrase."""
+    if isinstance(value, Point):
+        return f"({', '.join(format_point(value))})"
+    if isinstance(value, Line):
+        return repr(value)
+    return value if isinstance(value, str) else format_scalar(value)
 
 
 def parse_point(value) -> Point:
@@ -201,7 +210,7 @@ def report_to_document(report: VerificationReport) -> dict:
             {
                 "name": r.name,
                 "status": r.status,
-                "witnesses": [[label, value] for label, value in r.witnesses],
+                "witnesses": [[label, format_witness(value)] for label, value in r.witnesses],
                 "notes": r.notes,
             }
             for r in report.results

@@ -2,13 +2,13 @@
 
 Each check reduces its statement to primitive claims (collinearity, incidence,
 exact point/scalar equality, similarity transport).  A claim is decided on an
-integer that is exactly zero when it holds; the exact witness text of a
-violation is built only for a failing claim.  Every claim also carries a
-scale-invariant double-precision recomputation of the same statement, so a
-passing report can be cross-checked against floating-point geometry.  That
-recomputation is deferred: it runs only when :func:`float_cross_residuals`
-reads it, never during :func:`verify_all` (and so never in ``verify`` or
-``fuzz``).
+integer that is exactly zero when it holds; the exact witness value of a
+violation is computed only for a failing claim, and only the report writer
+turns it into text.  Every claim also carries a scale-invariant
+double-precision recomputation of the same statement, so a passing report can
+be cross-checked against floating-point geometry.  That recomputation is
+deferred: it runs only when :func:`float_cross_residuals` reads it, never
+during :func:`verify_all` (and so never in ``verify`` or ``fuzz``).
 
 Statuses: ``pass``, ``fail`` (at least one violated equality, with an exact
 witness), and ``degenerate-pass`` (the claim is vacuous because of a point
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .configuration import (
     CENTERS_AVOIDING,
@@ -75,8 +75,7 @@ FAIL = "fail"
 DEGENERATE = "degenerate-pass"
 
 
-def fmt_point(p: Point) -> str:
-    return f"({format_scalar(p.x)}, {format_scalar(p.y)})"
+Witness = Union[Fraction, Point, Line, str]  # an exact value, or a fixed phrase
 
 
 def _hyp(p: tuple[float, float]) -> float:
@@ -160,12 +159,12 @@ def _map_residual(sim: Similarity, src: Point, dst: Point) -> float:
 
 class Claim:
     """One primitive assertion: the exact verdict, the exact witness of a
-    violation ("" when the claim holds), and a deferred double-precision
+    violation (None when the claim holds), and a deferred double-precision
     recomputation of the same statement, evaluated when ``residual`` is read."""
 
     __slots__ = ("label", "holds", "witness", "_residual")
 
-    def __init__(self, label: str, holds: bool, witness: str,
+    def __init__(self, label: str, holds: bool, witness: Optional[Witness],
                  residual: Callable[[], float]) -> None:
         self.label = label
         self.holds = holds
@@ -185,14 +184,14 @@ class ClaimSet:
     """Accumulates claims and degeneracy/info notes for one check.
 
     Each primitive decides its claim on an integer that is exactly zero when
-    the claim holds; witness text is built only for a failing claim.
+    the claim holds; the witness is computed only for a failing claim.
     """
 
     def __init__(self) -> None:
         self.claims: list[Claim] = []
         self.degenerate_notes: list[str] = []
         self.info_notes: list[str] = []
-        self.extra_witnesses: list[tuple[str, str]] = []
+        self.extra_witnesses: list[tuple[str, Witness]] = []
 
     # note helpers ----------------------------------------------------------
 
@@ -202,10 +201,10 @@ class ClaimSet:
     def info(self, note: str) -> None:
         self.info_notes.append(note)
 
-    def witness(self, label: str, value: str) -> None:
+    def witness(self, label: str, value: Witness) -> None:
         self.extra_witnesses.append((label, value))
 
-    def fail(self, label: str, witness: str) -> bool:
+    def fail(self, label: str, witness: Witness) -> bool:
         return self._push(Claim(label, False, witness, _no_residual))
 
     # primitive claims -------------------------------------------------------
@@ -213,26 +212,26 @@ class ClaimSet:
     def collinear(self, label: str, a: Point, b: Point, c: Point) -> bool:
         """Assert a, b, c collinear; coincident points make it vacuously true."""
         if a == b or a == c or b == c:
-            return self._push(Claim(label, True, "", _no_residual))
+            return self._push(Claim(label, True, None, _no_residual))
         holds = is_collinear(a, b, c)
-        witness = "" if holds else format_scalar(collinearity_residual(a, b, c))
+        witness = None if holds else collinearity_residual(a, b, c)
         return self._push(Claim(label, holds, witness, partial(_collinear_residual, a, b, c)))
 
     def on_line(self, label: str, line: Line, p: Point) -> bool:
         holds = line._at(p) == 0
-        witness = "" if holds else format_scalar(line.evaluate(p))
+        witness = None if holds else line.evaluate(p)
         return self._push(Claim(label, holds, witness, partial(_line_residual, line, p)))
 
     def on_circle(self, label: str, circle: Circle, p: Point) -> bool:
         num, den = circle._power(p)
         holds = num == 0
-        witness = "" if holds else format_scalar(Fraction(num, den))
+        witness = None if holds else Fraction(num, den)
         return self._push(Claim(label, holds, witness, partial(_circle_residual, circle, p)))
 
     def points_equal(self, label: str, got: Point, expected: Point) -> bool:
         if got == expected:
-            return self._push(Claim(label, True, "", _no_residual))
-        return self._push(Claim(label, False, fmt_point(got),
+            return self._push(Claim(label, True, None, _no_residual))
+        return self._push(Claim(label, False, got,
                                 partial(_distance_residual, got, expected)))
 
     def lines_meet_at(self, label: str, l1: Line, l2: Line, target: Point,
@@ -248,25 +247,25 @@ class ClaimSet:
 
     def scalars_equal(self, label: str, got: Fraction, expected: Fraction) -> bool:
         holds = got == expected
-        witness = "" if holds else format_scalar(got)
+        witness = None if holds else got
         return self._push(Claim(label, holds, witness,
                                 partial(_scalar_residual, got, expected)))
 
     def concyclic(self, label: str, a: Point, b: Point, c: Point, d: Point) -> bool:
         det = concyclicity_determinant(a, b, c, d)
         if det != 0:
-            holds, witness = False, format_scalar(det)
+            holds, witness = False, det
         elif collapses_to_line((a, b, c, d)):
             holds, witness = False, "collinear-quadruple"
         else:
-            holds, witness = True, ""
+            holds, witness = True, None
         return self._push(Claim(label, holds, witness,
                                 partial(_concyclic_residual, a, b, c, d)))
 
     def maps_to(self, label: str, sim: Similarity, src: Point, dst: Point) -> bool:
         got = sim.apply(src)
         holds = got == dst
-        witness = "" if holds else fmt_point(got)
+        witness = None if holds else got
         return self._push(Claim(label, holds, witness, partial(_map_residual, sim, src, dst)))
 
     def _push(self, claim: Claim) -> bool:
@@ -276,15 +275,11 @@ class ClaimSet:
     # result ------------------------------------------------------------------
 
     def result(self, name: str) -> "CheckResult":
-        failures = [c for c in self.claims if not c.holds]
-        if failures:
+        witnesses = [(c.label, c.witness) for c in self.claims if not c.holds]
+        if witnesses:
             status = FAIL
-            witnesses = [(c.label, c.witness) for c in failures]
-        elif self.degenerate_notes:
-            status = DEGENERATE
-            witnesses = list(self.extra_witnesses)
         else:
-            status = PASS
+            status = DEGENERATE if self.degenerate_notes else PASS
             witnesses = list(self.extra_witnesses)
         notes = "; ".join(self.degenerate_notes + self.info_notes)
         return CheckResult(name=name, status=status, witnesses=witnesses,
@@ -295,7 +290,7 @@ class ClaimSet:
 class CheckResult:
     name: str
     status: str
-    witnesses: list[tuple[str, str]]
+    witnesses: list[tuple[str, Witness]]
     notes: str = ""
     claims: tuple[Claim, ...] = field(default=(), repr=False, compare=False)
 
@@ -362,7 +357,7 @@ def check_perspective(config: WoodDesarguesConfiguration,
         cs.degenerate("perspectrix points coincide")
     else:
         cs.collinear(f"perspectrix {''.join(record.perspectrix)} collinear", w1, w2, w3)
-        cs.witness("perspectrix", repr(perspectrix_line(config, record)))
+        cs.witness("perspectrix", perspectrix_line(config, record))
     return cs.result(f"perspective:{record.vertex}")
 
 
@@ -373,7 +368,7 @@ def _pentagon_circle(cs: ClaimSet, config: WoodDesarguesConfiguration,
     pentagon = derived.pentagon.circle
     if pentagon is None:
         res = collinearity_residual(config.centers["U"], config.centers["V"], config.j)
-        cs.fail(label, format_scalar(res))
+        cs.fail(label, res)
     return pentagon
 
 
@@ -396,8 +391,8 @@ def check_five_circles(config: WoodDesarguesConfiguration,
         return cs.result("five-circles")
     for lbl, pt in list(config.centers.items()) + [("J", config.j)]:
         cs.on_circle(f"{lbl} on pentagon circle", pentagon, pt)
-    cs.witness("pentagon centre", fmt_point(pentagon.center))
-    cs.witness("pentagon r2", format_scalar(pentagon.radius_squared))
+    cs.witness("pentagon centre", pentagon.center)
+    cs.witness("pentagon r2", pentagon.radius_squared)
     return cs.result("five-circles")
 
 
@@ -413,7 +408,7 @@ def _similarity_claims(cs: ClaimSet, label: str, source: Sequence[Point],
         return None
     sim = Similarity.pinned_by(source, target)
     if sim is None:
-        cs.fail(f"{label}: nonzero multiplier", fmt_point(ORIGIN))
+        cs.fail(f"{label}: nonzero multiplier", ORIGIN)
         return None
     for i in range(2, len(source)):
         cs.maps_to(f"{label}: pair {i + 1} transported", sim, source[i], target[i])
@@ -428,10 +423,10 @@ def check_core_similarity(config: WoodDesarguesConfiguration) -> CheckResult:
     dst = [pts["a"], pts["b"], pts["c"]]
     sim = _similarity_claims(cs, "ABC~abc", src, dst)
     if sim is not None:
-        cs.witness("alpha", fmt_point(sim.alpha))
+        cs.witness("alpha", sim.alpha)
         fix = sim.fixed_point()
         if fix is None:
-            cs.fail("similarity has a fixed point", fmt_point(sim.alpha))
+            cs.fail("similarity has a fixed point", sim.alpha)
         else:
             cs.points_equal("fixed point is J", fix, config.j)
         ratio = config.circles["abcK"].radius_squared / config.circles["ABCK"].radius_squared
@@ -451,7 +446,7 @@ def check_orthocentre_quadrangle(config: WoodDesarguesConfiguration,
         if h is None:
             tri = tuple(x for x in verts if x != v)
             res = collinearity_residual(*(config.points[x] for x in tri))
-            cs.fail(f"orthocentre of {''.join(tri)} exists", format_scalar(res))
+            cs.fail(f"orthocentre of {''.join(tri)} exists", res)
             return cs.result(f"orthocentre-quadrangle:{circle_label}")
         hpts.append(h)
 
@@ -481,7 +476,7 @@ def check_steiner_line(config: WoodDesarguesConfiguration,
             cs.fail(f"partner orthocentre F({v}) exists", "collinear partner triangle")
             return cs.result(f"steiner-line:{circle_label}")
         fpts.append(f)
-        cs.witness(f"F({v})", fmt_point(f))
+        cs.witness(f"F({v})", f)
 
     line_pts = distinct(fpts)
     if len(line_pts) < 3:
@@ -494,15 +489,9 @@ def check_steiner_line(config: WoodDesarguesConfiguration,
 
 
 def _coincidence_name(config: WoodDesarguesConfiguration, p: Point) -> str:
-    for lbl, q in config.points.items():
-        if p == q:
-            return lbl
-    if p == config.j:
-        return "J"
-    for lbl, q in config.centers.items():
-        if p == q:
-            return lbl
-    return fmt_point(p)
+    """The label of p; callers ask only once p equals a point, J or a centre."""
+    named = {**config.points, "J": config.j, **config.centers}
+    return next(lbl for lbl, q in named.items() if q == p)
 
 
 def _require_meet(cs: ClaimSet, derived: DerivedFigures,
@@ -544,7 +533,7 @@ def check_pentagon_perspectives(config: WoodDesarguesConfiguration,
                               f"Z coincides with {_coincidence_name(config, z)}")
                 continue
             cs.collinear(f"{albl}, {clbl}, Z collinear", a, c, z)
-        cs.witness("Z", fmt_point(z))
+        cs.witness("Z", z)
     if w is not None:
         a, u = pts["A"], ctr["U"]
         if a == w or u == w:
@@ -552,16 +541,16 @@ def check_pentagon_perspectives(config: WoodDesarguesConfiguration,
                           f"{_coincidence_name(config, w)}")
         else:
             cs.collinear("A, U, W collinear", a, u, w)
-        cs.witness("W", fmt_point(w))
+        cs.witness("W", w)
 
     sim = _similarity_claims(cs, "ABC~LMN",
                              [pts["A"], pts["B"], pts["C"]],
                              [ctr["L"], ctr["M"], ctr["N"]])
     if sim is not None:
-        cs.witness("alpha ABC~LMN", fmt_point(sim.alpha))
+        cs.witness("alpha ABC~LMN", sim.alpha)
         fix = sim.fixed_point()
         if fix is None:
-            cs.fail("centre similarity has a fixed point", fmt_point(sim.alpha))
+            cs.fail("centre similarity has a fixed point", sim.alpha)
         else:
             cs.points_equal("similarity centre is J", fix, config.j)
 
@@ -587,7 +576,7 @@ def check_pentagon_quadrangles(config: WoodDesarguesConfiguration,
         names = "".join(OTHER_CENTER[(clbl, v)] for v in verts)
         sim = _similarity_claims(cs, f"{clbl}~{names}", src, dst)
         if sim is not None:
-            cs.witness(f"alpha {clbl}~{names}", fmt_point(sim.alpha))
+            cs.witness(f"alpha {clbl}~{names}", sim.alpha)
     return cs.result("pentagon-quadrangles")
 
 
@@ -613,8 +602,8 @@ def check_tangent_concurrency(config: WoodDesarguesConfiguration,
     x, y = derived.pentagon.x, derived.pentagon.y
     cs.on_circle("X on ABCK", config.circles["ABCK"], x)
     cs.on_circle("Y on pentagon circle", pentagon, y)
-    cs.witness("X", fmt_point(x))
-    cs.witness("Y", fmt_point(y))
+    cs.witness("X", x)
+    cs.witness("Y", y)
 
     tangents = []
     for plbl, clbl in (("A", "Aa23"), ("B", "Bb31"), ("C", "Cc12")):
@@ -650,7 +639,7 @@ def check_hagge(config: WoodDesarguesConfiguration,
         circle = derived.hagge[v]
         if circle is None:
             note = derived.hagge_notes.get(v, "")
-            if "missing orthocentre" in note:
+            if None in derived.orthocentres.by_row[v]:
                 cs.fail(f"h({v}) derivable", note)
             else:
                 cs.degenerate(f"h({v}) undefined: {note}")
@@ -685,13 +674,13 @@ def check_hagge(config: WoodDesarguesConfiguration,
         ring = distinct(dst)
         if len(ring) < 3 or is_collinear(ring[0], ring[1], ring[2]):
             res = collinearity_residual(*ring[:3]) if len(ring) >= 3 else Fraction(0)
-            cs.fail(f"h-quadrangle of {clbl} spans a circle", format_scalar(res))
+            cs.fail(f"h-quadrangle of {clbl} spans a circle", res)
             continue
         circ = circle_through(ring[0], ring[1], ring[2])
         for v, p in zip(verts, dst):
             cs.on_circle(f"h({v}) on h-circumcircle of {clbl}", circ, p)
         radii.append((clbl, circ.radius_squared))
-        cs.witness(f"h-circumcircle r2 of {clbl}", format_scalar(circ.radius_squared))
+        cs.witness(f"h-circumcircle r2 of {clbl}", circ.radius_squared)
 
     for clbl, r2 in radii[1:]:
         cs.scalars_equal(f"h-circumcircle r2 of {clbl} equals that of {radii[0][0]}",
@@ -722,7 +711,7 @@ def _perpendicular_concurrency_claims(cs: ClaimSet, circle: Circle,
     cs.lines_meet_at(f"perpendiculars at {names[0]}, {names[1]} meet at {target}",
                      perps[0], perps[1], t,
                      f"perpendiculars at {names[0]} and {names[1]} coincide")
-    cs.witness(witness, fmt_point(t))
+    cs.witness(witness, t)
 
 
 def check_perpendicular_concurrency(p: Point, q: Point, r: Point, s: Point) -> CheckResult:
@@ -779,9 +768,9 @@ def check_three_circle_collinearity(j: Point, o: Point, l: Point) -> CheckResult
         cs.degenerate("tangent circle pair: a second intersection collapses onto J")
         return cs.result("three-circle-collinearity")
 
-    cs.witness("A", fmt_point(a))
-    cs.witness("B", fmt_point(b))
-    cs.witness("D", fmt_point(d))
+    cs.witness("A", a)
+    cs.witness("B", b)
+    cs.witness("D", d)
     cs.collinear("O, A, B collinear", o, a, b)
     cs.collinear("L, A, D collinear", l, a, d)
     printed = is_collinear(l, b, d)

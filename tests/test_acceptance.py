@@ -30,6 +30,7 @@ from wooddesargues.fuzz import generate_configurations, run_campaign
 from wooddesargues.kernel import (
     Circle,
     Line,
+    ORIGIN,
     ParallelLinesError,
     incident,
     line_through,
@@ -224,9 +225,9 @@ def test_criterion_4_lemma_instances():
 
         worked = check_three_circle_collinearity(point(1, 0), point(0, 1), point(F(3, 5), F(-4, 5)))
         assert worked.status == PASS
-        assert dict(worked.witnesses)["A"] == "(-1/5, -2/5)"
-        assert dict(worked.witnesses)["B"] == "(-7/25, -24/25)"
-        assert dict(worked.witnesses)["D"] == "(-1/1, 0/1)"
+        assert dict(worked.witnesses)["A"] == point(F(-1, 5), F(-2, 5))
+        assert dict(worked.witnesses)["B"] == point(F(-7, 25), F(-24, 25))
+        assert dict(worked.witnesses)["D"] == point(-1, 0)
         assert "printed triple (L, B, D) collinear: false" in worked.notes
         ok = True
     finally:
@@ -284,7 +285,7 @@ def test_criterion_5_mutation_falsifiability():
             assert result.status == FAIL, f"{name} survived its mutation"
             assert result.witnesses, f"{name} failed without a witness"
             label_, witness = result.witnesses[0]
-            assert witness not in ("0/1", "(0/1, 0/1)"), \
+            assert witness not in (0, ORIGIN), \
                 f"{name} witness is not a nonzero violation: {label_}={witness}"
         ok = True
     finally:

@@ -55,7 +55,8 @@ def test_parse_scalar_strictness():
     assert parse_scalar("-3/2") == F(-3, 2)
     assert parse_scalar("4") == 4
     huge = "7" * 5000  # past the interpreter's default integer-string limit
-    for bad in ["3/0", "3/-2", "03/x", "", "1e3", None, huge, f"1/{huge}", f"-{huge}/3"]:
+    for bad in ["3/0", "3/-2", "03/x", "", "1e3", None, huge, f"1/{huge}", f"-{huge}/3",
+                "3/4\n", "\u0663/4"]:
         with pytest.raises(FormatError):
             parse_scalar(bad)
 

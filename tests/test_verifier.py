@@ -5,10 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from wooddesargues import check_perpendicular_concurrency, check_three_circle_collinearity, check_names, verify_all
-from wooddesargues import verifier
+from wooddesargues import serialize, verifier
 from wooddesargues.configuration import CIRCLE_LABELS, PERSPECTIVE_TABLE
 from wooddesargues.kernel import (
     DegenerateInputError,
+    Line,
     is_collinear,
     line_through,
     meet,
@@ -84,13 +85,13 @@ def test_report_is_deterministic(reference_config):
 def test_core_similarity_witnesses(reference_config):
     result = check_core_similarity(reference_config)
     assert result.status == PASS
-    assert ("alpha", "(-1/1, -2/1)") in result.witnesses
+    assert ("alpha", point(-1, -2)) in result.witnesses
 
 
 def test_perspective_row_witness_carries_the_axis(reference_config):
     result = check_perspective(reference_config, PERSPECTIVE_TABLE[0])
     assert result.status == PASS
-    assert ("perspectrix", "[1x + -3y + 11 = 0]") in result.witnesses
+    assert ("perspectrix", Line(1, -3, 11)) in result.witnesses
 
 
 def test_perturbed_point_fails_with_nonzero_witness(reference_config):
@@ -100,7 +101,7 @@ def test_perturbed_point_fails_with_nonzero_witness(reference_config):
     result = check_perspective(bad, PERSPECTIVE_TABLE[0])
     assert result.status == FAIL
     assert result.witnesses
-    assert all(value != "0/1" for _, value in result.witnesses)
+    assert all(isinstance(value, F) and value != 0 for _, value in result.witnesses)
 
 
 def test_five_circles_detects_center_tampering(reference_config):
@@ -114,7 +115,7 @@ def test_hagge_check_reports_radii(reference_config, reference_derived):
     result = check_hagge(reference_config, reference_derived)
     assert result.status == PASS
     radii = [v for k, v in result.witnesses if k.startswith("h-circumcircle")]
-    assert radii == ["5/2"] * 5
+    assert radii == [F(5, 2)] * 5
 
 
 def test_steiner_line_all_quadrangles(reference_config, reference_derived):
@@ -155,7 +156,7 @@ def test_perpendicular_concurrency_worked_instance():
     result = check_perpendicular_concurrency(point(1, 0), point(0, 1), point(0, -1),
                           point(F(-3, 5), F(4, 5)))
     assert result.status == PASS
-    assert ("antipode", "(3/5, -4/5)") in result.witnesses
+    assert ("antipode", point(F(3, 5), F(-4, 5))) in result.witnesses
 
 
 def test_perpendicular_concurrency_degenerate_inputs():
@@ -179,9 +180,9 @@ def test_three_circle_worked_instance():
     result = check_three_circle_collinearity(point(1, 0), point(0, 1), point(F(3, 5), F(-4, 5)))
     assert result.status == PASS
     witness = dict(result.witnesses)
-    assert witness["A"] == "(-1/5, -2/5)"
-    assert witness["B"] == "(-7/25, -24/25)"
-    assert witness["D"] == "(-1/1, 0/1)"
+    assert witness["A"] == point(F(-1, 5), F(-2, 5))
+    assert witness["B"] == point(F(-7, 25), F(-24, 25))
+    assert witness["D"] == point(-1, 0)
     assert "printed triple (L, B, D) collinear: false" in result.notes
 
 
@@ -206,7 +207,7 @@ def test_three_circle_fuzzed_instances_use_corrected_triples():
     s2 = Circle(l, (j - l).norm_squared())
     s3 = Circle(o, (j - o).norm_squared())
     a, _ = second_intersection_of_circles(s2, s3, j)
-    assert is_collinear(o, a, point(*[F(x) for x in dict(result.witnesses)["B"][1:-1].split(", ")]))
+    assert is_collinear(o, a, dict(result.witnesses)["B"])
 
 
 def test_float_cross_residuals_are_tiny(reference_config):
@@ -230,17 +231,53 @@ def test_float_cross_oracle_runs_only_when_read(reference_config, monkeypatch):
 
 
 def test_failing_claims_carry_exact_witnesses(reference_config):
-    # one witness from each primitive, decided on an integer and then
-    # formatted exactly; A moved by +1 in x breaks every family that reads it
+    # one witness from each primitive, decided on an integer and kept as
+    # the exact value; A moved by +1 in x breaks every family that reads it
     report = verify_all(mutate_configuration(reference_config, "point", "A", "x", 1))
     witnesses = {(r.name, label): value for r in report.failed for label, value in r.witnesses}
-    assert witnesses[("five-circles", "ABCK concyclic")] == "-2/25"
-    assert witnesses[("five-circles", "A on ABCK")] == "1/1"
-    assert witnesses[("pentagon-perspectives", "A, L, Z collinear")] == "2/5"
-    assert witnesses[("hagge-suite", "h(B) on perspectrix c2a")] == "-2/3"
-    assert witnesses[("core-similarity", "fixed point is J")] == "(261/197, 108/197)"
-    assert witnesses[("core-similarity", "ABC~abc: pair 3 transported")] == "(123/29, 84/29)"
-    assert witnesses[("core-similarity", "ratio^2 equals circle r2 ratio")] == "90/29"
-    # a passing claim builds no witness text
+    assert witnesses[("five-circles", "ABCK concyclic")] == F(-2, 25)
+    assert witnesses[("five-circles", "A on ABCK")] == F(1)
+    assert witnesses[("pentagon-perspectives", "A, L, Z collinear")] == F(2, 5)
+    assert witnesses[("hagge-suite", "h(B) on perspectrix c2a")] == F(-2, 3)
+    assert witnesses[("core-similarity", "fixed point is J")] == point(F(261, 197), F(108, 197))
+    assert witnesses[("core-similarity", "ABC~abc: pair 3 transported")] == point(F(123, 29), F(84, 29))
+    assert witnesses[("core-similarity", "ratio^2 equals circle r2 ratio")] == F(90, 29)
+    # a passing claim computes no witness
     passing = verify_all(reference_config)
-    assert all(c.witness == "" for r in passing.results for c in r.claims if c.holds)
+    assert all(c.witness is None for r in passing.results for c in r.claims if c.holds)
+
+
+def test_only_the_report_writer_formats_witnesses(reference_config, monkeypatch):
+    original = serialize.format_scalar
+    calls = []
+
+    def counting_format_scalar(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(serialize, "format_scalar", counting_format_scalar)
+    monkeypatch.setattr(verifier, "format_scalar", counting_format_scalar)
+    passing = verify_all(reference_config)
+    failing = verify_all(mutate_configuration(reference_config, "point", "A", "x", 1))
+    assert failing.failed
+    assert calls == []
+    for report in (passing, failing):
+        calls.clear()
+        report_to_document(report)
+        assert calls
+
+
+def test_report_writer_formats_each_witness_kind(reference_config):
+    def witness_text(config):
+        doc = report_to_document(verify_all(config))
+        return {(r["name"], label): text for r in doc["results"] for label, text in r["witnesses"]}
+
+    passing = witness_text(reference_config)
+    moved_a = witness_text(mutate_configuration(reference_config, "point", "A", "x", 1))
+    # K moved by -1 in x leaves row B without its partner orthocentre: a failure
+    moved_k = witness_text(mutate_configuration(reference_config, "point", "K", "x", -1))
+    assert moved_a[("five-circles", "ABCK concyclic")] == "-2/25"
+    assert moved_a[("five-circles", "A on ABCK")] == "1/1"
+    assert moved_a[("core-similarity", "fixed point is J")] == "(261/197, 108/197)"
+    assert passing[("perspective:K", "perspectrix")] == "[1x + -3y + 11 = 0]"
+    assert moved_k[("hagge-suite", "h(B) derivable")] == "missing orthocentre for row B"
