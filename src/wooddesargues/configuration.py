@@ -11,7 +11,7 @@ live here as well; theorem checking lives in :mod:`wooddesargues.verifier`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -26,16 +26,16 @@ from .kernel import (
     Point,
     UnitParameter,
     _Infinity,
+    _bisector,
+    _join,
+    _meet,
     antipode,
     circle_through,
     distance_squared,
-    distinct,
     incident,
     line_through,
-    meet,
     midpoint,
     orthocentre,
-    perpendicular_bisector,
     point_on_unit_circle,
     second_intersection_of_circles,
     second_intersection_with_line,
@@ -158,23 +158,34 @@ class ConfigurationSeed:
 
 @dataclass(frozen=True)
 class WoodDesarguesConfiguration:
-    """The ten labeled points, J, the five circles and their centers."""
+    """The ten labeled points, J, the five circles and their centers, with a
+    table of lines through two labeled points that starts empty in each instance."""
 
     points: dict[str, Point]
     j: Point
     circles: dict[str, Circle]
     centers: dict[str, Point]
     seed: Optional[ConfigurationSeed] = None
+    _lines: dict[tuple[str, str], Line] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def quadrangle(self, circle_label: str) -> tuple[Point, ...]:
         return tuple(self.points[v] for v in CIRCLE_POINTS[circle_label])
+
+    def line(self, u: str, v: str) -> Line:
+        """The line through the points labeled u and v, built once for either order."""
+        line = self._lines.get((u, v))
+        if line is None:
+            line = self._lines[u, v] = self._lines[v, u] = line_through(self.points[u], self.points[v])
+        return line
 
 
 def perspectrix_line(config: WoodDesarguesConfiguration,
                      record: PerspectiveRecord) -> Optional[Line]:
     """The line through a row's perspectrix points, None if they all coincide."""
-    w = distinct(config.points[x] for x in record.perspectrix)
-    return line_through(w[0], w[1]) if len(w) > 1 else None
+    first, *rest = record.perspectrix
+    other = next((x for x in rest if config.points[x] != config.points[first]), None)
+    return config.line(first, other) if other else None
 
 
 def build_configuration(seed: ConfigurationSeed) -> WoodDesarguesConfiguration:
@@ -196,7 +207,7 @@ def build_configuration(seed: ConfigurationSeed) -> WoodDesarguesConfiguration:
     circle2 = Circle(center2, distance_squared(center2, pj))
     if circle2 == circle1:
         raise DegenerateSeedError("coincident-circles")
-    assert circle2.power(pk) == 0
+    assert circle2._power(pk) == 0
 
     seconds = {}
     for lbl, vertex in (("a", pa), ("b", pb), ("c", pc)):
@@ -209,7 +220,7 @@ def build_configuration(seed: ConfigurationSeed) -> WoodDesarguesConfiguration:
 
     def side_meet(lbl, p, q, r, t):
         try:
-            return meet(line_through(p, q), line_through(r, t))
+            return _meet(*_join(p, q), *_join(r, t))
         except ParallelLinesError:
             raise DegenerateSeedError(f"parallel-sides:{lbl}") from None
 
@@ -336,7 +347,7 @@ def derive_hagge_centres(config: WoodDesarguesConfiguration,
             out[rec.vertex] = None
             notes[rec.vertex] = f"J, H, F collinear for row {rec.vertex}"
             continue
-        centre = meet(perpendicular_bisector(j, h_pt), perpendicular_bisector(j, f_pt))
+        centre = _meet(*_bisector(j, h_pt), *_bisector(j, f_pt))
         assert centre == circle.center
         out[rec.vertex] = circle
     return out, notes

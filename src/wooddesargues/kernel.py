@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
@@ -82,10 +83,22 @@ def decimal(n: int) -> str:
         return "-" + decimal(-n)
     try:
         return str(n)
-    except ValueError:  # over sys.get_int_max_str_digits(): split at 10**k
-        k = n.bit_length() * 3 // 20  # about half the digits (log10(2) > 3/10)
-        hi, lo = divmod(n, 10 ** k)
-        return decimal(hi) + decimal(lo).rjust(k, "0")
+    except ValueError:  # over sys.get_int_max_str_digits()
+        with localcontext(_EXACT):
+            return str(_to_decimal(n))
+
+
+# unrounded, so a product or sum of integers is exact
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def _to_decimal(n: int) -> Decimal:
+    """n by halving its bits; subquadratic, as libmpdec's multiplication is
+    (Brent and Zimmermann, *Modern Computer Arithmetic* (2010), 1.7)."""
+    k = n.bit_length() // 2
+    if k < 2048:
+        return Decimal(n)
+    return _to_decimal(n >> k) * Decimal(2) ** k + _to_decimal(n & ((1 << k) - 1))
 
 
 def rational_text(q: Fraction) -> str:
@@ -326,18 +339,20 @@ class Circle:
         if self.radius_squared <= 0:
             raise DegenerateInputError("circle needs radiusSquared > 0")
 
-    def _power(self, p: Point) -> tuple[int, int]:
-        """Numerator and positive denominator of the power of p."""
+    def _power(self, p: Point) -> int:
+        """Numerator of the power of p over :meth:`_power_denominator`."""
         X, Y, Z = p.hom
         Xc, Yc, Zc = self.center.hom
         r2 = self.radius_squared
         dx, dy, z = X * Zc - Xc * Z, Y * Zc - Yc * Z, Z * Zc
-        d, zz = r2.denominator, z * z
-        return d * (dx * dx + dy * dy) - r2.numerator * zz, d * zz
+        return r2.denominator * (dx * dx + dy * dy) - r2.numerator * z * z
+
+    def _power_denominator(self, p: Point) -> int:
+        return self.radius_squared.denominator * (p.hom[2] * self.center.hom[2]) ** 2
 
     def power(self, p: Point) -> Fraction:
         """Power of the point: zero exactly when p lies on the circle."""
-        return Fraction(*self._power(p))
+        return Fraction(self._power(p), self._power_denominator(p))
 
     def __repr__(self) -> str:
         return f"Circle(center={self.center}, r2={rational_text(self.radius_squared)})"
@@ -352,42 +367,61 @@ def point_on_unit_circle(t: UnitParameter) -> Point:
     return _point(d * d - n * n, 2 * n * d, d * d + n * n)
 
 
+# Lines below are unreduced integer triples (a, b, c) of a*x + b*y + c = 0: one met
+# with another needs no gcd, as _meet returns a canonical point.
+
+def _join(p: Point, q: Point) -> tuple[int, int, int]:
+    """The line through p and q (cross product of the homogeneous triples)."""
+    X1, Y1, Z1 = p.hom
+    X2, Y2, Z2 = q.hom
+    return Y1 * Z2 - Z1 * Y2, Z1 * X2 - X1 * Z2, X1 * Y2 - Y1 * X2
+
+
+def _bisector(p: Point, q: Point) -> tuple[int, int, int]:
+    """2 (q - p).(x, y) = |q|^2 - |p|^2, times Z1^2 Z2^2."""
+    X1, Y1, Z1 = p.hom
+    X2, Y2, Z2 = q.hom
+    z = 2 * Z1 * Z2
+    return ((X2 * Z1 - X1 * Z2) * z, (Y2 * Z1 - Y1 * Z2) * z,
+            (X1 * X1 + Y1 * Y1) * Z2 * Z2 - (X2 * X2 + Y2 * Y2) * Z1 * Z1)
+
+
+def _normal_at(p: Point, a: int, b: int) -> tuple[int, int, int]:
+    """The line through p with normal (a, b)."""
+    X, Y, Z = p.hom
+    return a * Z, b * Z, -(a * X + b * Y)
+
+
+def _meet(a1: int, b1: int, c1: int, a2: int, b2: int, c2: int) -> Point:
+    z = a1 * b2 - a2 * b1
+    if z == 0:
+        raise ParallelLinesError("lines do not meet in a single point")
+    return _point(b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, z)
+
+
 def line_through(p: Point, q: Point) -> Line:
     if p == q:
         raise CoincidentPointsError(f"line through coincident points {p}")
-    X1, Y1, Z1 = p.hom
-    X2, Y2, Z2 = q.hom
-    return Line.from_coefficients(Y1 * Z2 - Z1 * Y2, Z1 * X2 - X1 * Z2, X1 * Y2 - Y1 * X2)
+    return Line.from_coefficients(*_join(p, q))
 
 
 def meet(l1: Line, l2: Line) -> Point:
-    z = l1.a * l2.b - l2.a * l1.b
-    if z == 0:
-        raise ParallelLinesError(f"no unique intersection of {l1} and {l2}")
-    return _point(l1.b * l2.c - l2.b * l1.c, l1.c * l2.a - l2.c * l1.a, z)
+    return _meet(l1.a, l1.b, l1.c, l2.a, l2.b, l2.c)
 
 
 def perpendicular_bisector(p: Point, q: Point) -> Line:
     if p == q:
         raise CoincidentPointsError(f"perpendicular bisector of coincident points {p}")
-    X1, Y1, Z1 = p.hom
-    X2, Y2, Z2 = q.hom
-    # 2 (q - p).(x, y) = |q|^2 - |p|^2, times Z1^2 Z2^2
-    z = 2 * Z1 * Z2
-    return Line.from_coefficients((X2 * Z1 - X1 * Z2) * z, (Y2 * Z1 - Y1 * Z2) * z,
-                                  (X1 * X1 + Y1 * Y1) * Z2 * Z2 - (X2 * X2 + Y2 * Y2) * Z1 * Z1)
+    return Line.from_coefficients(*_bisector(p, q))
 
 
 def perpendicular_at(p: Point, l: Line) -> Line:
     # new normal = direction of l
-    a, b = -l.b, l.a
-    X, Y, Z = p.hom
-    return Line.from_coefficients(a * Z, b * Z, -(a * X + b * Y))
+    return Line.from_coefficients(*_normal_at(p, -l.b, l.a))
 
 
 def parallel_through(p: Point, l: Line) -> Line:
-    X, Y, Z = p.hom
-    return Line.from_coefficients(l.a * Z, l.b * Z, -(l.a * X + l.b * Y))
+    return Line.from_coefficients(*_normal_at(p, l.a, l.b))
 
 
 def _det3(p: Point, q: Point, r: Point) -> int:
@@ -410,13 +444,13 @@ def circumcenter(p: Point, q: Point, r: Point) -> Point:
         raise CoincidentPointsError("circumcenter of coincident points")
     if is_collinear(p, q, r):
         raise CollinearPointsError(f"circumcenter of collinear points {p}, {q}, {r}")
-    return meet(perpendicular_bisector(p, q), perpendicular_bisector(q, r))
+    return _meet(*_bisector(p, q), *_bisector(q, r))
 
 
 def circle_through(p: Point, q: Point, r: Point) -> Circle:
     center = circumcenter(p, q, r)
     circle = Circle(center, distance_squared(center, p))
-    assert circle._power(q)[0] == 0 and circle._power(r)[0] == 0
+    assert circle._power(q) == 0 and circle._power(r) == 0
     return circle
 
 
@@ -428,7 +462,7 @@ def second_intersection_with_line(circle: Circle, l: Line, known: Point) -> tupl
     """
     if l._at(known) != 0:
         raise NotIncidentError(f"{known} not on {l}")
-    if circle._power(known)[0] != 0:
+    if circle._power(known) != 0:
         raise NotIncidentError(f"{known} not on {circle}")
     X, Y, Z = known.hom
     Xc, Yc, Zc = circle.center.hom
@@ -461,13 +495,13 @@ def radical_axis(c1: Circle, c2: Circle) -> Line:
 def second_intersection_of_circles(c1: Circle, c2: Circle, known: Point) -> tuple[Point, bool]:
     if c1 == c2:
         raise IdenticalCirclesError("second intersection of identical circles")
-    if c1._power(known)[0] != 0 or c2._power(known)[0] != 0:
+    if c1._power(known) != 0 or c2._power(known) != 0:
         raise NotIncidentError(f"{known} not on both circles")
     return second_intersection_with_line(c1, radical_axis(c1, c2), known)
 
 
 def antipode(circle: Circle, p: Point) -> Point:
-    if circle._power(p)[0] != 0:
+    if circle._power(p) != 0:
         raise NotIncidentError(f"{p} not on {circle}")
     X, Y, Z = p.hom
     Xc, Yc, Zc = circle.center.hom
@@ -475,23 +509,24 @@ def antipode(circle: Circle, p: Point) -> Point:
 
 
 def tangent_at(circle: Circle, p: Point) -> Line:
-    if circle._power(p)[0] != 0:
+    if circle._power(p) != 0:
         raise NotIncidentError(f"{p} not on {circle}")
     X, Y, Z = p.hom
     Xc, Yc, Zc = circle.center.hom
-    nx, ny = X * Zc - Xc * Z, Y * Zc - Yc * Z  # Z Zc (p - center)
-    return Line.from_coefficients(nx * Z, ny * Z, -(nx * X + ny * Y))
+    # normal Z Zc (p - center)
+    return Line.from_coefficients(*_normal_at(p, X * Zc - Xc * Z, Y * Zc - Yc * Z))
 
 
 def orthocentre(p: Point, q: Point, r: Point) -> Point:
     """Intersection of two altitudes, cross-checked against p + q + r - 2*circumcenter."""
     if is_collinear(p, q, r):
         raise CollinearPointsError(f"orthocentre of collinear points {p}, {q}, {r}")
-    h = meet(perpendicular_at(p, line_through(q, r)),
-             perpendicular_at(q, line_through(p, r)))
-    # Euler: h = p + q + r - 2 o, compared over the common denominator
     (X1, Y1, Z1), (X2, Y2, Z2), (X3, Y3, Z3) = p.hom, q.hom, r.hom
-    Xo, Yo, Zo = circumcenter(p, q, r).hom
+    # the altitudes at p and q, with normals Z2 Z3 (r - q) and Z1 Z3 (r - p)
+    h = _meet(*_normal_at(p, X3 * Z2 - X2 * Z3, Y3 * Z2 - Y2 * Z3),
+              *_normal_at(q, X3 * Z1 - X1 * Z3, Y3 * Z1 - Y1 * Z3))
+    # Euler: h = p + q + r - 2 o, compared over the common denominator
+    Xo, Yo, Zo = _meet(*_bisector(p, q), *_bisector(q, r)).hom
     Xh, Yh, Zh = h.hom
     z12, z = Z1 * Z2, Z1 * Z2 * Z3
     xs = ((X1 * Z2 + X2 * Z1) * Z3 + X3 * z12) * Zo - 2 * Xo * z
@@ -544,7 +579,7 @@ Carrier = Union[Line, Circle]
 def incident(carrier: Carrier, p: Point) -> bool:
     if isinstance(carrier, Line):
         return carrier._at(p) == 0
-    return carrier._power(p)[0] == 0
+    return carrier._power(p) == 0
 
 
 @dataclass(frozen=True)

@@ -223,9 +223,9 @@ class ClaimSet:
         return self._push(Claim(label, holds, witness, partial(_line_residual, line, p)))
 
     def on_circle(self, label: str, circle: Circle, p: Point) -> bool:
-        num, den = circle._power(p)
+        num = circle._power(p)
         holds = num == 0
-        witness = None if holds else Fraction(num, den)
+        witness = None if holds else Fraction(num, circle._power_denominator(p))
         return self._push(Claim(label, holds, witness, partial(_circle_residual, circle, p)))
 
     def points_equal(self, label: str, got: Point, expected: Point) -> bool:
@@ -344,8 +344,8 @@ def check_perspective(config: WoodDesarguesConfiguration,
         if t1[jx] == t1[kx] or t2[jx] == t2[kx]:
             cs.degenerate(f"side pair {name1}/{name2} has coincident endpoints")
             continue
-        side1 = line_through(t1[jx], t1[kx])
-        side2 = line_through(t2[jx], t2[kx])
+        side1 = config.line(record.triangle1[jx], record.triangle1[kx])
+        side2 = config.line(record.triangle2[jx], record.triangle2[kx])
         if side1 == side2:
             cs.degenerate(f"sides {name1} and {name2} coincide")
             continue

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +10,9 @@ from wooddesargues import (
     ConfigurationSeed,
     DegenerateSeedError,
     build_configuration,
+    configuration,
     perspective_table,
+    verify_all,
 )
 from wooddesargues.configuration import (
     CENTERS_AVOIDING,
@@ -21,7 +25,22 @@ from wooddesargues.configuration import (
     TRIANGLE_QUAD,
     derive_orthocentres,
 )
-from wooddesargues.kernel import Circle, INFINITY, incident, point
+from wooddesargues.kernel import (
+    Circle,
+    CoincidentPointsError,
+    INFINITY,
+    incident,
+    line_through,
+    point,
+)
+from wooddesargues.serialize import (
+    configuration_from_document,
+    configuration_to_document,
+    dumps,
+    report_to_document,
+)
+
+from conftest import REFERENCE_SEED, mutate_configuration
 
 
 # --- Table 1 -----------------------------------------------------------------
@@ -232,3 +251,45 @@ def test_orthocentre_roles_appear_once_each(reference_config):
     for key, value in orth.h_role.items():
         quad, vertex = key
         assert orth.f_role[(PARTNER_QUAD[key], vertex)] == value
+
+
+# --- line table --------------------------------------------------------------
+
+def test_line_table_builds_each_label_pair_once(monkeypatch):
+    config = build_configuration(REFERENCE_SEED)
+    label = {p: lbl for lbl, p in config.points.items()}
+    original = configuration.line_through
+    calls: Counter = Counter()
+
+    def counting_line_through(p, q):
+        calls[frozenset((label[p], label[q]))] += 1
+        return original(p, q)
+
+    monkeypatch.setattr(configuration, "line_through", counting_line_through)
+    verify_all(config)
+    assert calls and max(calls.values()) == 1
+    built = dict(calls)
+    verify_all(config)
+    assert calls == built
+
+
+def test_line_table_is_shared_by_both_orders(reference_config):
+    pts = reference_config.points
+    assert reference_config.line("B", "C") is reference_config.line("C", "B")
+    assert reference_config.line("B", "C") == line_through(pts["B"], pts["C"])
+
+
+def test_line_table_refuses_equal_points(reference_config):
+    pts = dict(reference_config.points, A=reference_config.points["B"])
+    config = dataclasses.replace(reference_config, points=pts)
+    with pytest.raises(CoincidentPointsError):
+        config.line("A", "B")
+
+
+def test_replaced_configuration_starts_with_its_own_line_table(reference_config):
+    verify_all(reference_config)  # fills the parent's table
+    mutated = mutate_configuration(reference_config, "point", "B", "x", 1)
+    report = verify_all(mutated)
+    assert report.failed
+    fresh = configuration_from_document(configuration_to_document(mutated))
+    assert dumps(report_to_document(report)) == dumps(report_to_document(verify_all(fresh)))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +22,7 @@ from wooddesargues.kernel import (
     ORIGIN,
     antipode,
     circle_through,
+    decimal,
     distance_squared,
     incident,
     is_collinear,
@@ -334,3 +337,24 @@ def test_scalar_canonical_form():
     assert F(2, 4) + F(1, 4) == F(3, 4)
     with pytest.raises(ZeroDivisionError):
         F(1, 0)
+
+
+# --- decimal text ------------------------------------------------------------
+
+def test_decimal_matches_str_past_the_digit_limit():
+    rng = random.Random(7)
+    values = [rng.randrange(10 ** (d - 1), 10 ** d) for d in (4301, 4302, 9000, 20000, 50000)]
+    values += [-v for v in values[:3]]
+    # either side of the digit limit, and of the bit splits inside the conversion
+    values += [10 ** k + e for k in (4299, 4300, 4301, 12345) for e in (0, -1)]
+    values += [(1 << k) + e for k in (8192, 16384, 16385, 65536) for e in (0, -1)]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ValueError):
+            str(values[0])  # so the values below take the long path
+        got = [decimal(n) for n in values]
+        sys.set_int_max_str_digits(0)
+        assert got == [str(n) for n in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
