@@ -7,6 +7,7 @@ retry budget, 3 I/O or format error.  Nothing else.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -132,7 +133,13 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later ones.
+
+    Parsing keeps no state between calls: each returns a fresh namespace, and
+    help and usage text go to the ``sys.stdout``/``sys.stderr`` of the moment.
+    """
     parser = argparse.ArgumentParser(
         prog="wooddesargues",
         description="Build, verify, fuzz and render ten-point Wood-Desargues configurations",

@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # the verifier imports this module
 
 SEED_KEYS = ("tJ", "tK", "tA", "tB", "tC", "s")
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 class FormatError(ValueError):
@@ -42,10 +42,12 @@ def format_scalar(x: Fraction) -> str:
 
 
 def parse_scalar(text: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise FormatError(f"not a rational literal: {text!r}")
+    numerator, denominator = match.groups()
     try:
-        return Fraction(text)
+        return Fraction(int(numerator), int(denominator or 1))
     except ValueError:  # past the interpreter's integer-string length limit
         raise FormatError(f"rational literal too long ({len(text)} characters)") from None
 

@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import argparse
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from wooddesargues.cli import main
+
+from test_golden import REFERENCE_DOCUMENT, REFERENCE_REPORT, REFERENCE_SVG
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 REFERENCE_SEED_TEXT = "tJ=0,tK=1,tA=-1,tB=2,tC=3,s=-3/2"
 
@@ -154,3 +163,94 @@ def test_coordinates_past_the_double_range(name: str, reference_document: Path,
     else:
         assert main(["render", str(moved), "-o", str(svg)]) == 0
         assert svg.read_text().startswith("<?xml")
+
+
+def _source_env() -> dict:
+    """The environment with the package source first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_parser_is_built_once(reference_document: Path, tmp_path: Path, monkeypatch, capsys):
+    assert main(["--help"]) == 0  # warm-up: builds the parser if no earlier call did
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["gen", "--seed", REFERENCE_SEED_TEXT, "-o", str(tmp_path / "a.json")]) == 0
+    assert main(["verify", str(reference_document), "--report", str(tmp_path / "r.json")]) == 0
+    assert main(["render", str(reference_document), "-o", str(tmp_path / "f.svg")]) == 0
+    assert main(["fuzz", "--count", "1", "--rng-seed", "3", "--max-num", "12",
+                 "-o", str(tmp_path / "c.json")]) == 0
+    assert main(["bogus-command"]) == 3
+    assert main(["--help"]) == 0
+    assert built == []
+
+
+def test_import_builds_no_parser():
+    probe = ("import argparse\n"
+             "built = []\n"
+             "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1)\n"
+             "import wooddesargues.cli\n"
+             "print(len(built))\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=_source_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "0\n")
+
+
+def test_render_options_do_not_carry_over(reference_document: Path, tmp_path: Path):
+    out = tmp_path / "figure.svg"
+    assert main(["render", str(reference_document), "-o", str(out),
+                 "--size", "400", "--layers", "points"]) == 0
+    assert _sha256(out) != REFERENCE_SVG
+    assert main(["render", str(reference_document), "-o", str(out)]) == 0
+    assert _sha256(out) == REFERENCE_SVG
+
+
+def test_usage_error_does_not_carry_over(tmp_path: Path, capsys):
+    out = tmp_path / "config.json"
+    assert main(["gen", "-o", str(out)]) == 3  # --seed is required
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["gen", "--seed", REFERENCE_SEED_TEXT, "-o", str(out)]) == 0
+    assert _sha256(out) == REFERENCE_DOCUMENT
+
+
+def test_fuzz_retry_budget_does_not_carry_over(tmp_path: Path):
+    out = tmp_path / "campaign.json"
+    args = ["fuzz", "--count", "1", "--rng-seed", "42", "--max-num", "12", "-o", str(out)]
+    assert main(args + ["--max-retries", "5"]) == 0
+    assert json.loads(out.read_text())["policy"]["maxRetries"] == 5
+    assert main(args) == 0
+    assert json.loads(out.read_text())["policy"]["maxRetries"] == 1000
+
+
+def test_module_entry_point_in_a_process(tmp_path: Path):
+    env = _source_env()
+
+    def run(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "wooddesargues.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    assert run("gen", "--seed", REFERENCE_SEED_TEXT, "-o", "config.json").returncode == 0
+    assert run("verify", "config.json", "--report", "report.json").returncode == 0
+    assert run("render", "config.json", "-o", "figure.svg").returncode == 0
+    assert _sha256(tmp_path / "config.json") == REFERENCE_DOCUMENT
+    assert _sha256(tmp_path / "report.json") == REFERENCE_REPORT
+    assert _sha256(tmp_path / "figure.svg") == REFERENCE_SVG
+
+    doc = json.loads((tmp_path / "config.json").read_text())
+    doc["points"]["C"] = ["0/1", "0/1"]
+    (tmp_path / "tampered.json").write_text(json.dumps(doc))
+    tampered = run("verify", "tampered.json", "--report", "tampered-report.json")
+    assert tampered.returncode == 1
+    assert "FAIL" in tampered.stderr

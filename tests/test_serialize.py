@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from wooddesargues import ConfigurationSeed
 from wooddesargues.kernel import INFINITY
@@ -59,6 +61,44 @@ def test_parse_scalar_strictness():
                 "3/4\n", "\u0663/4"]:
         with pytest.raises(FormatError):
             parse_scalar(bad)
+
+
+@st.composite
+def _digit_runs(draw, first: str) -> str:
+    """A run of up to 4400 digits that starts with one of ``first``.
+
+    Lengths cluster at both ends and around the interpreter's default
+    4300-digit limit; the digits repeat a short drawn block.
+    """
+    size = draw(st.one_of(st.integers(1, 12), st.integers(4290, 4310), st.integers(1, 4400)))
+    block = draw(st.text("0123456789", min_size=1, max_size=16))
+    return (draw(st.sampled_from(first)) + block * size)[:size]
+
+
+_LITERALS = st.builds(
+    lambda sign, numerator, denominator: sign + numerator + (denominator and "/" + denominator),
+    st.sampled_from(["", "-"]),
+    _digit_runs("0123456789"),
+    st.one_of(st.just(""), _digit_runs("123456789")),
+)
+
+
+@given(_LITERALS)
+@example("-0")
+@example("-" + "0" * 4300)
+@example("0" * 4301)
+@example("1" * 4301)
+@example("2/" + "3" * 4301)
+@example("1" * 4300 + "/" + "7" * 4300)
+def test_parse_scalar_agrees_with_fraction(text):
+    try:
+        expected = F(text)
+    except ValueError:  # an integer part past the interpreter's digit limit
+        with pytest.raises(FormatError) as excinfo:
+            parse_scalar(text)
+        assert str(excinfo.value) == f"rational literal too long ({len(text)} characters)"
+    else:
+        assert parse_scalar(text) == expected
 
 
 def test_configuration_document_round_trip(reference_config):
