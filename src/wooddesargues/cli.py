@@ -11,7 +11,7 @@ import functools
 import sys
 from typing import Optional
 
-from .configuration import DegenerateSeedError, build_configuration
+from .configuration import DegenerateSeedError, WoodDesarguesConfiguration, build_configuration
 from .fuzz import FuzzPolicy, RetryBudgetExhausted, run_campaign
 from .render import LAYERS, RenderStyle, UnrenderableError, render_svg
 from .serialize import (
@@ -39,9 +39,14 @@ def _write_output(text: str, path: Optional[str]) -> None:
             fh.write(text)
 
 
-def _read_input(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _load_document(path: str) -> Optional[WoodDesarguesConfiguration]:
+    """The configuration in the document at path, or None after saying why it cannot load."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return configuration_from_document(loads(fh.read()))
+    except (OSError, UnicodeDecodeError, FormatError) as exc:
+        print(f"cannot load document: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_gen(args) -> int:
@@ -64,10 +69,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        config = configuration_from_document(loads(_read_input(args.document)))
-    except (OSError, UnicodeDecodeError, FormatError) as exc:
-        print(f"cannot load document: {exc}", file=sys.stderr)
+    config = _load_document(args.document)
+    if config is None:
         return EXIT_FORMAT
     report = verify_all(config)
     text = dumps(report_to_document(report))
@@ -106,10 +109,8 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_render(args) -> int:
-    try:
-        config = configuration_from_document(loads(_read_input(args.document)))
-    except (OSError, UnicodeDecodeError, FormatError) as exc:
-        print(f"cannot load document: {exc}", file=sys.stderr)
+    config = _load_document(args.document)
+    if config is None:
         return EXIT_FORMAT
     if args.layers is None:
         layers = LAYERS

@@ -55,6 +55,9 @@ CIRCLE_POINTS = {
 
 CIRCLE_CENTER = {"ABCK": "U", "abcK": "V", "Aa23": "L", "Bb31": "M", "Cc12": "N"}
 
+# the circles the pentagon circle is met with: Z on ABCK and W on Aa23
+PENTAGON_MEETS = ("ABCK", "Aa23")
+
 
 @dataclass(frozen=True)
 class PerspectiveRecord:
@@ -93,11 +96,8 @@ def _build_static_tables():
         assert len(on) == 2, plbl
         point_circles[plbl] = on
 
-    other_center: dict[tuple[str, str], str] = {}
-    for clbl in CIRCLE_LABELS:
-        for plbl in CIRCLE_POINTS[clbl]:
-            other = [x for x in point_circles[plbl] if x != clbl]
-            other_center[(clbl, plbl)] = CIRCLE_CENTER[other[0]]
+    other_circle = {(clbl, plbl): next(x for x in point_circles[plbl] if x != clbl)
+                    for clbl in CIRCLE_LABELS for plbl in CIRCLE_POINTS[clbl]}
 
     centers_avoiding: dict[str, tuple[str, str, str]] = {}
     for plbl in POINT_LABELS:
@@ -105,28 +105,17 @@ def _build_static_tables():
         assert len(avoid) == 3
         centers_avoiding[plbl] = avoid
 
-    # each of the 20 table triangles is inscribed in exactly one circle and
-    # omits exactly the row's vertex from that circle's quadrangle
-    triangle_quad: dict[frozenset, tuple[str, str]] = {}
-    partner_quad: dict[tuple[str, str], str] = {}
+    # a row's two triangles are the quadrangles of the two circles through its
+    # vertex, each without that vertex: so the orthocentres keyed (circle, v)
+    # for the circles through v are the row's H and F
     for rec in PERSPECTIVE_TABLE:
-        quads = []
-        for tri in (rec.triangle1, rec.triangle2):
-            key = frozenset(tri)
-            hosts = [c for c in CIRCLE_LABELS if key <= set(CIRCLE_POINTS[c])]
-            assert len(hosts) == 1, tri
-            missing = next(v for v in CIRCLE_POINTS[hosts[0]] if v not in key)
-            assert missing == rec.vertex, (tri, missing, rec.vertex)
-            assert key not in triangle_quad
-            triangle_quad[key] = (hosts[0], missing)
-            quads.append(hosts[0])
-        partner_quad[(quads[0], rec.vertex)] = quads[1]
-        partner_quad[(quads[1], rec.vertex)] = quads[0]
-    return point_circles, other_center, centers_avoiding, triangle_quad, partner_quad
+        triangles = {frozenset(rec.triangle1), frozenset(rec.triangle2)}
+        assert triangles == {frozenset(CIRCLE_POINTS[c]) - {rec.vertex}
+                             for c in point_circles[rec.vertex]}, rec
+    return point_circles, other_circle, centers_avoiding
 
 
-(POINT_CIRCLES, OTHER_CENTER, CENTERS_AVOIDING,
- TRIANGLE_QUAD, PARTNER_QUAD) = _build_static_tables()
+POINT_CIRCLES, OTHER_CIRCLE, CENTERS_AVOIDING = _build_static_tables()
 
 
 class DegenerateSeedError(GeometryError):
@@ -267,27 +256,10 @@ def build_configuration(seed: ConfigurationSeed) -> WoodDesarguesConfiguration:
 
 
 @dataclass(frozen=True)
-class OrthocentreFigures:
-    """The twenty orthocentres with their dual H/F bookkeeping.
-
-    ``h_role[(Q, v)]`` is the orthocentre of the triangle cut from quadrangle Q
-    by omitting vertex v; ``f_role[(Q, v)]`` is the orthocentre of that
-    triangle's partner in its table row, i.e. the same twenty points indexed
-    the second way round (once per perspectrix-line quadruple).  A triangle
-    that has collapsed to a line (impossible for valid configurations, reported
-    defensively for tampered ones) gets ``None``.
-    """
-
-    h_role: dict[tuple[str, str], Optional[Point]]
-    f_role: dict[tuple[str, str], Optional[Point]]
-    by_row: dict[str, tuple[Optional[Point], Optional[Point]]]  # vertex -> (H, F)
-
-
-@dataclass(frozen=True)
 class PentagonFigures:
     # circle through U, V and J; None only for tampered inputs (collinear/coincident)
     circle: Optional[Circle]
-    # second meet of the pentagon circle with each initial circle, from J
+    # second meet of the pentagon circle, from J, with each circle of PENTAGON_MEETS
     meets: dict[str, Optional[Point]]
     meet_notes: dict[str, str]
     tangencies: dict[str, bool]
@@ -295,34 +267,40 @@ class PentagonFigures:
     y: Optional[Point]  # antipode of z on the pentagon circle
 
 
+Orthocentres = dict[tuple[str, str], Optional[Point]]
+
+
 @dataclass(frozen=True)
 class DerivedFigures:
-    orthocentres: OrthocentreFigures
+    """The figures the checks read.
+
+    ``orthocentres[(circle, v)]`` is the orthocentre of the quadrangle of
+    ``circle`` with vertex v left out, None when the three points left are
+    collinear (impossible for a built configuration, reported for tampered
+    ones).  Row v's H and F are the entries of the two circles through v.
+    """
+
+    orthocentres: Orthocentres
     hagge: dict[str, Optional[Circle]]  # vertex -> Hagge circle, centred at h(vertex)
     hagge_notes: dict[str, str]
     pentagon: PentagonFigures
 
 
-def derive_orthocentres(config: WoodDesarguesConfiguration) -> OrthocentreFigures:
-    by_triangle: dict[tuple[str, str, str], Optional[Point]] = {}
-    h_role: dict[tuple[str, str], Optional[Point]] = {}
-    for rec in PERSPECTIVE_TABLE:
-        for tri in (rec.triangle1, rec.triangle2):
+def derive_orthocentres(config: WoodDesarguesConfiguration) -> Orthocentres:
+    """The twenty orthocentres, keyed (circle, omitted vertex)."""
+    orthocentres: Orthocentres = {}
+    for clbl in CIRCLE_LABELS:
+        quad = CIRCLE_POINTS[clbl]
+        for v in quad:
             try:
-                h = orthocentre(*(config.points[v] for v in tri))
+                orthocentres[clbl, v] = orthocentre(*(config.points[x] for x in quad if x != v))
             except CollinearPointsError:
-                h = None
-            by_triangle[tri] = h
-            h_role[TRIANGLE_QUAD[frozenset(tri)]] = h
-    f_role = {(quad, vertex): h_role[(PARTNER_QUAD[(quad, vertex)], vertex)]
-              for (quad, vertex) in h_role}
-    by_row = {rec.vertex: (by_triangle[rec.triangle1], by_triangle[rec.triangle2])
-              for rec in PERSPECTIVE_TABLE}
-    return OrthocentreFigures(h_role=h_role, f_role=f_role, by_row=by_row)
+                orthocentres[clbl, v] = None
+    return orthocentres
 
 
 def derive_hagge_centres(config: WoodDesarguesConfiguration,
-                         orthos: OrthocentreFigures) -> tuple[dict[str, Optional[Circle]], dict[str, str]]:
+                         orthos: Orthocentres) -> tuple[dict[str, Optional[Circle]], dict[str, str]]:
     """Per table row: the circle through (J, H, F), centred at the Hagge centre.
 
     Rows where J, H, F fail to span a circle are marked degenerate and skipped;
@@ -332,7 +310,7 @@ def derive_hagge_centres(config: WoodDesarguesConfiguration,
     notes: dict[str, str] = {}
     j = config.j
     for rec in PERSPECTIVE_TABLE:
-        h_pt, f_pt = orthos.by_row[rec.vertex]
+        h_pt, f_pt = (orthos[c, rec.vertex] for c in POINT_CIRCLES[rec.vertex])
         if h_pt is None or f_pt is None:
             out[rec.vertex] = None
             notes[rec.vertex] = f"missing orthocentre for row {rec.vertex}"
@@ -355,16 +333,16 @@ def derive_hagge_centres(config: WoodDesarguesConfiguration,
 
 def derive_pentagon(config: WoodDesarguesConfiguration) -> PentagonFigures:
     u, v = config.centers["U"], config.centers["V"]
-    meets: dict[str, Optional[Point]] = {clbl: None for clbl in CIRCLE_LABELS}
+    meets: dict[str, Optional[Point]] = {clbl: None for clbl in PENTAGON_MEETS}
     meet_notes: dict[str, str] = {}
-    tangencies: dict[str, bool] = {clbl: False for clbl in CIRCLE_LABELS}
+    tangencies: dict[str, bool] = {clbl: False for clbl in PENTAGON_MEETS}
     try:
         pentagon: Optional[Circle] = circle_through(u, v, config.j)
     except (CollinearPointsError, CoincidentPointsError):
         pentagon = None
 
     if pentagon is not None:
-        for clbl in CIRCLE_LABELS:
+        for clbl in PENTAGON_MEETS:
             try:
                 other, tangent = second_intersection_of_circles(
                     pentagon, config.circles[clbl], config.j)
@@ -382,6 +360,7 @@ def derive_pentagon(config: WoodDesarguesConfiguration) -> PentagonFigures:
 
 
 def derive_figures(config: WoodDesarguesConfiguration) -> DerivedFigures:
+    """Orthocentres keyed (circle, omitted vertex), Hagge circles and the pentagon figure."""
     orthos = derive_orthocentres(config)
     hagge, hagge_notes = derive_hagge_centres(config, orthos)
     pentagon = derive_pentagon(config)

@@ -19,7 +19,6 @@ from .configuration import (
     POINT_LABELS,
     PERSPECTIVE_TABLE,
     WoodDesarguesConfiguration,
-    DerivedFigures,
     derive_figures,
     perspectrix_line,
 )
@@ -86,11 +85,8 @@ def _clip_line(line: Line, box: tuple[float, float, float, float]):
     return dedup[0], dedup[-1]
 
 
-def render_svg(config: WoodDesarguesConfiguration,
-               style: RenderStyle = RenderStyle(),
-               derived: DerivedFigures | None = None) -> str:
-    if derived is None:
-        derived = derive_figures(config)
+def render_svg(config: WoodDesarguesConfiguration, style: RenderStyle = RenderStyle()) -> str:
+    derived = derive_figures(config)
     layers = set(style.layers)
 
     circles: list[tuple[str, float, float, float, str]] = []  # label, cx, cy, r, stroke

@@ -28,8 +28,9 @@ from .configuration import (
     CIRCLE_CENTER,
     CIRCLE_LABELS,
     CIRCLE_POINTS,
-    OTHER_CENTER,
+    OTHER_CIRCLE,
     PERSPECTIVE_TABLE,
+    POINT_CIRCLES,
     ConfigurationSeed,
     DerivedFigures,
     PerspectiveRecord,
@@ -442,7 +443,7 @@ def check_orthocentre_quadrangle(config: WoodDesarguesConfiguration,
     vpts = [config.points[v] for v in verts]
     hpts = []
     for v in verts:
-        h = derived.orthocentres.h_role[(circle_label, v)]
+        h = derived.orthocentres[circle_label, v]
         if h is None:
             tri = tuple(x for x in verts if x != v)
             res = collinearity_residual(*(config.points[x] for x in tri))
@@ -471,7 +472,7 @@ def check_steiner_line(config: WoodDesarguesConfiguration,
     cs = ClaimSet()
     fpts = []
     for v in CIRCLE_POINTS[circle_label]:
-        f = derived.orthocentres.f_role[(circle_label, v)]
+        f = derived.orthocentres[OTHER_CIRCLE[circle_label, v], v]
         if f is None:
             cs.fail(f"partner orthocentre F({v}) exists", "collinear partner triangle")
             return cs.result(f"steiner-line:{circle_label}")
@@ -523,7 +524,9 @@ def check_pentagon_perspectives(config: WoodDesarguesConfiguration,
     pts = config.points
     ctr = config.centers
     z = _require_meet(cs, derived, config, "ABCK", "Z")
-    w = _require_meet(cs, derived, config, "Aa23", "W")
+    w = None
+    if derived.pentagon.circle is not None:  # else the Z lookup has claimed it missing
+        w = _require_meet(cs, derived, config, "Aa23", "W")
 
     if z is not None:
         for albl, clbl in (("A", "L"), ("B", "M"), ("C", "N")):
@@ -572,8 +575,9 @@ def check_pentagon_quadrangles(config: WoodDesarguesConfiguration,
     for clbl in CIRCLE_LABELS:
         verts = CIRCLE_POINTS[clbl]
         src = [config.points[v] for v in verts]
-        dst = [config.centers[OTHER_CENTER[(clbl, v)]] for v in verts]
-        names = "".join(OTHER_CENTER[(clbl, v)] for v in verts)
+        others = [CIRCLE_CENTER[OTHER_CIRCLE[clbl, v]] for v in verts]
+        dst = [config.centers[x] for x in others]
+        names = "".join(others)
         sim = _similarity_claims(cs, f"{clbl}~{names}", src, dst)
         if sim is not None:
             cs.witness(f"alpha {clbl}~{names}", sim.alpha)
@@ -639,7 +643,7 @@ def check_hagge(config: WoodDesarguesConfiguration,
         circle = derived.hagge[v]
         if circle is None:
             note = derived.hagge_notes.get(v, "")
-            if None in derived.orthocentres.by_row[v]:
+            if any(derived.orthocentres[c, v] is None for c in POINT_CIRCLES[v]):
                 cs.fail(f"h({v}) derivable", note)
             else:
                 cs.degenerate(f"h({v}) undefined: {note}")
@@ -778,8 +782,7 @@ def check_three_circle_collinearity(j: Point, o: Point, l: Point) -> CheckResult
     return cs.result("three-circle-collinearity")
 
 
-def check_perpendicular_concurrency_instance(config: WoodDesarguesConfiguration,
-                                             derived: DerivedFigures) -> CheckResult:
+def check_perpendicular_concurrency_instance(config: WoodDesarguesConfiguration) -> CheckResult:
     """Embedded instance on (A, B, C) with the cevian point K.
 
     Configuration-level incidences are claims here (a tampered point must fail,
@@ -873,7 +876,7 @@ CHECKS: tuple[tuple[str, Check], ...] = (
     ("pentagon-quadrangles", lambda c, d: check_pentagon_quadrangles(c, d)),
     ("tangent-concurrency", lambda c, d: check_tangent_concurrency(c, d)),
     ("hagge-suite", lambda c, d: check_hagge(c, d)),
-    ("perpendicular-concurrency", lambda c, d: check_perpendicular_concurrency_instance(c, d)),
+    ("perpendicular-concurrency", lambda c, d: check_perpendicular_concurrency_instance(c)),
     ("three-circle-collinearity", lambda c, d: check_three_circle_collinearity_instance(c, d)),
 )
 
@@ -883,11 +886,9 @@ def check_names() -> tuple[str, ...]:
     return tuple(name for name, _ in CHECKS)
 
 
-def verify_all(config: WoodDesarguesConfiguration,
-               derived: Optional[DerivedFigures] = None) -> VerificationReport:
-    """Run every registered check in registry order and aggregate the report."""
-    if derived is None:
-        derived = derive_figures(config)
+def verify_all(config: WoodDesarguesConfiguration) -> VerificationReport:
+    """Derive the figures and run every registered check, in registry order, into one report."""
+    derived = derive_figures(config)
     results = tuple(check(config, derived) for _, check in CHECKS)
     return VerificationReport(seed=config.seed, results=results, metadata=REPORT_METADATA)
 

@@ -80,7 +80,7 @@ def test_criterion_1_reference_fixture():
                                   "N": point(1, 3)}
         assert derived.pentagon.circle == Circle(point(F(1, 2), F(3, 2)), F(5, 2))
 
-        h_k, f_k = derived.orthocentres.by_row["K"]
+        h_k, f_k = derived.orthocentres["ABCK", "K"], derived.orthocentres["abcK", "K"]
         assert h_k == point(F(-7, 5), F(2, 5))
         assert f_k == point(F(21, 5), F(22, 5))
         hagge_k = derived.hagge["K"]
@@ -117,7 +117,7 @@ def test_criterion_2_reference_verification():
     try:
         config = build_configuration(REFERENCE_SEED)
         derived = derive_figures(config)
-        report = verify_all(config, derived)
+        report = verify_all(config)
 
         assert report.summary["fail"] == 0
         degenerate = [r for r in report.results if r.status == DEGENERATE]

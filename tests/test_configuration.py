@@ -16,14 +16,15 @@ from wooddesargues import (
 )
 from wooddesargues.configuration import (
     CENTERS_AVOIDING,
+    CIRCLE_CENTER,
     CIRCLE_LABELS,
     CIRCLE_POINTS,
-    OTHER_CENTER,
-    PARTNER_QUAD,
+    OTHER_CIRCLE,
+    PERSPECTIVE_TABLE,
     POINT_CIRCLES,
     POINT_LABELS,
-    TRIANGLE_QUAD,
     derive_orthocentres,
+    derive_pentagon,
 )
 from wooddesargues.kernel import (
     Circle,
@@ -31,6 +32,7 @@ from wooddesargues.kernel import (
     INFINITY,
     incident,
     line_through,
+    orthocentre,
     point,
 )
 from wooddesargues.serialize import (
@@ -77,15 +79,18 @@ def test_perspective_table_structure():
 def test_static_tables_are_consistent():
     for plbl in POINT_LABELS:
         assert len(POINT_CIRCLES[plbl]) == 2
-    # triangle -> (host quadrangle, omitted vertex) covers all twenty triangles
-    assert len(TRIANGLE_QUAD) == 20
-    for key, (quad, missing) in TRIANGLE_QUAD.items():
-        assert key | {missing} == set(CIRCLE_POINTS[quad])
+    # each row's two triangles are the quadrangles through its vertex, less it
+    for rec in PERSPECTIVE_TABLE:
+        hosts = [c for c in POINT_CIRCLES[rec.vertex]
+                 for tri in (rec.triangle1, rec.triangle2)
+                 if set(tri) | {rec.vertex} == set(CIRCLE_POINTS[c])]
+        assert sorted(hosts) == sorted(POINT_CIRCLES[rec.vertex])
     # the vertex-to-other-centre rule reproduces the printed example
-    assert [OTHER_CENTER[("Bb31", v)] for v in CIRCLE_POINTS["Bb31"]] == ["U", "V", "L", "N"]
+    assert [CIRCLE_CENTER[OTHER_CIRCLE[("Bb31", v)]]
+            for v in CIRCLE_POINTS["Bb31"]] == ["U", "V", "L", "N"]
     assert CENTERS_AVOIDING["K"] == ("L", "M", "N")
-    assert PARTNER_QUAD[("ABCK", "K")] == "abcK"
-    assert PARTNER_QUAD[("abcK", "K")] == "ABCK"
+    assert OTHER_CIRCLE[("ABCK", "K")] == "abcK"
+    assert OTHER_CIRCLE[("abcK", "K")] == "ABCK"
 
 
 # --- reference fixture --------------------------------------------------------
@@ -133,14 +138,15 @@ def test_membership_rule_holds(reference_config):
 def test_reference_derived_figures(reference_derived):
     der = reference_derived
     orth = der.orthocentres
-    assert orth.by_row["K"] == (point(F(-7, 5), F(2, 5)), point(F(21, 5), F(22, 5)))
+    assert (orth["ABCK", "K"], orth["abcK", "K"]) == (point(F(-7, 5), F(2, 5)),
+                                                      point(F(21, 5), F(22, 5)))
     # partner orthocentres of ABCK; F(B) = F(C) = point 1 at this seed
-    f = {v: orth.f_role[("ABCK", v)] for v in CIRCLE_POINTS["ABCK"]}
+    f = {v: orth[OTHER_CIRCLE["ABCK", v], v] for v in CIRCLE_POINTS["ABCK"]}
     assert f["K"] == point(F(21, 5), F(22, 5))
     assert f["A"] == point(F(-7, 5), F(36, 5))
     assert f["B"] == f["C"] == point(F(17, 5), F(24, 5))
     # H-quadrangle of ABCK (antipodal A, K make two of them land on B and C)
-    h = {v: orth.h_role[("ABCK", v)] for v in CIRCLE_POINTS["ABCK"]}
+    h = {v: orth["ABCK", v] for v in CIRCLE_POINTS["ABCK"]}
     assert h == {"A": point(F(-7, 5), F(12, 5)), "B": point(F(-4, 5), F(3, 5)),
                  "C": point(F(-3, 5), F(4, 5)), "K": point(F(-7, 5), F(2, 5))}
 
@@ -166,7 +172,7 @@ def test_reference_derived_figures(reference_derived):
     assert pent.meets["Aa23"] == point(0, 3)               # coincides with a at this seed
     assert pent.x == point(F(4, 5), F(-3, 5))
     assert pent.y == point(F(9, 5), F(12, 5))
-    assert pent.tangencies == {lbl: False for lbl in CIRCLE_LABELS}
+    assert pent.tangencies == {"ABCK": False, "Aa23": False}
 
 
 def test_reference_against_independent_sympy_oracle(reference_config, reference_derived):
@@ -243,14 +249,30 @@ def test_s_zero_allowed():
     assert cfg.circles["abcK"].center == midpoint(cfg.j, cfg.points["K"])
 
 
-def test_orthocentre_roles_appear_once_each(reference_config):
+def test_orthocentre_table_holds_each_row_pair(reference_config):
     orth = derive_orthocentres(reference_config)
-    assert len(orth.h_role) == 20 and len(orth.f_role) == 20
-    assert sorted(orth.h_role) == sorted(orth.f_role)
-    # every triangle orthocentre appears exactly once as H and once as F
-    for key, value in orth.h_role.items():
-        quad, vertex = key
-        assert orth.f_role[(PARTNER_QUAD[key], vertex)] == value
+    assert len(orth) == 20
+    # a row's two orthocentres, computed from its triangles directly, are the
+    # entries of the two circles through its vertex: each orthocentre serves
+    # once as H and once, through OTHER_CIRCLE, as F
+    pts = reference_config.points
+    for rec in PERSPECTIVE_TABLE:
+        direct = {orthocentre(*(pts[x] for x in tri)) for tri in (rec.triangle1, rec.triangle2)}
+        assert direct == {orth[c, rec.vertex] for c in POINT_CIRCLES[rec.vertex]}
+
+
+def test_pentagon_meets_only_the_circles_checks_read(reference_config, monkeypatch):
+    calls = []
+    real = configuration.second_intersection_of_circles
+
+    def counting(c1, c2, known):
+        calls.append(c2)
+        return real(c1, c2, known)
+
+    monkeypatch.setattr(configuration, "second_intersection_of_circles", counting)
+    pent = derive_pentagon(reference_config)
+    assert calls == [reference_config.circles["ABCK"], reference_config.circles["Aa23"]]
+    assert set(pent.meets) == set(pent.tangencies) == {"ABCK", "Aa23"}
 
 
 # --- line table --------------------------------------------------------------

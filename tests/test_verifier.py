@@ -130,14 +130,26 @@ def test_orthocentre_quadrangle_identity_probe(reference_config, reference_deriv
     from wooddesargues.configuration import CIRCLE_POINTS
     from wooddesargues.verifier import check_orthocentre_quadrangle
 
-    fake_h = dict(reference_derived.orthocentres.h_role)
+    fake_h = dict(reference_derived.orthocentres)
     for v in CIRCLE_POINTS["ABCK"]:
         fake_h[("ABCK", v)] = reference_config.points[v]
-    orthos = dataclasses.replace(reference_derived.orthocentres, h_role=fake_h)
-    derived = dataclasses.replace(reference_derived, orthocentres=orthos)
+    derived = dataclasses.replace(reference_derived, orthocentres=fake_h)
     result = check_orthocentre_quadrangle(reference_config, derived, "ABCK")
     assert result.status == FAIL
     assert any("multiplier is -1" in label for label, _ in result.witnesses)
+
+
+def test_missing_pentagon_circle_is_claimed_once(reference_config):
+    # U moved onto segment VJ: U, V and J span no pentagon circle
+    import dataclasses
+    from wooddesargues.kernel import midpoint
+
+    cfg = reference_config
+    centers = {**cfg.centers, "U": midpoint(cfg.centers["V"], cfg.j)}
+    report = verify_all(dataclasses.replace(cfg, centers=centers))
+    result = next(r for r in report.results if r.name == "pentagon-perspectives")
+    assert result.status == FAIL
+    assert [label for label, _ in result.witnesses] == ["pentagon circle exists"]
 
 
 def test_pentagon_quadrangle_scrambled_order_has_no_similarity(reference_config):
