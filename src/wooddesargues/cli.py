@@ -31,12 +31,18 @@ EXIT_DEGENERATE = 2
 EXIT_FORMAT = 3
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write_output(text: str, path: Optional[str], what: str) -> bool:
+    """Write text to path (stdout for None or "-"); False after saying why it cannot."""
+    try:
+        if path is None or path == "-":
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"cannot write {what}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _load_document(path: str) -> Optional[WoodDesarguesConfiguration]:
@@ -60,10 +66,7 @@ def cmd_gen(args) -> int:
     except DegenerateSeedError as exc:
         print(f"degenerate seed: {exc.reason}", file=sys.stderr)
         return EXIT_DEGENERATE
-    try:
-        _write_output(dumps(configuration_to_document(config)), args.output)
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
+    if not _write_output(dumps(configuration_to_document(config)), args.output, "output"):
         return EXIT_FORMAT
     return EXIT_OK
 
@@ -73,11 +76,7 @@ def cmd_verify(args) -> int:
     if config is None:
         return EXIT_FORMAT
     report = verify_all(config)
-    text = dumps(report_to_document(report))
-    try:
-        _write_output(text, args.report)
-    except OSError as exc:
-        print(f"cannot write report: {exc}", file=sys.stderr)
+    if not _write_output(dumps(report_to_document(report)), args.report, "report"):
         return EXIT_FORMAT
     failed = report.failed
     if failed:
@@ -100,10 +99,7 @@ def cmd_fuzz(args) -> int:
         print(f"retry budget exhausted at index {exc.index}; "
               f"last rejection reasons: {exc.reasons[-5:]}", file=sys.stderr)
         return EXIT_DEGENERATE
-    try:
-        _write_output(dumps(outcome.to_document()), args.output)
-    except OSError as exc:
-        print(f"cannot write report: {exc}", file=sys.stderr)
+    if not _write_output(dumps(outcome.to_document()), args.output, "report"):
         return EXIT_FORMAT
     return EXIT_OK if outcome.fail_count == 0 else EXIT_VERIFICATION_FAILED
 
@@ -126,10 +122,7 @@ def cmd_render(args) -> int:
     except UnrenderableError as exc:
         print(f"cannot render: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    try:
-        _write_output(svg, args.output)
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
+    if not _write_output(svg, args.output, "output"):
         return EXIT_FORMAT
     return EXIT_OK
 

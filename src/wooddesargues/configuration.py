@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .kernel import (
     CoincidentPointsError,
@@ -25,7 +25,6 @@ from .kernel import (
     ORIGIN,
     Point,
     UnitParameter,
-    _Infinity,
     _bisector,
     _join,
     _meet,
@@ -139,10 +138,6 @@ class ConfigurationSeed:
 
     def t_values(self) -> tuple[UnitParameter, ...]:
         return (self.t_j, self.t_k, self.t_a, self.t_b, self.t_c)
-
-    def as_dict(self) -> dict[str, Union[Fraction, _Infinity]]:
-        return {"tJ": self.t_j, "tK": self.t_k, "tA": self.t_a,
-                "tB": self.t_b, "tC": self.t_c, "s": self.s}
 
 
 @dataclass(frozen=True)

@@ -99,14 +99,6 @@ def render_svg(config: WoodDesarguesConfiguration, style: RenderStyle = RenderSt
         c = derived.pentagon.circle
         cx, cy = float_point(c.center)
         circles.append(("pentagon", cx, cy, float_sqrt(c.radius_squared), _PENTAGON_STROKE))
-    if "haggeCentres" in layers:
-        for rec in PERSPECTIVE_TABLE:
-            c = derived.hagge[rec.vertex]
-            if c is None:
-                continue
-            cx, cy = float_point(c.center)
-            circles.append((f"hagge-{rec.vertex}", cx, cy,
-                            float_sqrt(c.radius_squared), _HAGGE_STROKE))
 
     markers: list[tuple[str, float, float]] = []
     if "points" in layers:
@@ -123,8 +115,10 @@ def render_svg(config: WoodDesarguesConfiguration, style: RenderStyle = RenderSt
             c = derived.hagge[rec.vertex]
             if c is None:
                 continue
-            x, y = float_point(c.center)
-            markers.append((f"h({rec.vertex})", x, y))
+            cx, cy = float_point(c.center)
+            circles.append((f"hagge-{rec.vertex}", cx, cy,
+                            float_sqrt(c.radius_squared), _HAGGE_STROKE))
+            markers.append((f"h({rec.vertex})", cx, cy))
 
     perspectrices: list[Line] = []
     if "perspectrices" in layers:

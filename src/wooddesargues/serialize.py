@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from .configuration import (
     CENTER_LABELS,
@@ -20,12 +20,15 @@ from .configuration import (
     ConfigurationSeed,
     WoodDesarguesConfiguration,
 )
-from .kernel import INFINITY, Circle, Line, Point, _Infinity, decimal, point
+from .kernel import INFINITY, Circle, Line, Point, UnitParameter, _Infinity, decimal, point
 
 if TYPE_CHECKING:  # the verifier imports this module
     from .verifier import VerificationReport, Witness
 
+# the seed's document and text keys, in ConfigurationSeed's field order
 SEED_KEYS = ("tJ", "tK", "tA", "tB", "tC", "s")
+
+_T = TypeVar("_T")
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
@@ -35,10 +38,7 @@ class FormatError(ValueError):
 
 
 def format_scalar(x: Fraction) -> str:
-    try:
-        return f"{x.numerator}/{x.denominator}"
-    except ValueError:  # past the interpreter's int-to-str digit limit
-        return f"{decimal(x.numerator)}/{decimal(x.denominator)}"
+    return f"{decimal(x.numerator)}/{decimal(x.denominator)}"
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -52,11 +52,11 @@ def parse_scalar(text: str) -> Fraction:
         raise FormatError(f"rational literal too long ({len(text)} characters)") from None
 
 
-def format_parameter(value: Union[Fraction, _Infinity]) -> str:
+def format_parameter(value: UnitParameter) -> str:
     return "inf" if isinstance(value, _Infinity) else format_scalar(value)
 
 
-def parse_parameter(text: str) -> Union[Fraction, _Infinity]:
+def parse_parameter(text: str) -> UnitParameter:
     if text == "inf":
         return INFINITY
     return parse_scalar(text)
@@ -102,13 +102,11 @@ def parse_seed_text(text: str) -> ConfigurationSeed:
 
 
 def format_seed_text(seed: ConfigurationSeed) -> str:
-    d = seed.as_dict()
-    return ",".join(f"{k}={format_parameter(d[k])}" for k in SEED_KEYS)
+    return ",".join(f"{k}={v}" for k, v in seed_to_dict(seed).items())
 
 
 def seed_to_dict(seed: ConfigurationSeed) -> dict[str, str]:
-    d = seed.as_dict()
-    return {k: format_parameter(d[k]) for k in SEED_KEYS}
+    return dict(zip(SEED_KEYS, map(format_parameter, (*seed.t_values(), seed.s))))
 
 
 def seed_from_dict(value) -> ConfigurationSeed:
@@ -119,14 +117,8 @@ def seed_from_dict(value) -> ConfigurationSeed:
         raise FormatError(f"seed missing keys: {', '.join(missing)}")
     if value["s"] == "inf":
         raise FormatError("the offset s must be rational, not inf")
-    return ConfigurationSeed(
-        t_j=parse_parameter(value["tJ"]),
-        t_k=parse_parameter(value["tK"]),
-        t_a=parse_parameter(value["tA"]),
-        t_b=parse_parameter(value["tB"]),
-        t_c=parse_parameter(value["tC"]),
-        s=parse_scalar(value["s"]),
-    )
+    *ts, s = (value[k] for k in SEED_KEYS)
+    return ConfigurationSeed(*map(parse_parameter, ts), parse_scalar(s))
 
 
 # ---------------------------------------------------------------------------
@@ -150,51 +142,46 @@ def configuration_to_document(config: WoodDesarguesConfiguration) -> dict:
     return doc
 
 
+def _read_section(doc: dict, key: str, noun: str, labels: tuple[str, ...],
+                  read_entry: Callable[[str, object], _T]) -> dict[str, _T]:
+    """The entries of ``doc[key]``, an object holding exactly ``labels``, read in label order."""
+    section = doc[key]
+    if not isinstance(section, dict):
+        raise FormatError(f"{key} must be an object")
+    extra = set(section).difference(labels)
+    if extra:
+        raise FormatError(f"unknown {noun} labels: {sorted(extra)}")
+    entries = {}
+    for lbl in labels:
+        if lbl not in section:
+            raise FormatError(f"missing {noun} {lbl!r}")
+        entries[lbl] = read_entry(lbl, section[lbl])
+    return entries
+
+
+def _read_point(lbl: str, value) -> Point:
+    return parse_point(value)
+
+
+def _read_circle(lbl: str, entry) -> Circle:
+    if not isinstance(entry, dict) or "center" not in entry or "radiusSquared" not in entry:
+        raise FormatError(f"circle {lbl!r} needs center and radiusSquared")
+    r2 = parse_scalar(entry["radiusSquared"])
+    if r2 <= 0:
+        raise FormatError(f"circle {lbl!r} needs radiusSquared > 0")
+    return Circle(parse_point(entry["center"]), r2)
+
+
 def configuration_from_document(doc) -> WoodDesarguesConfiguration:
     if not isinstance(doc, dict):
         raise FormatError("document must be a JSON object")
     for key in ("points", "j", "circles", "centers"):
         if key not in doc:
             raise FormatError(f"document missing field {key!r}")
-
-    points_doc = doc["points"]
-    if not isinstance(points_doc, dict):
-        raise FormatError("points must be an object")
-    extra = set(points_doc) - set(POINT_LABELS)
-    if extra:
-        raise FormatError(f"unknown point labels: {sorted(extra)}")
-    points = {}
-    for lbl in POINT_LABELS:
-        if lbl not in points_doc:
-            raise FormatError(f"missing point {lbl!r}")
-        points[lbl] = parse_point(points_doc[lbl])
-
+    points = _read_section(doc, "points", "point", POINT_LABELS, _read_point)
     j = parse_point(doc["j"])
-
-    circles_doc = doc["circles"]
-    if not isinstance(circles_doc, dict):
-        raise FormatError("circles must be an object")
-    circles = {}
-    for lbl in CIRCLE_LABELS:
-        if lbl not in circles_doc:
-            raise FormatError(f"missing circle {lbl!r}")
-        entry = circles_doc[lbl]
-        if not isinstance(entry, dict) or "center" not in entry or "radiusSquared" not in entry:
-            raise FormatError(f"circle {lbl!r} needs center and radiusSquared")
-        r2 = parse_scalar(entry["radiusSquared"])
-        if r2 <= 0:
-            raise FormatError(f"circle {lbl!r} needs radiusSquared > 0")
-        circles[lbl] = Circle(parse_point(entry["center"]), r2)
-
-    centers_doc = doc["centers"]
-    if not isinstance(centers_doc, dict):
-        raise FormatError("centers must be an object")
-    centers = {}
-    for lbl in CENTER_LABELS:
-        if lbl not in centers_doc:
-            raise FormatError(f"missing center {lbl!r}")
-        centers[lbl] = parse_point(centers_doc[lbl])
-
+    circles = _read_section(doc, "circles", "circle", CIRCLE_LABELS, _read_circle)
+    centers = _read_section(doc, "centers", "center", CENTER_LABELS, _read_point)
     seed = seed_from_dict(doc["seed"]) if doc.get("seed") is not None else None
     return WoodDesarguesConfiguration(points=points, j=j, circles=circles,
                                       centers=centers, seed=seed)

@@ -177,9 +177,6 @@ class Claim:
         """Scale-invariant double-precision residual of the claim."""
         return self._residual()
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 class ClaimSet:
     """Accumulates claims and degeneracy/info notes for one check.
@@ -462,8 +459,7 @@ def check_orthocentre_quadrangle(config: WoodDesarguesConfiguration,
     return cs.result(f"orthocentre-quadrangle:{circle_label}")
 
 
-def check_steiner_line(config: WoodDesarguesConfiguration,
-                       derived: DerivedFigures, circle_label: str) -> CheckResult:
+def check_steiner_line(derived: DerivedFigures, circle_label: str) -> CheckResult:
     """The four partner orthocentres of a quadrangle's rows are collinear.
 
     Collinearity is over the multiset: coincident orthocentres are deduplicated,
@@ -568,8 +564,7 @@ def check_pentagon_perspectives(config: WoodDesarguesConfiguration,
     return cs.result("pentagon-perspectives")
 
 
-def check_pentagon_quadrangles(config: WoodDesarguesConfiguration,
-                               derived: DerivedFigures) -> CheckResult:
+def check_pentagon_quadrangles(config: WoodDesarguesConfiguration) -> CheckResult:
     """Each quadrangle maps vertexwise onto the four other centres, directly similarly."""
     cs = ClaimSet()
     for clbl in CIRCLE_LABELS:
@@ -870,10 +865,10 @@ CHECKS: tuple[tuple[str, Check], ...] = (
     ("core-similarity", lambda c, d: check_core_similarity(c)),
     *((f"orthocentre-quadrangle:{q}", lambda c, d, q=q: check_orthocentre_quadrangle(c, d, q))
       for q in CIRCLE_LABELS),
-    *((f"steiner-line:{q}", lambda c, d, q=q: check_steiner_line(c, d, q))
+    *((f"steiner-line:{q}", lambda c, d, q=q: check_steiner_line(d, q))
       for q in CIRCLE_LABELS),
     ("pentagon-perspectives", lambda c, d: check_pentagon_perspectives(c, d)),
-    ("pentagon-quadrangles", lambda c, d: check_pentagon_quadrangles(c, d)),
+    ("pentagon-quadrangles", lambda c, d: check_pentagon_quadrangles(c)),
     ("tangent-concurrency", lambda c, d: check_tangent_concurrency(c, d)),
     ("hagge-suite", lambda c, d: check_hagge(c, d)),
     ("perpendicular-concurrency", lambda c, d: check_perpendicular_concurrency_instance(c)),

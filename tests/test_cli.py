@@ -85,6 +85,28 @@ def test_verify_format_errors(reference_document: Path, tmp_path: Path):
     assert main(["verify", str(bad)]) == 3
 
 
+def test_verify_rejects_unknown_circle_label(reference_document: Path, tmp_path: Path, capsys):
+    doc = json.loads(reference_document.read_text())
+    doc["circles"]["Q"] = doc["circles"]["ABCK"]
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps(doc))
+    assert main(["verify", str(extra)]) == 3
+    assert capsys.readouterr().err == "cannot load document: unknown circle labels: ['Q']\n"
+
+
+@pytest.mark.parametrize("command, what", [
+    (["gen", "--seed", REFERENCE_SEED_TEXT, "-o"], "output"),
+    (["verify", "{document}", "--report"], "report"),
+    (["fuzz", "--count", "1", "--rng-seed", "42", "--max-num", "12", "-o"], "report"),
+    (["render", "{document}", "-o"], "output"),
+])
+def test_unwritable_output_exits_3(command, what, reference_document: Path, tmp_path: Path,
+                                   capsys):
+    argv = [arg.format(document=reference_document) for arg in command]
+    assert main(argv + [str(tmp_path / "missing" / "out")]) == 3
+    assert capsys.readouterr().err.startswith(f"cannot write {what}:")
+
+
 def test_fuzz_exit_codes(tmp_path: Path):
     out = tmp_path / "campaign.json"
     assert main(["fuzz", "--count", "5", "--rng-seed", "42", "--max-num", "12",

@@ -127,6 +127,8 @@ def test_seed_dict_round_trip():
     lambda d: d["circles"]["ABCK"].update({"radiusSquared": "-1/1"}),
     lambda d: d["circles"].pop("Aa23"),
     lambda d: d["centers"].pop("U"),
+    lambda d: d["circles"].update({"Q": d["circles"]["ABCK"]}),
+    lambda d: d["centers"].update({"Q": ["1/1", "1/1"]}),
     lambda d: d.update({"points": "nope"}),
 ])
 def test_document_schema_violations(reference_config, corrupt):

@@ -118,9 +118,9 @@ def test_hagge_check_reports_radii(reference_config, reference_derived):
     assert radii == [F(5, 2)] * 5
 
 
-def test_steiner_line_all_quadrangles(reference_config, reference_derived):
+def test_steiner_line_all_quadrangles(reference_derived):
     for clbl in CIRCLE_LABELS:
-        assert check_steiner_line(reference_config, reference_derived, clbl).status == PASS
+        assert check_steiner_line(reference_derived, clbl).status == PASS
 
 
 def test_orthocentre_quadrangle_identity_probe(reference_config, reference_derived):
