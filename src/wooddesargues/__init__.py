@@ -33,7 +33,6 @@ from .configuration import (
     WoodDesarguesConfiguration,
     build_configuration,
     derive_figures,
-    perspective_table,
 )
 from .verifier import (
     CheckResult,
@@ -57,7 +56,6 @@ __all__ = [
     "similarity_between", "tangent_at",
     "ConfigurationSeed", "DegenerateSeedError", "PerspectiveRecord",
     "WoodDesarguesConfiguration", "build_configuration", "derive_figures",
-    "perspective_table",
     "CheckResult", "VerificationReport", "check_perpendicular_concurrency", "check_three_circle_collinearity",
     "check_names", "float_cross_residuals", "verify_all",
     "FuzzPolicy", "Xorshift64Star", "run_campaign",

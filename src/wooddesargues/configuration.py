@@ -84,10 +84,6 @@ _PERSPECTIVE_ROWS = (
 PERSPECTIVE_TABLE = tuple(PerspectiveRecord(*row) for row in _PERSPECTIVE_ROWS)
 
 
-def perspective_table() -> tuple[PerspectiveRecord, ...]:
-    return PERSPECTIVE_TABLE
-
-
 def _build_static_tables():
     point_circles: dict[str, tuple[str, ...]] = {}
     for plbl in POINT_LABELS:
@@ -175,16 +171,9 @@ def perspectrix_line(config: WoodDesarguesConfiguration,
 def build_configuration(seed: ConfigurationSeed) -> WoodDesarguesConfiguration:
     """Construct the configuration, rejecting degenerate seeds with a reason code."""
     ts = seed.t_values()
-    for i in range(len(ts)):
-        for j in range(i + 1, len(ts)):
-            if ts[i] == ts[j]:
-                raise DegenerateSeedError("duplicate-parameter")
-
-    pj = point_on_unit_circle(seed.t_j)
-    pk = point_on_unit_circle(seed.t_k)
-    pa = point_on_unit_circle(seed.t_a)
-    pb = point_on_unit_circle(seed.t_b)
-    pc = point_on_unit_circle(seed.t_c)
+    if len(set(ts)) < len(ts):
+        raise DegenerateSeedError("duplicate-parameter")
+    pj, pk, pa, pb, pc = map(point_on_unit_circle, ts)
 
     circle1 = Circle(ORIGIN, Fraction(1))
     center2 = midpoint(pj, pk) + (pk - pj).rot90().scale(seed.s)
@@ -193,14 +182,13 @@ def build_configuration(seed: ConfigurationSeed) -> WoodDesarguesConfiguration:
         raise DegenerateSeedError("coincident-circles")
     assert circle2._power(pk) == 0
 
-    seconds = {}
+    seconds = []
     for lbl, vertex in (("a", pa), ("b", pb), ("c", pc)):
-        chord = line_through(vertex, pk)
-        other, tangent = second_intersection_with_line(circle2, chord, pk)
+        other, tangent = second_intersection_with_line(circle2, line_through(vertex, pk), pk)
         if tangent:
             raise DegenerateSeedError(f"tangent-at-K:{lbl}")
-        seconds[lbl] = other
-    sa, sb, sc = seconds["a"], seconds["b"], seconds["c"]
+        seconds.append(other)
+    sa, sb, sc = seconds
 
     def side_meet(lbl, p, q, r, t):
         try:

@@ -17,7 +17,6 @@ function of the inputs (Vieta).  No radicals, no epsilons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from math import gcd
@@ -137,8 +136,29 @@ def float_sqrt(q: Fraction) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class Point:
+class _Value:
+    """Slotted value set once in ``__init__``, then immutable; equal, hashed, pickled by fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+
+class Point(_Value):
     """A point of the rational plane, also read as the complex number x + iy.
 
     Stored as its integer homogeneous coordinates ``hom = (X, Y, Z)`` with
@@ -147,7 +167,14 @@ class Point:
     coordinates with :func:`point`.
     """
 
-    hom: tuple[int, int, int]
+    __slots__ = ("hom",)
+    __hash__ = _Value.__hash__
+
+    def __init__(self, hom: tuple[int, int, int]) -> None:
+        _set_hom(self, hom)
+
+    def __eq__(self, other):
+        return self.hom == other.hom if type(other) is Point else NotImplemented
 
     @property
     def x(self) -> Fraction:
@@ -180,16 +207,6 @@ class Point:
         """Counter-clockwise quarter turn about the origin."""
         X, Y, Z = self.hom
         return _point(-Y, X, Z)
-
-    def dot(self, other: "Point") -> Fraction:
-        X1, Y1, Z1 = self.hom
-        X2, Y2, Z2 = other.hom
-        return Fraction(X1 * X2 + Y1 * Y2, Z1 * Z2)
-
-    def cross(self, other: "Point") -> Fraction:
-        X1, Y1, Z1 = self.hom
-        X2, Y2, Z2 = other.hom
-        return Fraction(X1 * Y2 - Y1 * X2, Z1 * Z2)
 
     def norm_squared(self) -> Fraction:
         X, Y, Z = self.hom
@@ -237,10 +254,6 @@ def point(x, y) -> Point:
     return Point((x.numerator * (z // dx), y.numerator * (z // dy), z))
 
 
-ORIGIN = Point((0, 0, 1))
-ONE = Point((1, 0, 1))
-
-
 def float_point(p: Point) -> tuple[float, float]:
     """Double-precision reading of p, for residuals and drawing only.
 
@@ -276,17 +289,25 @@ def distance_squared(p: Point, q: Point) -> Fraction:
     return Fraction(dx * dx + dy * dy, z * z)
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(_Value):
     """Locus a*x + b*y + c = 0 in normal form.
 
     Coefficients are coprime integers and the first nonzero of (a, b, c) is
     positive, so structural equality coincides with geometric equality.
     """
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
+    __hash__ = _Value.__hash__
+
+    def __init__(self, a: int, b: int, c: int) -> None:
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+
+    def __eq__(self, other):
+        if type(other) is not Line:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.c == other.c
 
     @staticmethod
     def from_coefficients(a: int, b: int, c: int) -> "Line":
@@ -306,12 +327,6 @@ class Line:
     def evaluate(self, p: Point) -> Fraction:
         return Fraction(self._at(p), p.hom[2])
 
-    def direction(self) -> Point:
-        return Point((-self.b, self.a, 1))
-
-    def normal(self) -> Point:
-        return Point((self.a, self.b, 1))
-
     def float_coefficients(self) -> tuple[float, float, float]:
         """(a, b, c) as doubles, for residuals and drawing only.
 
@@ -330,14 +345,14 @@ class Line:
         return f"[{decimal(self.a)}x + {decimal(self.b)}y + {decimal(self.c)} = 0]"
 
 
-@dataclass(frozen=True)
-class Circle:
-    center: Point
-    radius_squared: Fraction
+class Circle(_Value):
+    __slots__ = ("center", "radius_squared")
 
-    def __post_init__(self) -> None:
-        if self.radius_squared <= 0:
+    def __init__(self, center: Point, radius_squared: Fraction) -> None:
+        if radius_squared <= 0:
             raise DegenerateInputError("circle needs radiusSquared > 0")
+        _set_center(self, center)
+        _set_radius_squared(self, radius_squared)
 
     def _power(self, p: Point) -> int:
         """Numerator of the power of p over :meth:`_power_denominator`."""
@@ -573,25 +588,22 @@ def is_concyclic(p: Point, q: Point, r: Point, s: Point) -> bool:
     return concyclicity_determinant(p, q, r, s) == 0 and not collapses_to_line((p, q, r, s))
 
 
-Carrier = Union[Line, Circle]
-
-
-def incident(carrier: Carrier, p: Point) -> bool:
+def incident(carrier: Union[Line, Circle], p: Point) -> bool:
     if isinstance(carrier, Line):
         return carrier._at(p) == 0
     return carrier._power(p) == 0
 
 
-@dataclass(frozen=True)
-class Similarity:
+class Similarity(_Value):
     """Direct similarity z -> alpha*z + beta of the plane read as complex numbers."""
 
-    alpha: Point
-    beta: Point
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self) -> None:
-        if self.alpha == ORIGIN:
+    def __init__(self, alpha: Point, beta: Point) -> None:
+        if alpha == ORIGIN:
             raise DegenerateInputError("similarity multiplier must be nonzero")
+        _set_alpha(self, alpha)
+        _set_beta(self, beta)
 
     @classmethod
     def pinned_by(cls, source: Sequence[Point], target: Sequence[Point]) -> Optional["Similarity"]:
@@ -618,15 +630,20 @@ class Similarity:
     def ratio_squared(self) -> Fraction:
         return self.alpha.norm_squared()
 
-    @property
-    def is_congruence(self) -> bool:
-        return self.ratio_squared == 1
-
     def fixed_point(self) -> Optional[Point]:
         """Unique fixed point, absent for translations (alpha = 1)."""
         if self.alpha == ONE:
             return None
         return self.beta.cdiv(ONE - self.alpha)
+
+
+_set_hom = Point.hom.__set__
+_set_a, _set_b, _set_c = Line.a.__set__, Line.b.__set__, Line.c.__set__
+_set_center, _set_radius_squared = Circle.center.__set__, Circle.radius_squared.__set__
+_set_alpha, _set_beta = Similarity.alpha.__set__, Similarity.beta.__set__
+
+ORIGIN = Point((0, 0, 1))
+ONE = Point((1, 0, 1))
 
 
 def similarity_between(source: Sequence[Point], target: Sequence[Point]) -> Optional[Similarity]:

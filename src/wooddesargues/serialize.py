@@ -112,6 +112,7 @@ def seed_to_dict(seed: ConfigurationSeed) -> dict[str, str]:
 def seed_from_dict(value) -> ConfigurationSeed:
     if not isinstance(value, dict):
         raise FormatError("seed must be an object")
+    _refuse_unknown_keys(value, SEED_KEYS, "seed key")
     missing = [k for k in SEED_KEYS if k not in value]
     if missing:
         raise FormatError(f"seed missing keys: {', '.join(missing)}")
@@ -121,12 +122,19 @@ def seed_from_dict(value) -> ConfigurationSeed:
     return ConfigurationSeed(*map(parse_parameter, ts), parse_scalar(s))
 
 
+def _refuse_unknown_keys(obj: dict, known: tuple[str, ...], what: str) -> None:
+    """Raise ``unknown {what} 'key'`` for the first key of ``obj`` outside ``known``."""
+    for key in obj:
+        if key not in known:
+            raise FormatError(f"unknown {what} {key!r}")
+
+
 # ---------------------------------------------------------------------------
 # configuration documents
 
 
 def configuration_to_document(config: WoodDesarguesConfiguration) -> dict:
-    doc = {
+    return {
         "seed": seed_to_dict(config.seed) if config.seed is not None else None,
         "points": {lbl: format_point(config.points[lbl]) for lbl in POINT_LABELS},
         "j": format_point(config.j),
@@ -139,7 +147,6 @@ def configuration_to_document(config: WoodDesarguesConfiguration) -> dict:
         },
         "centers": {lbl: format_point(config.centers[lbl]) for lbl in CENTER_LABELS},
     }
-    return doc
 
 
 def _read_section(doc: dict, key: str, noun: str, labels: tuple[str, ...],
@@ -166,6 +173,7 @@ def _read_point(lbl: str, value) -> Point:
 def _read_circle(lbl: str, entry) -> Circle:
     if not isinstance(entry, dict) or "center" not in entry or "radiusSquared" not in entry:
         raise FormatError(f"circle {lbl!r} needs center and radiusSquared")
+    _refuse_unknown_keys(entry, ("center", "radiusSquared"), f"circle {lbl!r} key")
     r2 = parse_scalar(entry["radiusSquared"])
     if r2 <= 0:
         raise FormatError(f"circle {lbl!r} needs radiusSquared > 0")
@@ -175,6 +183,7 @@ def _read_circle(lbl: str, entry) -> Circle:
 def configuration_from_document(doc) -> WoodDesarguesConfiguration:
     if not isinstance(doc, dict):
         raise FormatError("document must be a JSON object")
+    _refuse_unknown_keys(doc, ("seed", "points", "j", "circles", "centers"), "document field")
     for key in ("points", "j", "circles", "centers"):
         if key not in doc:
             raise FormatError(f"document missing field {key!r}")

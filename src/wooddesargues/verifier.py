@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 from .configuration import (
@@ -96,8 +95,8 @@ def _square(v: float) -> float:
 
 
 # Scale-invariant double-precision residuals, one per primitive claim.  A
-# claim holds one of these, bound to its arguments, and evaluates it only when
-# its residual is read.
+# claim holds one of these and its arguments, and evaluates it only when its
+# residual is read.
 
 
 def _no_residual() -> float:
@@ -163,19 +162,20 @@ class Claim:
     violation (None when the claim holds), and a deferred double-precision
     recomputation of the same statement, evaluated when ``residual`` is read."""
 
-    __slots__ = ("label", "holds", "witness", "_residual")
+    __slots__ = ("label", "holds", "witness", "_residual", "_args")
 
     def __init__(self, label: str, holds: bool, witness: Optional[Witness],
-                 residual: Callable[[], float]) -> None:
+                 residual_fn: Callable[..., float], *args) -> None:
         self.label = label
         self.holds = holds
         self.witness = witness
-        self._residual = residual
+        self._residual = residual_fn
+        self._args = args
 
     @property
     def residual(self) -> float:
         """Scale-invariant double-precision residual of the claim."""
-        return self._residual()
+        return self._residual(*self._args)
 
 
 class ClaimSet:
@@ -213,24 +213,23 @@ class ClaimSet:
             return self._push(Claim(label, True, None, _no_residual))
         holds = is_collinear(a, b, c)
         witness = None if holds else collinearity_residual(a, b, c)
-        return self._push(Claim(label, holds, witness, partial(_collinear_residual, a, b, c)))
+        return self._push(Claim(label, holds, witness, _collinear_residual, a, b, c))
 
     def on_line(self, label: str, line: Line, p: Point) -> bool:
         holds = line._at(p) == 0
         witness = None if holds else line.evaluate(p)
-        return self._push(Claim(label, holds, witness, partial(_line_residual, line, p)))
+        return self._push(Claim(label, holds, witness, _line_residual, line, p))
 
     def on_circle(self, label: str, circle: Circle, p: Point) -> bool:
         num = circle._power(p)
         holds = num == 0
         witness = None if holds else Fraction(num, circle._power_denominator(p))
-        return self._push(Claim(label, holds, witness, partial(_circle_residual, circle, p)))
+        return self._push(Claim(label, holds, witness, _circle_residual, circle, p))
 
     def points_equal(self, label: str, got: Point, expected: Point) -> bool:
         if got == expected:
             return self._push(Claim(label, True, None, _no_residual))
-        return self._push(Claim(label, False, got,
-                                partial(_distance_residual, got, expected)))
+        return self._push(Claim(label, False, got, _distance_residual, got, expected))
 
     def lines_meet_at(self, label: str, l1: Line, l2: Line, target: Point,
                       coincide_note: str, parallel_witness: str = "parallel lines") -> None:
@@ -246,8 +245,7 @@ class ClaimSet:
     def scalars_equal(self, label: str, got: Fraction, expected: Fraction) -> bool:
         holds = got == expected
         witness = None if holds else got
-        return self._push(Claim(label, holds, witness,
-                                partial(_scalar_residual, got, expected)))
+        return self._push(Claim(label, holds, witness, _scalar_residual, got, expected))
 
     def concyclic(self, label: str, a: Point, b: Point, c: Point, d: Point) -> bool:
         det = concyclicity_determinant(a, b, c, d)
@@ -257,14 +255,13 @@ class ClaimSet:
             holds, witness = False, "collinear-quadruple"
         else:
             holds, witness = True, None
-        return self._push(Claim(label, holds, witness,
-                                partial(_concyclic_residual, a, b, c, d)))
+        return self._push(Claim(label, holds, witness, _concyclic_residual, a, b, c, d))
 
     def maps_to(self, label: str, sim: Similarity, src: Point, dst: Point) -> bool:
         got = sim.apply(src)
         holds = got == dst
         witness = None if holds else got
-        return self._push(Claim(label, holds, witness, partial(_map_residual, sim, src, dst)))
+        return self._push(Claim(label, holds, witness, _map_residual, sim, src, dst))
 
     def _push(self, claim: Claim) -> bool:
         self.claims.append(claim)
@@ -375,8 +372,7 @@ def check_five_circles(config: WoodDesarguesConfiguration,
     """The five quadrangles are cyclic and the five centres plus J are concyclic."""
     cs = ClaimSet()
     for clbl in CIRCLE_LABELS:
-        quad = config.quadrangle(clbl)
-        cs.concyclic(f"{clbl} concyclic", *quad)
+        cs.concyclic(f"{clbl} concyclic", *config.quadrangle(clbl))
         circle = config.circles[clbl]
         for plbl in CIRCLE_POINTS[clbl]:
             cs.on_circle(f"{plbl} on {clbl}", circle, config.points[plbl])
@@ -417,9 +413,7 @@ def check_core_similarity(config: WoodDesarguesConfiguration) -> CheckResult:
     """ABC -> abc is a direct similarity fixed at J with ratio^2 = r2(abcK)/r2(ABCK)."""
     cs = ClaimSet()
     pts = config.points
-    src = [pts["A"], pts["B"], pts["C"]]
-    dst = [pts["a"], pts["b"], pts["c"]]
-    sim = _similarity_claims(cs, "ABC~abc", src, dst)
+    sim = _similarity_claims(cs, "ABC~abc", [pts[x] for x in "ABC"], [pts[x] for x in "abc"])
     if sim is not None:
         cs.witness("alpha", sim.alpha)
         fix = sim.fixed_point()
@@ -592,8 +586,9 @@ def check_tangent_concurrency(config: WoodDesarguesConfiguration,
     pentagon = derived.pentagon.circle
     assert pentagon is not None
 
+    sides = (("A", "Aa23"), ("B", "Bb31"), ("C", "Cc12"))
     ok = True
-    for plbl, clbl in (("A", "Aa23"), ("B", "Bb31"), ("C", "Cc12")):
+    for plbl, clbl in sides:
         ok &= cs.on_circle(f"{plbl} on {clbl}", config.circles[clbl], pts[plbl])
     if not ok:
         return cs.result("tangent-concurrency")
@@ -604,18 +599,14 @@ def check_tangent_concurrency(config: WoodDesarguesConfiguration,
     cs.witness("X", x)
     cs.witness("Y", y)
 
-    tangents = []
-    for plbl, clbl in (("A", "Aa23"), ("B", "Bb31"), ("C", "Cc12")):
-        t = tangent_at(config.circles[clbl], pts[plbl])
-        tangents.append(t)
+    tangents = [tangent_at(config.circles[clbl], pts[plbl]) for plbl, clbl in sides]
+    for (plbl, clbl), t in zip(sides, tangents):
         cs.on_line(f"tangent at {plbl} to {clbl} passes X", t, x)
     cs.lines_meet_at("tangents at A, B meet at X", tangents[0], tangents[1], x,
                      "tangents at A and B coincide", "parallel tangents")
 
-    parallels = []
-    for t, clbl in zip(tangents, ("L", "M", "N")):
-        p = parallel_through(ctr[clbl], t)
-        parallels.append(p)
+    parallels = [parallel_through(ctr[clbl], t) for t, clbl in zip(tangents, "LMN")]
+    for p, clbl in zip(parallels, "LMN"):
         cs.on_line(f"parallel through {clbl} passes Y", p, y)
     cs.lines_meet_at("parallels through L, M meet at Y", parallels[0], parallels[1], y,
                      "parallels through L and M coincide")
@@ -723,15 +714,12 @@ def check_perpendicular_concurrency(p: Point, q: Point, r: Point, s: Point) -> C
     cs = ClaimSet()
     if is_collinear(p, q, r):
         cs.degenerate("P, Q, R collinear")
-        return cs.result("perpendicular-concurrency")
-    if s in (p, q, r):
+    elif s in (p, q, r):
         cs.degenerate("S coincides with a base point")
-        return cs.result("perpendicular-concurrency")
-    circ = circle_through(p, q, r)
-    if not incident(circ, s):
+    elif not incident(circ := circle_through(p, q, r), s):
         cs.degenerate(f"S off the circumcircle (power {format_scalar(circ.power(s))})")
-        return cs.result("perpendicular-concurrency")
-    _perpendicular_concurrency_claims(cs, circ, (p, q, r), s, "PQR", "the antipode", "antipode")
+    else:
+        _perpendicular_concurrency_claims(cs, circ, (p, q, r), s, "PQR", "the antipode", "antipode")
     return cs.result("perpendicular-concurrency")
 
 
@@ -767,9 +755,8 @@ def check_three_circle_collinearity(j: Point, o: Point, l: Point) -> CheckResult
         cs.degenerate("tangent circle pair: a second intersection collapses onto J")
         return cs.result("three-circle-collinearity")
 
-    cs.witness("A", a)
-    cs.witness("B", b)
-    cs.witness("D", d)
+    for name, p in zip("ABD", (a, b, d)):
+        cs.witness(name, p)
     cs.collinear("O, A, B collinear", o, a, b)
     cs.collinear("L, A, D collinear", l, a, d)
     printed = is_collinear(l, b, d)

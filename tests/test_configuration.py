@@ -11,7 +11,6 @@ from wooddesargues import (
     DegenerateSeedError,
     build_configuration,
     configuration,
-    perspective_table,
     verify_all,
 )
 from wooddesargues.configuration import (
@@ -49,7 +48,7 @@ from conftest import REFERENCE_SEED, mutate_configuration
 
 def test_perspective_table_rows_exactly_as_printed():
     rows = [(("".join(r.triangle1)), "".join(r.triangle2), r.vertex, "".join(r.perspectrix))
-            for r in perspective_table()]
+            for r in PERSPECTIVE_TABLE]
     assert rows == [
         ("ABC", "abc", "K", "123"),
         ("KBC", "a32", "A", "1cb"),
@@ -65,7 +64,7 @@ def test_perspective_table_rows_exactly_as_printed():
 
 
 def test_perspective_table_structure():
-    table = perspective_table()
+    table = PERSPECTIVE_TABLE
     triangles = [r.triangle1 for r in table] + [r.triangle2 for r in table]
     assert len(set(triangles)) == 20
     for rec in table:

@@ -3,8 +3,9 @@
 Whatever one field of a configuration document holds, ``verify`` and
 ``render`` answer with an exit code in {0, 1, 2, 3} and never raise.  Each
 example starts from the reference document and changes one field: a rational
-literal of up to 4000 digits, a value of a wrong JSON type, a missing key, or
-a point snapped onto another point, J or a centre.
+literal of up to 4000 digits, a value of a wrong JSON type, a missing key, an
+unknown key in any object, or a point snapped onto another point, J or a
+centre.  An unknown key always exits 3.
 
 The same holds for ``gen``, ``verify``, ``render`` and ``fuzz`` argv built from
 hostile integers, floats, seed strings and paths, run in-process through
@@ -80,10 +81,11 @@ json_values = st.recursive(
 
 
 @st.composite
-def hostile_documents(draw, reference: dict):
+def hostile_documents(draw, reference: dict,
+                      kinds=("literal", "wrong-type", "missing-key", "extra-key", "snap")):
     doc = copy.deepcopy(reference)
     paths = list(_paths(doc))
-    kind = draw(st.sampled_from(["literal", "wrong-type", "missing-key", "snap"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "literal":
         path = draw(st.sampled_from([p for p in paths if isinstance(_get(doc, p), str)]))
         _get(doc, path[:-1])[path[-1]] = draw(rational_literals())
@@ -96,6 +98,10 @@ def hostile_documents(draw, reference: dict):
     elif kind == "missing-key":
         path = draw(st.sampled_from([p for p in paths if p and isinstance(p[-1], str)]))
         del _get(doc, path[:-1])[path[-1]]
+    elif kind == "extra-key":
+        # every object of the reference document holds exactly its known keys
+        obj = _get(doc, draw(st.sampled_from([p for p in paths if isinstance(_get(doc, p), dict)])))
+        obj[draw(st.text(max_size=8).filter(lambda key: key not in obj))] = draw(json_values)
     else:
         points = ([("j",)] + [("points", lbl) for lbl in doc["points"]]
                   + [("centers", lbl) for lbl in doc["centers"]]
@@ -105,18 +111,46 @@ def hostile_documents(draw, reference: dict):
     return doc
 
 
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_verify_and_render_keep_the_exit_code_contract(data, reference_document, workdir):
-    doc = data.draw(hostile_documents(reference_document))
+def _verify_and_render(doc, workdir) -> tuple[int, int, str]:
+    """Exit codes of ``verify`` and ``render`` on doc, and what both wrote to stderr."""
     path = workdir / "doc.json"
     path.write_text(json.dumps(doc))
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
         verify = main(["verify", str(path), "--report", str(workdir / "report.json")])
         render = main(["render", str(path), "-o", str(workdir / "figure.svg")])
+    return verify, render, stderr.getvalue()
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_verify_and_render_keep_the_exit_code_contract(data, reference_document, workdir):
+    doc = data.draw(hostile_documents(reference_document))
+    verify, render, stderr = _verify_and_render(doc, workdir)
     assert verify in EXIT_CODES and render in EXIT_CODES
-    assert "Traceback" not in stderr.getvalue()
+    assert "Traceback" not in stderr
+
+
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_unknown_keys_exit_3(data, reference_document, workdir):
+    doc = data.draw(hostile_documents(reference_document, kinds=("extra-key",)))
+    verify, render, stderr = _verify_and_render(doc, workdir)
+    assert (verify, render) == (3, 3)
+    assert stderr.splitlines()[0].startswith("cannot load document: unknown ")
+
+
+@pytest.mark.parametrize("path, key, message", [
+    ((), "bogus", "unknown document field 'bogus'"),
+    (("seed",), "tX", "unknown seed key 'tX'"),
+    (("circles", "Aa23"), "foo", "unknown circle 'Aa23' key 'foo'"),
+])
+def test_unknown_key_is_named(path, key, message, reference_document, workdir):
+    doc = copy.deepcopy(reference_document)
+    _get(doc, path)[key] = "5/1"
+    verify, render, stderr = _verify_and_render(doc, workdir)
+    assert (verify, render) == (3, 3)
+    assert stderr.splitlines() == [f"cannot load document: {message}"] * 2
 
 
 # --- argv ------------------------------------------------------------------------

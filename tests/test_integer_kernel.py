@@ -221,8 +221,6 @@ def test_point_arithmetic(p, q, k):
     assert -p == point(-p.x, -p.y)
     assert p.scale(k) == fraction_scale(p, k)
     assert p.rot90() == point(-p.y, p.x)
-    assert p.dot(q) == p.x * q.x + p.y * q.y
-    assert p.cross(q) == p.x * q.y - p.y * q.x
     assert p.norm_squared() == fraction_norm_squared(p)
     assert p.cmul(q) == fraction_cmul(p, q)
     assert midpoint(p, q) == point((p.x + q.x) / 2, (p.y + q.y) / 2)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction as F
@@ -20,6 +22,8 @@ from wooddesargues.kernel import (
     Line,
     ONE,
     ORIGIN,
+    Point,
+    Similarity,
     antipode,
     circle_through,
     decimal,
@@ -115,7 +119,7 @@ def test_perpendicular_bisector_equidistance(p, q, t):
     if p == q:
         return
     bis = perpendicular_bisector(p, q)
-    r = midpoint(p, q) + bis.direction().scale(t)
+    r = midpoint(p, q) + point(-bis.b, bis.a).scale(t)
     assert bis.evaluate(r) == 0
     assert distance_squared(r, p) == distance_squared(r, q)
 
@@ -133,7 +137,7 @@ def test_perpendicular_at_is_perpendicular(p, q, r):
     base = line_through(q, r)
     perp = perpendicular_at(p, base)
     assert perp.evaluate(p) == 0
-    assert base.direction().dot(perp.direction()) == 0
+    assert base.a * perp.a + base.b * perp.b == 0
 
 
 # --- circles -----------------------------------------------------------------
@@ -291,7 +295,6 @@ def test_similarity_reference_triangles():
     assert sim.beta == point(2, 2)
     assert sim.fixed_point() == point(1, 0)
     assert sim.ratio_squared == 5
-    assert not sim.is_congruence
 
 
 def test_similarity_quadrangle_instance():
@@ -327,6 +330,49 @@ def test_similarity_composition_is_identity(a, b, c, d):
     assert back.alpha.cmul(fwd.beta) + back.beta == ORIGIN
     for p in (a, b):
         assert back.apply(fwd.apply(p)) == p
+
+
+# --- value semantics ---------------------------------------------------------
+
+VALUES = [
+    (point(F(1, 2), 3), ("hom",)),
+    (Line(1, -3, 11), ("a", "b", "c")),
+    (Circle(point(1, 2), F(9, 4)), ("center", "radius_squared")),
+    (Similarity(point(-1, -2), point(2, 2)), ("alpha", "beta")),
+]
+
+
+@pytest.mark.parametrize("value, fields", VALUES, ids=[type(v).__name__ for v, _ in VALUES])
+def test_kernel_values_are_immutable_copyable_and_hashable(value, fields):
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value and not twin != value
+        assert hash(twin) == hash(value)
+    assert hash(value) == hash(tuple(getattr(value, name) for name in fields))
+
+
+def test_kernel_values_compare_by_type_and_fields():
+    assert Point((1, 2, 3)) != Line(1, 2, 3)
+    assert Line(1, 2, 3) != Point((1, 2, 3))
+    assert Point((1, 2, 3)) != (1, 2, 3)
+    assert Circle(ORIGIN, F(1)) == UNIT and Circle(ORIGIN, F(2)) != UNIT
+    assert Similarity(ONE, ORIGIN) == Similarity(ONE, ORIGIN) != Similarity(ONE, ONE)
+    assert len({point(1, 2), point(F(2, 2), 2), Line(1, 2, 3), Line(1, 2, 3)}) == 2
+
+
+def test_degenerate_circle_and_similarity_raise():
+    with pytest.raises(DegenerateInputError):
+        Circle(ORIGIN, F(0))
+    with pytest.raises(DegenerateInputError):
+        Circle(ORIGIN, F(-1))
+    with pytest.raises(DegenerateInputError):
+        Similarity(ORIGIN, ONE)
 
 
 # --- scalars -----------------------------------------------------------------
