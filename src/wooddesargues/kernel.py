@@ -637,6 +637,7 @@ class Similarity(_Value):
         return self.beta.cdiv(ONE - self.alpha)
 
 
+# slot setters, bound once: each __init__ sets its fields through these, as __setattr__ refuses
 _set_hom = Point.hom.__set__
 _set_a, _set_b, _set_c = Line.a.__set__, Line.b.__set__, Line.c.__set__
 _set_center, _set_radius_squared = Circle.center.__set__, Circle.radius_squared.__set__
