@@ -7,7 +7,8 @@ moved and why, and pin the new digest here.
 
 Pinned outputs: the reference configuration document, its report and its SVG;
 the report of every mutation probe of the acceptance suite (each one carries
-failing witnesses); and the full report of the first seed of the 1000/42/12
+failing witnesses); the report with one circle's stored centre moved, since
+the mutation probes move only points, centres and J; and the full report of the first seed of the 1000/42/12
 campaign to reach each degenerate-note branch.  The campaign seeds are given
 as seed text so this file does not run the campaign; the campaign document
 digest itself is pinned in ``test_criterion_3_fuzz_campaign``.
@@ -15,11 +16,13 @@ digest itself is pinned in ``test_criterion_3_fuzz_campaign``.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from wooddesargues import build_configuration, verify_all
+from wooddesargues.kernel import Circle, point
 from wooddesargues.render import render_svg
 from wooddesargues.serialize import (
     configuration_to_document,
@@ -105,6 +108,23 @@ MUTATION_REPORTS = {
         "277f4f157c8d08af51f52dd90482d6f2f41933425d840d1ec6ebfb9578b1c0d6",
 }
 
+# (circle, move) -> report digest of the reference configuration with that
+# circle's stored centre moved by +1 in x, or onto J, and its radius kept.
+# The reference J is (1, 0) and the centre of ABCK is the origin, so both
+# moves of ABCK build the same configuration and share a digest.
+CIRCLE_CENTRE_REPORTS = {
+    ("ABCK", "x+1"): "21f5edf79fade8f5c2fc0aa5eb06f48304c69f1b41a20de85b621860b1682e5f",
+    ("ABCK", "J"): "21f5edf79fade8f5c2fc0aa5eb06f48304c69f1b41a20de85b621860b1682e5f",
+    ("abcK", "x+1"): "fa20ae139c29ef4ee803c6a49508043fd32ebcd22dceed5ecd763925df2241d9",
+    ("abcK", "J"): "0992a488396d0a293f9e041e7ecc37b006bc352bc6fdea348a7cf2c00f004b60",
+    ("Aa23", "x+1"): "62236f5b9deb62f728d4b2ccbfbe2f8c5ccd953f09a77aa9d07a264ff242903d",
+    ("Aa23", "J"): "c8647c3cadb3635d9af7d6bbf6faa369f0c4f9e04b81125a622fd58bc4385da8",
+    ("Bb31", "x+1"): "af01ad32169ca06b8b6bf5ba0e68486222ff89de3d563db13b1cfbd5d0c63480",
+    ("Bb31", "J"): "b6d3982a6391ce2a8627b077efddda62ea41a0cb153f5b57f25c9f8d99a07e5b",
+    ("Cc12", "x+1"): "c29b4c96cc9a7a006a7f32b3dc1bf637d6e7c3ae794073b1b8738593f3f1adab",
+    ("Cc12", "J"): "0252435f298dfdf5b2e7cb9a35a2b02f7471633b82a2e59cff4ea03237cc7166",
+}
+
 # campaign index -> (seed text, report digest); each index is the first seed
 # of the 1000/42/12 campaign whose report reaches a new degenerate note:
 #   1    Z coincides with N (line CNZ)
@@ -146,6 +166,15 @@ def test_every_mutation_probe_is_pinned():
 def test_mutation_report(reference_config, name):
     mutated = mutate_configuration(reference_config, *MUTATIONS[name])
     assert _sha256(_report_text(mutated)) == MUTATION_REPORTS[name]
+
+
+@pytest.mark.parametrize("label, move", sorted(CIRCLE_CENTRE_REPORTS))
+def test_circle_centre_report(reference_config, label, move):
+    circle = reference_config.circles[label]
+    centre = reference_config.j if move == "J" else point(circle.center.x + 1, circle.center.y)
+    circles = {**reference_config.circles, label: Circle(centre, circle.radius_squared)}
+    moved = dataclasses.replace(reference_config, circles=circles)
+    assert _sha256(_report_text(moved)) == CIRCLE_CENTRE_REPORTS[label, move]
 
 
 @pytest.mark.parametrize("index", sorted(CAMPAIGN_SEED_REPORTS))
