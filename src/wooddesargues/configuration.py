@@ -25,9 +25,9 @@ from .kernel import (
     ORIGIN,
     Point,
     UnitParameter,
-    _bisector,
     _join,
     _meet,
+    _on_bisector,
     antipode,
     circle_through,
     distance_squared,
@@ -270,13 +270,20 @@ class DerivedFigures:
 
 
 def derive_orthocentres(config: WoodDesarguesConfiguration) -> Orthocentres:
-    """The twenty orthocentres, keyed (circle, omitted vertex)."""
+    """The twenty orthocentres, keyed (circle, omitted vertex).
+
+    Each triangle is inscribed in its circle, so the circle's stored centre
+    is handed to ``orthocentre`` as the circumcentre; the kernel tests it and
+    meets two bisectors instead when a tampered centre fails the test.
+    """
     orthocentres: Orthocentres = {}
     for clbl in CIRCLE_LABELS:
         quad = CIRCLE_POINTS[clbl]
+        centre = config.circles[clbl].center
         for v in quad:
             try:
-                orthocentres[clbl, v] = orthocentre(*(config.points[x] for x in quad if x != v))
+                orthocentres[clbl, v] = orthocentre(
+                    *(config.points[x] for x in quad if x != v), centre=centre)
             except CollinearPointsError:
                 orthocentres[clbl, v] = None
     return orthocentres
@@ -308,8 +315,7 @@ def derive_hagge_centres(config: WoodDesarguesConfiguration,
             out[rec.vertex] = None
             notes[rec.vertex] = f"J, H, F collinear for row {rec.vertex}"
             continue
-        centre = _meet(*_bisector(j, h_pt), *_bisector(j, f_pt))
-        assert centre == circle.center
+        assert _on_bisector(j, h_pt, circle.center) and _on_bisector(j, f_pt, circle.center)
         out[rec.vertex] = circle
     return out, notes
 

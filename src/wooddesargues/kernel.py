@@ -532,21 +532,39 @@ def tangent_at(circle: Circle, p: Point) -> Line:
     return Line.from_coefficients(*_normal_at(p, X * Zc - Xc * Z, Y * Zc - Yc * Z))
 
 
-def orthocentre(p: Point, q: Point, r: Point) -> Point:
-    """Intersection of two altitudes, cross-checked against p + q + r - 2*circumcenter."""
+def _on_bisector(p: Point, q: Point, o: Point) -> bool:
+    """|o - p|^2 == |o - q|^2, compared over the common denominator."""
+    X1, Y1, Z1 = p.hom
+    X2, Y2, Z2 = q.hom
+    Xo, Yo, Zo = o.hom
+    # Zo Z1 (p - o) and Zo Z2 (q - o)
+    dx1, dy1 = X1 * Zo - Xo * Z1, Y1 * Zo - Yo * Z1
+    dx2, dy2 = X2 * Zo - Xo * Z2, Y2 * Zo - Yo * Z2
+    return (dx1 * dx1 + dy1 * dy1) * (Z2 * Z2) == (dx2 * dx2 + dy2 * dy2) * (Z1 * Z1)
+
+
+def orthocentre(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -> Point:
+    """Euler's point p + q + r - 2*o, with o the circumcentre, checked on two altitudes.
+
+    o is ``centre`` when that is equidistant from p, q and r (an exact
+    integer test), else the meet of two perpendicular bisectors; so any
+    ``centre``, or None, gives the same orthocentre.
+    """
     if is_collinear(p, q, r):
         raise CollinearPointsError(f"orthocentre of collinear points {p}, {q}, {r}")
+    if centre is None or not (_on_bisector(p, q, centre) and _on_bisector(q, r, centre)):
+        centre = _meet(*_bisector(p, q), *_bisector(q, r))
     (X1, Y1, Z1), (X2, Y2, Z2), (X3, Y3, Z3) = p.hom, q.hom, r.hom
-    # the altitudes at p and q, with normals Z2 Z3 (r - q) and Z1 Z3 (r - p)
-    h = _meet(*_normal_at(p, X3 * Z2 - X2 * Z3, Y3 * Z2 - Y2 * Z3),
-              *_normal_at(q, X3 * Z1 - X1 * Z3, Y3 * Z1 - Y1 * Z3))
-    # Euler: h = p + q + r - 2 o, compared over the common denominator
-    Xo, Yo, Zo = _meet(*_bisector(p, q), *_bisector(q, r)).hom
-    Xh, Yh, Zh = h.hom
+    Xo, Yo, Zo = centre.hom
     z12, z = Z1 * Z2, Z1 * Z2 * Z3
-    xs = ((X1 * Z2 + X2 * Z1) * Z3 + X3 * z12) * Zo - 2 * Xo * z
-    ys = ((Y1 * Z2 + Y2 * Z1) * Z3 + Y3 * z12) * Zo - 2 * Yo * z
-    assert Xh * z * Zo == xs * Zh and Yh * z * Zo == ys * Zh
+    h = _point(((X1 * Z2 + X2 * Z1) * Z3 + X3 * z12) * Zo - 2 * Xo * z,
+               ((Y1 * Z2 + Y2 * Z1) * Z3 + Y3 * z12) * Zo - 2 * Yo * z, z * Zo)
+    # h lies on the altitudes at p and q: (h - p).(r - q) = (h - q).(r - p) = 0
+    Xh, Yh, Zh = h.hom
+    assert ((Xh * Z1 - X1 * Zh) * (X3 * Z2 - X2 * Z3)
+            + (Yh * Z1 - Y1 * Zh) * (Y3 * Z2 - Y2 * Z3) == 0
+            and (Xh * Z2 - X2 * Zh) * (X3 * Z1 - X1 * Z3)
+            + (Yh * Z2 - Y2 * Zh) * (Y3 * Z1 - Y1 * Z3) == 0)
     return h
 
 

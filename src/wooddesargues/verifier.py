@@ -623,6 +623,10 @@ def check_hagge(config: WoodDesarguesConfiguration,
     pts = config.points
     ctr = config.centers
     hs: dict[str, Optional[Point]] = {}
+    pentagon = derived.pentagon.circle
+    # the centres lie on the pentagon circle, so its centre is each centre
+    # triangle's circumcentre; orthocentre tests that before using it
+    pentagon_centre = pentagon.center if pentagon is not None else None
 
     for rec in PERSPECTIVE_TABLE:
         v = rec.vertex
@@ -644,13 +648,12 @@ def check_hagge(config: WoodDesarguesConfiguration,
             cs.on_line(f"h({v}) on perspectrix {''.join(rec.perspectrix)}", perspectrix, h)
         c1, c2, c3 = (ctr[x] for x in CENTERS_AVOIDING[v])
         try:
-            expected = orthocentre(c1, c2, c3)
+            expected = orthocentre(c1, c2, c3, centre=pentagon_centre)
         except CollinearPointsError:
             cs.degenerate(f"centre triangle {''.join(CENTERS_AVOIDING[v])} collinear")
             continue
         cs.points_equal(f"h({v}) is orthocentre of {''.join(CENTERS_AVOIDING[v])}", h, expected)
 
-    pentagon = derived.pentagon.circle
     radii: list[tuple[str, Fraction]] = []
     for clbl in CIRCLE_LABELS:
         verts = CIRCLE_POINTS[clbl]

@@ -11,6 +11,8 @@ from wooddesargues import (
     DegenerateSeedError,
     build_configuration,
     configuration,
+    kernel,
+    verifier,
     verify_all,
 )
 from wooddesargues.configuration import (
@@ -40,6 +42,7 @@ from wooddesargues.serialize import (
     dumps,
     report_to_document,
 )
+from wooddesargues.verifier import check_hagge
 
 from conftest import REFERENCE_SEED, mutate_configuration
 
@@ -272,6 +275,56 @@ def test_pentagon_meets_only_the_circles_checks_read(reference_config, monkeypat
     pent = derive_pentagon(reference_config)
     assert calls == [reference_config.circles["ABCK"], reference_config.circles["Aa23"]]
     assert set(pent.meets) == set(pent.tangencies) == {"ABCK", "Aa23"}
+
+
+def _count_meets(monkeypatch) -> list:
+    """Record every call of ``kernel._meet``, through each module that binds it."""
+    calls = []
+    real = kernel._meet
+
+    def counting(*coefficients):
+        calls.append(coefficients)
+        return real(*coefficients)
+
+    for module in (kernel, configuration, verifier):
+        if getattr(module, "_meet", None) is real:
+            monkeypatch.setattr(module, "_meet", counting)
+    return calls
+
+
+def test_orthocentres_meet_no_lines_given_the_stored_centres(
+        reference_config, reference_derived, monkeypatch):
+    meets = _count_meets(monkeypatch)
+    assert derive_orthocentres(reference_config) == reference_derived.orthocentres
+    assert meets == []
+
+    # the ten centre-triangle orthocentres of check_hagge, given the pentagon centre
+    per_call = []
+    real = verifier.orthocentre
+
+    def counting_orthocentre(*args, **kwargs):
+        before = len(meets)
+        h = real(*args, **kwargs)
+        per_call.append(len(meets) - before)
+        return h
+
+    monkeypatch.setattr(verifier, "orthocentre", counting_orthocentre)
+    check_hagge(reference_config, reference_derived)
+    assert per_call == [0] * 10
+
+
+def test_orthocentres_ignore_a_stored_centre_off_the_circle(reference_config, monkeypatch):
+    pts = reference_config.points
+    unseeded = {(c, v): orthocentre(*(pts[x] for x in CIRCLE_POINTS[c] if x != v))
+                for c in CIRCLE_LABELS for v in CIRCLE_POINTS[c]}
+    abck = reference_config.circles["ABCK"]
+    circles = {**reference_config.circles,
+               "ABCK": Circle(reference_config.j, abck.radius_squared)}
+    moved = dataclasses.replace(reference_config, circles=circles)
+    meets = _count_meets(monkeypatch)
+    assert derive_orthocentres(moved) == unseeded
+    # only the four triangles of ABCK meet two bisectors
+    assert len(meets) == 4
 
 
 # --- line table --------------------------------------------------------------

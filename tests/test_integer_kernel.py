@@ -13,11 +13,13 @@ from __future__ import annotations
 from fractions import Fraction as F
 from math import gcd, isclose, sqrt
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wooddesargues.kernel import (
     Circle,
+    CollinearPointsError,
     Line,
     ONE,
     Similarity,
@@ -299,10 +301,22 @@ def test_concyclicity_determinant(p, q, r, s):
 @EXAMPLES
 def test_circumcentre_and_orthocentre(p, q, r):
     assume(fraction_collinearity_residual(p, q, r) != 0)
-    assert circumcenter(p, q, r) == fraction_circumcenter(p, q, r)
-    assert orthocentre(p, q, r) == fraction_orthocentre(p, q, r)
+    o = fraction_circumcenter(p, q, r)
+    assert circumcenter(p, q, r) == o
+    # the orthocentre is the same whatever centre is passed, true or not
+    expected = fraction_orthocentre(p, q, r)
+    for centre in (o, fraction_add(o, ONE), p, None):
+        assert orthocentre(p, q, r, centre=centre) == expected
     circle = circle_through(p, q, r)
-    assert circle == circle_on(fraction_circumcenter(p, q, r), p)
+    assert circle == circle_on(o, p)
+
+
+@given(points, points, rationals, st.one_of(st.none(), points))
+@EXAMPLES
+def test_orthocentre_of_collinear_points_raises_whatever_centre_is_passed(p, q, t, centre):
+    r = fraction_add(p, fraction_scale(fraction_sub(q, p), t))
+    with pytest.raises(CollinearPointsError):
+        orthocentre(p, q, r, centre=centre)
 
 
 # --- circles ----------------------------------------------------------------------
