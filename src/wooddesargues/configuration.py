@@ -27,7 +27,6 @@ from .kernel import (
     UnitParameter,
     _join,
     _meet,
-    _on_bisector,
     antipode,
     circle_through,
     distance_squared,
@@ -315,7 +314,6 @@ def derive_hagge_centres(config: WoodDesarguesConfiguration,
             out[rec.vertex] = None
             notes[rec.vertex] = f"J, H, F collinear for row {rec.vertex}"
             continue
-        assert _on_bisector(j, h_pt, circle.center) and _on_bisector(j, f_pt, circle.center)
         out[rec.vertex] = circle
     return out, notes
 

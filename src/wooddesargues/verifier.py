@@ -313,11 +313,10 @@ class VerificationReport:
 # individual checks
 
 
-def check_perspective(config: WoodDesarguesConfiguration,
-                      record: PerspectiveRecord) -> CheckResult:
+def check_perspective(cs: ClaimSet, config: WoodDesarguesConfiguration,
+                      record: PerspectiveRecord) -> None:
     """One table row: vertex joins concur, side meets land on the labeled
     perspectrix points, and those points are collinear."""
-    cs = ClaimSet()
     pts = config.points
     v = pts[record.vertex]
     t1 = [pts[x] for x in record.triangle1]
@@ -353,7 +352,6 @@ def check_perspective(config: WoodDesarguesConfiguration,
     else:
         cs.collinear(f"perspectrix {''.join(record.perspectrix)} collinear", w1, w2, w3)
         cs.witness("perspectrix", perspectrix_line(config, record))
-    return cs.result(f"perspective:{record.vertex}")
 
 
 def _pentagon_circle(cs: ClaimSet, config: WoodDesarguesConfiguration,
@@ -367,10 +365,9 @@ def _pentagon_circle(cs: ClaimSet, config: WoodDesarguesConfiguration,
     return pentagon
 
 
-def check_five_circles(config: WoodDesarguesConfiguration,
-                       derived: DerivedFigures) -> CheckResult:
+def check_five_circles(cs: ClaimSet, config: WoodDesarguesConfiguration,
+                       derived: DerivedFigures) -> None:
     """The five quadrangles are cyclic and the five centres plus J are concyclic."""
-    cs = ClaimSet()
     for clbl in CIRCLE_LABELS:
         cs.concyclic(f"{clbl} concyclic", *config.quadrangle(clbl))
         circle = config.circles[clbl]
@@ -382,12 +379,11 @@ def check_five_circles(config: WoodDesarguesConfiguration,
 
     pentagon = _pentagon_circle(cs, config, derived, "U, V, J span the pentagon circle")
     if pentagon is None:
-        return cs.result("five-circles")
+        return
     for lbl, pt in list(config.centers.items()) + [("J", config.j)]:
         cs.on_circle(f"{lbl} on pentagon circle", pentagon, pt)
     cs.witness("pentagon centre", pentagon.center)
     cs.witness("pentagon r2", pentagon.radius_squared)
-    return cs.result("five-circles")
 
 
 def _similarity_claims(cs: ClaimSet, label: str, source: Sequence[Point],
@@ -409,9 +405,8 @@ def _similarity_claims(cs: ClaimSet, label: str, source: Sequence[Point],
     return sim
 
 
-def check_core_similarity(config: WoodDesarguesConfiguration) -> CheckResult:
+def check_core_similarity(cs: ClaimSet, config: WoodDesarguesConfiguration) -> None:
     """ABC -> abc is a direct similarity fixed at J with ratio^2 = r2(abcK)/r2(ABCK)."""
-    cs = ClaimSet()
     pts = config.points
     sim = _similarity_claims(cs, "ABC~abc", [pts[x] for x in "ABC"], [pts[x] for x in "abc"])
     if sim is not None:
@@ -423,13 +418,11 @@ def check_core_similarity(config: WoodDesarguesConfiguration) -> CheckResult:
             cs.points_equal("fixed point is J", fix, config.j)
         ratio = config.circles["abcK"].radius_squared / config.circles["ABCK"].radius_squared
         cs.scalars_equal("ratio^2 equals circle r2 ratio", sim.ratio_squared, ratio)
-    return cs.result("core-similarity")
 
 
-def check_orthocentre_quadrangle(config: WoodDesarguesConfiguration,
-                                 derived: DerivedFigures, circle_label: str) -> CheckResult:
+def check_orthocentre_quadrangle(cs: ClaimSet, config: WoodDesarguesConfiguration,
+                                 derived: DerivedFigures, circle_label: str) -> None:
     """The four orthocentres of a cyclic quadrangle's triangles form its half-turn image."""
-    cs = ClaimSet()
     verts = CIRCLE_POINTS[circle_label]
     vpts = [config.points[v] for v in verts]
     hpts = []
@@ -439,7 +432,7 @@ def check_orthocentre_quadrangle(config: WoodDesarguesConfiguration,
             tri = tuple(x for x in verts if x != v)
             res = collinearity_residual(*(config.points[x] for x in tri))
             cs.fail(f"orthocentre of {''.join(tri)} exists", res)
-            return cs.result(f"orthocentre-quadrangle:{circle_label}")
+            return
         hpts.append(h)
 
     sim = _similarity_claims(cs, f"{circle_label}~H-quadrangle", vpts, hpts)
@@ -450,22 +443,20 @@ def check_orthocentre_quadrangle(config: WoodDesarguesConfiguration,
             total = vpts[0] + vpts[1] + vpts[2] + vpts[3]
             expected = total.scale(Fraction(1, 2)) - config.circles[circle_label].center
             cs.points_equal("fixed point is vertex-sum/2 - centre", fix, expected)
-    return cs.result(f"orthocentre-quadrangle:{circle_label}")
 
 
-def check_steiner_line(derived: DerivedFigures, circle_label: str) -> CheckResult:
+def check_steiner_line(cs: ClaimSet, derived: DerivedFigures, circle_label: str) -> None:
     """The four partner orthocentres of a quadrangle's rows are collinear.
 
     Collinearity is over the multiset: coincident orthocentres are deduplicated,
     and with fewer than three distinct points the claim holds outright.
     """
-    cs = ClaimSet()
     fpts = []
     for v in CIRCLE_POINTS[circle_label]:
         f = derived.orthocentres[OTHER_CIRCLE[circle_label, v], v]
         if f is None:
             cs.fail(f"partner orthocentre F({v}) exists", "collinear partner triangle")
-            return cs.result(f"steiner-line:{circle_label}")
+            return
         fpts.append(f)
         cs.witness(f"F({v})", f)
 
@@ -476,7 +467,6 @@ def check_steiner_line(derived: DerivedFigures, circle_label: str) -> CheckResul
         for k in range(2, len(line_pts)):
             cs.collinear(f"orthocentre line point {k + 1}",
                          line_pts[0], line_pts[1], line_pts[k])
-    return cs.result(f"steiner-line:{circle_label}")
 
 
 def _coincidence_name(config: WoodDesarguesConfiguration, p: Point) -> str:
@@ -489,10 +479,8 @@ def _require_meet(cs: ClaimSet, derived: DerivedFigures,
                   config: WoodDesarguesConfiguration, clbl: str,
                   name: str) -> Optional[Point]:
     """Fetch a pentagon second-meet point, converting absence into a failed or
-    degenerate claim as appropriate."""
+    degenerate claim as appropriate.  The caller has claimed the pentagon circle."""
     pent = derived.pentagon
-    if _pentagon_circle(cs, config, derived) is None:
-        return None
     pt = pent.meets[clbl]
     if pt is None:
         cs.on_circle(f"J on {clbl}", config.circles[clbl], config.j)
@@ -507,15 +495,14 @@ def _require_meet(cs: ClaimSet, derived: DerivedFigures,
     return pt
 
 
-def check_pentagon_perspectives(config: WoodDesarguesConfiguration,
-                                derived: DerivedFigures) -> CheckResult:
+def check_pentagon_perspectives(cs: ClaimSet, config: WoodDesarguesConfiguration,
+                                derived: DerivedFigures) -> None:
     """Z and W line up with the construction points and ABC ~ LMN from J."""
-    cs = ClaimSet()
     pts = config.points
     ctr = config.centers
-    z = _require_meet(cs, derived, config, "ABCK", "Z")
-    w = None
-    if derived.pentagon.circle is not None:  # else the Z lookup has claimed it missing
+    z = w = None
+    if _pentagon_circle(cs, config, derived) is not None:
+        z = _require_meet(cs, derived, config, "ABCK", "Z")
         w = _require_meet(cs, derived, config, "Aa23", "W")
 
     if z is not None:
@@ -555,12 +542,10 @@ def check_pentagon_perspectives(config: WoodDesarguesConfiguration,
             cs.degenerate(note)
         else:
             cs.lines_meet_at("AL meets BM at Z", line_al, line_bm, z, note)
-    return cs.result("pentagon-perspectives")
 
 
-def check_pentagon_quadrangles(config: WoodDesarguesConfiguration) -> CheckResult:
+def check_pentagon_quadrangles(cs: ClaimSet, config: WoodDesarguesConfiguration) -> None:
     """Each quadrangle maps vertexwise onto the four other centres, directly similarly."""
-    cs = ClaimSet()
     for clbl in CIRCLE_LABELS:
         verts = CIRCLE_POINTS[clbl]
         src = [config.points[v] for v in verts]
@@ -570,28 +555,27 @@ def check_pentagon_quadrangles(config: WoodDesarguesConfiguration) -> CheckResul
         sim = _similarity_claims(cs, f"{clbl}~{names}", src, dst)
         if sim is not None:
             cs.witness(f"alpha {clbl}~{names}", sim.alpha)
-    return cs.result("pentagon-quadrangles")
 
 
-def check_tangent_concurrency(config: WoodDesarguesConfiguration,
-                              derived: DerivedFigures) -> CheckResult:
+def check_tangent_concurrency(cs: ClaimSet, config: WoodDesarguesConfiguration,
+                              derived: DerivedFigures) -> None:
     """Tangents at A, B, C concur at X = antipode(Z) on circle ABCK; the parallels
     through L, M, N concur at Y = antipode(Z) on the pentagon circle."""
-    cs = ClaimSet()
     pts = config.points
     ctr = config.centers
+    pentagon = _pentagon_circle(cs, config, derived)
+    if pentagon is None:
+        return
     z = _require_meet(cs, derived, config, "ABCK", "Z")
     if z is None:
-        return cs.result("tangent-concurrency")
-    pentagon = derived.pentagon.circle
-    assert pentagon is not None
+        return
 
     sides = (("A", "Aa23"), ("B", "Bb31"), ("C", "Cc12"))
     ok = True
     for plbl, clbl in sides:
         ok &= cs.on_circle(f"{plbl} on {clbl}", config.circles[clbl], pts[plbl])
     if not ok:
-        return cs.result("tangent-concurrency")
+        return
 
     x, y = derived.pentagon.x, derived.pentagon.y
     cs.on_circle("X on ABCK", config.circles["ABCK"], x)
@@ -612,14 +596,12 @@ def check_tangent_concurrency(config: WoodDesarguesConfiguration,
                      "parallels through L and M coincide")
 
     cs.points_equal("pentagon centre is midpoint of YZ", midpoint(y, z), pentagon.center)
-    return cs.result("tangent-concurrency")
 
 
-def check_hagge(config: WoodDesarguesConfiguration,
-                derived: DerivedFigures) -> CheckResult:
+def check_hagge(cs: ClaimSet, config: WoodDesarguesConfiguration,
+                derived: DerivedFigures) -> None:
     """Hagge centres: perspectrix incidence, centre-triangle orthocentre identity,
     similar h-quadrangles, and the shared circumradius."""
-    cs = ClaimSet()
     pts = config.points
     ctr = config.centers
     hs: dict[str, Optional[Point]] = {}
@@ -685,7 +667,6 @@ def check_hagge(config: WoodDesarguesConfiguration,
     # static fact, asserted once at import by _build_static_tables: every point
     # label names exactly two circles, so each Hagge centre is on two h-quadrangles
     cs.info("each Hagge centre lies on two h-quadrangles")
-    return cs.result("hagge-suite")
 
 
 def _perpendicular_concurrency_claims(cs: ClaimSet, circle: Circle,
@@ -749,71 +730,67 @@ def check_three_circle_collinearity(j: Point, o: Point, l: Point) -> CheckResult
     if radical_axis(s2, s3) == radical_axis(s1, s2) or \
        radical_axis(s1, s2) == radical_axis(s1, s3):
         cs.degenerate("coaxial circles: radical axes coincide")
-        return cs.result("three-circle-collinearity")
-
-    a, tan_a = second_intersection_of_circles(s2, s3, j)
-    b, tan_b = second_intersection_of_circles(s1, s2, j)
-    d, tan_d = second_intersection_of_circles(s1, s3, j)
-    if tan_a or tan_b or tan_d:
-        cs.degenerate("tangent circle pair: a second intersection collapses onto J")
-        return cs.result("three-circle-collinearity")
-
-    for name, p in zip("ABD", (a, b, d)):
-        cs.witness(name, p)
-    cs.collinear("O, A, B collinear", o, a, b)
-    cs.collinear("L, A, D collinear", l, a, d)
-    printed = is_collinear(l, b, d)
-    cs.info(f"printed triple (L, B, D) collinear: {str(printed).lower()}")
+    else:
+        a, tan_a = second_intersection_of_circles(s2, s3, j)
+        b, tan_b = second_intersection_of_circles(s1, s2, j)
+        d, tan_d = second_intersection_of_circles(s1, s3, j)
+        if tan_a or tan_b or tan_d:
+            cs.degenerate("tangent circle pair: a second intersection collapses onto J")
+        else:
+            for name, p in zip("ABD", (a, b, d)):
+                cs.witness(name, p)
+            cs.collinear("O, A, B collinear", o, a, b)
+            cs.collinear("L, A, D collinear", l, a, d)
+            printed = is_collinear(l, b, d)
+            cs.info(f"printed triple (L, B, D) collinear: {str(printed).lower()}")
     return cs.result("three-circle-collinearity")
 
 
-def check_perpendicular_concurrency_instance(config: WoodDesarguesConfiguration) -> CheckResult:
+def check_perpendicular_concurrency_instance(cs: ClaimSet,
+                                             config: WoodDesarguesConfiguration) -> None:
     """Embedded instance on (A, B, C) with the cevian point K.
 
     Configuration-level incidences are claims here (a tampered point must fail,
     not degenerate): A, B, C, K on circle ABCK, then the concurrency at the
     antipode of K.
     """
-    cs = ClaimSet()
     circ = config.circles["ABCK"]
     ok = True
     for lbl in ("A", "B", "C", "K"):
         ok &= cs.on_circle(f"{lbl} on ABCK", circ, config.points[lbl])
     if not ok:
-        return cs.result("perpendicular-concurrency")
+        return
     pts = [config.points[x] for x in ("A", "B", "C")]
     k = config.points["K"]
     if k in pts or is_collinear(*pts):
         cs.degenerate("degenerate lemma instance")
-        return cs.result("perpendicular-concurrency")
+        return
     _perpendicular_concurrency_claims(cs, circ, pts, k, "ABC", "antipode(K)", "antipode of K")
-    return cs.result("perpendicular-concurrency")
 
 
-def check_three_circle_collinearity_instance(config: WoodDesarguesConfiguration,
-                                             derived: DerivedFigures) -> CheckResult:
+def check_three_circle_collinearity_instance(cs: ClaimSet, config: WoodDesarguesConfiguration,
+                                             derived: DerivedFigures) -> None:
     """Embedded instance on (pentagon, Aa23, ABCK): reproduces lines AUW and ALZ."""
-    cs = ClaimSet()
     if _pentagon_circle(cs, config, derived) is None:
-        return cs.result("three-circle-collinearity")
+        return
     ok = cs.on_circle("J on Aa23", config.circles["Aa23"], config.j)
     ok &= cs.on_circle("J on ABCK", config.circles["ABCK"], config.j)
     if not ok:
-        return cs.result("three-circle-collinearity")
+        return
     w = _require_meet(cs, derived, config, "Aa23", "W")
     z = _require_meet(cs, derived, config, "ABCK", "Z")
     if w is None or z is None:
-        return cs.result("three-circle-collinearity")
+        return
 
     try:
         a2, tangent = second_intersection_of_circles(
             config.circles["Aa23"], config.circles["ABCK"], config.j)
     except IdenticalCirclesError:
         cs.degenerate("circles Aa23 and ABCK coincide")
-        return cs.result("three-circle-collinearity")
+        return
     if tangent:
         cs.degenerate("circles Aa23 and ABCK tangent at J")
-        return cs.result("three-circle-collinearity")
+        return
     cs.points_equal("second meet of Aa23 and ABCK is A", a2, config.points["A"])
 
     u, l = config.centers["U"], config.centers["L"]
@@ -827,7 +804,6 @@ def check_three_circle_collinearity_instance(config: WoodDesarguesConfiguration,
         cs.collinear("L, A, Z collinear", l, a2, z)
     printed = is_collinear(l, w, z)
     cs.info(f"printed triple (L, B, D) collinear here: {str(printed).lower()}")
-    return cs.result("three-circle-collinearity")
 
 
 # ---------------------------------------------------------------------------
@@ -842,27 +818,31 @@ REPORT_METADATA = (
      "the printed (L,B,D) value is recorded in the notes"),
 )
 
-Check = Callable[[WoodDesarguesConfiguration, DerivedFigures], CheckResult]
+Check = Callable[[ClaimSet, WoodDesarguesConfiguration, DerivedFigures], None]
 
 # The registry: (frozen check name, check) in report order, the one source of
-# the names, their order and the dispatch.  Each entry looks its check function
-# up in the module globals when it runs, so rebinding a check (as a tracer or
-# a test patch does) takes effect here too.
+# the names, their order and the dispatch.  A check fills the ClaimSet it is
+# given; verify_all names the result.  Each entry looks its check function up
+# in the module globals when it runs, so rebinding a check (as a tracer or a
+# test patch does) takes effect here too.
 CHECKS: tuple[tuple[str, Check], ...] = (
-    *((f"perspective:{rec.vertex}", lambda c, d, rec=rec: check_perspective(c, rec))
+    *((f"perspective:{rec.vertex}", lambda cs, c, d, rec=rec: check_perspective(cs, c, rec))
       for rec in PERSPECTIVE_TABLE),
-    ("five-circles", lambda c, d: check_five_circles(c, d)),
-    ("core-similarity", lambda c, d: check_core_similarity(c)),
-    *((f"orthocentre-quadrangle:{q}", lambda c, d, q=q: check_orthocentre_quadrangle(c, d, q))
+    ("five-circles", lambda cs, c, d: check_five_circles(cs, c, d)),
+    ("core-similarity", lambda cs, c, d: check_core_similarity(cs, c)),
+    *((f"orthocentre-quadrangle:{q}",
+       lambda cs, c, d, q=q: check_orthocentre_quadrangle(cs, c, d, q))
       for q in CIRCLE_LABELS),
-    *((f"steiner-line:{q}", lambda c, d, q=q: check_steiner_line(d, q))
+    *((f"steiner-line:{q}", lambda cs, c, d, q=q: check_steiner_line(cs, d, q))
       for q in CIRCLE_LABELS),
-    ("pentagon-perspectives", lambda c, d: check_pentagon_perspectives(c, d)),
-    ("pentagon-quadrangles", lambda c, d: check_pentagon_quadrangles(c)),
-    ("tangent-concurrency", lambda c, d: check_tangent_concurrency(c, d)),
-    ("hagge-suite", lambda c, d: check_hagge(c, d)),
-    ("perpendicular-concurrency", lambda c, d: check_perpendicular_concurrency_instance(c)),
-    ("three-circle-collinearity", lambda c, d: check_three_circle_collinearity_instance(c, d)),
+    ("pentagon-perspectives", lambda cs, c, d: check_pentagon_perspectives(cs, c, d)),
+    ("pentagon-quadrangles", lambda cs, c, d: check_pentagon_quadrangles(cs, c)),
+    ("tangent-concurrency", lambda cs, c, d: check_tangent_concurrency(cs, c, d)),
+    ("hagge-suite", lambda cs, c, d: check_hagge(cs, c, d)),
+    ("perpendicular-concurrency",
+     lambda cs, c, d: check_perpendicular_concurrency_instance(cs, c)),
+    ("three-circle-collinearity",
+     lambda cs, c, d: check_three_circle_collinearity_instance(cs, c, d)),
 )
 
 
@@ -872,10 +852,17 @@ def check_names() -> tuple[str, ...]:
 
 
 def verify_all(config: WoodDesarguesConfiguration) -> VerificationReport:
-    """Derive the figures and run every registered check, in registry order, into one report."""
+    """Derive the figures and run every registered check, in registry order, into one report.
+
+    Each check fills a fresh ClaimSet; its result takes the registry entry's name.
+    """
     derived = derive_figures(config)
-    results = tuple(check(config, derived) for _, check in CHECKS)
-    return VerificationReport(seed=config.seed, results=results, metadata=REPORT_METADATA)
+    results = []
+    for name, check in CHECKS:
+        cs = ClaimSet()
+        check(cs, config, derived)
+        results.append(cs.result(name))
+    return VerificationReport(seed=config.seed, results=tuple(results), metadata=REPORT_METADATA)
 
 
 def float_cross_residuals(report: VerificationReport) -> float:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from wooddesargues import ConfigurationSeed, build_configuration, derive_figures
+from wooddesargues import ConfigurationSeed, build_configuration, derive_figures, verifier
 from wooddesargues.kernel import Point, point
 
 
@@ -30,6 +30,16 @@ def reference_config():
 @pytest.fixture(scope="session")
 def reference_derived(reference_config):
     return derive_figures(reference_config)
+
+
+def run_check(name: str, config, derived=None):
+    """The result of the one registered check ``name`` on ``config``, as
+    ``verify_all`` names it; ``derived`` defaults to the figures of ``config``."""
+    if derived is None:
+        derived = derive_figures(config)
+    cs = verifier.ClaimSet()
+    dict(verifier.CHECKS)[name](cs, config, derived)
+    return cs.result(name)
 
 
 def mutate_configuration(config, kind: str, label: str, axis: str, delta):

@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wooddesargues import (
     ConfigurationSeed,
@@ -31,10 +33,13 @@ from wooddesargues.kernel import (
     Circle,
     CoincidentPointsError,
     INFINITY,
+    ORIGIN,
+    Similarity,
     incident,
     line_through,
     orthocentre,
     point,
+    point_on_unit_circle,
 )
 from wooddesargues.serialize import (
     configuration_from_document,
@@ -42,9 +47,8 @@ from wooddesargues.serialize import (
     dumps,
     report_to_document,
 )
-from wooddesargues.verifier import check_hagge
 
-from conftest import REFERENCE_SEED, mutate_configuration
+from conftest import REFERENCE_SEED, mutate_configuration, run_check
 
 
 # --- Table 1 -----------------------------------------------------------------
@@ -309,7 +313,7 @@ def test_orthocentres_meet_no_lines_given_the_stored_centres(
         return h
 
     monkeypatch.setattr(verifier, "orthocentre", counting_orthocentre)
-    check_hagge(reference_config, reference_derived)
+    run_check("hagge-suite", reference_config, reference_derived)
     assert per_call == [0] * 10
 
 
@@ -367,3 +371,46 @@ def test_replaced_configuration_starts_with_its_own_line_table(reference_config)
     assert report.failed
     fresh = configuration_from_document(configuration_to_document(mutated))
     assert dumps(report_to_document(report)) == dumps(report_to_document(verify_all(fresh)))
+
+
+# --- rotation equivariance ---------------------------------------------------
+
+# rationals as the fuzzer draws them at magnitude 12
+small_rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 12))
+unit_parameters = st.one_of(small_rationals, st.just(INFINITY))
+turns = st.builds(F, st.integers(-12, 12).filter(bool), st.integers(1, 12))
+
+
+def _turn(t, u):
+    """tan((a + b)/2) from t = tan(a/2) and u = tan(b/2), with INFINITY for tan(pi/2)."""
+    if t is INFINITY:
+        return -1 / u
+    if t * u == 1:
+        return INFINITY
+    return (t + u) / (1 - t * u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(unit_parameters, min_size=5, max_size=5), small_rationals, turns)
+def test_turning_the_parameters_rotates_the_configuration(ts, s, u):
+    # each t sweeps the unit circle, so turning every t by u rotates every
+    # built point about the origin by point_on_unit_circle(u)
+    seed = ConfigurationSeed(*ts, s)
+    turned_seed = ConfigurationSeed(*(_turn(t, u) for t in ts), s)
+    try:
+        config = build_configuration(seed)
+    except DegenerateSeedError as exc:
+        with pytest.raises(DegenerateSeedError) as turned_exc:
+            build_configuration(turned_seed)
+        assert turned_exc.value.reason == exc.reason
+        return
+    turned = build_configuration(turned_seed)
+    rotate = Similarity(point_on_unit_circle(u), ORIGIN).apply
+    assert {lbl: rotate(p) for lbl, p in config.points.items()} == turned.points
+    assert rotate(config.j) == turned.j
+    assert {lbl: rotate(p) for lbl, p in config.centers.items()} == turned.centers
+    for lbl, circle in config.circles.items():
+        assert turned.circles[lbl].center == rotate(circle.center)
+        assert turned.circles[lbl].radius_squared == circle.radius_squared
+    outcome = [(r.name, r.status, r.notes) for r in verify_all(config).results]
+    assert [(r.name, r.status, r.notes) for r in verify_all(turned).results] == outcome

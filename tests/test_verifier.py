@@ -6,7 +6,7 @@ import pytest
 
 from wooddesargues import check_perpendicular_concurrency, check_three_circle_collinearity, check_names, verify_all
 from wooddesargues import serialize, verifier
-from wooddesargues.configuration import CIRCLE_LABELS, PERSPECTIVE_TABLE
+from wooddesargues.configuration import CIRCLE_LABELS
 from wooddesargues.kernel import (
     DegenerateInputError,
     Line,
@@ -21,15 +21,10 @@ from wooddesargues.verifier import (
     DEGENERATE,
     FAIL,
     PASS,
-    check_core_similarity,
-    check_five_circles,
-    check_hagge,
-    check_perspective,
-    check_steiner_line,
     float_cross_residuals,
 )
 
-from conftest import mutate_configuration
+from conftest import mutate_configuration, run_check
 
 
 EXPECTED_NAMES = (
@@ -83,13 +78,13 @@ def test_report_is_deterministic(reference_config):
 
 
 def test_core_similarity_witnesses(reference_config):
-    result = check_core_similarity(reference_config)
+    result = run_check("core-similarity", reference_config)
     assert result.status == PASS
     assert ("alpha", point(-1, -2)) in result.witnesses
 
 
 def test_perspective_row_witness_carries_the_axis(reference_config):
-    result = check_perspective(reference_config, PERSPECTIVE_TABLE[0])
+    result = run_check("perspective:K", reference_config)
     assert result.status == PASS
     assert ("perspectrix", Line(1, -3, 11)) in result.witnesses
 
@@ -98,7 +93,7 @@ def test_perturbed_point_fails_with_nonzero_witness(reference_config):
     # the falsifiability probe from the interface contract: move one point to the origin
     bad = mutate_configuration(reference_config, "point", "1", "x", F(-17, 5))
     bad = mutate_configuration(bad, "point", "1", "y", F(-24, 5))
-    result = check_perspective(bad, PERSPECTIVE_TABLE[0])
+    result = run_check("perspective:K", bad)
     assert result.status == FAIL
     assert result.witnesses
     assert all(isinstance(value, F) and value != 0 for _, value in result.witnesses)
@@ -106,21 +101,20 @@ def test_perturbed_point_fails_with_nonzero_witness(reference_config):
 
 def test_five_circles_detects_center_tampering(reference_config):
     bad = mutate_configuration(reference_config, "center", "U", "x", 1)
-    from wooddesargues.configuration import derive_figures
-    result = check_five_circles(bad, derive_figures(bad))
+    result = run_check("five-circles", bad)
     assert result.status == FAIL
 
 
 def test_hagge_check_reports_radii(reference_config, reference_derived):
-    result = check_hagge(reference_config, reference_derived)
+    result = run_check("hagge-suite", reference_config, reference_derived)
     assert result.status == PASS
     radii = [v for k, v in result.witnesses if k.startswith("h-circumcircle")]
     assert radii == [F(5, 2)] * 5
 
 
-def test_steiner_line_all_quadrangles(reference_derived):
+def test_steiner_line_all_quadrangles(reference_config, reference_derived):
     for clbl in CIRCLE_LABELS:
-        assert check_steiner_line(reference_derived, clbl).status == PASS
+        assert run_check(f"steiner-line:{clbl}", reference_config, reference_derived).status == PASS
 
 
 def test_orthocentre_quadrangle_identity_probe(reference_config, reference_derived):
@@ -128,13 +122,12 @@ def test_orthocentre_quadrangle_identity_probe(reference_config, reference_deriv
     # identity map: multiplier 1, not the required half turn
     import dataclasses
     from wooddesargues.configuration import CIRCLE_POINTS
-    from wooddesargues.verifier import check_orthocentre_quadrangle
 
     fake_h = dict(reference_derived.orthocentres)
     for v in CIRCLE_POINTS["ABCK"]:
         fake_h[("ABCK", v)] = reference_config.points[v]
     derived = dataclasses.replace(reference_derived, orthocentres=fake_h)
-    result = check_orthocentre_quadrangle(reference_config, derived, "ABCK")
+    result = run_check("orthocentre-quadrangle:ABCK", reference_config, derived)
     assert result.status == FAIL
     assert any("multiplier is -1" in label for label, _ in result.witnesses)
 
