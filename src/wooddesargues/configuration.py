@@ -106,10 +106,19 @@ def _build_static_tables():
         triangles = {frozenset(rec.triangle1), frozenset(rec.triangle2)}
         assert triangles == {frozenset(CIRCLE_POINTS[c]) - {rec.vertex}
                              for c in point_circles[rec.vertex]}, rec
-    return point_circles, other_circle, centers_avoiding
+
+    # the ten perspectrices are the configuration's lines: two labels name at
+    # most one of them, and its third label
+    third_label: dict[tuple[str, str], str] = {}
+    for rec in PERSPECTIVE_TABLE:
+        for w in rec.perspectrix:
+            u, v = (x for x in rec.perspectrix if x != w)
+            assert (u, v) not in third_label, (u, v)
+            third_label[u, v] = third_label[v, u] = w
+    return point_circles, other_circle, centers_avoiding, third_label
 
 
-POINT_CIRCLES, OTHER_CIRCLE, CENTERS_AVOIDING = _build_static_tables()
+POINT_CIRCLES, OTHER_CIRCLE, CENTERS_AVOIDING, THIRD_LABEL = _build_static_tables()
 
 
 class DegenerateSeedError(GeometryError):
@@ -152,10 +161,25 @@ class WoodDesarguesConfiguration:
         return tuple(self.points[v] for v in CIRCLE_POINTS[circle_label])
 
     def line(self, u: str, v: str) -> Line:
-        """The line through the points labeled u and v, built once for either order."""
+        """The line through the points labeled u and v, kept for either order.
+
+        When u and v lie on a configuration line with third label w, a line
+        already kept for (u, w) or (v, w) is reused if it passes the other
+        point: one build serves the three pairs of a line that holds.
+        """
         line = self._lines.get((u, v))
         if line is None:
-            line = self._lines[u, v] = self._lines[v, u] = line_through(self.points[u], self.points[v])
+            p, q = self.points[u], self.points[v]
+            w = THIRD_LABEL.get((u, v))
+            if w is not None and p != q:
+                line = self._lines.get((u, w))
+                if line is None or line._at(q) != 0:
+                    line = self._lines.get((v, w))
+                    if line is not None and line._at(p) != 0:
+                        line = None
+            if line is None:
+                line = line_through(p, q)
+            self._lines[u, v] = self._lines[v, u] = line
         return line
 
 
@@ -260,12 +284,16 @@ class DerivedFigures:
     ``circle`` with vertex v left out, None when the three points left are
     collinear (impossible for a built configuration, reported for tampered
     ones).  Row v's H and F are the entries of the two circles through v.
+    ``centre_orthocentres[v]`` is the orthocentre of the centres
+    ``CENTERS_AVOIDING[v]``, None when they are collinear: by Hagge's theorem
+    the centre h(v) of row v's circle.
     """
 
     orthocentres: Orthocentres
     hagge: dict[str, Optional[Circle]]  # vertex -> Hagge circle, centred at h(vertex)
     hagge_notes: dict[str, str]
     pentagon: PentagonFigures
+    centre_orthocentres: dict[str, Optional[Point]]
 
 
 def derive_orthocentres(config: WoodDesarguesConfiguration) -> Orthocentres:
@@ -288,10 +316,31 @@ def derive_orthocentres(config: WoodDesarguesConfiguration) -> Orthocentres:
     return orthocentres
 
 
-def derive_hagge_centres(config: WoodDesarguesConfiguration,
-                         orthos: Orthocentres) -> tuple[dict[str, Optional[Circle]], dict[str, str]]:
+def derive_centre_orthocentres(config: WoodDesarguesConfiguration,
+                               pentagon: Optional[Circle]) -> dict[str, Optional[Point]]:
+    """Per table row v: the orthocentre of the three centres of the circles
+    not through v, None when they are collinear.
+
+    The centres lie on the pentagon circle, so its centre is handed to
+    ``orthocentre`` as each triangle's circumcentre.
+    """
+    centre = pentagon.center if pentagon is not None else None
+    out: dict[str, Optional[Point]] = {}
+    for v, labels in CENTERS_AVOIDING.items():
+        try:
+            out[v] = orthocentre(*(config.centers[x] for x in labels), centre=centre)
+        except CollinearPointsError:
+            out[v] = None
+    return out
+
+
+def derive_hagge_centres(config: WoodDesarguesConfiguration, orthos: Orthocentres,
+                         predicted: dict[str, Optional[Point]],
+                         ) -> tuple[dict[str, Optional[Circle]], dict[str, str]]:
     """Per table row: the circle through (J, H, F), centred at the Hagge centre.
 
+    ``predicted[v]`` is handed to ``circle_through`` as row v's centre; the
+    kernel tests it and meets two bisectors instead when it fails the test.
     Rows where J, H, F fail to span a circle are marked degenerate and skipped;
     the other rows are unaffected.
     """
@@ -309,7 +358,7 @@ def derive_hagge_centres(config: WoodDesarguesConfiguration,
             notes[rec.vertex] = f"coincidence among J, H, F for row {rec.vertex}"
             continue
         try:
-            circle = circle_through(j, h_pt, f_pt)
+            circle = circle_through(j, h_pt, f_pt, centre=predicted[rec.vertex])
         except CollinearPointsError:
             out[rec.vertex] = None
             notes[rec.vertex] = f"J, H, F collinear for row {rec.vertex}"
@@ -347,9 +396,11 @@ def derive_pentagon(config: WoodDesarguesConfiguration) -> PentagonFigures:
 
 
 def derive_figures(config: WoodDesarguesConfiguration) -> DerivedFigures:
-    """Orthocentres keyed (circle, omitted vertex), Hagge circles and the pentagon figure."""
+    """Orthocentres keyed (circle, omitted vertex), the pentagon figure, the
+    centre-triangle orthocentres and the Hagge circles they centre."""
     orthos = derive_orthocentres(config)
-    hagge, hagge_notes = derive_hagge_centres(config, orthos)
     pentagon = derive_pentagon(config)
-    return DerivedFigures(orthocentres=orthos, hagge=hagge,
-                          hagge_notes=hagge_notes, pentagon=pentagon)
+    centre_orthos = derive_centre_orthocentres(config, pentagon.circle)
+    hagge, hagge_notes = derive_hagge_centres(config, orthos, centre_orthos)
+    return DerivedFigures(orthocentres=orthos, hagge=hagge, hagge_notes=hagge_notes,
+                          pentagon=pentagon, centre_orthocentres=centre_orthos)

@@ -454,6 +454,17 @@ def collinearity_residual(p: Point, q: Point, r: Point) -> Fraction:
     return Fraction(_det3(p, q, r), p.hom[2] * q.hom[2] * r.hom[2])
 
 
+def _on_bisector(p: Point, q: Point, o: Point) -> bool:
+    """|o - p|^2 == |o - q|^2, compared over the common denominator."""
+    X1, Y1, Z1 = p.hom
+    X2, Y2, Z2 = q.hom
+    Xo, Yo, Zo = o.hom
+    # Zo Z1 (p - o) and Zo Z2 (q - o)
+    dx1, dy1 = X1 * Zo - Xo * Z1, Y1 * Zo - Yo * Z1
+    dx2, dy2 = X2 * Zo - Xo * Z2, Y2 * Zo - Yo * Z2
+    return (dx1 * dx1 + dy1 * dy1) * (Z2 * Z2) == (dx2 * dx2 + dy2 * dy2) * (Z1 * Z1)
+
+
 def circumcenter(p: Point, q: Point, r: Point) -> Point:
     if p == q or q == r or p == r:
         raise CoincidentPointsError("circumcenter of coincident points")
@@ -462,9 +473,18 @@ def circumcenter(p: Point, q: Point, r: Point) -> Point:
     return _meet(*_bisector(p, q), *_bisector(q, r))
 
 
-def circle_through(p: Point, q: Point, r: Point) -> Circle:
-    center = circumcenter(p, q, r)
-    circle = Circle(center, distance_squared(center, p))
+def circle_through(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -> Circle:
+    """The circle through p, q and r, about their circumcentre.
+
+    The circumcentre is ``centre`` when p, q, r are distinct and an exact
+    integer test finds it equidistant from them, else the meet of two
+    perpendicular bisectors; so any ``centre``, or None, gives the same
+    circle, and coincident or collinear points raise as ``circumcenter`` does.
+    """
+    if (centre is None or p == q or q == r or p == r
+            or not (_on_bisector(p, q, centre) and _on_bisector(q, r, centre))):
+        centre = circumcenter(p, q, r)
+    circle = Circle(centre, distance_squared(centre, p))
     assert circle._power(q) == 0 and circle._power(r) == 0
     return circle
 
@@ -530,17 +550,6 @@ def tangent_at(circle: Circle, p: Point) -> Line:
     Xc, Yc, Zc = circle.center.hom
     # normal Z Zc (p - center)
     return Line.from_coefficients(*_normal_at(p, X * Zc - Xc * Z, Y * Zc - Yc * Z))
-
-
-def _on_bisector(p: Point, q: Point, o: Point) -> bool:
-    """|o - p|^2 == |o - q|^2, compared over the common denominator."""
-    X1, Y1, Z1 = p.hom
-    X2, Y2, Z2 = q.hom
-    Xo, Yo, Zo = o.hom
-    # Zo Z1 (p - o) and Zo Z2 (q - o)
-    dx1, dy1 = X1 * Zo - Xo * Z1, Y1 * Zo - Yo * Z1
-    dx2, dy2 = X2 * Zo - Xo * Z2, Y2 * Zo - Yo * Z2
-    return (dx1 * dx1 + dy1 * dy1) * (Z2 * Z2) == (dx2 * dx2 + dy2 * dy2) * (Z1 * Z1)
 
 
 def orthocentre(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -> Point:
@@ -632,17 +641,38 @@ class Similarity(_Value):
         """
         if source[0] == source[1]:
             raise DegenerateInputError("first two source points must be distinct")
-        alpha = (target[1] - target[0]).cdiv(source[1] - source[0])
-        if alpha == ORIGIN:
+        (X1, Y1, Z1), (X2, Y2, Z2) = source[0].hom, source[1].hom
+        (U1, V1, W1), (U2, V2, W2) = target[0].hom, target[1].hom
+        # alpha = (t1 - t0) / (s1 - s0), with t1 - t0 = (a, b)/(W1 W2), s1 - s0 = (c, d)/(Z1 Z2)
+        a, b = U2 * W1 - U1 * W2, V2 * W1 - V1 * W2
+        if a == 0 and b == 0:
             return None
-        return cls(alpha, target[0] - alpha.cmul(source[0]))
+        c, d = X2 * Z1 - X1 * Z2, Y2 * Z1 - Y1 * Z2
+        z = Z1 * Z2
+        alpha = _point((a * c + b * d) * z, (b * c - a * d) * z, (c * c + d * d) * W1 * W2)
+        # beta = t0 - alpha s0
+        Xa, Ya, Za = alpha.hom
+        zs = Za * Z1
+        beta = _point(U1 * zs - (Xa * X1 - Ya * Y1) * W1, V1 * zs - (Xa * Y1 + Ya * X1) * W1,
+                      zs * W1)
+        return cls(alpha, beta)
 
-    def apply(self, p: Point) -> Point:
+    def _image(self, p: Point) -> tuple[int, int, int]:
+        """Unreduced homogeneous triple of alpha*p + beta."""
         Xa, Ya, Za = self.alpha.hom
         Xb, Yb, Zb = self.beta.hom
         X, Y, Z = p.hom
         z = Za * Z
-        return _point((Xa * X - Ya * Y) * Zb + Xb * z, (Xa * Y + Ya * X) * Zb + Yb * z, z * Zb)
+        return (Xa * X - Ya * Y) * Zb + Xb * z, (Xa * Y + Ya * X) * Zb + Yb * z, z * Zb
+
+    def apply(self, p: Point) -> Point:
+        return _point(*self._image(p))
+
+    def sends(self, p: Point, q: Point) -> bool:
+        """``apply(p) == q``, compared over the common denominator without a gcd."""
+        X, Y, Z = self._image(p)
+        Xq, Yq, Zq = q.hom
+        return X * Zq == Xq * Z and Y * Zq == Yq * Z
 
     @property
     def ratio_squared(self) -> Fraction:
@@ -677,6 +707,6 @@ def similarity_between(source: Sequence[Point], target: Sequence[Point]) -> Opti
     if sim is None:
         return None
     for s, t in zip(source[2:], target[2:]):
-        if sim.apply(s) != t:
+        if not sim.sends(s, t):
             return None
     return sim

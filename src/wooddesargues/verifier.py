@@ -38,12 +38,12 @@ from .configuration import (
     perspectrix_line,
 )
 from .kernel import (
-    CollinearPointsError,
     DegenerateInputError,
     IdenticalCirclesError,
     ParallelLinesError,
     Circle,
     Line,
+    ONE,
     ORIGIN,
     Point,
     Similarity,
@@ -59,7 +59,6 @@ from .kernel import (
     line_through,
     meet,
     midpoint,
-    orthocentre,
     parallel_through,
     perpendicular_at,
     point,
@@ -258,10 +257,20 @@ class ClaimSet:
         return self._push(Claim(label, holds, witness, _concyclic_residual, a, b, c, d))
 
     def maps_to(self, label: str, sim: Similarity, src: Point, dst: Point) -> bool:
-        got = sim.apply(src)
-        holds = got == dst
-        witness = None if holds else got
+        holds = sim.sends(src, dst)
+        witness = None if holds else sim.apply(src)
         return self._push(Claim(label, holds, witness, _map_residual, sim, src, dst))
+
+    def fixed_at(self, label: str, sim: Similarity, expected: Point) -> bool:
+        """Claim that ``expected`` is the fixed point of ``sim``, whose alpha is not 1.
+
+        The fixed point is then unique, so the claim is that sim sends
+        ``expected`` to itself; the fixed point is built only as the witness.
+        """
+        if sim.sends(expected, expected):
+            return self._push(Claim(label, True, None, _no_residual))
+        got = sim.fixed_point()
+        return self._push(Claim(label, False, got, _distance_residual, got, expected))
 
     def _push(self, claim: Claim) -> bool:
         self.claims.append(claim)
@@ -411,11 +420,10 @@ def check_core_similarity(cs: ClaimSet, config: WoodDesarguesConfiguration) -> N
     sim = _similarity_claims(cs, "ABC~abc", [pts[x] for x in "ABC"], [pts[x] for x in "abc"])
     if sim is not None:
         cs.witness("alpha", sim.alpha)
-        fix = sim.fixed_point()
-        if fix is None:
+        if sim.alpha == ONE:
             cs.fail("similarity has a fixed point", sim.alpha)
         else:
-            cs.points_equal("fixed point is J", fix, config.j)
+            cs.fixed_at("fixed point is J", sim, config.j)
         ratio = config.circles["abcK"].radius_squared / config.circles["ABCK"].radius_squared
         cs.scalars_equal("ratio^2 equals circle r2 ratio", sim.ratio_squared, ratio)
 
@@ -438,11 +446,10 @@ def check_orthocentre_quadrangle(cs: ClaimSet, config: WoodDesarguesConfiguratio
     sim = _similarity_claims(cs, f"{circle_label}~H-quadrangle", vpts, hpts)
     if sim is not None:
         cs.points_equal("multiplier is -1 (half turn)", sim.alpha, point(-1, 0))
-        fix = sim.fixed_point()
-        if fix is not None:
+        if sim.alpha != ONE:
             total = vpts[0] + vpts[1] + vpts[2] + vpts[3]
             expected = total.scale(Fraction(1, 2)) - config.circles[circle_label].center
-            cs.points_equal("fixed point is vertex-sum/2 - centre", fix, expected)
+            cs.fixed_at("fixed point is vertex-sum/2 - centre", sim, expected)
 
 
 def check_steiner_line(cs: ClaimSet, derived: DerivedFigures, circle_label: str) -> None:
@@ -528,11 +535,10 @@ def check_pentagon_perspectives(cs: ClaimSet, config: WoodDesarguesConfiguration
                              [ctr["L"], ctr["M"], ctr["N"]])
     if sim is not None:
         cs.witness("alpha ABC~LMN", sim.alpha)
-        fix = sim.fixed_point()
-        if fix is None:
+        if sim.alpha == ONE:
             cs.fail("centre similarity has a fixed point", sim.alpha)
         else:
-            cs.points_equal("similarity centre is J", fix, config.j)
+            cs.fixed_at("similarity centre is J", sim, config.j)
 
     if z is not None:
         line_al = line_through(pts["A"], ctr["L"]) if pts["A"] != ctr["L"] else None
@@ -606,9 +612,6 @@ def check_hagge(cs: ClaimSet, config: WoodDesarguesConfiguration,
     ctr = config.centers
     hs: dict[str, Optional[Point]] = {}
     pentagon = derived.pentagon.circle
-    # the centres lie on the pentagon circle, so its centre is each centre
-    # triangle's circumcentre; orthocentre tests that before using it
-    pentagon_centre = pentagon.center if pentagon is not None else None
 
     for rec in PERSPECTIVE_TABLE:
         v = rec.vertex
@@ -628,14 +631,18 @@ def check_hagge(cs: ClaimSet, config: WoodDesarguesConfiguration,
             cs.degenerate(f"perspectrix of row {v} collapses to a point")
         else:
             cs.on_line(f"h({v}) on perspectrix {''.join(rec.perspectrix)}", perspectrix, h)
-        c1, c2, c3 = (ctr[x] for x in CENTERS_AVOIDING[v])
-        try:
-            expected = orthocentre(c1, c2, c3, centre=pentagon_centre)
-        except CollinearPointsError:
+        expected = derived.centre_orthocentres[v]
+        if expected is None:
             cs.degenerate(f"centre triangle {''.join(CENTERS_AVOIDING[v])} collinear")
             continue
         cs.points_equal(f"h({v}) is orthocentre of {''.join(CENTERS_AVOIDING[v])}", h, expected)
 
+    # h(v) = (sum of the centres) - C(circle) - C(other circle of v) - 2P by
+    # Euler, with P the pentagon centre, so each h-quadrangle is centred at
+    # (sum of the centres) - C(circle) - 3P; circle_through tests that first
+    spread = None
+    if pentagon is not None:
+        spread = ctr["U"] + ctr["V"] + ctr["L"] + ctr["M"] + ctr["N"] - pentagon.center.scale(3)
     radii: list[tuple[str, Fraction]] = []
     for clbl in CIRCLE_LABELS:
         verts = CIRCLE_POINTS[clbl]
@@ -651,7 +658,8 @@ def check_hagge(cs: ClaimSet, config: WoodDesarguesConfiguration,
             res = collinearity_residual(*ring[:3]) if len(ring) >= 3 else Fraction(0)
             cs.fail(f"h-quadrangle of {clbl} spans a circle", res)
             continue
-        circ = circle_through(ring[0], ring[1], ring[2])
+        centre = spread - ctr[CIRCLE_CENTER[clbl]] if spread is not None else None
+        circ = circle_through(ring[0], ring[1], ring[2], centre=centre)
         for v, p in zip(verts, dst):
             cs.on_circle(f"h({v}) on h-circumcircle of {clbl}", circ, p)
         radii.append((clbl, circ.radius_squared))

@@ -18,6 +18,7 @@ from wooddesargues import (
     verify_all,
 )
 from wooddesargues.configuration import (
+    CENTER_LABELS,
     CENTERS_AVOIDING,
     CIRCLE_CENTER,
     CIRCLE_LABELS,
@@ -26,9 +27,12 @@ from wooddesargues.configuration import (
     PERSPECTIVE_TABLE,
     POINT_CIRCLES,
     POINT_LABELS,
+    derive_centre_orthocentres,
+    derive_hagge_centres,
     derive_orthocentres,
     derive_pentagon,
 )
+from wooddesargues.fuzz import FuzzPolicy, generate_configurations, run_campaign
 from wooddesargues.kernel import (
     Circle,
     CoincidentPointsError,
@@ -45,6 +49,7 @@ from wooddesargues.serialize import (
     configuration_from_document,
     configuration_to_document,
     dumps,
+    parse_seed_text,
     report_to_document,
 )
 
@@ -302,9 +307,9 @@ def test_orthocentres_meet_no_lines_given_the_stored_centres(
     assert derive_orthocentres(reference_config) == reference_derived.orthocentres
     assert meets == []
 
-    # the ten centre-triangle orthocentres of check_hagge, given the pentagon centre
+    # the ten centre-triangle orthocentres, given the pentagon centre
     per_call = []
-    real = verifier.orthocentre
+    real = configuration.orthocentre
 
     def counting_orthocentre(*args, **kwargs):
         before = len(meets)
@@ -312,8 +317,10 @@ def test_orthocentres_meet_no_lines_given_the_stored_centres(
         per_call.append(len(meets) - before)
         return h
 
-    monkeypatch.setattr(verifier, "orthocentre", counting_orthocentre)
-    run_check("hagge-suite", reference_config, reference_derived)
+    monkeypatch.setattr(configuration, "orthocentre", counting_orthocentre)
+    pentagon = reference_derived.pentagon.circle
+    assert (derive_centre_orthocentres(reference_config, pentagon)
+            == reference_derived.centre_orthocentres)
     assert per_call == [0] * 10
 
 
@@ -329,6 +336,64 @@ def test_orthocentres_ignore_a_stored_centre_off_the_circle(reference_config, mo
     assert derive_orthocentres(moved) == unseeded
     # only the four triangles of ABCK meet two bisectors
     assert len(meets) == 4
+
+
+def test_hagge_circles_meet_no_bisectors_given_the_predicted_centres(
+        reference_config, reference_derived, monkeypatch):
+    meets = _count_meets(monkeypatch)
+    hagge, notes = derive_hagge_centres(reference_config, reference_derived.orthocentres,
+                                        reference_derived.centre_orthocentres)
+    assert (hagge, notes) == (reference_derived.hagge, reference_derived.hagge_notes)
+    assert meets == []
+    result = run_check("hagge-suite", reference_config, reference_derived)
+    assert result.status == "pass"
+    assert meets == []
+
+
+def _record_circles(monkeypatch, module) -> list:
+    """Record (points, centre passed, circle) for each circle_through call of ``module``."""
+    calls = []
+    real = module.circle_through
+
+    def recording(p, q, r, centre=None):
+        circle = real(p, q, r, centre=centre)
+        calls.append(((p, q, r), centre, circle))
+        return circle
+
+    monkeypatch.setattr(module, "circle_through", recording)
+    return calls
+
+
+@pytest.mark.parametrize("label", ["V", "L", "N"])
+def test_rejected_predicted_centres_give_the_unpredicted_circles(
+        reference_config, monkeypatch, label):
+    # a moved centre moves the centre-triangle orthocentres and the predicted
+    # h-circumcircle centres off the true ones
+    moved = mutate_configuration(reference_config, "center", label, "x", 1)
+    hagge_calls = _record_circles(monkeypatch, configuration)
+    ring_calls = _record_circles(monkeypatch, verifier)
+    verify_all(moved)
+    for calls in (hagge_calls, ring_calls):
+        predicted = [(centre, circle) for _, centre, circle in calls if centre is not None]
+        assert any(centre != circle.center for centre, circle in predicted)
+        for points, _, circle in calls:
+            assert circle == kernel.circle_through(*points)
+
+
+@pytest.mark.parametrize("magnitude", [12, 10 ** 12])
+def test_a_campaign_seed_builds_four_circumcentres(monkeypatch, magnitude):
+    # the three Wood circles and the pentagon circle; every Hagge circle and
+    # h-circumcircle takes its predicted centre
+    calls = []
+    real = kernel.circumcenter
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernel, "circumcenter", counting)
+    run_campaign(FuzzPolicy(count=10, rng_seed=42, max_magnitude=magnitude))
+    assert len(calls) == 4 * 10
 
 
 # --- line table --------------------------------------------------------------
@@ -351,6 +416,53 @@ def test_line_table_builds_each_label_pair_once(monkeypatch):
     assert calls == built
 
 
+def _count_line_builds(monkeypatch, config) -> Counter:
+    """Count configuration.line_through calls by the labels of their two points."""
+    label = {p: lbl for lbl, p in config.points.items()}
+    original = configuration.line_through
+    calls: Counter = Counter()
+
+    def counting_line_through(p, q):
+        calls[frozenset((label[p], label[q]))] += 1
+        return original(p, q)
+
+    monkeypatch.setattr(configuration, "line_through", counting_line_through)
+    return calls
+
+
+@pytest.mark.parametrize("seed_text", [
+    "tJ=0,tK=1,tA=-1,tB=2,tC=3,s=-3/2",
+    "tJ=4/3,tK=1/5,tA=4/1,tB=-5/8,tC=0/1,s=-1/1",
+    "tJ=-1/1,tK=7/10,tA=3/1,tB=5/9,tC=1/4,s=1/1",
+])
+def test_built_configuration_builds_one_line_per_configuration_line(monkeypatch, seed_text):
+    config = build_configuration(parse_seed_text(seed_text))
+    calls = _count_line_builds(monkeypatch, config)
+    verify_all(config)
+    perspectrices = [set(rec.perspectrix) for rec in PERSPECTIVE_TABLE]
+    assert len(calls) == 10 and set(calls.values()) == {1}
+    assert all(any(pair <= line for line in perspectrices) for pair in calls)
+    # every pair of the three points of a perspectrix has its line
+    pts = config.points
+    for rec in PERSPECTIVE_TABLE:
+        for u in rec.perspectrix:
+            for v in rec.perspectrix:
+                if u != v:
+                    assert config.line(u, v) == line_through(pts[u], pts[v])
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize("label", ["1", "A", "K"])
+def test_tampered_configuration_gets_the_line_of_each_pair(reference_config, monkeypatch, label):
+    mutated = mutate_configuration(reference_config, "point", label, "x", 1)
+    calls = _count_line_builds(monkeypatch, mutated)
+    verify_all(mutated)
+    assert len(calls) > 10  # some third point is off the line it would reuse
+    pts = mutated.points
+    for (u, v), line in mutated._lines.items():
+        assert line == line_through(pts[u], pts[v])
+
+
 def test_line_table_is_shared_by_both_orders(reference_config):
     pts = reference_config.points
     assert reference_config.line("B", "C") is reference_config.line("C", "B")
@@ -360,6 +472,10 @@ def test_line_table_is_shared_by_both_orders(reference_config):
 def test_line_table_refuses_equal_points(reference_config):
     pts = dict(reference_config.points, A=reference_config.points["B"])
     config = dataclasses.replace(reference_config, points=pts)
+    with pytest.raises(CoincidentPointsError):
+        config.line("A", "B")
+    # also when a kept line through the third point 3 of line AB3 passes both
+    config.line("A", "3")
     with pytest.raises(CoincidentPointsError):
         config.line("A", "B")
 
@@ -414,3 +530,40 @@ def test_turning_the_parameters_rotates_the_configuration(ts, s, u):
         assert turned.circles[lbl].radius_squared == circle.radius_squared
     outcome = [(r.name, r.status, r.notes) for r in verify_all(config).results]
     assert [(r.name, r.status, r.notes) for r in verify_all(turned).results] == outcome
+
+
+def _outcome(config) -> list:
+    return [(r.name, r.status, r.notes) for r in verify_all(config).results]
+
+
+def _moved_by(config, sim: Similarity):
+    """config with every point, J and centre carried by sim and each r2 scaled."""
+    move, k = sim.apply, sim.ratio_squared
+    return dataclasses.replace(
+        config,
+        points={lbl: move(p) for lbl, p in config.points.items()},
+        j=move(config.j),
+        circles={lbl: Circle(move(c.center), c.radius_squared * k)
+                 for lbl, c in config.circles.items()},
+        centers={lbl: move(p) for lbl, p in config.centers.items()})
+
+
+similarities = st.builds(Similarity, st.builds(point, turns, small_rationals),
+                         st.builds(point, small_rationals, small_rationals))
+tamperings = st.one_of(
+    st.none(),
+    st.tuples(st.just("point"), st.sampled_from(POINT_LABELS), st.sampled_from("xy"), turns),
+    st.tuples(st.just("center"), st.sampled_from(CENTER_LABELS), st.sampled_from("xy"), turns),
+    st.tuples(st.just("j"), st.just("J"), st.sampled_from("xy"), turns))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2 ** 63), similarities, tamperings)
+def test_a_similarity_keeps_every_status_and_note(rng_seed, sim, tampering):
+    # every check states a similarity-invariant fact, so moving a built or a
+    # tampered configuration by a direct similarity keeps its outcome
+    policy = FuzzPolicy(count=1, rng_seed=rng_seed, max_magnitude=12)
+    _, config, _, _ = next(generate_configurations(policy))
+    if tampering is not None:
+        config = mutate_configuration(config, *tampering)
+    assert _outcome(_moved_by(config, sim)) == _outcome(config)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from wooddesargues.kernel import (
     Circle,
+    CoincidentPointsError,
     CollinearPointsError,
     Line,
     ONE,
@@ -249,6 +250,34 @@ def test_similarity_arithmetic(a, b, p):
         assert sim.fixed_point() == fraction_cdiv(b, fraction_sub(ONE, a))
 
 
+@given(st.one_of(grid, points), st.one_of(grid, points), st.one_of(grid, points),
+       st.one_of(grid, points))
+@EXAMPLES
+def test_similarity_sends_exactly_its_images(a, b, p, q):
+    assume(a.x or a.y)
+    sim = Similarity(a, b)
+    image = fraction_add(fraction_cmul(a, p), b)
+    assert sim.sends(p, image)
+    assert sim.sends(p, q) == (image == q)
+    # off the image by one unit in either coordinate
+    assert not sim.sends(p, fraction_add(image, ONE))
+    assert not sim.sends(p, fraction_add(image, point(0, 1)))
+
+
+@given(st.one_of(grid, points), st.one_of(grid, points), st.one_of(grid, points),
+       st.one_of(grid, points))
+@EXAMPLES
+def test_similarity_pinned_by_two_pairs(s0, s1, t0, t1):
+    assume(s0 != s1)
+    sim = Similarity.pinned_by((s0, s1), (t0, t1))
+    if t0 == t1:
+        assert sim is None
+        return
+    alpha = fraction_cdiv(fraction_sub(t1, t0), fraction_sub(s1, s0))
+    assert sim.alpha == alpha
+    assert sim.beta == fraction_sub(t0, fraction_cmul(alpha, s0))
+
+
 # --- lines ------------------------------------------------------------------------
 
 
@@ -304,11 +333,12 @@ def test_circumcentre_and_orthocentre(p, q, r):
     o = fraction_circumcenter(p, q, r)
     assert circumcenter(p, q, r) == o
     # the orthocentre is the same whatever centre is passed, true or not
+    # the orthocentre and the circle are the same whatever centre is passed,
+    # true or not
     expected = fraction_orthocentre(p, q, r)
     for centre in (o, fraction_add(o, ONE), p, None):
         assert orthocentre(p, q, r, centre=centre) == expected
-    circle = circle_through(p, q, r)
-    assert circle == circle_on(o, p)
+        assert circle_through(p, q, r, centre=centre) == circle_on(o, p)
 
 
 @given(points, points, rationals, st.one_of(st.none(), points))
@@ -317,6 +347,28 @@ def test_orthocentre_of_collinear_points_raises_whatever_centre_is_passed(p, q, 
     r = fraction_add(p, fraction_scale(fraction_sub(q, p), t))
     with pytest.raises(CollinearPointsError):
         orthocentre(p, q, r, centre=centre)
+
+
+@given(points, points, rationals, st.one_of(st.none(), points))
+@EXAMPLES
+def test_circle_through_collinear_points_raises_whatever_centre_is_passed(p, q, t, centre):
+    r = fraction_add(p, fraction_scale(fraction_sub(q, p), t))
+    assume(p != q and r != p and r != q)
+    # each midpoint is equidistant from two of the three points
+    for c in (centre, midpoint(p, q), midpoint(q, r)):
+        with pytest.raises(CollinearPointsError):
+            circle_through(p, q, r, centre=c)
+
+
+@given(points, points, st.one_of(st.none(), points))
+@EXAMPLES
+def test_coincident_points_raise_whatever_centre_is_passed(p, q, centre):
+    assume(p != q)
+    # the midpoint of p and q is equidistant from all three of p, p, q
+    for c in (centre, midpoint(p, q), p):
+        for args in ((p, p, q), (p, q, p), (q, p, p), (p, p, p)):
+            with pytest.raises(CoincidentPointsError):
+                circle_through(*args, centre=c)
 
 
 # --- circles ----------------------------------------------------------------------
