@@ -214,11 +214,6 @@ class Point(_Value):
 
     # complex-number reading ------------------------------------------------
 
-    def cmul(self, other: "Point") -> "Point":
-        X1, Y1, Z1 = self.hom
-        X2, Y2, Z2 = other.hom
-        return _point(X1 * X2 - Y1 * Y2, X1 * Y2 + Y1 * X2, Z1 * Z2)
-
     def cdiv(self, other: "Point") -> "Point":
         X1, Y1, Z1 = self.hom
         X2, Y2, Z2 = other.hom

@@ -398,24 +398,6 @@ def test_a_campaign_seed_builds_four_circumcentres(monkeypatch, magnitude):
 
 # --- line table --------------------------------------------------------------
 
-def test_line_table_builds_each_label_pair_once(monkeypatch):
-    config = build_configuration(REFERENCE_SEED)
-    label = {p: lbl for lbl, p in config.points.items()}
-    original = configuration.line_through
-    calls: Counter = Counter()
-
-    def counting_line_through(p, q):
-        calls[frozenset((label[p], label[q]))] += 1
-        return original(p, q)
-
-    monkeypatch.setattr(configuration, "line_through", counting_line_through)
-    verify_all(config)
-    assert calls and max(calls.values()) == 1
-    built = dict(calls)
-    verify_all(config)
-    assert calls == built
-
-
 def _count_line_builds(monkeypatch, config) -> Counter:
     """Count configuration.line_through calls by the labels of their two points."""
     label = {p: lbl for lbl, p in config.points.items()}
@@ -430,6 +412,16 @@ def _count_line_builds(monkeypatch, config) -> Counter:
     return calls
 
 
+def test_line_table_builds_each_label_pair_once(monkeypatch):
+    config = build_configuration(REFERENCE_SEED)
+    calls = _count_line_builds(monkeypatch, config)
+    verify_all(config)
+    assert calls and max(calls.values()) == 1
+    built = dict(calls)
+    verify_all(config)
+    assert calls == built
+
+
 @pytest.mark.parametrize("seed_text", [
     "tJ=0,tK=1,tA=-1,tB=2,tC=3,s=-3/2",
     "tJ=4/3,tK=1/5,tA=4/1,tB=-5/8,tC=0/1,s=-1/1",
@@ -442,7 +434,7 @@ def test_built_configuration_builds_one_line_per_configuration_line(monkeypatch,
     perspectrices = [set(rec.perspectrix) for rec in PERSPECTIVE_TABLE]
     assert len(calls) == 10 and set(calls.values()) == {1}
     assert all(any(pair <= line for line in perspectrices) for pair in calls)
-    # every pair of the three points of a perspectrix has its line
+    # and those ten builds give every pair of a perspectrix its exact line
     pts = config.points
     for rec in PERSPECTIVE_TABLE:
         for u in rec.perspectrix:
@@ -506,6 +498,10 @@ def _turn(t, u):
     return (t + u) / (1 - t * u)
 
 
+def _outcome(config) -> list:
+    return [(r.name, r.status, r.notes) for r in verify_all(config).results]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(unit_parameters, min_size=5, max_size=5), small_rationals, turns)
 def test_turning_the_parameters_rotates_the_configuration(ts, s, u):
@@ -528,12 +524,7 @@ def test_turning_the_parameters_rotates_the_configuration(ts, s, u):
     for lbl, circle in config.circles.items():
         assert turned.circles[lbl].center == rotate(circle.center)
         assert turned.circles[lbl].radius_squared == circle.radius_squared
-    outcome = [(r.name, r.status, r.notes) for r in verify_all(config).results]
-    assert [(r.name, r.status, r.notes) for r in verify_all(turned).results] == outcome
-
-
-def _outcome(config) -> list:
-    return [(r.name, r.status, r.notes) for r in verify_all(config).results]
+    assert _outcome(turned) == _outcome(config)
 
 
 def _moved_by(config, sim: Similarity):

@@ -326,8 +326,8 @@ def test_similarity_composition_is_identity(a, b, c, d):
     fwd = similarity_between([a, b], [c, d])
     back = similarity_between([c, d], [a, b])
     assert fwd is not None and back is not None
-    assert fwd.alpha.cmul(back.alpha) == ONE
-    assert back.alpha.cmul(fwd.beta) + back.beta == ORIGIN
+    assert Similarity(back.alpha, ORIGIN).apply(fwd.alpha) == ONE
+    assert back.apply(fwd.beta) == ORIGIN
     for p in (a, b):
         assert back.apply(fwd.apply(p)) == p
 
