@@ -8,8 +8,10 @@ moved and why, and pin the new digest here.
 Pinned outputs: the reference configuration document, its report and its SVG;
 the report of every mutation probe of the acceptance suite (each one carries
 failing witnesses); the report with one circle's stored centre moved, since
-the mutation probes move only points, centres and J; and the full report of the first seed of the 1000/42/12
-campaign to reach each degenerate-note branch.  The campaign seeds are given
+the mutation probes move only points, centres and J; the SVG of three moved
+configurations, whose derived figures leave the known-centre paths; and the
+full report of the first seed of the 1000/42/12 campaign to reach each
+degenerate-note branch.  The campaign seeds are given
 as seed text so this file does not run the campaign; the campaign document
 digest itself is pinned in ``test_criterion_3_fuzz_campaign``.
 """
@@ -125,6 +127,18 @@ CIRCLE_CENTRE_REPORTS = {
     ("Cc12", "J"): "0252435f298dfdf5b2e7cb9a35a2b02f7471633b82a2e59cff4ea03237cc7166",
 }
 
+# move -> SVG digest of the reference configuration with one value moved by +1
+# in x: centre V (the pentagon circle, so every centre-triangle orthocentre and
+# predicted Hagge centre), point A (the orthocentres of the triangles through
+# A, and the Hagge centres of their rows), or the stored centre of circle ABCK
+# (its four orthocentres).  Each moved figure is then built without its known
+# centre.
+MOVED_SVGS = {
+    "centre V": "d137c5bfd04af6004f9249f0cf68de8e6517117a23d35e88c27a990f4b18e6da",
+    "point A": "d930b178742a9a56417929355a89cf1f4bfb7d9c2ebed7314d2123d1e45283c4",
+    "circle ABCK centre": "8d571fae4cbf290d82821c23e9fa8a2f69a3663b8ffed1aec148bfb77bd67b49",
+}
+
 # campaign index -> (seed text, report digest); each index is the first seed
 # of the 1000/42/12 campaign whose report reaches a new degenerate note:
 #   1    Z coincides with N (line CNZ)
@@ -175,6 +189,22 @@ def test_circle_centre_report(reference_config, label, move):
     circles = {**reference_config.circles, label: Circle(centre, circle.radius_squared)}
     moved = dataclasses.replace(reference_config, circles=circles)
     assert _sha256(_report_text(moved)) == CIRCLE_CENTRE_REPORTS[label, move]
+
+
+def _moved(config, move: str):
+    if move == "centre V":
+        return mutate_configuration(config, "center", "V", "x", 1)
+    if move == "point A":
+        return mutate_configuration(config, "point", "A", "x", 1)
+    circle = config.circles["ABCK"]
+    centre = point(circle.center.x + 1, circle.center.y)
+    circles = {**config.circles, "ABCK": Circle(centre, circle.radius_squared)}
+    return dataclasses.replace(config, circles=circles)
+
+
+@pytest.mark.parametrize("move", sorted(MOVED_SVGS))
+def test_moved_svg(reference_config, move):
+    assert _sha256(render_svg(_moved(reference_config, move))) == MOVED_SVGS[move]
 
 
 @pytest.mark.parametrize("index", sorted(CAMPAIGN_SEED_REPORTS))
