@@ -25,16 +25,18 @@ from .kernel import (
     ORIGIN,
     Point,
     UnitParameter,
+    _equidistant,
     _join,
     _meet,
     antipode,
     circle_through,
+    circumcenter,
     distance_squared,
     incident,
     line_through,
     midpoint,
-    orthocentre,
     point_on_unit_circle,
+    ring_orthocentres,
     second_intersection_of_circles,
     second_intersection_with_line,
 )
@@ -119,6 +121,12 @@ def _build_static_tables():
 
 
 POINT_CIRCLES, OTHER_CIRCLE, CENTERS_AVOIDING, THIRD_LABEL = _build_static_tables()
+
+# ring_orthocentres triangles: a quadrangle's, each without one vertex, in
+# quadrangle order; the centres' (indices into CENTER_LABELS), in CENTERS_AVOIDING order
+_QUADRANGLE_TRIANGLES = tuple(tuple(i for i in range(4) if i != k) for k in range(4))
+_CENTRE_TRIANGLES = tuple(tuple(CENTER_LABELS.index(x) for x in labels)
+                          for labels in CENTERS_AVOIDING.values())
 
 
 class DegenerateSeedError(GeometryError):
@@ -286,11 +294,12 @@ class DerivedFigures:
     ones).  Row v's H and F are the entries of the two circles through v.
     ``centre_orthocentres[v]`` is the orthocentre of the centres
     ``CENTERS_AVOIDING[v]``, None when they are collinear: by Hagge's theorem
-    the centre h(v) of row v's circle.
+    the centre h(v) of row v's circle.  ``hagge[v]`` is the centre of the
+    circle through J, H and F, None where they span no circle.
     """
 
     orthocentres: Orthocentres
-    hagge: dict[str, Optional[Circle]]  # vertex -> Hagge circle, centred at h(vertex)
+    hagge: dict[str, Optional[Point]]  # vertex -> h(vertex), the Hagge circle's centre
     hagge_notes: dict[str, str]
     pentagon: PentagonFigures
     centre_orthocentres: dict[str, Optional[Point]]
@@ -299,20 +308,16 @@ class DerivedFigures:
 def derive_orthocentres(config: WoodDesarguesConfiguration) -> Orthocentres:
     """The twenty orthocentres, keyed (circle, omitted vertex).
 
-    Each triangle is inscribed in its circle, so the circle's stored centre
-    is handed to ``orthocentre`` as the circumcentre; the kernel tests it and
-    meets two bisectors instead when a tampered centre fails the test.
+    Each quadrangle is inscribed in its circle, so its four orthocentres come
+    from ``ring_orthocentres`` about the circle's stored centre; the kernel
+    tests that centre and meets two bisectors instead for any triangle a
+    tampered centre or point fails the test for.
     """
     orthocentres: Orthocentres = {}
     for clbl in CIRCLE_LABELS:
-        quad = CIRCLE_POINTS[clbl]
-        centre = config.circles[clbl].center
-        for v in quad:
-            try:
-                orthocentres[clbl, v] = orthocentre(
-                    *(config.points[x] for x in quad if x != v), centre=centre)
-            except CollinearPointsError:
-                orthocentres[clbl, v] = None
+        hs = ring_orthocentres(config.quadrangle(clbl), _QUADRANGLE_TRIANGLES,
+                               config.circles[clbl].center)
+        orthocentres.update(((clbl, v), h) for v, h in zip(CIRCLE_POINTS[clbl], hs))
     return orthocentres
 
 
@@ -321,49 +326,44 @@ def derive_centre_orthocentres(config: WoodDesarguesConfiguration,
     """Per table row v: the orthocentre of the three centres of the circles
     not through v, None when they are collinear.
 
-    The centres lie on the pentagon circle, so its centre is handed to
-    ``orthocentre`` as each triangle's circumcentre.
+    The centres lie on the pentagon circle, so the ten come from
+    ``ring_orthocentres`` about its centre.
     """
     centre = pentagon.center if pentagon is not None else None
-    out: dict[str, Optional[Point]] = {}
-    for v, labels in CENTERS_AVOIDING.items():
-        try:
-            out[v] = orthocentre(*(config.centers[x] for x in labels), centre=centre)
-        except CollinearPointsError:
-            out[v] = None
-    return out
+    hs = ring_orthocentres([config.centers[x] for x in CENTER_LABELS], _CENTRE_TRIANGLES, centre)
+    return dict(zip(CENTERS_AVOIDING, hs))
 
 
 def derive_hagge_centres(config: WoodDesarguesConfiguration, orthos: Orthocentres,
                          predicted: dict[str, Optional[Point]],
-                         ) -> tuple[dict[str, Optional[Circle]], dict[str, str]]:
-    """Per table row: the circle through (J, H, F), centred at the Hagge centre.
+                         ) -> tuple[dict[str, Optional[Point]], dict[str, str]]:
+    """Per table row: h(v), the centre of the circle through (J, H, F).
 
-    ``predicted[v]`` is handed to ``circle_through`` as row v's centre; the
-    kernel tests it and meets two bisectors instead when it fails the test.
-    Rows where J, H, F fail to span a circle are marked degenerate and skipped;
-    the other rows are unaffected.
+    That is ``predicted[v]`` when it is exactly as far from J, H and F, else
+    their circumcentre.  Rows where J, H, F fail to span a circle are marked
+    degenerate and skipped; the other rows are unaffected.
     """
-    out: dict[str, Optional[Circle]] = {}
+    out: dict[str, Optional[Point]] = {}
     notes: dict[str, str] = {}
     j = config.j
     for rec in PERSPECTIVE_TABLE:
-        h_pt, f_pt = (orthos[c, rec.vertex] for c in POINT_CIRCLES[rec.vertex])
+        v = rec.vertex
+        out[v] = None
+        h_pt, f_pt = (orthos[c, v] for c in POINT_CIRCLES[v])
         if h_pt is None or f_pt is None:
-            out[rec.vertex] = None
-            notes[rec.vertex] = f"missing orthocentre for row {rec.vertex}"
+            notes[v] = f"missing orthocentre for row {v}"
             continue
         if h_pt == j or f_pt == j or h_pt == f_pt:
-            out[rec.vertex] = None
-            notes[rec.vertex] = f"coincidence among J, H, F for row {rec.vertex}"
+            notes[v] = f"coincidence among J, H, F for row {v}"
             continue
-        try:
-            circle = circle_through(j, h_pt, f_pt, centre=predicted[rec.vertex])
-        except CollinearPointsError:
-            out[rec.vertex] = None
-            notes[rec.vertex] = f"J, H, F collinear for row {rec.vertex}"
-            continue
-        out[rec.vertex] = circle
+        centre = predicted[v]
+        if centre is None or _equidistant(centre, (j, h_pt, f_pt)) is None:
+            try:
+                centre = circumcenter(j, h_pt, f_pt)
+            except CollinearPointsError:
+                notes[v] = f"J, H, F collinear for row {v}"
+                continue
+        out[v] = centre
     return out, notes
 
 
@@ -397,7 +397,7 @@ def derive_pentagon(config: WoodDesarguesConfiguration) -> PentagonFigures:
 
 def derive_figures(config: WoodDesarguesConfiguration) -> DerivedFigures:
     """Orthocentres keyed (circle, omitted vertex), the pentagon figure, the
-    centre-triangle orthocentres and the Hagge circles they centre."""
+    centre-triangle orthocentres and the Hagge centres they predict."""
     orthos = derive_orthocentres(config)
     pentagon = derive_pentagon(config)
     centre_orthos = derive_centre_orthocentres(config, pentagon.circle)

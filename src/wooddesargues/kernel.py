@@ -277,11 +277,26 @@ def midpoint(p: Point, q: Point) -> Point:
     return _point(X1 * Z2 + X2 * Z1, Y1 * Z2 + Y2 * Z1, 2 * Z1 * Z2)
 
 
+def _distance_record(p: Point, o: Point) -> tuple[int, int]:
+    """|p - o|^2 as the unreduced quotient n/w of two integers, w = (Z Zo)^2 > 0."""
+    X, Y, Z = p.hom
+    Xo, Yo, Zo = o.hom
+    dx, dy, z = X * Zo - Xo * Z, Y * Zo - Yo * Z, Z * Zo
+    return dx * dx + dy * dy, z * z
+
+
+def _equidistant(o: Point, points: Sequence[Point]) -> Optional[tuple[int, int]]:
+    """The record of points[0] from o when every point is exactly as far from o, else None."""
+    first = n0, w0 = _distance_record(points[0], o)
+    for p in points[1:]:
+        n, w = _distance_record(p, o)
+        if n * w0 != n0 * w:
+            return None
+    return first
+
+
 def distance_squared(p: Point, q: Point) -> Fraction:
-    X1, Y1, Z1 = p.hom
-    X2, Y2, Z2 = q.hom
-    dx, dy, z = X1 * Z2 - X2 * Z1, Y1 * Z2 - Y2 * Z1, Z1 * Z2
-    return Fraction(dx * dx + dy * dy, z * z)
+    return Fraction(*_distance_record(p, q))
 
 
 class Line(_Value):
@@ -449,17 +464,6 @@ def collinearity_residual(p: Point, q: Point, r: Point) -> Fraction:
     return Fraction(_det3(p, q, r), p.hom[2] * q.hom[2] * r.hom[2])
 
 
-def _on_bisector(p: Point, q: Point, o: Point) -> bool:
-    """|o - p|^2 == |o - q|^2, compared over the common denominator."""
-    X1, Y1, Z1 = p.hom
-    X2, Y2, Z2 = q.hom
-    Xo, Yo, Zo = o.hom
-    # Zo Z1 (p - o) and Zo Z2 (q - o)
-    dx1, dy1 = X1 * Zo - Xo * Z1, Y1 * Zo - Yo * Z1
-    dx2, dy2 = X2 * Zo - Xo * Z2, Y2 * Zo - Yo * Z2
-    return (dx1 * dx1 + dy1 * dy1) * (Z2 * Z2) == (dx2 * dx2 + dy2 * dy2) * (Z1 * Z1)
-
-
 def circumcenter(p: Point, q: Point, r: Point) -> Point:
     if p == q or q == r or p == r:
         raise CoincidentPointsError("circumcenter of coincident points")
@@ -475,11 +479,15 @@ def circle_through(p: Point, q: Point, r: Point, centre: Optional[Point] = None)
     integer test finds it equidistant from them, else the meet of two
     perpendicular bisectors; so any ``centre``, or None, gives the same
     circle, and coincident or collinear points raise as ``circumcenter`` does.
+    The squared radius is the record of p that the test made.
     """
-    if (centre is None or p == q or q == r or p == r
-            or not (_on_bisector(p, q, centre) and _on_bisector(q, r, centre))):
+    record = None
+    if centre is not None and p != q and q != r and p != r:
+        record = _equidistant(centre, (p, q, r))
+    if record is None:
         centre = circumcenter(p, q, r)
-    circle = Circle(centre, distance_squared(centre, p))
+        record = _distance_record(p, centre)
+    circle = Circle(centre, Fraction(*record))
     assert circle._power(q) == 0 and circle._power(r) == 0
     return circle
 
@@ -547,6 +555,30 @@ def tangent_at(circle: Circle, p: Point) -> Line:
     return Line.from_coefficients(*_normal_at(p, X * Zc - Xc * Z, Y * Zc - Yc * Z))
 
 
+def euler_sum(points: Sequence[Point], centre: Point, divisor: int = 1) -> Point:
+    """(sum of the points - 2 centre) / divisor, canonicalised once.
+
+    For three points on a circle about ``centre`` this is Euler's orthocentre
+    p + q + r - 2o; for a quadrangle inscribed in it, halved, the centre of the
+    half turn taking each vertex to the orthocentre of the other three.
+    """
+    X, Y, Z = 0, 0, 1
+    for Xp, Yp, Zp in (p.hom for p in points):
+        X, Y, Z = X * Zp + Xp * Z, Y * Zp + Yp * Z, Z * Zp
+    Xo, Yo, Zo = centre.hom
+    return _point(X * Zo - 2 * Xo * Z, Y * Zo - 2 * Yo * Z, Z * Zo * divisor)
+
+
+def _on_altitudes(h: Point, p: Point, q: Point, r: Point) -> bool:
+    """h lies on the altitudes at p and q: (h - p).(r - q) = (h - q).(r - p) = 0."""
+    (X1, Y1, Z1), (X2, Y2, Z2), (X3, Y3, Z3) = p.hom, q.hom, r.hom
+    Xh, Yh, Zh = h.hom
+    return ((Xh * Z1 - X1 * Zh) * (X3 * Z2 - X2 * Z3)
+            + (Yh * Z1 - Y1 * Zh) * (Y3 * Z2 - Y2 * Z3) == 0
+            and (Xh * Z2 - X2 * Zh) * (X3 * Z1 - X1 * Z3)
+            + (Yh * Z2 - Y2 * Zh) * (Y3 * Z1 - Y1 * Z3) == 0)
+
+
 def orthocentre(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -> Point:
     """Euler's point p + q + r - 2*o, with o the circumcentre, checked on two altitudes.
 
@@ -556,20 +588,53 @@ def orthocentre(p: Point, q: Point, r: Point, centre: Optional[Point] = None) ->
     """
     if is_collinear(p, q, r):
         raise CollinearPointsError(f"orthocentre of collinear points {p}, {q}, {r}")
-    if centre is None or not (_on_bisector(p, q, centre) and _on_bisector(q, r, centre)):
+    if centre is None or _equidistant(centre, (p, q, r)) is None:
         centre = _meet(*_bisector(p, q), *_bisector(q, r))
-    (X1, Y1, Z1), (X2, Y2, Z2), (X3, Y3, Z3) = p.hom, q.hom, r.hom
-    Xo, Yo, Zo = centre.hom
-    z12, z = Z1 * Z2, Z1 * Z2 * Z3
-    h = _point(((X1 * Z2 + X2 * Z1) * Z3 + X3 * z12) * Zo - 2 * Xo * z,
-               ((Y1 * Z2 + Y2 * Z1) * Z3 + Y3 * z12) * Zo - 2 * Yo * z, z * Zo)
-    # h lies on the altitudes at p and q: (h - p).(r - q) = (h - q).(r - p) = 0
-    Xh, Yh, Zh = h.hom
-    assert ((Xh * Z1 - X1 * Zh) * (X3 * Z2 - X2 * Z3)
-            + (Yh * Z1 - Y1 * Zh) * (Y3 * Z2 - Y2 * Z3) == 0
-            and (Xh * Z2 - X2 * Zh) * (X3 * Z1 - X1 * Z3)
-            + (Yh * Z2 - Y2 * Zh) * (Y3 * Z1 - Y1 * Z3) == 0)
+    h = euler_sum((p, q, r), centre)
+    assert _on_altitudes(h, p, q, r)
     return h
+
+
+def ring_orthocentres(ring: Sequence[Point], triangles: Iterable[tuple[int, int, int]],
+                      centre: Optional[Point]) -> list[Optional[Point]]:
+    """The orthocentre of each triangle of ring points named by its indices,
+    None when its vertices are collinear.
+
+    A triangle whose vertices are distinct and exactly as far from ``centre``
+    is inscribed about it, so by Euler its orthocentre is the ring's
+    ``euler_sum`` less the ring points left out: one distance record per ring
+    point and one sum per ring serve every such triangle.  Any other
+    triangle, and each one when ``centre`` is None, goes to ``orthocentre``.
+    """
+    # per ring point, the first ring point exactly as far from centre
+    records = [_distance_record(p, centre) for p in ring] if centre is not None else []
+    if records:
+        n0, w0 = records[0]
+        first = [0 if n * w0 == n0 * w else
+                 next(j for j, (m, v) in enumerate(records) if n * v == m * w)
+                 for n, w in records]
+    total = None
+    out: list[Optional[Point]] = []
+    for i, j, k in triangles:
+        p, q, r = ring[i], ring[j], ring[k]
+        # distinct: the canonical triples differ
+        if records and first[i] == first[j] == first[k] and p.hom != q.hom != r.hom != p.hom:
+            if total is None:
+                total = euler_sum(ring, centre)
+            X, Y, Z = total.hom
+            for m, x in enumerate(ring):
+                if m != i and m != j and m != k:
+                    Xm, Ym, Zm = x.hom
+                    X, Y, Z = X * Zm - Xm * Z, Y * Zm - Ym * Z, Z * Zm
+            h = _point(X, Y, Z)
+            assert _on_altitudes(h, p, q, r)
+        else:
+            try:
+                h = orthocentre(p, q, r)
+            except CollinearPointsError:
+                h = None
+        out.append(h)
+    return out
 
 
 def _det4_rows(p: Point) -> tuple[int, int, int, int]:

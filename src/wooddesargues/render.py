@@ -22,7 +22,7 @@ from .configuration import (
     derive_figures,
     perspectrix_line,
 )
-from .kernel import Line, float_point, float_sqrt
+from .kernel import Line, distance_squared, float_point, float_sqrt
 
 LAYERS = ("points", "circles", "perspectrices", "haggeCentres", "pentagon")
 
@@ -112,12 +112,12 @@ def render_svg(config: WoodDesarguesConfiguration, style: RenderStyle = RenderSt
             markers.append((lbl, x, y))
     if "haggeCentres" in layers:
         for rec in PERSPECTIVE_TABLE:
-            c = derived.hagge[rec.vertex]
-            if c is None:
+            h = derived.hagge[rec.vertex]
+            if h is None:
                 continue
-            cx, cy = float_point(c.center)
+            cx, cy = float_point(h)
             circles.append((f"hagge-{rec.vertex}", cx, cy,
-                            float_sqrt(c.radius_squared), _HAGGE_STROKE))
+                            float_sqrt(distance_squared(h, config.j)), _HAGGE_STROKE))
             markers.append((f"h({rec.vertex})", cx, cy))
 
     perspectrices: list[Line] = []

@@ -53,6 +53,7 @@ from .kernel import (
     collinearity_residual,
     concyclicity_determinant,
     distinct,
+    euler_sum,
     float_point,
     incident,
     is_collinear,
@@ -447,8 +448,7 @@ def check_orthocentre_quadrangle(cs: ClaimSet, config: WoodDesarguesConfiguratio
     if sim is not None:
         cs.points_equal("multiplier is -1 (half turn)", sim.alpha, point(-1, 0))
         if sim.alpha != ONE:
-            total = vpts[0] + vpts[1] + vpts[2] + vpts[3]
-            expected = total.scale(Fraction(1, 2)) - config.circles[circle_label].center
+            expected = euler_sum(vpts, config.circles[circle_label].center, 2)
             cs.fixed_at("fixed point is vertex-sum/2 - centre", sim, expected)
 
 
@@ -615,17 +615,14 @@ def check_hagge(cs: ClaimSet, config: WoodDesarguesConfiguration,
 
     for rec in PERSPECTIVE_TABLE:
         v = rec.vertex
-        circle = derived.hagge[v]
-        if circle is None:
+        h = hs[v] = derived.hagge[v]
+        if h is None:
             note = derived.hagge_notes.get(v, "")
             if any(derived.orthocentres[c, v] is None for c in POINT_CIRCLES[v]):
                 cs.fail(f"h({v}) derivable", note)
             else:
                 cs.degenerate(f"h({v}) undefined: {note}")
-            hs[v] = None
             continue
-        h = circle.center
-        hs[v] = h
         perspectrix = perspectrix_line(config, rec)
         if perspectrix is None:
             cs.degenerate(f"perspectrix of row {v} collapses to a point")

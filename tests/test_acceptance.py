@@ -32,6 +32,7 @@ from wooddesargues.kernel import (
     Line,
     ORIGIN,
     ParallelLinesError,
+    distance_squared,
     incident,
     line_through,
     meet,
@@ -84,8 +85,8 @@ def test_criterion_1_reference_fixture():
         assert h_k == point(F(-7, 5), F(2, 5))
         assert f_k == point(F(21, 5), F(22, 5))
         hagge_k = derived.hagge["K"]
-        assert hagge_k.center == point(F(2, 5), F(19, 5))
-        assert hagge_k.radius_squared == F(74, 5)
+        assert hagge_k == point(F(2, 5), F(19, 5))
+        assert distance_squared(hagge_k, config.j) == F(74, 5)
 
         sim = similarity_between(
             [config.points[v] for v in "ABC"],
@@ -125,13 +126,13 @@ def test_criterion_2_reference_verification():
         assert degenerate[0].name == "pentagon-perspectives"
         assert "Z coincides with C" in degenerate[0].notes
 
-        h_k = derived.hagge["K"].center
+        h_k = derived.hagge["K"]
         assert incident(Line(1, -3, 11), h_k)
         assert h_k == orthocentre(config.centers["L"], config.centers["M"],
                                   config.centers["N"])
 
         for clbl in CIRCLE_POINTS:
-            hq = [derived.hagge[v].center for v in CIRCLE_POINTS[clbl]]
+            hq = [derived.hagge[v] for v in CIRCLE_POINTS[clbl]]
             from wooddesargues.kernel import circle_through
             circ = circle_through(hq[0], hq[1], hq[2])
             assert incident(circ, hq[3])

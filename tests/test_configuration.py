@@ -13,6 +13,7 @@ from wooddesargues import (
     DegenerateSeedError,
     build_configuration,
     configuration,
+    derive_figures,
     kernel,
     verifier,
     verify_all,
@@ -39,6 +40,7 @@ from wooddesargues.kernel import (
     INFINITY,
     ORIGIN,
     Similarity,
+    distance_squared,
     incident,
     line_through,
     orthocentre,
@@ -146,7 +148,7 @@ def test_membership_rule_holds(reference_config):
         assert incident(cfg.circles[clbl], cfg.j)
 
 
-def test_reference_derived_figures(reference_derived):
+def test_reference_derived_figures(reference_config, reference_derived):
     der = reference_derived
     orth = der.orthocentres
     assert (orth["ABCK", "K"], orth["abcK", "K"]) == (point(F(-7, 5), F(2, 5)),
@@ -174,8 +176,9 @@ def test_reference_derived_figures(reference_derived):
         "b": point(-1, 1),
         "c": point(F(-3, 5), F(4, 5)),
     }
-    assert {v: fig.center for v, fig in hagge.items()} == expected_h
-    assert hagge["K"].radius_squared == F(74, 5)
+    assert hagge == expected_h
+    # the squared radius of row K's circle, as render draws it
+    assert distance_squared(hagge["K"], reference_config.j) == F(74, 5)
 
     pent = der.pentagon
     assert pent.circle == Circle(point(F(1, 2), F(3, 2)), F(5, 2))
@@ -214,7 +217,7 @@ def test_reference_against_independent_sympy_oracle(reference_config, reference_
     fk = Triangle(pts["a"], pts["b"], pts["c"]).orthocenter
     got = Segment(j, hk).perpendicular_bisector().intersection(
         Segment(j, fk).perpendicular_bisector())[0]
-    assert got == sp(reference_derived.hagge["K"].center)
+    assert got == sp(reference_derived.hagge["K"])
 
     pent = SC(sp(cfg.centers["U"]), sp(cfg.centers["V"]), j)
     assert pent.center == sp(reference_derived.pentagon.circle.center)
@@ -288,40 +291,40 @@ def test_pentagon_meets_only_the_circles_checks_read(reference_config, monkeypat
 
 def _count_meets(monkeypatch) -> list:
     """Record every call of ``kernel._meet``, through each module that binds it."""
-    calls = []
-    real = kernel._meet
+    return _count_kernel_calls(monkeypatch, "_meet")["_meet"]
 
-    def counting(*coefficients):
-        calls.append(coefficients)
-        return real(*coefficients)
 
-    for module in (kernel, configuration, verifier):
-        if getattr(module, "_meet", None) is real:
-            monkeypatch.setattr(module, "_meet", counting)
+def _count_kernel_calls(monkeypatch, *names) -> dict[str, list]:
+    """Record the arguments of every call of each named kernel function,
+    through each module that binds it."""
+    def counting(real, seen):
+        def call(*args, **kwargs):
+            seen.append(args)
+            return real(*args, **kwargs)
+        return call
+
+    calls: dict[str, list] = {}
+    for name in names:
+        real = getattr(kernel, name)
+        wrapper = counting(real, calls.setdefault(name, []))
+        for module in (kernel, configuration, verifier):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
 def test_orthocentres_meet_no_lines_given_the_stored_centres(
         reference_config, reference_derived, monkeypatch):
-    meets = _count_meets(monkeypatch)
-    assert derive_orthocentres(reference_config) == reference_derived.orthocentres
-    assert meets == []
-
-    # the ten centre-triangle orthocentres, given the pentagon centre
-    per_call = []
-    real = configuration.orthocentre
-
-    def counting_orthocentre(*args, **kwargs):
-        before = len(meets)
-        h = real(*args, **kwargs)
-        per_call.append(len(meets) - before)
-        return h
-
-    monkeypatch.setattr(configuration, "orthocentre", counting_orthocentre)
-    pentagon = reference_derived.pentagon.circle
-    assert (derive_centre_orthocentres(reference_config, pentagon)
-            == reference_derived.centre_orthocentres)
-    assert per_call == [0] * 10
+    # the twenty orthocentres about the stored centres, the ten centre-triangle
+    # orthocentres about the pentagon centre and the Hagge centres they predict
+    calls = _count_kernel_calls(monkeypatch, "orthocentre", "_meet", "circumcenter")
+    orthos = derive_orthocentres(reference_config)
+    assert orthos == reference_derived.orthocentres
+    predicted = derive_centre_orthocentres(reference_config, reference_derived.pentagon.circle)
+    assert predicted == reference_derived.centre_orthocentres
+    assert (derive_hagge_centres(reference_config, orthos, predicted)
+            == (reference_derived.hagge, reference_derived.hagge_notes))
+    assert calls == {"orthocentre": [], "_meet": [], "circumcenter": []}
 
 
 def test_orthocentres_ignore_a_stored_centre_off_the_circle(reference_config, monkeypatch):
@@ -370,14 +373,19 @@ def test_rejected_predicted_centres_give_the_unpredicted_circles(
     # a moved centre moves the centre-triangle orthocentres and the predicted
     # h-circumcircle centres off the true ones
     moved = mutate_configuration(reference_config, "center", label, "x", 1)
-    hagge_calls = _record_circles(monkeypatch, configuration)
+    derived = derive_figures(moved)
+    assert any(h != derived.centre_orthocentres[v] for v, h in derived.hagge.items())
+    for v, h in derived.hagge.items():
+        h_pt, f_pt = (derived.orthocentres[c, v] for c in POINT_CIRCLES[v])
+        circle = kernel.circle_through(moved.j, h_pt, f_pt)
+        assert Circle(h, distance_squared(h, moved.j)) == circle
+
     ring_calls = _record_circles(monkeypatch, verifier)
     verify_all(moved)
-    for calls in (hagge_calls, ring_calls):
-        predicted = [(centre, circle) for _, centre, circle in calls if centre is not None]
-        assert any(centre != circle.center for centre, circle in predicted)
-        for points, _, circle in calls:
-            assert circle == kernel.circle_through(*points)
+    predicted = [(centre, circle) for _, centre, circle in ring_calls if centre is not None]
+    assert any(centre != circle.center for centre, circle in predicted)
+    for points, _, circle in ring_calls:
+        assert circle == kernel.circle_through(*points)
 
 
 @pytest.mark.parametrize("magnitude", [12, 10 ** 12])

@@ -11,6 +11,7 @@ negative values and 200-digit numerators and denominators.
 from __future__ import annotations
 
 from fractions import Fraction as F
+from itertools import combinations
 from math import gcd, isclose, sqrt
 
 import pytest
@@ -44,6 +45,7 @@ from wooddesargues.kernel import (
     point,
     point_on_unit_circle,
     radical_axis,
+    ring_orthocentres,
     second_intersection_of_circles,
     second_intersection_with_line,
     tangent_at,
@@ -338,6 +340,46 @@ def test_circumcentre_and_orthocentre(p, q, r):
     for centre in (o, fraction_add(o, ONE), p, None):
         assert orthocentre(p, q, r, centre=centre) == expected
         assert circle_through(p, q, r, centre=centre) == circle_on(o, p)
+
+
+@st.composite
+def rings(draw):
+    """4 or 5 points on a circle about o, then up to two of them moved off it,
+    onto another ring point or onto the line through two others; and o."""
+    size = draw(st.sampled_from([4, 5]))
+    o = draw(points)
+    r = draw(rationals.filter(bool))
+    ts = draw(st.lists(small, min_size=size, max_size=size))
+    ring = [fraction_add(o, fraction_scale(point_on_unit_circle(t), r)) for t in ts]
+    index = st.integers(0, size - 1)
+    for i, kind, j, k, t in draw(st.lists(
+            st.tuples(index, st.sampled_from(["off", "onto", "on line"]), index, index, small),
+            max_size=2)):
+        if kind == "off":
+            ring[i] = fraction_add(ring[i], ONE)
+        elif kind == "onto":
+            ring[i] = ring[j]
+        else:
+            ring[i] = fraction_add(ring[j], fraction_scale(fraction_sub(ring[k], ring[j]), t))
+    return ring, o
+
+
+@given(rings(), st.sampled_from(["true", "moved", "none"]))
+@EXAMPLES
+def test_ring_orthocentres_equal_the_orthocentre_of_each_triangle(ring_and_centre, which):
+    # the ring's own centre fits the triangles whose three points stayed on
+    # the circle and are distinct, the moved one none, and None hands every
+    # triangle to orthocentre
+    ring, o = ring_and_centre
+    centre = {"true": o, "moved": fraction_add(o, ONE), "none": None}[which]
+    triangles = list(combinations(range(len(ring)), 3))
+    expected = []
+    for tri in triangles:
+        try:
+            expected.append(orthocentre(*(ring[i] for i in tri)))
+        except CollinearPointsError:
+            expected.append(None)
+    assert ring_orthocentres(ring, triangles, centre) == expected
 
 
 @given(points, points, rationals, st.one_of(st.none(), points))
