@@ -25,7 +25,6 @@ from .kernel import (
     ORIGIN,
     Point,
     UnitParameter,
-    _equidistant,
     _join,
     _meet,
     antipode,
@@ -339,8 +338,8 @@ def derive_hagge_centres(config: WoodDesarguesConfiguration, orthos: Orthocentre
                          ) -> tuple[dict[str, Optional[Point]], dict[str, str]]:
     """Per table row: h(v), the centre of the circle through (J, H, F).
 
-    That is ``predicted[v]`` when it is exactly as far from J, H and F, else
-    their circumcentre.  Rows where J, H, F fail to span a circle are marked
+    That is ``circumcenter(J, H, F, predicted[v])``: the predicted centre when
+    it is exactly as far from J, H and F.  Rows where J, H, F fail to span a circle are marked
     degenerate and skipped; the other rows are unaffected.
     """
     out: dict[str, Optional[Point]] = {}
@@ -353,17 +352,12 @@ def derive_hagge_centres(config: WoodDesarguesConfiguration, orthos: Orthocentre
         if h_pt is None or f_pt is None:
             notes[v] = f"missing orthocentre for row {v}"
             continue
-        if h_pt == j or f_pt == j or h_pt == f_pt:
+        try:
+            out[v] = circumcenter(j, h_pt, f_pt, predicted[v])
+        except CoincidentPointsError:
             notes[v] = f"coincidence among J, H, F for row {v}"
-            continue
-        centre = predicted[v]
-        if centre is None or _equidistant(centre, (j, h_pt, f_pt)) is None:
-            try:
-                centre = circumcenter(j, h_pt, f_pt)
-            except CollinearPointsError:
-                notes[v] = f"J, H, F collinear for row {v}"
-                continue
-        out[v] = centre
+        except CollinearPointsError:
+            notes[v] = f"J, H, F collinear for row {v}"
     return out, notes
 
 

@@ -285,14 +285,14 @@ def _distance_record(p: Point, o: Point) -> tuple[int, int]:
     return dx * dx + dy * dy, z * z
 
 
-def _equidistant(o: Point, points: Sequence[Point]) -> Optional[tuple[int, int]]:
-    """The record of points[0] from o when every point is exactly as far from o, else None."""
-    first = n0, w0 = _distance_record(points[0], o)
+def _equidistant(o: Point, points: Sequence[Point]) -> bool:
+    """Every point is exactly as far from o: their records agree by cross-multiplication."""
+    n0, w0 = _distance_record(points[0], o)
     for p in points[1:]:
         n, w = _distance_record(p, o)
         if n * w0 != n0 * w:
-            return None
-    return first
+            return False
+    return True
 
 
 def distance_squared(p: Point, q: Point) -> Fraction:
@@ -464,30 +464,29 @@ def collinearity_residual(p: Point, q: Point, r: Point) -> Fraction:
     return Fraction(_det3(p, q, r), p.hom[2] * q.hom[2] * r.hom[2])
 
 
-def circumcenter(p: Point, q: Point, r: Point) -> Point:
+def circumcenter(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -> Point:
+    """The point equidistant from p, q and r.
+
+    That is ``centre`` when an exact integer test finds it equidistant from
+    them, else the meet of two perpendicular bisectors, checked the same way;
+    so any ``centre``, or None, gives the same point, and coincident or
+    collinear points raise whatever ``centre`` is.
+    """
     if p == q or q == r or p == r:
         raise CoincidentPointsError("circumcenter of coincident points")
+    if centre is not None and _equidistant(centre, (p, q, r)):
+        return centre
     if is_collinear(p, q, r):
         raise CollinearPointsError(f"circumcenter of collinear points {p}, {q}, {r}")
-    return _meet(*_bisector(p, q), *_bisector(q, r))
+    centre = _meet(*_bisector(p, q), *_bisector(q, r))
+    assert _equidistant(centre, (p, q, r))
+    return centre
 
 
 def circle_through(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -> Circle:
-    """The circle through p, q and r, about their circumcentre.
-
-    The circumcentre is ``centre`` when p, q, r are distinct and an exact
-    integer test finds it equidistant from them, else the meet of two
-    perpendicular bisectors; so any ``centre``, or None, gives the same
-    circle, and coincident or collinear points raise as ``circumcenter`` does.
-    The squared radius is the record of p that the test made.
-    """
-    record = None
-    if centre is not None and p != q and q != r and p != r:
-        record = _equidistant(centre, (p, q, r))
-    if record is None:
-        centre = circumcenter(p, q, r)
-        record = _distance_record(p, centre)
-    circle = Circle(centre, Fraction(*record))
+    """The circle through p, q and r about ``circumcenter(p, q, r, centre)``."""
+    centre = circumcenter(p, q, r, centre)
+    circle = Circle(centre, distance_squared(p, centre))
     assert circle._power(q) == 0 and circle._power(r) == 0
     return circle
 
@@ -579,18 +578,12 @@ def _on_altitudes(h: Point, p: Point, q: Point, r: Point) -> bool:
             + (Yh * Z2 - Y2 * Zh) * (Y3 * Z1 - Y1 * Z3) == 0)
 
 
-def orthocentre(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -> Point:
-    """Euler's point p + q + r - 2*o, with o the circumcentre, checked on two altitudes.
-
-    o is ``centre`` when that is equidistant from p, q and r (an exact
-    integer test), else the meet of two perpendicular bisectors; so any
-    ``centre``, or None, gives the same orthocentre.
-    """
+def orthocentre(p: Point, q: Point, r: Point) -> Point:
+    """Euler's point p + q + r - 2*o, with o the meet of two perpendicular
+    bisectors, checked on two altitudes."""
     if is_collinear(p, q, r):
         raise CollinearPointsError(f"orthocentre of collinear points {p}, {q}, {r}")
-    if centre is None or _equidistant(centre, (p, q, r)) is None:
-        centre = _meet(*_bisector(p, q), *_bisector(q, r))
-    h = euler_sum((p, q, r), centre)
+    h = euler_sum((p, q, r), _meet(*_bisector(p, q), *_bisector(q, r)))
     assert _on_altitudes(h, p, q, r)
     return h
 
@@ -601,38 +594,26 @@ def ring_orthocentres(ring: Sequence[Point], triangles: Iterable[tuple[int, int,
     None when its vertices are collinear.
 
     A triangle whose vertices are distinct and exactly as far from ``centre``
-    is inscribed about it, so by Euler its orthocentre is the ring's
-    ``euler_sum`` less the ring points left out: one distance record per ring
-    point and one sum per ring serve every such triangle.  Any other
-    triangle, and each one when ``centre`` is None, goes to ``orthocentre``.
+    is inscribed about it, so its orthocentre is the ``euler_sum`` of its
+    vertices about ``centre``: one distance record per ring point serves every
+    triangle.  Any other triangle, and each one when ``centre`` is None, goes
+    to ``orthocentre``.
     """
-    # per ring point, the first ring point exactly as far from centre
-    records = [_distance_record(p, centre) for p in ring] if centre is not None else []
-    if records:
-        n0, w0 = records[0]
-        first = [0 if n * w0 == n0 * w else
-                 next(j for j, (m, v) in enumerate(records) if n * v == m * w)
-                 for n, w in records]
-    total = None
+    records = [_distance_record(p, centre) for p in ring] if centre is not None else None
     out: list[Optional[Point]] = []
     for i, j, k in triangles:
         p, q, r = ring[i], ring[j], ring[k]
-        # distinct: the canonical triples differ
-        if records and first[i] == first[j] == first[k] and p.hom != q.hom != r.hom != p.hom:
-            if total is None:
-                total = euler_sum(ring, centre)
-            X, Y, Z = total.hom
-            for m, x in enumerate(ring):
-                if m != i and m != j and m != k:
-                    Xm, Ym, Zm = x.hom
-                    X, Y, Z = X * Zm - Xm * Z, Y * Zm - Ym * Z, Z * Zm
-            h = _point(X, Y, Z)
-            assert _on_altitudes(h, p, q, r)
-        else:
+        h = None
+        if records is not None and p.hom != q.hom != r.hom != p.hom:
+            (n1, w1), (n2, w2), (n3, w3) = records[i], records[j], records[k]
+            if n1 * w2 == n2 * w1 and n1 * w3 == n3 * w1:
+                h = euler_sum((p, q, r), centre)
+                assert _on_altitudes(h, p, q, r)
+        if h is None:
             try:
                 h = orthocentre(p, q, r)
             except CollinearPointsError:
-                h = None
+                pass
         out.append(h)
     return out
 

@@ -316,15 +316,16 @@ def _count_kernel_calls(monkeypatch, *names) -> dict[str, list]:
 def test_orthocentres_meet_no_lines_given_the_stored_centres(
         reference_config, reference_derived, monkeypatch):
     # the twenty orthocentres about the stored centres, the ten centre-triangle
-    # orthocentres about the pentagon centre and the Hagge centres they predict
-    calls = _count_kernel_calls(monkeypatch, "orthocentre", "_meet", "circumcenter")
+    # orthocentres about the pentagon centre and the Hagge centres they
+    # predict, which circumcenter returns as given
+    calls = _count_kernel_calls(monkeypatch, "orthocentre", "_bisector", "_meet")
     orthos = derive_orthocentres(reference_config)
     assert orthos == reference_derived.orthocentres
     predicted = derive_centre_orthocentres(reference_config, reference_derived.pentagon.circle)
     assert predicted == reference_derived.centre_orthocentres
     assert (derive_hagge_centres(reference_config, orthos, predicted)
             == (reference_derived.hagge, reference_derived.hagge_notes))
-    assert calls == {"orthocentre": [], "_meet": [], "circumcenter": []}
+    assert calls == {"orthocentre": [], "_bisector": [], "_meet": []}
 
 
 def test_orthocentres_ignore_a_stored_centre_off_the_circle(reference_config, monkeypatch):
@@ -391,15 +392,18 @@ def test_rejected_predicted_centres_give_the_unpredicted_circles(
 @pytest.mark.parametrize("magnitude", [12, 10 ** 12])
 def test_a_campaign_seed_builds_four_circumcentres(monkeypatch, magnitude):
     # the three Wood circles and the pentagon circle; every Hagge circle and
-    # h-circumcircle takes its predicted centre
+    # h-circumcircle takes its predicted centre, which circumcenter returns
     calls = []
     real = kernel.circumcenter
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(p, q, r, centre=None):
+        o = real(p, q, r, centre)
+        if o != centre:
+            calls.append((p, q, r))
+        return o
 
-    monkeypatch.setattr(kernel, "circumcenter", counting)
+    for module in (kernel, configuration):
+        monkeypatch.setattr(module, "circumcenter", counting)
     run_campaign(FuzzPolicy(count=10, rng_seed=42, max_magnitude=magnitude))
     assert len(calls) == 4 * 10
 

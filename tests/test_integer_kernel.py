@@ -332,13 +332,11 @@ def test_concyclicity_determinant(p, q, r, s):
 def test_circumcentre_and_orthocentre(p, q, r):
     assume(fraction_collinearity_residual(p, q, r) != 0)
     o = fraction_circumcenter(p, q, r)
-    assert circumcenter(p, q, r) == o
-    # the orthocentre is the same whatever centre is passed, true or not
-    # the orthocentre and the circle are the same whatever centre is passed,
+    assert orthocentre(p, q, r) == fraction_orthocentre(p, q, r)
+    # the circumcentre and the circle are the same whatever centre is passed,
     # true or not
-    expected = fraction_orthocentre(p, q, r)
     for centre in (o, fraction_add(o, ONE), p, None):
-        assert orthocentre(p, q, r, centre=centre) == expected
+        assert circumcenter(p, q, r, centre) == o
         assert circle_through(p, q, r, centre=centre) == circle_on(o, p)
 
 
@@ -364,21 +362,18 @@ def rings(draw):
     return ring, o
 
 
-@given(rings(), st.sampled_from(["true", "moved", "none"]))
+@given(rings(), st.sampled_from(["true", "moved", "ring point", "none"]))
 @EXAMPLES
 def test_ring_orthocentres_equal_the_orthocentre_of_each_triangle(ring_and_centre, which):
     # the ring's own centre fits the triangles whose three points stayed on
-    # the circle and are distinct, the moved one none, and None hands every
-    # triangle to orthocentre
+    # the circle and are distinct, the moved one and a ring point at most
+    # some, and None hands every triangle to orthocentre
     ring, o = ring_and_centre
-    centre = {"true": o, "moved": fraction_add(o, ONE), "none": None}[which]
+    centre = {"true": o, "moved": fraction_add(o, ONE), "ring point": ring[0], "none": None}[which]
     triangles = list(combinations(range(len(ring)), 3))
-    expected = []
-    for tri in triangles:
-        try:
-            expected.append(orthocentre(*(ring[i] for i in tri)))
-        except CollinearPointsError:
-            expected.append(None)
+    expected = [None if fraction_collinearity_residual(*tri_points) == 0
+                else fraction_orthocentre(*tri_points)
+                for tri_points in ([ring[i] for i in tri] for tri in triangles)]
     assert ring_orthocentres(ring, triangles, centre) == expected
 
 
@@ -387,7 +382,12 @@ def test_ring_orthocentres_equal_the_orthocentre_of_each_triangle(ring_and_centr
 def test_orthocentre_of_collinear_points_raises_whatever_centre_is_passed(p, q, t, centre):
     r = fraction_add(p, fraction_scale(fraction_sub(q, p), t))
     with pytest.raises(CollinearPointsError):
-        orthocentre(p, q, r, centre=centre)
+        orthocentre(p, q, r)
+    # a collinear triangle of a ring has no orthocentre about any centre; the
+    # midpoint of p and q is equidistant from two of its points, p from all
+    # three when they coincide
+    for c in (centre, midpoint(p, q), p):
+        assert ring_orthocentres([p, q, r], [(0, 1, 2)], c) == [None]
 
 
 @given(points, points, rationals, st.one_of(st.none(), points))
