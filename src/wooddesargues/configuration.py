@@ -338,9 +338,10 @@ def derive_hagge_centres(config: WoodDesarguesConfiguration, orthos: Orthocentre
                          ) -> tuple[dict[str, Optional[Point]], dict[str, str]]:
     """Per table row: h(v), the centre of the circle through (J, H, F).
 
-    That is ``circumcenter(J, H, F, predicted[v])``: the predicted centre when
-    it is exactly as far from J, H and F.  Rows where J, H, F fail to span a circle are marked
-    degenerate and skipped; the other rows are unaffected.
+    That is ``circumcenter(J, H, F, predicted[v])``: the predicted centre
+    when it is exactly as far from J, H and F.  Rows where J, H, F fail to
+    span a circle are marked degenerate and skipped; the other rows are
+    unaffected.
     """
     out: dict[str, Optional[Point]] = {}
     notes: dict[str, str] = {}

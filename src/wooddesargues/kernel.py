@@ -484,11 +484,10 @@ def circumcenter(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -
 
 
 def circle_through(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -> Circle:
-    """The circle through p, q and r about ``circumcenter(p, q, r, centre)``."""
+    """The circle through p, q and r about ``circumcenter(p, q, r, centre)``,
+    which has checked that centre equidistant from the three."""
     centre = circumcenter(p, q, r, centre)
-    circle = Circle(centre, distance_squared(p, centre))
-    assert circle._power(q) == 0 and circle._power(r) == 0
-    return circle
+    return Circle(centre, distance_squared(p, centre))
 
 
 def second_intersection_with_line(circle: Circle, l: Line, known: Point) -> tuple[Point, bool]:
@@ -594,21 +593,21 @@ def ring_orthocentres(ring: Sequence[Point], triangles: Iterable[tuple[int, int,
     None when its vertices are collinear.
 
     A triangle whose vertices are distinct and exactly as far from ``centre``
-    is inscribed about it, so its orthocentre is the ``euler_sum`` of its
-    vertices about ``centre``: one distance record per ring point serves every
-    triangle.  Any other triangle, and each one when ``centre`` is None, goes
-    to ``orthocentre``.
+    as the ring's first point is inscribed about it, so its orthocentre is the
+    ``euler_sum`` of its vertices about ``centre``: one distance record per
+    ring point serves every triangle.  Any other triangle, and each one when
+    ``centre`` is None, goes to ``orthocentre``.
     """
-    records = [_distance_record(p, centre) for p in ring] if centre is not None else None
+    if centre is not None:
+        n0, w0 = _distance_record(ring[0], centre)
+        on = [n * w0 == n0 * w for n, w in (_distance_record(p, centre) for p in ring)]
     out: list[Optional[Point]] = []
     for i, j, k in triangles:
         p, q, r = ring[i], ring[j], ring[k]
         h = None
-        if records is not None and p.hom != q.hom != r.hom != p.hom:
-            (n1, w1), (n2, w2), (n3, w3) = records[i], records[j], records[k]
-            if n1 * w2 == n2 * w1 and n1 * w3 == n3 * w1:
-                h = euler_sum((p, q, r), centre)
-                assert _on_altitudes(h, p, q, r)
+        if centre is not None and on[i] and on[j] and on[k] and p.hom != q.hom != r.hom != p.hom:
+            h = euler_sum((p, q, r), centre)
+            assert _on_altitudes(h, p, q, r)
         if h is None:
             try:
                 h = orthocentre(p, q, r)
