@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from collections import Counter
 from fractions import Fraction as F
 
@@ -33,7 +34,13 @@ from wooddesargues.configuration import (
     derive_orthocentres,
     derive_pentagon,
 )
-from wooddesargues.fuzz import FuzzPolicy, generate_configurations, run_campaign
+from wooddesargues.fuzz import (
+    FuzzPolicy,
+    Xorshift64Star,
+    draw_seed,
+    generate_configurations,
+    run_campaign,
+)
 from wooddesargues.kernel import (
     Circle,
     CoincidentPointsError,
@@ -246,6 +253,27 @@ def test_tangent_chord_rejected():
     with pytest.raises(DegenerateSeedError) as exc:
         build_configuration(ConfigurationSeed(F(0), F(1), F(-1), F(2), F(3), F(-1, 2)))
     assert exc.value.reason == "tangent-at-K:a"
+
+
+def test_drawn_seeds_keep_their_reasons_and_documents():
+    # 3000 draws at magnitude 3, where every rejection reason that can fire
+    # does, then 200 at 10^12 from the same stream: the exact reason tally and
+    # the bytes of every accepted configuration are pinned
+    rng = Xorshift64Star(5)
+    reasons: Counter = Counter()
+    digest = hashlib.sha256()
+    for magnitude, count in ((3, 3000), (10 ** 12, 200)):
+        for _ in range(count):
+            try:
+                config = build_configuration(draw_seed(rng, magnitude))
+            except DegenerateSeedError as exc:
+                reasons[exc.reason] += 1
+                continue
+            digest.update(dumps(configuration_to_document(config)).encode())
+    assert reasons == {"duplicate-parameter": 1833, "coincident-circles": 35,
+                       "tangent-at-K:a": 36, "tangent-at-K:b": 36, "tangent-at-K:c": 37}
+    assert digest.hexdigest() == (
+        "bf2165c98fcee102d4c9ff1b3f9f8113b2d27de043d337f46e694ab716832a2a")
 
 
 def test_infinity_parameter_builds():
