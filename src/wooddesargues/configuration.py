@@ -2,11 +2,14 @@
 
 The first circle is normalized to the unit circle at the origin (the claims
 being verified are similarity-invariant); J, K and the inscribed triangle ABC
-are swept out by the tangent-half-angle parametrization, the second circle is
-pinned by a rational offset along the perpendicular bisector of JK, and the
-remaining points a, b, c, 1, 2, 3 fall out of exact second intersections and
-line meets.  Derivations (orthocentres, Hagge centres, the pentagon figure)
-live here as well; theorem checking lives in :mod:`wooddesargues.verifier`.
+are swept out by the tangent-half-angle parametrization, and the second circle
+is pinned by a rational offset along the perpendicular bisector of JK.  As in
+the paper, abc is ABC turned and dilated about J: a, b, c are the images of A,
+B, C under the spiral similarity about J taking circle 1 to circle 2, 1, 2, 3
+are the meets of corresponding sides, and the Wood circles are centred at the
+images of A, B, C under a second similarity fixed at J.  Derivations
+(orthocentres, Hagge centres, the pentagon figure) live here as well; theorem
+checking lives in :mod:`wooddesargues.verifier`.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ from .kernel import (
     CoincidentPointsError,
     CollinearPointsError,
     GeometryError,
-    ParallelLinesError,
     Circle,
     Line,
     ORIGIN,
     Point,
+    Similarity,
     UnitParameter,
     _join,
     _meet,
@@ -37,7 +40,6 @@ from .kernel import (
     point_on_unit_circle,
     ring_orthocentres,
     second_intersection_of_circles,
-    second_intersection_with_line,
 )
 
 POINT_LABELS = ("A", "B", "C", "K", "a", "b", "c", "1", "2", "3")
@@ -207,45 +209,36 @@ def build_configuration(seed: ConfigurationSeed) -> WoodDesarguesConfiguration:
 
     circle1 = Circle(ORIGIN, Fraction(1))
     center2 = midpoint(pj, pk) + (pk - pj).rot90().scale(seed.s)
-    circle2 = Circle(center2, distance_squared(center2, pj))
-    if circle2 == circle1:
+    if center2 == ORIGIN:  # both circles pass through J
         raise DegenerateSeedError("coincident-circles")
+    circle2 = Circle(center2, distance_squared(center2, pj))
     assert circle2._power(pk) == 0
 
-    seconds = []
-    for lbl, vertex in (("a", pa), ("b", pb), ("c", pc)):
-        other, tangent = second_intersection_with_line(circle2, line_through(vertex, pk), pk)
-        if tangent:
+    # the spiral similarity about J taking circle 1 to circle 2 sends each
+    # vertex X to the second meet of line XK with circle 2, K itself when that
+    # line touches circle 2 at K
+    spiral = Similarity.pinned_by((pj, ORIGIN), (pj, center2))
+    sa, sb, sc = map(spiral.apply, (pa, pb, pc))
+    for lbl, other in zip("abc", (sa, sb, sc)):
+        if other == pk:
             raise DegenerateSeedError(f"tangent-at-K:{lbl}")
-        seconds.append(other)
-    sa, sb, sc = seconds
 
-    def side_meet(lbl, p, q, r, t):
-        try:
-            return _meet(*_join(p, q), *_join(r, t))
-        except ParallelLinesError:
-            raise DegenerateSeedError(f"parallel-sides:{lbl}") from None
-
-    p1 = side_meet("1", pb, pc, sb, sc)
-    p2 = side_meet("2", pc, pa, sc, sa)
-    p3 = side_meet("3", pa, pb, sa, sb)
+    p1 = _meet(*_join(pb, pc), *_join(sb, sc))
+    p2 = _meet(*_join(pc, pa), *_join(sc, sa))
+    p3 = _meet(*_join(pa, pb), *_join(sa, sb))
 
     points = {"A": pa, "B": pb, "C": pc, "K": pk,
               "a": sa, "b": sb, "c": sc, "1": p1, "2": p2, "3": p3}
 
-    def wood_circle(lbl, p, q, r):
-        try:
-            return circle_through(p, q, r)
-        except (CoincidentPointsError, CollinearPointsError):
-            raise DegenerateSeedError(f"degenerate-circle:{lbl}") from None
+    # the Wood circle of X passes through J, X and spiral(X), and all those
+    # triangles are similar about J: its centre is wood(X), where wood is
+    # fixed at J and sends U to the centre of the circle through J, U and V
+    wood = Similarity.pinned_by((pj, ORIGIN), (pj, circumcenter(pj, ORIGIN, center2)))
 
-    circles = {
-        "ABCK": circle1,
-        "abcK": circle2,
-        "Aa23": wood_circle("Aa23", pa, sa, p2),
-        "Bb31": wood_circle("Bb31", pb, sb, p3),
-        "Cc12": wood_circle("Cc12", pc, sc, p1),
-    }
+    circles = {"ABCK": circle1, "abcK": circle2}
+    for clbl, vertex in (("Aa23", pa), ("Bb31", pb), ("Cc12", pc)):
+        centre = wood.apply(vertex)
+        circles[clbl] = Circle(centre, distance_squared(centre, pj))
 
     # hard invariant: every point on exactly the two circles its label names.
     # A missing required incidence would falsify the construction outright; an

@@ -225,5 +225,7 @@ def dumps(obj) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or a bare number over the length limit
+    # JSONDecodeError, a bare number over the length limit, or nesting past the
+    # recursion limit
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid JSON: {exc}") from None

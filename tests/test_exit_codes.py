@@ -153,6 +153,21 @@ def test_unknown_key_is_named(path, key, message, reference_document, workdir):
     assert stderr.splitlines() == [f"cannot load document: {message}"] * 2
 
 
+@pytest.mark.parametrize("depth", [1000, 100_000])
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")],
+                         ids=["array", "object"])
+def test_deeply_nested_documents_exit_3(opening, closing, depth, workdir):
+    path = workdir / "nested.json"
+    path.write_text(opening * depth + closing * depth)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        verify = main(["verify", str(path), "--report", str(workdir / "report.json")])
+        render = main(["render", str(path), "-o", str(workdir / "figure.svg")])
+    assert (verify, render) == (3, 3)
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 2 and all(line.startswith("cannot load document: ") for line in lines)
+
+
 # --- argv ------------------------------------------------------------------------
 
 SEED_KEYS = ("tJ", "tK", "tA", "tB", "tC", "s")
