@@ -1,20 +1,24 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from wooddesargues import ConfigurationSeed
-from wooddesargues.kernel import INFINITY
+from wooddesargues import ConfigurationSeed, FuzzPolicy, run_campaign
+from wooddesargues.kernel import INFINITY, Point, point
 from wooddesargues.serialize import (
     FormatError,
     configuration_from_document,
     configuration_to_document,
     dumps,
+    format_point,
+    format_scalar,
     format_seed_text,
     loads,
+    parse_point,
     parse_scalar,
     parse_seed_text,
     report_to_document,
@@ -23,7 +27,7 @@ from wooddesargues.serialize import (
 )
 from wooddesargues.verifier import verify_all
 
-from conftest import REFERENCE_SEED
+from conftest import REFERENCE_SEED, mutate_configuration
 
 
 def test_parse_seed_text_reference():
@@ -159,3 +163,68 @@ def test_dumps_is_deterministic(reference_config):
     doc = configuration_to_document(reference_config)
     assert dumps(doc) == dumps(configuration_to_document(reference_config))
     assert dumps(doc).endswith("\n")
+
+
+# every code point, surrogates included, so quotes, backslashes, control
+# characters and non-BMP characters are all drawn
+_TEXT = st.text(st.characters(blacklist_categories=()))
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.integers() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(_JSON_VALUES)
+@example({})
+@example([])
+@example({"": [[], {}, [None]], "\"\\\n\x00\x1f\x7f\u2028\ud800\U0001f600": -0})
+def test_dumps_is_the_stdlib_indented_encoding(value):
+    assert dumps(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("document", ["reference report", "tampered report", "campaign"])
+def test_dumps_matches_the_stdlib_on_documents(reference_config, document):
+    if document == "campaign":
+        value = run_campaign(FuzzPolicy(count=3, rng_seed=42, max_magnitude=12)).to_document()
+    else:
+        config = reference_config
+        if document == "tampered report":
+            config = mutate_configuration(config, "point", "A", "x", 1)
+        value = report_to_document(verify_all(config))
+    assert dumps(value) == json.dumps(value, indent=2) + "\n"
+
+
+# integers of a few digits and past the interpreter's 4300-digit str limit
+_COORDINATES = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.builds(lambda m, e, r: m * 10**e + r,
+              st.integers(-999, 999), st.integers(4290, 4410), st.integers(0, 10**6)),
+)
+
+
+@given(_COORDINATES, _COORDINATES, _COORDINATES.filter(bool))
+@example(0, 0, 1)
+@example(-6, 0, 4)
+@example(3 * 10**4400, -(10**4301), 7 * 10**4300)
+def test_format_point_formats_each_reduced_coordinate(x, y, z):
+    p = point(F(x, z), F(y, z))
+    assert format_point(p) == [format_scalar(p.x), format_scalar(p.y)]
+
+
+@given(_LITERALS, _LITERALS)
+@example("6/4", "-0/7")
+@example("-12/18", "5")
+@example("3/0", "1")
+@example("1", "1" * 4301)
+def test_parse_point_is_point_of_parsed_scalars(x, y):
+    try:
+        expected = point(parse_scalar(x), parse_scalar(y))
+    except FormatError as exc:
+        with pytest.raises(FormatError) as excinfo:
+            parse_point([x, y])
+        assert str(excinfo.value) == str(exc)
+    else:
+        parsed = parse_point([x, y])
+        assert type(parsed) is Point and parsed.hom == expected.hom
