@@ -78,11 +78,11 @@ def _frac(value) -> Fraction:
 
 def decimal(n: int) -> str:
     """Decimal digits of ``n``, also past the interpreter's int-to-str digit limit."""
-    if n < 0:
-        return "-" + decimal(-n)
     try:
         return str(n)
     except ValueError:  # over sys.get_int_max_str_digits()
+        if n < 0:
+            return "-" + decimal(-n)
         with localcontext(_EXACT):
             return str(_to_decimal(n))
 
@@ -242,11 +242,15 @@ def point(x, y) -> Point:
     Z is the lcm of the two denominators, which makes the triple canonical.
     """
     x, y = _frac(x), _frac(y)
-    dx, dy = x.denominator, y.denominator
+    return _point_of_ratios(x.numerator, x.denominator, y.numerator, y.denominator)
+
+
+def _point_of_ratios(nx: int, dx: int, ny: int, dy: int) -> Point:
+    """The point (nx/dx, ny/dy) for reduced quotients with dx, dy > 0."""
     if dx == dy:
-        return Point((x.numerator, y.numerator, dx))
+        return Point((nx, ny, dx))
     z = dx // gcd(dx, dy) * dy
-    return Point((x.numerator * (z // dx), y.numerator * (z // dy), z))
+    return Point((nx * (z // dx), ny * (z // dy), z))
 
 
 def float_point(p: Point) -> tuple[float, float]:
@@ -285,14 +289,15 @@ def _distance_record(p: Point, o: Point) -> tuple[int, int]:
     return dx * dx + dy * dy, z * z
 
 
-def _equidistant(o: Point, points: Sequence[Point]) -> bool:
-    """Every point is exactly as far from o: their records agree by cross-multiplication."""
-    n0, w0 = _distance_record(points[0], o)
+def _equidistant(o: Point, points: Sequence[Point]) -> Optional[tuple[int, int]]:
+    """The first point's distance record when every point is exactly as far
+    from o (their records agree by cross-multiplication), else None."""
+    record = n0, w0 = _distance_record(points[0], o)
     for p in points[1:]:
         n, w = _distance_record(p, o)
         if n * w0 != n0 * w:
-            return False
-    return True
+            return None
+    return record
 
 
 def distance_squared(p: Point, q: Point) -> Fraction:
@@ -484,10 +489,19 @@ def circumcenter(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -
 
 
 def circle_through(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -> Circle:
-    """The circle through p, q and r about ``circumcenter(p, q, r, centre)``,
-    which has checked that centre equidistant from the three."""
-    centre = circumcenter(p, q, r, centre)
-    return Circle(centre, distance_squared(p, centre))
+    """The circle through p, q and r about ``circumcenter(p, q, r, centre)``.
+
+    A ``centre`` that the same equidistance test accepts for three distinct
+    points is kept with p's distance record from that test; any other goes
+    to ``circumcenter``.
+    """
+    record = None
+    if centre is not None and p != q != r != p:
+        record = _equidistant(centre, (p, q, r))
+    if record is None:
+        centre = circumcenter(p, q, r)
+        record = _distance_record(p, centre)
+    return Circle(centre, Fraction(*record))
 
 
 def second_intersection_with_line(circle: Circle, l: Line, known: Point) -> tuple[Point, bool]:
@@ -553,6 +567,21 @@ def tangent_at(circle: Circle, p: Point) -> Line:
     return Line.from_coefficients(*_normal_at(p, X * Zc - Xc * Z, Y * Zc - Yc * Z))
 
 
+def _sum(points: Iterable[Point]) -> tuple[int, int, int]:
+    """Unreduced homogeneous triple of the sum of the points."""
+    X, Y, Z = 0, 0, 1
+    for Xp, Yp, Zp in (p.hom for p in points):
+        X, Y, Z = X * Zp + Xp * Z, Y * Zp + Yp * Z, Z * Zp
+    return X, Y, Z
+
+
+def _minus(hom: tuple[int, int, int], p: Point, weight: int = 1) -> tuple[int, int, int]:
+    """Unreduced homogeneous triple of hom - weight * p."""
+    X, Y, Z = hom
+    Xp, Yp, Zp = p.hom
+    return X * Zp - weight * Xp * Z, Y * Zp - weight * Yp * Z, Z * Zp
+
+
 def euler_sum(points: Sequence[Point], centre: Point, divisor: int = 1) -> Point:
     """(sum of the points - 2 centre) / divisor, canonicalised once.
 
@@ -560,11 +589,8 @@ def euler_sum(points: Sequence[Point], centre: Point, divisor: int = 1) -> Point
     p + q + r - 2o; for a quadrangle inscribed in it, halved, the centre of the
     half turn taking each vertex to the orthocentre of the other three.
     """
-    X, Y, Z = 0, 0, 1
-    for Xp, Yp, Zp in (p.hom for p in points):
-        X, Y, Z = X * Zp + Xp * Z, Y * Zp + Yp * Z, Z * Zp
-    Xo, Yo, Zo = centre.hom
-    return _point(X * Zo - 2 * Xo * Z, Y * Zo - 2 * Yo * Z, Z * Zo * divisor)
+    X, Y, Z = _minus(_sum(points), centre, 2)
+    return _point(X, Y, Z * divisor)
 
 
 def _on_altitudes(h: Point, p: Point, q: Point, r: Point) -> bool:

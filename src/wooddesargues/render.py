@@ -54,12 +54,6 @@ class UnrenderableError(ValueError):
     """A drawn coordinate, or the drawing's extent, does not fit in a double."""
 
 
-def _fmt(v: float) -> str:
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    return f"{v:.6f}"
-
-
 def _clip_line(line: Line, box: tuple[float, float, float, float]):
     """Segment of an infinite line inside a rectangle, or None."""
     a, b, c = line.float_coefficients()
@@ -161,35 +155,38 @@ def render_svg(config: WoodDesarguesConfiguration, style: RenderStyle = RenderSt
     def to_screen(x: float, y: float) -> tuple[float, float]:
         return (k * x + tx, ty - k * y)
 
-    sw = 1.5 / k          # stroke width in world units
-    ms = 4.0 / k          # marker size in world units
+    # every number is written as f"{v + 0.0:.6f}": adding 0.0 turns -0.0 into 0.0
+    sw = f"{1.5 / k + 0.0:.6f}"   # stroke width in world units
+    ms = 4.0 / k                  # marker size in world units
+    ms_text = f"{ms + 0.0:.6f}"
 
     out: list[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" '
-               f'width="{_fmt(width)}" height="{_fmt(height)}" '
-               f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">')
-    out.append(f'<g transform="matrix({_fmt(k)} 0 0 {_fmt(-k)} {_fmt(tx)} {_fmt(ty)})" '
-               f'fill="none">')
+               f'width="{width + 0.0:.6f}" height="{height + 0.0:.6f}" '
+               f'viewBox="0 0 {width + 0.0:.6f} {height + 0.0:.6f}">')
+    out.append(f'<g transform="matrix({k + 0.0:.6f} 0 0 {-k + 0.0:.6f} {tx + 0.0:.6f} '
+               f'{ty + 0.0:.6f})" fill="none">')
     for lbl, cx, cy, r, stroke in circles:
-        out.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
-                   f'stroke="{stroke}" stroke-width="{_fmt(sw)}"/>')
+        out.append(f'<circle cx="{cx + 0.0:.6f}" cy="{cy + 0.0:.6f}" r="{r + 0.0:.6f}" '
+                   f'stroke="{stroke}" stroke-width="{sw}"/>')
     for line in perspectrices:
         seg = _clip_line(line, (x0, y0, x1, y1))
         if seg is None:
             continue
         (ax, ay), (bx, by) = seg
-        out.append(f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" y2="{_fmt(by)}" '
-                   f'stroke="{_LINE_STROKE}" stroke-width="{_fmt(sw)}"/>')
+        out.append(f'<line x1="{ax + 0.0:.6f}" y1="{ay + 0.0:.6f}" '
+                   f'x2="{bx + 0.0:.6f}" y2="{by + 0.0:.6f}" '
+                   f'stroke="{_LINE_STROKE}" stroke-width="{sw}"/>')
     for lbl, x, y in markers:
-        out.append(f'<rect x="{_fmt(x - ms / 2)}" y="{_fmt(y - ms / 2)}" '
-                   f'width="{_fmt(ms)}" height="{_fmt(ms)}" fill="#000000"/>')
+        out.append(f'<rect x="{x - ms / 2 + 0.0:.6f}" y="{y - ms / 2 + 0.0:.6f}" '
+                   f'width="{ms_text}" height="{ms_text}" fill="#000000"/>')
     out.append('</g>')
     if markers:
         out.append('<g font-family="monospace" font-size="12" fill="#000000">')
         for lbl, x, y in markers:
             sx, sy = to_screen(x, y)
-            out.append(f'<text x="{_fmt(sx + 5.0)}" y="{_fmt(sy - 5.0)}">{lbl}</text>')
+            out.append(f'<text x="{sx + 5.0 + 0.0:.6f}" y="{sy - 5.0 + 0.0:.6f}">{lbl}</text>')
         out.append('</g>')
     out.append('</svg>')
     return "\n".join(out) + "\n"

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import TYPE_CHECKING, Callable, TypeVar
 
 from .configuration import (
@@ -20,7 +22,16 @@ from .configuration import (
     ConfigurationSeed,
     WoodDesarguesConfiguration,
 )
-from .kernel import INFINITY, Circle, Line, Point, UnitParameter, _Infinity, decimal, point
+from .kernel import (
+    INFINITY,
+    Circle,
+    Line,
+    Point,
+    UnitParameter,
+    _Infinity,
+    _point_of_ratios,
+    decimal,
+)
 
 if TYPE_CHECKING:  # the verifier imports this module
     from .verifier import VerificationReport, Witness
@@ -41,15 +52,33 @@ def format_scalar(x: Fraction) -> str:
     return f"{decimal(x.numerator)}/{decimal(x.denominator)}"
 
 
-def parse_scalar(text: str) -> Fraction:
+def _quotient_text(n: int, d: int) -> str:
+    """``format_scalar`` of n/d for d > 0, reduced by one gcd."""
+    g = gcd(n, d)
+    return f"{decimal(n // g)}/{decimal(d // g)}"
+
+
+def _literal(text: str) -> tuple[int, int]:
+    """The numerator and denominator of a rational literal, as written."""
     match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise FormatError(f"not a rational literal: {text!r}")
     numerator, denominator = match.groups()
     try:
-        return Fraction(int(numerator), int(denominator or 1))
+        return int(numerator), int(denominator or 1)
     except ValueError:  # past the interpreter's integer-string length limit
         raise FormatError(f"rational literal too long ({len(text)} characters)") from None
+
+
+def parse_scalar(text: str) -> Fraction:
+    return Fraction(*_literal(text))
+
+
+def _reduced_literal(text: str) -> tuple[int, int]:
+    """``parse_scalar(text)`` as its numerator and denominator."""
+    n, d = _literal(text)
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 def format_parameter(value: UnitParameter) -> str:
@@ -63,7 +92,8 @@ def parse_parameter(text: str) -> UnitParameter:
 
 
 def format_point(p: Point) -> list[str]:
-    return [format_scalar(p.x), format_scalar(p.y)]
+    X, Y, Z = p.hom
+    return [_quotient_text(X, Z), _quotient_text(Y, Z)]
 
 
 def format_witness(value: Witness) -> str:
@@ -78,7 +108,7 @@ def format_witness(value: Witness) -> str:
 def parse_point(value) -> Point:
     if not isinstance(value, list) or len(value) != 2:
         raise FormatError(f"point must be a [x, y] pair: {value!r}")
-    return point(parse_scalar(value[0]), parse_scalar(value[1]))
+    return _point_of_ratios(*_reduced_literal(value[0]), *_reduced_literal(value[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +247,47 @@ def report_to_document(report: VerificationReport) -> dict:
     }
 
 
-def dumps(obj) -> str:
-    """Deterministic JSON rendering with a trailing newline."""
-    return json.dumps(obj, indent=2) + "\n"
+def dumps(value) -> str:
+    """``json.dumps(value, indent=2)`` and a newline, for the values documents
+    hold: dicts with str keys, lists, str, int and None.
+
+    Strings are quoted by the stdlib encoder's own C routine; any other type
+    raises TypeError.
+    """
+    out: list[str] = []
+    _write(value, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append the indented JSON of value; ``newline`` starts its own lines."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(repr(value))
+    elif value is None:
+        out.append("null")
+    elif kind is list or kind is dict:
+        if not value:
+            out.append("[]" if kind is list else "{}")
+            return
+        inner = newline + "  "
+        separator = ("[" if kind is list else "{") + inner
+        for item in value:
+            out.append(separator)
+            separator = "," + inner
+            if kind is dict:
+                if type(item) is not str:
+                    raise TypeError(f"document keys must be str, not {type(item).__name__}")
+                out.append(encode_basestring_ascii(item))
+                out.append(": ")
+                item = value[item]
+            _write(item, inner, out)
+        out.append(newline + ("]" if kind is list else "}"))
+    else:
+        raise TypeError(f"{kind.__name__} is not a document value")
 
 
 def loads(text: str):

@@ -47,6 +47,9 @@ from .kernel import (
     ORIGIN,
     Point,
     Similarity,
+    _minus,
+    _point,
+    _sum,
     antipode,
     circle_through,
     collapses_to_line,
@@ -636,10 +639,9 @@ def check_hagge(cs: ClaimSet, config: WoodDesarguesConfiguration,
 
     # h(v) = (sum of the centres) - C(circle) - C(other circle of v) - 2P by
     # Euler, with P the pentagon centre, so each h-quadrangle is centred at
-    # (sum of the centres) - C(circle) - 3P; circle_through tests that first
-    spread = None
-    if pentagon is not None:
-        spread = ctr["U"] + ctr["V"] + ctr["L"] + ctr["M"] + ctr["N"] - pentagon.center.scale(3)
+    # (sum of the centres) - 3P - C(circle): one unreduced sum, canonicalised
+    # once per circle; circle_through tests that centre first
+    spread = _minus(_sum(ctr.values()), pentagon.center, 3) if pentagon is not None else None
     radii: list[tuple[str, Fraction]] = []
     for clbl in CIRCLE_LABELS:
         verts = CIRCLE_POINTS[clbl]
@@ -655,7 +657,7 @@ def check_hagge(cs: ClaimSet, config: WoodDesarguesConfiguration,
             res = collinearity_residual(*ring[:3]) if len(ring) >= 3 else Fraction(0)
             cs.fail(f"h-quadrangle of {clbl} spans a circle", res)
             continue
-        centre = spread - ctr[CIRCLE_CENTER[clbl]] if spread is not None else None
+        centre = _point(*_minus(spread, ctr[CIRCLE_CENTER[clbl]])) if spread is not None else None
         circ = circle_through(ring[0], ring[1], ring[2], centre=centre)
         for v, p in zip(verts, dst):
             cs.on_circle(f"h({v}) on h-circumcircle of {clbl}", circ, p)
