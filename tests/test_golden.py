@@ -14,6 +14,10 @@ full report of the first seed of the 1000/42/12 campaign to reach each
 degenerate-note branch.  The campaign seeds are given
 as seed text so this file does not run the campaign; the campaign document
 digest itself is pinned in ``test_criterion_3_fuzz_campaign``.
+
+Reports carry only failing witnesses, so the claim ledger pins every claim:
+its label, its verdict, its residual function and that function's exact
+arguments, with each check's notes.
 """
 
 from __future__ import annotations
@@ -23,12 +27,15 @@ import hashlib
 
 import pytest
 
-from wooddesargues import build_configuration, verify_all
-from wooddesargues.kernel import Circle, point
+from wooddesargues import FuzzPolicy, build_configuration, verify_all
+from wooddesargues.fuzz import generate_configurations
+from wooddesargues.kernel import Circle, Line, Point, Similarity, point
 from wooddesargues.render import render_svg
 from wooddesargues.serialize import (
     configuration_to_document,
     dumps,
+    format_scalar,
+    format_witness,
     parse_seed_text,
     report_to_document,
 )
@@ -212,3 +219,106 @@ def test_campaign_seed_report(index):
     seed_text, digest = CAMPAIGN_SEED_REPORTS[index]
     config = build_configuration(parse_seed_text(seed_text))
     assert _sha256(_report_text(config)) == digest
+
+
+# --- claim ledger --------------------------------------------------------------
+
+def _argument_text(value) -> str:
+    """Exact text of a residual argument; no floats, so every Python agrees."""
+    if isinstance(value, (Point, Line)):
+        return format_witness(value)
+    if isinstance(value, Circle):
+        return f"circle {format_witness(value.center)} r2 {format_scalar(value.radius_squared)}"
+    if isinstance(value, Similarity):
+        return f"similarity {format_witness(value.alpha)} {format_witness(value.beta)}"
+    return format_scalar(value)
+
+
+def _ledger_configurations(config):
+    """The reference configuration, the first ten of the 1000/42/12 campaign,
+    the mutation probes and configurations with coincident points."""
+    yield config
+    policy = FuzzPolicy(count=10, rng_seed=42, max_magnitude=12)
+    for _, built, _, _ in generate_configurations(policy):
+        yield built
+    for name in sorted(MUTATIONS):
+        yield mutate_configuration(config, *MUTATIONS[name])
+    pts = config.points
+    # A = B; 1 = 2; a = K; and the three points of row A's perspectrix 1, c, b
+    for moved in ({"A": pts["B"]}, {"1": pts["2"]}, {"a": pts["K"]},
+                  {"c": pts["1"], "b": pts["1"]}):
+        yield dataclasses.replace(config, points={**pts, **moved})
+
+
+# check name -> SHA-256 of its ledger over _ledger_configurations
+CLAIM_LEDGER = {
+    "perspective:K":
+        "455b199da14d79bbb0dbe14cc43e31580c21459db4502796cee0405f9d25f943",
+    "perspective:A":
+        "12d2f4c9801a98eb956f5e477e318c78eb6d23700bf23137674bec29721b0cc4",
+    "perspective:B":
+        "a410fde297076eca557b05cc83043455edd81be312ec7cc306b6e04139b76f89",
+    "perspective:C":
+        "6e8de02df7ca0be90a811ca3b79247cff822ada0ed0f57622b5d7674d9fce730",
+    "perspective:1":
+        "516626ba079198538d5d1b25cfaa312f821c318f21cd37703da2d790492a0003",
+    "perspective:2":
+        "03edc71cabd3febe0b05a7c412afe1449c1028a28fd2232ae7fb46ec7b01e8fc",
+    "perspective:3":
+        "8ea55c3614e64356bd0edfb6f2683ab186cdf73274e52733f784ce5a3c56ef81",
+    "perspective:a":
+        "c606c2b36e7885b4b0fbb334630103e577db72746cfc2fca990eb5c8b87c9294",
+    "perspective:b":
+        "5b37c77e67e7c9de1cf167463dd674dab03e42926865a9ba900b9bdbc6b6a876",
+    "perspective:c":
+        "49713d2c6d8ff4b34dc7f210f68bc1338e07cac1cec0b8338621a6d1841f0861",
+    "five-circles":
+        "56bbe3f2c5f00621d18b899f1df5347350d54fed6fae1f3804cdc321a41d161c",
+    "core-similarity":
+        "a65269b2e73ebbad5c36addb314279bd90fd85e12effbeebc2db456f97211b53",
+    "orthocentre-quadrangle:ABCK":
+        "017f9a51e75f426cb595f2c2297a74142b58b05f29c6829f861d4ba2edb632a9",
+    "orthocentre-quadrangle:abcK":
+        "fea53ecf22679807f709ce4653c80ad5089c917ddd592d68ea8f364b560d5709",
+    "orthocentre-quadrangle:Aa23":
+        "02e65726f881c28d888c97af8b5701048413780a192449067ac586b964e62b73",
+    "orthocentre-quadrangle:Bb31":
+        "c3a0ffce99ce368f57bab148187ec579f1e92e869c290cae25a301d38ac09b23",
+    "orthocentre-quadrangle:Cc12":
+        "fffd79475ba0b25f966dcd696e1ab4be6d190f5f54c30455919cd64a38cf5d84",
+    "steiner-line:ABCK":
+        "71da9617d71ab9009ad5e07a231f19252152d9bc2dff7a3c7c71368d0656d19e",
+    "steiner-line:abcK":
+        "a3f2afe381ff031cd4366c6709e067d1a612be845b5168b58ca454c8ef04b923",
+    "steiner-line:Aa23":
+        "9beda708f2a14702e32dfce0c43ddc8fce9f4471b7bf7b7adfba0931a104362a",
+    "steiner-line:Bb31":
+        "761b40308ccd7141baa6b6365f0ddef953184241a348cf436892d604d520ac24",
+    "steiner-line:Cc12":
+        "315b2b0bd79956762b655b0e5489979258f2d6e9eb046cf8e08032a26cd073c1",
+    "pentagon-perspectives":
+        "dd8d6a8d1f6008d21b995550e1fb0b27d15477c6c3aa2f62a63ecf979dcdf18a",
+    "pentagon-quadrangles":
+        "72e613c4f4dbdd410fa2c1d0caf3283fca8e5ce496baa82173686f575a36a66f",
+    "tangent-concurrency":
+        "883c83243dc380b7188872edfa2e8926a4f2e96bbb94431a2a07dd011169c736",
+    "hagge-suite":
+        "d270f28934c8f57e61c20323f84e222181581da94656257215e490c69d1b2f0f",
+    "perpendicular-concurrency":
+        "13b2d796fe220f179235e4b9d9ec7ea623d37194866ca992e6ffba9accc006a1",
+    "three-circle-collinearity":
+        "955e67613c66181c84a9a7ca3ffc94ce0e5b79afce57a5878aa2f113806381c6",
+}
+
+
+def test_claim_ledger(reference_config):
+    ledgers: dict[str, list[str]] = {}
+    for config in _ledger_configurations(reference_config):
+        for result in verify_all(config).results:
+            lines = ledgers.setdefault(result.name, [])
+            for claim in result.claims:
+                args = " | ".join(map(_argument_text, claim._args))
+                lines.append(f"{claim.label}\t{claim.holds}\t{claim._residual.__name__}\t{args}")
+            lines.append(f"notes\t{result.notes}")
+    digests = {name: _sha256("\n".join(lines)) for name, lines in ledgers.items()}
+    assert digests == CLAIM_LEDGER
