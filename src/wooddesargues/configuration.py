@@ -14,7 +14,7 @@ checking lives in :mod:`wooddesargues.verifier`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -34,7 +34,9 @@ from .kernel import (
     circle_through,
     circumcenter,
     distance_squared,
+    distinct,
     incident,
+    is_collinear,
     line_through,
     midpoint,
     point_on_unit_circle,
@@ -109,19 +111,10 @@ def _build_static_tables():
         triangles = {frozenset(rec.triangle1), frozenset(rec.triangle2)}
         assert triangles == {frozenset(CIRCLE_POINTS[c]) - {rec.vertex}
                              for c in point_circles[rec.vertex]}, rec
-
-    # the ten perspectrices are the configuration's lines: two labels name at
-    # most one of them, and its third label
-    third_label: dict[tuple[str, str], str] = {}
-    for rec in PERSPECTIVE_TABLE:
-        for w in rec.perspectrix:
-            u, v = (x for x in rec.perspectrix if x != w)
-            assert (u, v) not in third_label, (u, v)
-            third_label[u, v] = third_label[v, u] = w
-    return point_circles, other_circle, centers_avoiding, third_label
+    return point_circles, other_circle, centers_avoiding
 
 
-POINT_CIRCLES, OTHER_CIRCLE, CENTERS_AVOIDING, THIRD_LABEL = _build_static_tables()
+POINT_CIRCLES, OTHER_CIRCLE, CENTERS_AVOIDING = _build_static_tables()
 
 # ring_orthocentres triangles: a quadrangle's, each without one vertex, in
 # quadrangle order; the centres' (indices into CENTER_LABELS), in CENTERS_AVOIDING order
@@ -155,49 +148,16 @@ class ConfigurationSeed:
 
 @dataclass(frozen=True)
 class WoodDesarguesConfiguration:
-    """The ten labeled points, J, the five circles and their centers, with a
-    table of lines through two labeled points that starts empty in each instance."""
+    """The ten labeled points, J, the five circles and their centers."""
 
     points: dict[str, Point]
     j: Point
     circles: dict[str, Circle]
     centers: dict[str, Point]
     seed: Optional[ConfigurationSeed] = None
-    _lines: dict[tuple[str, str], Line] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def quadrangle(self, circle_label: str) -> tuple[Point, ...]:
         return tuple(self.points[v] for v in CIRCLE_POINTS[circle_label])
-
-    def line(self, u: str, v: str) -> Line:
-        """The line through the points labeled u and v, kept for either order.
-
-        When u and v lie on a configuration line with third label w, a line
-        already kept for (u, w) or (v, w) is reused if it passes the other
-        point: one build serves the three pairs of a line that holds.
-        """
-        line = self._lines.get((u, v))
-        if line is None:
-            p, q = self.points[u], self.points[v]
-            w = THIRD_LABEL.get((u, v))
-            if w is not None and p != q:
-                line = self._lines.get((u, w))
-                if line is None or line._at(q) != 0:
-                    line = self._lines.get((v, w))
-                    if line is not None and line._at(p) != 0:
-                        line = None
-            if line is None:
-                line = line_through(p, q)
-            self._lines[u, v] = self._lines[v, u] = line
-        return line
-
-
-def perspectrix_line(config: WoodDesarguesConfiguration,
-                     record: PerspectiveRecord) -> Optional[Line]:
-    """The line through a row's perspectrix points, None if they all coincide."""
-    first, *rest = record.perspectrix
-    other = next((x for x in rest if config.points[x] != config.points[first]), None)
-    return config.line(first, other) if other else None
 
 
 def build_configuration(seed: ConfigurationSeed) -> WoodDesarguesConfiguration:
@@ -288,6 +248,9 @@ class DerivedFigures:
     ``CENTERS_AVOIDING[v]``, None when they are collinear: by Hagge's theorem
     the centre h(v) of row v's circle.  ``hagge[v]`` is the centre of the
     circle through J, H and F, None where they span no circle.
+    ``collinear[n]`` tells whether the perspectrix points of table row n are
+    collinear, and ``perspectrices[n]`` is the line through the first two
+    distinct of them, None when all three coincide.
     """
 
     orthocentres: Orthocentres
@@ -295,6 +258,8 @@ class DerivedFigures:
     hagge_notes: dict[str, str]
     pentagon: PentagonFigures
     centre_orthocentres: dict[str, Optional[Point]]
+    collinear: tuple[bool, ...]
+    perspectrices: tuple[Optional[Line], ...]
 
 
 def derive_orthocentres(config: WoodDesarguesConfiguration) -> Orthocentres:
@@ -383,12 +348,28 @@ def derive_pentagon(config: WoodDesarguesConfiguration) -> PentagonFigures:
                            tangencies=tangencies, x=x, y=y)
 
 
+def derive_perspectrices(config: WoodDesarguesConfiguration,
+                         ) -> tuple[tuple[bool, ...], tuple[Optional[Line], ...]]:
+    """Per table row: whether its perspectrix points are collinear, and the
+    line through the first two distinct of them, None when all three coincide."""
+    collinear, lines = [], []
+    for rec in PERSPECTIVE_TABLE:
+        row = [config.points[x] for x in rec.perspectrix]
+        collinear.append(is_collinear(*row))
+        first, *rest = distinct(row)
+        lines.append(line_through(first, rest[0]) if rest else None)
+    return tuple(collinear), tuple(lines)
+
+
 def derive_figures(config: WoodDesarguesConfiguration) -> DerivedFigures:
     """Orthocentres keyed (circle, omitted vertex), the pentagon figure, the
-    centre-triangle orthocentres and the Hagge centres they predict."""
+    centre-triangle orthocentres, the Hagge centres they predict and the ten
+    perspectrices."""
     orthos = derive_orthocentres(config)
     pentagon = derive_pentagon(config)
     centre_orthos = derive_centre_orthocentres(config, pentagon.circle)
     hagge, hagge_notes = derive_hagge_centres(config, orthos, centre_orthos)
+    collinear, perspectrices = derive_perspectrices(config)
     return DerivedFigures(orthocentres=orthos, hagge=hagge, hagge_notes=hagge_notes,
-                          pentagon=pentagon, centre_orthocentres=centre_orthos)
+                          pentagon=pentagon, centre_orthocentres=centre_orthos,
+                          collinear=collinear, perspectrices=perspectrices)

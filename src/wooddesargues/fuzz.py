@@ -22,11 +22,13 @@ from .configuration import (
     build_configuration,
 )
 from .serialize import seed_to_dict
-from .verifier import DEGENERATE, FAIL, VerificationReport, verify_all
+from .verifier import DEGENERATE, FAIL, PASS, VerificationReport, verify_all
 
 _MASK64 = (1 << 64) - 1
 _MULTIPLIER = 0x2545F4914F6CDD1D
 _ZERO_SEED_SUBSTITUTE = 0x9E3779B97F4A7C15
+# status -> campaign document key, in the order of a check's perCheck counts
+_STATUS_KEYS = {PASS: "pass", FAIL: "fail", DEGENERATE: "degeneratePass"}
 
 
 class Xorshift64Star:
@@ -153,10 +155,10 @@ def run_campaign(policy: FuzzPolicy) -> CampaignOutcome:
         entry = _summarize(index, config.seed, report)
         entries.append(entry)
         for result in report.results:
-            slot = per_check.setdefault(
-                result.name, {"pass": 0, "fail": 0, "degeneratePass": 0})
-            key = {"pass": "pass", "fail": "fail", DEGENERATE: "degeneratePass"}[result.status]
-            slot[key] += 1
+            slot = per_check.get(result.name)
+            if slot is None:
+                slot = per_check[result.name] = dict.fromkeys(_STATUS_KEYS.values(), 0)
+            slot[_STATUS_KEYS[result.status]] += 1
     return CampaignOutcome(policy=policy, entries=entries, per_check=per_check,
                            rejections=total_rejections, rejection_reasons=reason_tally)
 

@@ -759,6 +759,7 @@ _set_alpha, _set_beta = Similarity.alpha.__set__, Similarity.beta.__set__
 
 ORIGIN = Point((0, 0, 1))
 ONE = Point((1, 0, 1))
+MINUS_ONE = Point((-1, 0, 1))
 
 
 def similarity_between(source: Sequence[Point], target: Sequence[Point]) -> Optional[Similarity]:

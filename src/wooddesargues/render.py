@@ -20,7 +20,6 @@ from .configuration import (
     PERSPECTIVE_TABLE,
     WoodDesarguesConfiguration,
     derive_figures,
-    perspectrix_line,
 )
 from .kernel import Line, distance_squared, float_point, float_sqrt
 
@@ -116,8 +115,7 @@ def render_svg(config: WoodDesarguesConfiguration, style: RenderStyle = RenderSt
 
     perspectrices: list[Line] = []
     if "perspectrices" in layers:
-        lines = (perspectrix_line(config, rec) for rec in PERSPECTIVE_TABLE)
-        perspectrices = [line for line in lines if line is not None]
+        perspectrices = [line for line in derived.perspectrices if line is not None]
 
     # bounding box over everything that will be drawn
     xs: list[float] = []

@@ -18,7 +18,7 @@ coincidence, reported distinctly).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -35,7 +35,6 @@ from .configuration import (
     PerspectiveRecord,
     WoodDesarguesConfiguration,
     derive_figures,
-    perspectrix_line,
 )
 from .kernel import (
     DegenerateInputError,
@@ -43,10 +42,12 @@ from .kernel import (
     ParallelLinesError,
     Circle,
     Line,
+    MINUS_ONE,
     ONE,
     ORIGIN,
     Point,
     Similarity,
+    _Value,
     _minus,
     _point,
     _sum,
@@ -65,7 +66,6 @@ from .kernel import (
     midpoint,
     parallel_through,
     perpendicular_at,
-    point,
     radical_axis,
     second_intersection_of_circles,
     tangent_at,
@@ -210,16 +210,20 @@ class ClaimSet:
 
     # primitive claims -------------------------------------------------------
 
-    def collinear(self, label: str, a: Point, b: Point, c: Point) -> bool:
-        """Assert a, b, c collinear; coincident points make it vacuously true."""
-        if a == b or a == c or b == c:
+    def collinear(self, label: str, a: Point, b: Point, c: Point,
+                  holds: Optional[bool] = None) -> bool:
+        """Assert a, b, c collinear; coincident points make it vacuously true.
+        ``holds`` is a verdict already decided on an equivalent bracket."""
+        if a.hom == b.hom or a.hom == c.hom or b.hom == c.hom:
             return self._push(Claim(label, True, None, _no_residual))
-        holds = is_collinear(a, b, c)
+        if holds is None:
+            holds = is_collinear(a, b, c)
         witness = None if holds else collinearity_residual(a, b, c)
         return self._push(Claim(label, holds, witness, _collinear_residual, a, b, c))
 
-    def on_line(self, label: str, line: Line, p: Point) -> bool:
-        holds = line._at(p) == 0
+    def on_line(self, label: str, line: Line, p: Point, holds: Optional[bool] = None) -> bool:
+        if holds is None:
+            holds = line._at(p) == 0
         witness = None if holds else line.evaluate(p)
         return self._push(Claim(label, holds, witness, _line_residual, line, p))
 
@@ -294,13 +298,39 @@ class ClaimSet:
                            notes=notes, claims=tuple(self.claims))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str
-    witnesses: list[tuple[str, Witness]]
-    notes: str = ""
-    claims: tuple[Claim, ...] = field(default=(), repr=False, compare=False)
+class CheckResult(_Value):
+    """A check's name, status, witnesses and notes, with the claims behind
+    them.  Set once like a kernel value; equality, hash and repr leave out the
+    claims."""
+
+    __slots__ = ("name", "status", "witnesses", "notes", "claims")
+
+    def __init__(self, name: str, status: str, witnesses: list[tuple[str, Witness]],
+                 notes: str = "", claims: tuple[Claim, ...] = ()) -> None:
+        _set_name(self, name)
+        _set_status(self, status)
+        _set_witnesses(self, witnesses)
+        _set_notes(self, notes)
+        _set_claims(self, claims)
+
+    def _compared(self) -> tuple:
+        return self.name, self.status, self.witnesses, self.notes
+
+    def __eq__(self, other):
+        if type(other) is not CheckResult:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        return "CheckResult(name={!r}, status={!r}, witnesses={!r}, notes={!r})".format(
+            *self._compared())
+
+
+_set_name, _set_status, _set_witnesses, _set_notes, _set_claims = (
+    getattr(CheckResult, name).__set__ for name in CheckResult.__slots__)
 
 
 @dataclass(frozen=True)
@@ -326,45 +356,73 @@ class VerificationReport:
 # individual checks
 
 
+# Each claim of a perspective row names three points of one of the ten
+# configuration lines, the perspectrices (a KeyError here if not): a row's plan
+# keeps, per claim, its point labels, label and note texts and that line's index.
+_LINE_INDEX = {frozenset(rec.perspectrix): n for n, rec in enumerate(PERSPECTIVE_TABLE)}
+
+
+def _perspective_plan(rec: PerspectiveRecord) -> tuple:
+    t1, t2, v, w = rec.triangle1, rec.triangle2, rec.vertex, rec.perspectrix
+
+    def line(*labels: str) -> int:
+        return _LINE_INDEX[frozenset(labels)]
+
+    joins = tuple((t1[i], t2[i], line(t1[i], t2[i], v), f"{t1[i]}{t2[i]} through {v}",
+                   f"corresponding vertices {t1[i]}, {t2[i]} coincide") for i in range(3))
+    sides = []
+    for i in range(3):
+        j, k = (m for m in range(3) if m != i)
+        n1, n2 = t1[j] + t1[k], t2[j] + t2[k]
+        sides.append((w[i], t1[j], t1[k], line(t1[j], t1[k], w[i]), f"{w[i]} on side {n1}",
+                      t2[j], t2[k], line(t2[j], t2[k], w[i]), f"{w[i]} on side {n2}",
+                      f"side pair {n1}/{n2} has coincident endpoints",
+                      f"sides {n1} and {n2} coincide"))
+    return v, joins, tuple(sides), w, f"perspectrix {''.join(w)} collinear"
+
+
+_PERSPECTIVE_PLANS = tuple(map(_perspective_plan, PERSPECTIVE_TABLE))
+
+
 def check_perspective(cs: ClaimSet, config: WoodDesarguesConfiguration,
-                      record: PerspectiveRecord) -> None:
+                      derived: DerivedFigures, row: int) -> None:
     """One table row: vertex joins concur, side meets land on the labeled
-    perspectrix points, and those points are collinear."""
-    pts = config.points
-    v = pts[record.vertex]
-    t1 = [pts[x] for x in record.triangle1]
-    t2 = [pts[x] for x in record.triangle2]
+    perspectrix points, and those points are collinear.
 
-    for i in range(3):
-        lbl = f"{record.triangle1[i]}{record.triangle2[i]} through {record.vertex}"
-        if t1[i] == t2[i]:
-            cs.degenerate(f"corresponding vertices {record.triangle1[i]}, "
-                          f"{record.triangle2[i]} coincide")
-            continue
-        cs.collinear(lbl, t1[i], t2[i], v)
+    Every claim holds exactly when its configuration line's perspectrix
+    points are collinear (``derived.collinear``): for distinct u and v, the
+    line uv at w is the bracket [u v w] over a nonzero integer, and the
+    bracket is alternating.  A side is that line when they are.
+    """
+    pts, collinear, lines = config.points, derived.collinear, derived.perspectrices
+    vertex, joins, sides, perspectrix, perspectrix_label = _PERSPECTIVE_PLANS[row]
+    v = pts[vertex]
+    for x, y, m, label, note in joins:
+        p, q = pts[x], pts[y]
+        if p.hom == q.hom:
+            cs.degenerate(note)
+        else:
+            cs.collinear(label, p, q, v, collinear[m])
 
-    for i in range(3):
-        jx, kx = [m for m in range(3) if m != i]
-        w = pts[record.perspectrix[i]]
-        name1 = f"{record.triangle1[jx]}{record.triangle1[kx]}"
-        name2 = f"{record.triangle2[jx]}{record.triangle2[kx]}"
-        if t1[jx] == t1[kx] or t2[jx] == t2[kx]:
-            cs.degenerate(f"side pair {name1}/{name2} has coincident endpoints")
+    for w, x1, y1, m1, label1, x2, y2, m2, label2, coincident_note, same_note in sides:
+        p1, q1, p2, q2 = pts[x1], pts[y1], pts[x2], pts[y2]
+        if p1.hom == q1.hom or p2.hom == q2.hom:
+            cs.degenerate(coincident_note)
             continue
-        side1 = config.line(record.triangle1[jx], record.triangle1[kx])
-        side2 = config.line(record.triangle2[jx], record.triangle2[kx])
+        side1 = lines[m1] if collinear[m1] else line_through(p1, q1)
+        side2 = lines[m2] if collinear[m2] else line_through(p2, q2)
         if side1 == side2:
-            cs.degenerate(f"sides {name1} and {name2} coincide")
+            cs.degenerate(same_note)
             continue
-        cs.on_line(f"{record.perspectrix[i]} on side {name1}", side1, w)
-        cs.on_line(f"{record.perspectrix[i]} on side {name2}", side2, w)
+        cs.on_line(label1, side1, pts[w], collinear[m1])
+        cs.on_line(label2, side2, pts[w], collinear[m2])
 
-    w1, w2, w3 = (pts[x] for x in record.perspectrix)
-    if w1 == w2 or w1 == w3 or w2 == w3:
+    w1, w2, w3 = (pts[x] for x in perspectrix)
+    if w1.hom == w2.hom or w1.hom == w3.hom or w2.hom == w3.hom:
         cs.degenerate("perspectrix points coincide")
     else:
-        cs.collinear(f"perspectrix {''.join(record.perspectrix)} collinear", w1, w2, w3)
-        cs.witness("perspectrix", perspectrix_line(config, record))
+        cs.collinear(perspectrix_label, w1, w2, w3, collinear[row])
+        cs.witness("perspectrix", lines[row])
 
 
 def _pentagon_circle(cs: ClaimSet, config: WoodDesarguesConfiguration,
@@ -449,7 +507,7 @@ def check_orthocentre_quadrangle(cs: ClaimSet, config: WoodDesarguesConfiguratio
 
     sim = _similarity_claims(cs, f"{circle_label}~H-quadrangle", vpts, hpts)
     if sim is not None:
-        cs.points_equal("multiplier is -1 (half turn)", sim.alpha, point(-1, 0))
+        cs.points_equal("multiplier is -1 (half turn)", sim.alpha, MINUS_ONE)
         if sim.alpha != ONE:
             expected = euler_sum(vpts, config.circles[circle_label].center, 2)
             cs.fixed_at("fixed point is vertex-sum/2 - centre", sim, expected)
@@ -616,7 +674,7 @@ def check_hagge(cs: ClaimSet, config: WoodDesarguesConfiguration,
     hs: dict[str, Optional[Point]] = {}
     pentagon = derived.pentagon.circle
 
-    for rec in PERSPECTIVE_TABLE:
+    for rec, perspectrix in zip(PERSPECTIVE_TABLE, derived.perspectrices):
         v = rec.vertex
         h = hs[v] = derived.hagge[v]
         if h is None:
@@ -626,7 +684,6 @@ def check_hagge(cs: ClaimSet, config: WoodDesarguesConfiguration,
             else:
                 cs.degenerate(f"h({v}) undefined: {note}")
             continue
-        perspectrix = perspectrix_line(config, rec)
         if perspectrix is None:
             cs.degenerate(f"perspectrix of row {v} collapses to a point")
         else:
@@ -833,8 +890,8 @@ Check = Callable[[ClaimSet, WoodDesarguesConfiguration, DerivedFigures], None]
 # in the module globals when it runs, so rebinding a check (as a tracer or a
 # test patch does) takes effect here too.
 CHECKS: tuple[tuple[str, Check], ...] = (
-    *((f"perspective:{rec.vertex}", lambda cs, c, d, rec=rec: check_perspective(cs, c, rec))
-      for rec in PERSPECTIVE_TABLE),
+    *((f"perspective:{rec.vertex}", lambda cs, c, d, n=n: check_perspective(cs, c, d, n))
+      for n, rec in enumerate(PERSPECTIVE_TABLE)),
     ("five-circles", lambda cs, c, d: check_five_circles(cs, c, d)),
     ("core-similarity", lambda cs, c, d: check_core_similarity(cs, c)),
     *((f"orthocentre-quadrangle:{q}",

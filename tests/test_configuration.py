@@ -43,7 +43,6 @@ from wooddesargues.fuzz import (
 )
 from wooddesargues.kernel import (
     Circle,
-    CoincidentPointsError,
     INFINITY,
     ORIGIN,
     Similarity,
@@ -438,7 +437,7 @@ def test_a_campaign_seed_builds_two_circumcentres(monkeypatch, magnitude):
     assert len(calls) == 2 * 10
 
 
-# --- line table --------------------------------------------------------------
+# --- perspectrices -------------------------------------------------------------
 
 def _count_line_builds(monkeypatch, config) -> Counter:
     """Count configuration.line_through calls by the labels of their two points."""
@@ -454,16 +453,6 @@ def _count_line_builds(monkeypatch, config) -> Counter:
     return calls
 
 
-def test_line_table_builds_each_label_pair_once(monkeypatch):
-    config = build_configuration(REFERENCE_SEED)
-    calls = _count_line_builds(monkeypatch, config)
-    verify_all(config)
-    assert calls and max(calls.values()) == 1
-    built = dict(calls)
-    verify_all(config)
-    assert calls == built
-
-
 @pytest.mark.parametrize("seed_text", [
     "tJ=0,tK=1,tA=-1,tB=2,tC=3,s=-3/2",
     "tJ=4/3,tK=1/5,tA=4/1,tB=-5/8,tC=0/1,s=-1/1",
@@ -472,50 +461,57 @@ def test_line_table_builds_each_label_pair_once(monkeypatch):
 def test_built_configuration_builds_one_line_per_configuration_line(monkeypatch, seed_text):
     config = build_configuration(parse_seed_text(seed_text))
     calls = _count_line_builds(monkeypatch, config)
-    verify_all(config)
-    perspectrices = [set(rec.perspectrix) for rec in PERSPECTIVE_TABLE]
-    assert len(calls) == 10 and set(calls.values()) == {1}
-    assert all(any(pair <= line for line in perspectrices) for pair in calls)
-    # and those ten builds give every pair of a perspectrix its exact line
-    pts = config.points
-    for rec in PERSPECTIVE_TABLE:
-        for u in rec.perspectrix:
-            for v in rec.perspectrix:
-                if u != v:
-                    assert config.line(u, v) == line_through(pts[u], pts[v])
-    assert len(calls) == 10
+    derive_figures(config)
+    # one pair of each perspectrix, and no other line
+    assert sum(calls.values()) == 10
+    assert sorted(sum(pair <= set(rec.perspectrix) for pair in calls)
+                  for rec in PERSPECTIVE_TABLE) == [1] * 10
+
+
+def _with_points(config, **moved):
+    return dataclasses.replace(config, points={**config.points, **moved})
+
+
+@pytest.mark.parametrize("moved", [
+    {}, {"A": "B"}, {"1": "2"}, {"a": "K"}, {"c": "1", "b": "1"}, {"2": "K"},
+])
+def test_derived_perspectrices_are_the_lines_of_their_rows(reference_config, moved):
+    # A = B, 1 = 2 and a = K each put two points of some perspectrix together;
+    # c = b = 1 puts all three of row A's; 2 = K lies on no common line
+    pts = reference_config.points
+    config = _with_points(reference_config, **{x: pts[y] for x, y in moved.items()})
+    derived = derive_figures(config)
+    for n, rec in enumerate(PERSPECTIVE_TABLE):
+        first, *rest = (config.points[x] for x in rec.perspectrix)
+        assert derived.collinear[n] == kernel.is_collinear(first, *rest)
+        others = [p for p in rest if p != first]
+        expected = line_through(first, others[0]) if others else None
+        assert derived.perspectrices[n] == expected
+    assert (derived.perspectrices[1] is None) == (moved == {"c": "1", "b": "1"})
 
 
 @pytest.mark.parametrize("label", ["1", "A", "K"])
-def test_tampered_configuration_gets_the_line_of_each_pair(reference_config, monkeypatch, label):
+def test_tampered_configuration_gets_the_line_of_each_pair(reference_config, label):
     mutated = mutate_configuration(reference_config, "point", label, "x", 1)
-    calls = _count_line_builds(monkeypatch, mutated)
-    verify_all(mutated)
-    assert len(calls) > 10  # some third point is off the line it would reuse
+    derived = derive_figures(mutated)
+    assert not all(derived.collinear)
     pts = mutated.points
-    for (u, v), line in mutated._lines.items():
-        assert line == line_through(pts[u], pts[v])
-
-
-def test_line_table_is_shared_by_both_orders(reference_config):
-    pts = reference_config.points
-    assert reference_config.line("B", "C") is reference_config.line("C", "B")
-    assert reference_config.line("B", "C") == line_through(pts["B"], pts["C"])
-
-
-def test_line_table_refuses_equal_points(reference_config):
-    pts = dict(reference_config.points, A=reference_config.points["B"])
-    config = dataclasses.replace(reference_config, points=pts)
-    with pytest.raises(CoincidentPointsError):
-        config.line("A", "B")
-    # also when a kept line through the third point 3 of line AB3 passes both
-    config.line("A", "3")
-    with pytest.raises(CoincidentPointsError):
-        config.line("A", "B")
+    checked = 0
+    for result in verify_all(mutated).results:
+        if not result.name.startswith("perspective:"):
+            continue
+        for claim in result.claims:
+            if " on side " in claim.label:
+                line, w = claim._args
+                u, v = claim.label.split(" on side ")[1]
+                assert line == line_through(pts[u], pts[v])
+                assert w == pts[claim.label[0]]
+                checked += 1
+    assert checked == 60
 
 
 def test_replaced_configuration_starts_with_its_own_line_table(reference_config):
-    verify_all(reference_config)  # fills the parent's table
+    verify_all(reference_config)  # a verify leaves nothing behind in the configuration
     mutated = mutate_configuration(reference_config, "point", "B", "x", 1)
     report = verify_all(mutated)
     assert report.failed

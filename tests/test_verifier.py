@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wooddesargues import check_perpendicular_concurrency, check_three_circle_collinearity, check_names, verify_all
 from wooddesargues import serialize, verifier
-from wooddesargues.configuration import CIRCLE_LABELS
+from wooddesargues.configuration import CIRCLE_LABELS, POINT_LABELS
+from wooddesargues.fuzz import FuzzPolicy, generate_configurations
 from wooddesargues.kernel import (
     DegenerateInputError,
     Line,
@@ -87,6 +91,51 @@ def test_perspective_row_witness_carries_the_axis(reference_config):
     result = run_check("perspective:K", reference_config)
     assert result.status == PASS
     assert ("perspectrix", Line(1, -3, 11)) in result.witnesses
+
+
+point_changes = st.one_of(
+    st.tuples(st.just("copy"), st.sampled_from(POINT_LABELS), st.sampled_from(POINT_LABELS)),
+    st.tuples(st.just("move"), st.sampled_from(POINT_LABELS), st.sampled_from("xy"),
+              st.integers(-3, 3).filter(bool)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2 ** 63), st.lists(point_changes, min_size=1, max_size=3))
+def test_perspective_claims_hold_exactly_when_their_bracket_vanishes(rng_seed, changes):
+    # each claim is decided on a verdict shared by its configuration line, so
+    # decide it afresh from its own residual arguments
+    _, config, _, _ = next(generate_configurations(FuzzPolicy(1, rng_seed, 12)))
+    for kind, label, *change in changes:
+        if kind == "copy":
+            points = {**config.points, label: config.points[change[0]]}
+            config = dataclasses.replace(config, points=points)
+        else:
+            config = mutate_configuration(config, "point", label, *change)
+    pts = config.points
+    for result in verify_all(config).results:
+        if not result.name.startswith("perspective:"):
+            continue
+        for claim in result.claims:
+            name = claim._residual.__name__
+            if name == "_collinear_residual":
+                assert claim.holds == is_collinear(*claim._args)
+            elif name == "_line_residual":
+                u, v = claim.label.split(" on side ")[1]
+                assert claim.holds == (line_through(pts[u], pts[v])._at(claim._args[1]) == 0)
+            else:  # two of the three points coincide
+                assert name == "_no_residual" and claim.holds
+
+
+def test_check_result_is_a_value_that_leaves_out_its_claims(reference_config):
+    result = run_check("perspective:K", reference_config)
+    bare = verifier.CheckResult(result.name, result.status, result.witnesses, result.notes)
+    assert result.claims and bare.claims == ()
+    assert bare == result and repr(bare) == repr(result)
+    assert repr(bare).startswith("CheckResult(name='perspective:K', status='pass', witnesses=[")
+    with pytest.raises(AttributeError):
+        result.status = FAIL
+    with pytest.raises(AttributeError):
+        del result.claims
 
 
 def test_perturbed_point_fails_with_nonzero_witness(reference_config):
