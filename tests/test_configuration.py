@@ -61,7 +61,7 @@ from wooddesargues.serialize import (
     report_to_document,
 )
 
-from conftest import REFERENCE_SEED, mutate_configuration, run_check
+from conftest import mutate_configuration, run_check
 
 
 # --- Table 1 -----------------------------------------------------------------
@@ -468,18 +468,15 @@ def test_built_configuration_builds_one_line_per_configuration_line(monkeypatch,
                   for rec in PERSPECTIVE_TABLE) == [1] * 10
 
 
-def _with_points(config, **moved):
-    return dataclasses.replace(config, points={**config.points, **moved})
-
-
 @pytest.mark.parametrize("moved", [
     {}, {"A": "B"}, {"1": "2"}, {"a": "K"}, {"c": "1", "b": "1"}, {"2": "K"},
-])
+], ids=["built", "A=B", "1=2", "a=K", "c=b=1", "2=K"])
 def test_derived_perspectrices_are_the_lines_of_their_rows(reference_config, moved):
     # A = B, 1 = 2 and a = K each put two points of some perspectrix together;
     # c = b = 1 puts all three of row A's; 2 = K lies on no common line
     pts = reference_config.points
-    config = _with_points(reference_config, **{x: pts[y] for x, y in moved.items()})
+    moved_points = {x: pts[y] for x, y in moved.items()}
+    config = dataclasses.replace(reference_config, points={**pts, **moved_points})
     derived = derive_figures(config)
     for n, rec in enumerate(PERSPECTIVE_TABLE):
         first, *rest = (config.points[x] for x in rec.perspectrix)
