@@ -61,6 +61,9 @@ CIRCLE_CENTER = {"ABCK": "U", "abcK": "V", "Aa23": "L", "Bb31": "M", "Cc12": "N"
 # the circles the pentagon circle is met with: Z on ABCK and W on Aa23
 PENTAGON_MEETS = ("ABCK", "Aa23")
 
+# the incidence table's label for the pentagon circle, through U, V and J
+PENTAGON = "pentagon"
+
 
 @dataclass(frozen=True)
 class PerspectiveRecord:
@@ -111,10 +114,19 @@ def _build_static_tables():
         triangles = {frozenset(rec.triangle1), frozenset(rec.triangle2)}
         assert triangles == {frozenset(CIRCLE_POINTS[c]) - {rec.vertex}
                              for c in point_circles[rec.vertex]}, rec
-    return point_circles, other_circle, centers_avoiding
+    # per point P and circle C not through it: P's first circle and the
+    # labelled point that circle shares with C, its one labelled point on both
+    shared_with = {}
+    for plbl in POINT_LABELS:
+        own = point_circles[plbl][0]
+        for clbl in CIRCLE_LABELS:
+            if clbl not in point_circles[plbl]:
+                shared, = set(CIRCLE_POINTS[own]) & set(CIRCLE_POINTS[clbl])
+                shared_with[plbl, clbl] = own, shared
+    return point_circles, other_circle, centers_avoiding, shared_with
 
 
-POINT_CIRCLES, OTHER_CIRCLE, CENTERS_AVOIDING = _build_static_tables()
+POINT_CIRCLES, OTHER_CIRCLE, CENTERS_AVOIDING, _SHARED_WITH = _build_static_tables()
 
 # ring_orthocentres triangles: a quadrangle's, each without one vertex, in
 # quadrangle order; the centres' (indices into CENTER_LABELS), in CENTERS_AVOIDING order
@@ -203,18 +215,46 @@ def build_configuration(seed: ConfigurationSeed) -> WoodDesarguesConfiguration:
     # hard invariant: every point on exactly the two circles its label names.
     # A missing required incidence would falsify the construction outright; an
     # extra incidence is a coincidence seed that breaks the label combinatorics.
-    for plbl in POINT_LABELS:
-        for clbl in CIRCLE_LABELS:
-            expected = plbl in CIRCLE_POINTS[clbl]
-            actual = incident(circles[clbl], points[plbl])
-            if actual and not expected:
-                raise DegenerateSeedError(f"membership-violation:extra:{plbl}:{clbl}")
-            if expected and not actual:
-                raise DegenerateSeedError(f"membership-violation:missing:{plbl}:{clbl}")
+    reason = _membership_violation(points, pj, circles)
+    if reason is not None:
+        raise DegenerateSeedError(reason)
     centers = {CIRCLE_CENTER[clbl]: circles[clbl].center for clbl in CIRCLE_LABELS}
 
     return WoodDesarguesConfiguration(points=points, j=pj, circles=circles,
                                       centers=centers, seed=seed)
+
+
+def _membership_violation(points: dict[str, Point], j: Point,
+                          circles: dict[str, Circle]) -> Optional[str]:
+    """The reason code of the first (point, circle) pair, in label order, whose
+    incidence is not the one the labels name, or None.
+
+    Each circle must pass through j.  Two circles through j with different
+    centres meet in j and at most one more point, so when P is on its first
+    circle C1 and the point Q that C1 shares with a circle C is on both,
+    Q != j, P lies on C exactly when P is j or Q.  Every other pair not named
+    by the labels is tested with ``incident``.
+    """
+    on = {(clbl, plbl): circles[clbl]._power(points[plbl]) == 0
+          for clbl in CIRCLE_LABELS for plbl in CIRCLE_POINTS[clbl]}
+    for plbl in POINT_LABELS:
+        p = points[plbl]
+        for clbl in CIRCLE_LABELS:
+            expected = on.get((clbl, plbl))
+            if expected is not None:
+                if not expected:
+                    return f"membership-violation:missing:{plbl}:{clbl}"
+                continue
+            own, qlbl = _SHARED_WITH[plbl, clbl]
+            q = points[qlbl]
+            if (on[own, plbl] and on[own, qlbl] and on[clbl, qlbl] and q.hom != j.hom
+                    and circles[own].center.hom != circles[clbl].center.hom):
+                extra = p.hom == j.hom or p.hom == q.hom
+            else:
+                extra = incident(circles[clbl], p)
+            if extra:
+                return f"membership-violation:extra:{plbl}:{clbl}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +274,7 @@ class PentagonFigures:
 
 
 Orthocentres = dict[tuple[str, str], Optional[Point]]
+Incidence = dict[tuple[str, str], bool]
 
 
 @dataclass(frozen=True)
@@ -244,6 +285,10 @@ class DerivedFigures:
     ``circle`` with vertex v left out, None when the three points left are
     collinear (impossible for a built configuration, reported for tampered
     ones).  Row v's H and F are the entries of the two circles through v.
+    ``incidence[(circle, p)]`` tells whether point p ("J" for J) lies on the
+    circle (``PENTAGON`` for the pentagon circle), for each circle's four
+    labelled points and J and, when there is a pentagon circle, the five
+    centres and J on it.
     ``centre_orthocentres[v]`` is the orthocentre of the centres
     ``CENTERS_AVOIDING[v]``, None when they are collinear: by Hagge's theorem
     the centre h(v) of row v's circle.  ``hagge[v]`` is the centre of the
@@ -260,34 +305,66 @@ class DerivedFigures:
     centre_orthocentres: dict[str, Optional[Point]]
     collinear: tuple[bool, ...]
     perspectrices: tuple[Optional[Line], ...]
+    incidence: Incidence
 
 
-def derive_orthocentres(config: WoodDesarguesConfiguration) -> Orthocentres:
+def derive_incidence(config: WoodDesarguesConfiguration,
+                     pentagon: Optional[Circle] = None) -> Incidence:
+    """The ``DerivedFigures.incidence`` table, with the pentagon entries when
+    ``pentagon``, the circle through U, V and J, is given.
+
+    U, V and J lie on that circle by construction; every other entry is one
+    power test.
+    """
+    j = config.j
+    incidence: Incidence = {}
+    for clbl in CIRCLE_LABELS:
+        circle = config.circles[clbl]
+        for plbl in CIRCLE_POINTS[clbl]:
+            incidence[clbl, plbl] = circle._power(config.points[plbl]) == 0
+        incidence[clbl, "J"] = circle._power(j) == 0
+    if pentagon is not None:
+        for x in CENTER_LABELS:
+            incidence[PENTAGON, x] = x in ("U", "V") or pentagon._power(config.centers[x]) == 0
+        incidence[PENTAGON, "J"] = True
+    return incidence
+
+
+def derive_orthocentres(config: WoodDesarguesConfiguration,
+                        incidence: Incidence) -> Orthocentres:
     """The twenty orthocentres, keyed (circle, omitted vertex).
 
     Each quadrangle is inscribed in its circle, so its four orthocentres come
-    from ``ring_orthocentres`` about the circle's stored centre; the kernel
-    tests that centre and meets two bisectors instead for any triangle a
-    tampered centre or point fails the test for.
+    from ``ring_orthocentres`` about the circle's stored centre, for the
+    vertices the incidence table puts on the circle; the kernel meets two
+    bisectors instead for any other triangle.
     """
     orthocentres: Orthocentres = {}
     for clbl in CIRCLE_LABELS:
+        verts = CIRCLE_POINTS[clbl]
         hs = ring_orthocentres(config.quadrangle(clbl), _QUADRANGLE_TRIANGLES,
-                               config.circles[clbl].center)
-        orthocentres.update(((clbl, v), h) for v, h in zip(CIRCLE_POINTS[clbl], hs))
+                               config.circles[clbl].center,
+                               [incidence[clbl, v] for v in verts])
+        orthocentres.update(((clbl, v), h) for v, h in zip(verts, hs))
     return orthocentres
 
 
 def derive_centre_orthocentres(config: WoodDesarguesConfiguration,
-                               pentagon: Optional[Circle]) -> dict[str, Optional[Point]]:
+                               pentagon: Optional[Circle],
+                               incidence: Incidence) -> dict[str, Optional[Point]]:
     """Per table row v: the orthocentre of the three centres of the circles
     not through v, None when they are collinear.
 
     The centres lie on the pentagon circle, so the ten come from
-    ``ring_orthocentres`` about its centre.
+    ``ring_orthocentres`` about its centre, for the centres the incidence
+    table puts on it.
     """
-    centre = pentagon.center if pentagon is not None else None
-    hs = ring_orthocentres([config.centers[x] for x in CENTER_LABELS], _CENTRE_TRIANGLES, centre)
+    centre, on = None, ()
+    if pentagon is not None:
+        centre = pentagon.center
+        on = [incidence[PENTAGON, x] for x in CENTER_LABELS]
+    hs = ring_orthocentres([config.centers[x] for x in CENTER_LABELS], _CENTRE_TRIANGLES,
+                           centre, on)
     return dict(zip(CENTERS_AVOIDING, hs))
 
 
@@ -362,14 +439,16 @@ def derive_perspectrices(config: WoodDesarguesConfiguration,
 
 
 def derive_figures(config: WoodDesarguesConfiguration) -> DerivedFigures:
-    """Orthocentres keyed (circle, omitted vertex), the pentagon figure, the
-    centre-triangle orthocentres, the Hagge centres they predict and the ten
-    perspectrices."""
-    orthos = derive_orthocentres(config)
+    """The incidence table, orthocentres keyed (circle, omitted vertex), the
+    pentagon figure, the centre-triangle orthocentres, the Hagge centres they
+    predict and the ten perspectrices."""
     pentagon = derive_pentagon(config)
-    centre_orthos = derive_centre_orthocentres(config, pentagon.circle)
+    incidence = derive_incidence(config, pentagon.circle)
+    orthos = derive_orthocentres(config, incidence)
+    centre_orthos = derive_centre_orthocentres(config, pentagon.circle, incidence)
     hagge, hagge_notes = derive_hagge_centres(config, orthos, centre_orthos)
     collinear, perspectrices = derive_perspectrices(config)
     return DerivedFigures(orthocentres=orthos, hagge=hagge, hagge_notes=hagge_notes,
                           pentagon=pentagon, centre_orthocentres=centre_orthos,
-                          collinear=collinear, perspectrices=perspectrices)
+                          collinear=collinear, perspectrices=perspectrices,
+                          incidence=incidence)

@@ -614,19 +614,16 @@ def orthocentre(p: Point, q: Point, r: Point) -> Point:
 
 
 def ring_orthocentres(ring: Sequence[Point], triangles: Iterable[tuple[int, int, int]],
-                      centre: Optional[Point]) -> list[Optional[Point]]:
+                      centre: Optional[Point], on: Sequence[bool]) -> list[Optional[Point]]:
     """The orthocentre of each triangle of ring points named by its indices,
     None when its vertices are collinear.
 
-    A triangle whose vertices are distinct and exactly as far from ``centre``
-    as the ring's first point is inscribed about it, so its orthocentre is the
-    ``euler_sum`` of its vertices about ``centre``: one distance record per
-    ring point serves every triangle.  Any other triangle, and each one when
-    ``centre`` is None, goes to ``orthocentre``.
+    ``on[i]`` tells whether ring point i lies on one given circle about
+    ``centre``.  A triangle of three distinct such points is inscribed about
+    ``centre``, so its orthocentre is the ``euler_sum`` of its vertices about
+    it.  Any other triangle, and each one when ``centre`` is None, goes to
+    ``orthocentre``.
     """
-    if centre is not None:
-        n0, w0 = _distance_record(ring[0], centre)
-        on = [n * w0 == n0 * w for n, w in (_distance_record(p, centre) for p in ring)]
     out: list[Optional[Point]] = []
     for i, j, k in triangles:
         p, q, r = ring[i], ring[j], ring[k]

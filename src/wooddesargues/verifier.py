@@ -28,6 +28,7 @@ from .configuration import (
     CIRCLE_LABELS,
     CIRCLE_POINTS,
     OTHER_CIRCLE,
+    PENTAGON,
     PERSPECTIVE_TABLE,
     POINT_CIRCLES,
     ConfigurationSeed,
@@ -227,10 +228,13 @@ class ClaimSet:
         witness = None if holds else line.evaluate(p)
         return self._push(Claim(label, holds, witness, _line_residual, line, p))
 
-    def on_circle(self, label: str, circle: Circle, p: Point) -> bool:
-        num = circle._power(p)
-        holds = num == 0
-        witness = None if holds else Fraction(num, circle._power_denominator(p))
+    def on_circle(self, label: str, circle: Circle, p: Point,
+                  holds: Optional[bool] = None) -> bool:
+        """``holds`` is a verdict already decided on the same power, or known
+        by construction."""
+        if holds is None:
+            holds = circle._power(p) == 0
+        witness = None if holds else circle.power(p)
         return self._push(Claim(label, holds, witness, _circle_residual, circle, p))
 
     def points_equal(self, label: str, got: Point, expected: Point) -> bool:
@@ -254,14 +258,19 @@ class ClaimSet:
         witness = None if holds else got
         return self._push(Claim(label, holds, witness, _scalar_residual, got, expected))
 
-    def concyclic(self, label: str, a: Point, b: Point, c: Point, d: Point) -> bool:
-        det = concyclicity_determinant(a, b, c, d)
-        if det != 0:
-            holds, witness = False, det
-        elif collapses_to_line((a, b, c, d)):
-            holds, witness = False, "collinear-quadruple"
-        else:
-            holds, witness = True, None
+    def concyclic(self, label: str, a: Point, b: Point, c: Point, d: Point,
+                  holds: Optional[bool] = None) -> bool:
+        """``holds`` is True when the four points are already known to lie on
+        one circle; otherwise the determinant decides."""
+        witness = None
+        if not holds:
+            det = concyclicity_determinant(a, b, c, d)
+            if det != 0:
+                holds, witness = False, det
+            elif collapses_to_line((a, b, c, d)):
+                holds, witness = False, "collinear-quadruple"
+            else:
+                holds = True
         return self._push(Claim(label, holds, witness, _concyclic_residual, a, b, c, d))
 
     def maps_to(self, label: str, sim: Similarity, src: Point, dst: Point) -> bool:
@@ -438,13 +447,20 @@ def _pentagon_circle(cs: ClaimSet, config: WoodDesarguesConfiguration,
 
 def check_five_circles(cs: ClaimSet, config: WoodDesarguesConfiguration,
                        derived: DerivedFigures) -> None:
-    """The five quadrangles are cyclic and the five centres plus J are concyclic."""
+    """The five quadrangles are cyclic and the five centres plus J are concyclic.
+
+    A quadrangle all of whose vertices lie on its circle is concyclic: its
+    determinant vanishes, and no three points of a circle are collinear.
+    """
+    incidence = derived.incidence
     for clbl in CIRCLE_LABELS:
-        cs.concyclic(f"{clbl} concyclic", *config.quadrangle(clbl))
+        verts = CIRCLE_POINTS[clbl]
+        cs.concyclic(f"{clbl} concyclic", *config.quadrangle(clbl),
+                     all(incidence[clbl, v] for v in verts))
         circle = config.circles[clbl]
-        for plbl in CIRCLE_POINTS[clbl]:
-            cs.on_circle(f"{plbl} on {clbl}", circle, config.points[plbl])
-        cs.on_circle(f"J on {clbl}", circle, config.j)
+        for plbl in verts:
+            cs.on_circle(f"{plbl} on {clbl}", circle, config.points[plbl], incidence[clbl, plbl])
+        cs.on_circle(f"J on {clbl}", circle, config.j, incidence[clbl, "J"])
         cs.points_equal(f"centre {CIRCLE_CENTER[clbl]} is centre of {clbl}",
                         config.centers[CIRCLE_CENTER[clbl]], circle.center)
 
@@ -452,7 +468,7 @@ def check_five_circles(cs: ClaimSet, config: WoodDesarguesConfiguration,
     if pentagon is None:
         return
     for lbl, pt in list(config.centers.items()) + [("J", config.j)]:
-        cs.on_circle(f"{lbl} on pentagon circle", pentagon, pt)
+        cs.on_circle(f"{lbl} on pentagon circle", pentagon, pt, incidence[PENTAGON, lbl])
     cs.witness("pentagon centre", pentagon.center)
     cs.witness("pentagon r2", pentagon.radius_squared)
 
@@ -551,8 +567,9 @@ def _require_meet(cs: ClaimSet, derived: DerivedFigures,
     pent = derived.pentagon
     pt = pent.meets[clbl]
     if pt is None:
-        cs.on_circle(f"J on {clbl}", config.circles[clbl], config.j)
-        cs.on_circle("J on pentagon circle", pent.circle, config.j)
+        incidence = derived.incidence
+        cs.on_circle(f"J on {clbl}", config.circles[clbl], config.j, incidence[clbl, "J"])
+        cs.on_circle("J on pentagon circle", pent.circle, config.j, incidence[PENTAGON, "J"])
         if all(c.holds for c in cs.claims[-2:]):
             cs.degenerate(f"{name}: no second meet of pentagon circle and {clbl} "
                           f"({pent.meet_notes.get(clbl, 'degenerate intersection')})")
@@ -640,13 +657,15 @@ def check_tangent_concurrency(cs: ClaimSet, config: WoodDesarguesConfiguration,
     sides = (("A", "Aa23"), ("B", "Bb31"), ("C", "Cc12"))
     ok = True
     for plbl, clbl in sides:
-        ok &= cs.on_circle(f"{plbl} on {clbl}", config.circles[clbl], pts[plbl])
+        ok &= cs.on_circle(f"{plbl} on {clbl}", config.circles[clbl], pts[plbl],
+                           derived.incidence[clbl, plbl])
     if not ok:
         return
 
+    # each antipode is on the circle it was taken on
     x, y = derived.pentagon.x, derived.pentagon.y
-    cs.on_circle("X on ABCK", config.circles["ABCK"], x)
-    cs.on_circle("Y on pentagon circle", pentagon, y)
+    cs.on_circle("X on ABCK", config.circles["ABCK"], x, True)
+    cs.on_circle("Y on pentagon circle", pentagon, y, True)
     cs.witness("X", x)
     cs.witness("Y", y)
 
@@ -717,7 +736,9 @@ def check_hagge(cs: ClaimSet, config: WoodDesarguesConfiguration,
         centre = _point(*_minus(spread, ctr[CIRCLE_CENTER[clbl]])) if spread is not None else None
         circ = circle_through(ring[0], ring[1], ring[2], centre=centre)
         for v, p in zip(verts, dst):
-            cs.on_circle(f"h({v}) on h-circumcircle of {clbl}", circ, p)
+            # the circle passes through the three points it was built on
+            cs.on_circle(f"h({v}) on h-circumcircle of {clbl}", circ, p,
+                         True if p in ring[:3] else None)
         radii.append((clbl, circ.radius_squared))
         cs.witness(f"h-circumcircle r2 of {clbl}", circ.radius_squared)
 
@@ -811,7 +832,8 @@ def check_three_circle_collinearity(j: Point, o: Point, l: Point) -> CheckResult
 
 
 def check_perpendicular_concurrency_instance(cs: ClaimSet,
-                                             config: WoodDesarguesConfiguration) -> None:
+                                             config: WoodDesarguesConfiguration,
+                                             derived: DerivedFigures) -> None:
     """Embedded instance on (A, B, C) with the cevian point K.
 
     Configuration-level incidences are claims here (a tampered point must fail,
@@ -821,7 +843,8 @@ def check_perpendicular_concurrency_instance(cs: ClaimSet,
     circ = config.circles["ABCK"]
     ok = True
     for lbl in ("A", "B", "C", "K"):
-        ok &= cs.on_circle(f"{lbl} on ABCK", circ, config.points[lbl])
+        ok &= cs.on_circle(f"{lbl} on ABCK", circ, config.points[lbl],
+                           derived.incidence["ABCK", lbl])
     if not ok:
         return
     pts = [config.points[x] for x in ("A", "B", "C")]
@@ -837,8 +860,9 @@ def check_three_circle_collinearity_instance(cs: ClaimSet, config: WoodDesargues
     """Embedded instance on (pentagon, Aa23, ABCK): reproduces lines AUW and ALZ."""
     if _pentagon_circle(cs, config, derived) is None:
         return
-    ok = cs.on_circle("J on Aa23", config.circles["Aa23"], config.j)
-    ok &= cs.on_circle("J on ABCK", config.circles["ABCK"], config.j)
+    incidence = derived.incidence
+    ok = cs.on_circle("J on Aa23", config.circles["Aa23"], config.j, incidence["Aa23", "J"])
+    ok &= cs.on_circle("J on ABCK", config.circles["ABCK"], config.j, incidence["ABCK", "J"])
     if not ok:
         return
     w = _require_meet(cs, derived, config, "Aa23", "W")
@@ -904,7 +928,7 @@ CHECKS: tuple[tuple[str, Check], ...] = (
     ("tangent-concurrency", lambda cs, c, d: check_tangent_concurrency(cs, c, d)),
     ("hagge-suite", lambda cs, c, d: check_hagge(cs, c, d)),
     ("perpendicular-concurrency",
-     lambda cs, c, d: check_perpendicular_concurrency_instance(cs, c)),
+     lambda cs, c, d: check_perpendicular_concurrency_instance(cs, c, d)),
     ("three-circle-collinearity",
      lambda cs, c, d: check_three_circle_collinearity_instance(cs, c, d)),
 )

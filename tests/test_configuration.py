@@ -31,6 +31,7 @@ from wooddesargues.configuration import (
     POINT_LABELS,
     derive_centre_orthocentres,
     derive_hagge_centres,
+    derive_incidence,
     derive_orthocentres,
     derive_pentagon,
 )
@@ -254,6 +255,55 @@ def test_tangent_chord_rejected():
     assert exc.value.reason == "tangent-at-K:a"
 
 
+def _plain_membership_violation(points, circles):
+    """The first reason of the plain loop over all 50 (point, circle) pairs."""
+    for plbl in POINT_LABELS:
+        for clbl in CIRCLE_LABELS:
+            expected = plbl in CIRCLE_POINTS[clbl]
+            actual = incident(circles[clbl], points[plbl])
+            if actual and not expected:
+                return f"membership-violation:extra:{plbl}:{clbl}"
+            if expected and not actual:
+                return f"membership-violation:missing:{plbl}:{clbl}"
+    return None
+
+
+def _tampered_memberships(config):
+    """(points, circles) with one point or circle changed, every circle still through J."""
+    pts, circles = config.points, config.circles
+    yield pts, circles
+    for plbl in POINT_LABELS:
+        yield {**pts, plbl: config.j}, circles
+        yield {**pts, plbl: point(pts[plbl].x + 1, pts[plbl].y)}, circles
+        # onto the point its first circle shares with each circle not through it
+        own = POINT_CIRCLES[plbl][0]
+        for clbl in CIRCLE_LABELS:
+            if clbl not in POINT_CIRCLES[plbl]:
+                shared, = set(CIRCLE_POINTS[own]) & set(CIRCLE_POINTS[clbl])
+                yield {**pts, plbl: pts[shared]}, circles
+    for c1 in CIRCLE_LABELS:
+        for c2 in CIRCLE_LABELS:
+            if c1 != c2:
+                yield pts, {**circles, c2: circles[c1]}
+
+
+@pytest.mark.parametrize("seed_text", [
+    "tJ=0,tK=1,tA=-1,tB=2,tC=3,s=-3/2",
+    "tJ=4/3,tK=1/5,tA=4/1,tB=-5/8,tC=0/1,s=-1/1",
+])
+def test_membership_decisions_match_the_plain_loop(seed_text):
+    # a point moved onto J, onto a point it shares a circle with or off its
+    # circles, and one circle made equal to another: the build's decision by
+    # point equality gives the first reason of the 50 incidence tests
+    config = build_configuration(parse_seed_text(seed_text))
+    reasons = Counter()
+    for points, circles in _tampered_memberships(config):
+        reason = configuration._membership_violation(points, config.j, circles)
+        assert reason == _plain_membership_violation(points, circles)
+        reasons[reason.split(":")[1] if reason else None] += 1
+    assert reasons == {None: 1, "extra": 40, "missing": 30}
+
+
 def test_drawn_seeds_keep_their_reasons_and_documents():
     # 3000 draws at magnitude 3, where every rejection reason that can fire
     # does, then 200 at 10^12 from the same stream: the exact reason tally and
@@ -290,8 +340,8 @@ def test_s_zero_allowed():
     assert cfg.circles["abcK"].center == midpoint(cfg.j, cfg.points["K"])
 
 
-def test_orthocentre_table_holds_each_row_pair(reference_config):
-    orth = derive_orthocentres(reference_config)
+def test_orthocentre_table_holds_each_row_pair(reference_config, reference_derived):
+    orth = derive_orthocentres(reference_config, reference_derived.incidence)
     assert len(orth) == 20
     # a row's two orthocentres, computed from its triangles directly, are the
     # entries of the two circles through its vertex: each orthocentre serves
@@ -346,9 +396,11 @@ def test_orthocentres_meet_no_lines_given_the_stored_centres(
     # orthocentres about the pentagon centre and the Hagge centres they
     # predict, which circumcenter returns as given
     calls = _count_kernel_calls(monkeypatch, "orthocentre", "_bisector", "_meet")
-    orthos = derive_orthocentres(reference_config)
+    incidence = reference_derived.incidence
+    orthos = derive_orthocentres(reference_config, incidence)
     assert orthos == reference_derived.orthocentres
-    predicted = derive_centre_orthocentres(reference_config, reference_derived.pentagon.circle)
+    predicted = derive_centre_orthocentres(reference_config, reference_derived.pentagon.circle,
+                                           incidence)
     assert predicted == reference_derived.centre_orthocentres
     assert (derive_hagge_centres(reference_config, orthos, predicted)
             == (reference_derived.hagge, reference_derived.hagge_notes))
@@ -364,7 +416,7 @@ def test_orthocentres_ignore_a_stored_centre_off_the_circle(reference_config, mo
                "ABCK": Circle(reference_config.j, abck.radius_squared)}
     moved = dataclasses.replace(reference_config, circles=circles)
     meets = _count_meets(monkeypatch)
-    assert derive_orthocentres(moved) == unseeded
+    assert derive_orthocentres(moved, derive_incidence(moved)) == unseeded
     # only the four triangles of ABCK meet two bisectors
     assert len(meets) == 4
 
@@ -437,6 +489,51 @@ def test_a_campaign_seed_builds_two_circumcentres(monkeypatch, magnitude):
     assert len(calls) == 2 * 10
 
 
+@pytest.mark.parametrize("magnitude", [12, 10 ** 12])
+def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
+    # (Circle._power, concyclicity_determinant, _distance_record) calls per
+    # build and per verify_all; the asserts python -O drops make the rest.
+    # Build: the 20 incidences the labels name, the other 30 by point
+    # equality, and K on circle 2 asserted; one distance record per
+    # circle-2 and Wood radius, three in the assert on the circumcentre of
+    # J, U and V.
+    # Verify: one power per incidence-table entry that is not true by
+    # construction (25 on the five circles, L, M and N on the pentagon
+    # circle), 8 guards in the pentagon meets and antipodes, 3 in tangent_at,
+    # one per h-circumcircle for its fourth point, one for the antipode of K
+    # and 3 in the three-circle instance's meet; no determinant; three
+    # records per predicted Hagge and h-circumcircle centre, and the pentagon
+    # circle's record with three in its assert.
+    seeds = [config.seed for _, config, _, _ in
+             generate_configurations(FuzzPolicy(10, 42, magnitude))]
+    powers = []
+    real_power = Circle._power
+
+    def counting_power(circle, p):
+        powers.append(p)
+        return real_power(circle, p)
+
+    monkeypatch.setattr(Circle, "_power", counting_power)
+    calls = _count_kernel_calls(monkeypatch, "concyclicity_determinant", "_distance_record")
+    counted = [powers, *calls.values()]
+
+    def work(stage, *args):
+        for seen in counted:
+            seen.clear()
+        result = stage(*args)
+        return result, tuple(map(len, counted))
+
+    ledger = []
+    for seed in seeds:
+        config, built = work(build_configuration, seed)
+        report, verified = work(verify_all, config)
+        assert not report.failed
+        ledger.append((built, verified))
+    asserted = 1 if __debug__ else 0
+    assert ledger == [((20 + asserted, 0, 4 + 3 * asserted),
+                       (48, 0, 46 + 3 * asserted))] * 10
+
+
 # --- perspectrices -------------------------------------------------------------
 
 def _count_line_builds(monkeypatch, config) -> Counter:
@@ -507,7 +604,7 @@ def test_tampered_configuration_gets_the_line_of_each_pair(reference_config, lab
     assert checked == 60
 
 
-def test_replaced_configuration_starts_with_its_own_line_table(reference_config):
+def test_a_verify_leaves_nothing_behind(reference_config):
     verify_all(reference_config)  # a verify leaves nothing behind in the configuration
     mutated = mutate_configuration(reference_config, "point", "B", "x", 1)
     report = verify_all(mutated)

@@ -362,6 +362,14 @@ def rings(draw):
     return ring, o
 
 
+def as_far_as_the_first(ring, centre) -> list[bool]:
+    """Per ring point: whether it lies on the circle about centre through the first."""
+    if centre is None:
+        return []
+    r2 = fraction_norm_squared(fraction_sub(ring[0], centre))
+    return [fraction_norm_squared(fraction_sub(p, centre)) == r2 for p in ring]
+
+
 @given(rings(), st.sampled_from(["true", "moved", "ring point", "none"]))
 @EXAMPLES
 def test_ring_orthocentres_equal_the_orthocentre_of_each_triangle(ring_and_centre, which):
@@ -374,7 +382,7 @@ def test_ring_orthocentres_equal_the_orthocentre_of_each_triangle(ring_and_centr
     expected = [None if fraction_collinearity_residual(*tri_points) == 0
                 else fraction_orthocentre(*tri_points)
                 for tri_points in ([ring[i] for i in tri] for tri in triangles)]
-    assert ring_orthocentres(ring, triangles, centre) == expected
+    assert ring_orthocentres(ring, triangles, centre, as_far_as_the_first(ring, centre)) == expected
 
 
 @given(points, points, rationals, st.one_of(st.none(), points))
@@ -387,7 +395,8 @@ def test_orthocentre_of_collinear_points_raises_whatever_centre_is_passed(p, q, 
     # midpoint of p and q is equidistant from two of its points, p from all
     # three when they coincide
     for c in (centre, midpoint(p, q), p):
-        assert ring_orthocentres([p, q, r], [(0, 1, 2)], c) == [None]
+        on = as_far_as_the_first([p, q, r], c)
+        assert ring_orthocentres([p, q, r], [(0, 1, 2)], c, on) == [None]
 
 
 @given(points, points, rationals, st.one_of(st.none(), points))
