@@ -309,9 +309,9 @@ class DerivedFigures:
 
 
 def derive_incidence(config: WoodDesarguesConfiguration,
-                     pentagon: Optional[Circle] = None) -> Incidence:
+                     pentagon: Optional[Circle]) -> Incidence:
     """The ``DerivedFigures.incidence`` table, with the pentagon entries when
-    ``pentagon``, the circle through U, V and J, is given.
+    there is a ``pentagon``, the circle through U, V and J.
 
     U, V and J lie on that circle by construction; every other entry is one
     power test.

@@ -416,7 +416,7 @@ def test_orthocentres_ignore_a_stored_centre_off_the_circle(reference_config, mo
                "ABCK": Circle(reference_config.j, abck.radius_squared)}
     moved = dataclasses.replace(reference_config, circles=circles)
     meets = _count_meets(monkeypatch)
-    assert derive_orthocentres(moved, derive_incidence(moved)) == unseeded
+    assert derive_orthocentres(moved, derive_incidence(moved, None)) == unseeded
     # only the four triangles of ABCK meet two bisectors
     assert len(meets) == 4
 
