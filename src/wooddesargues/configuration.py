@@ -48,15 +48,10 @@ POINT_LABELS = ("A", "B", "C", "K", "a", "b", "c", "1", "2", "3")
 CIRCLE_LABELS = ("ABCK", "abcK", "Aa23", "Bb31", "Cc12")
 CENTER_LABELS = ("U", "V", "L", "M", "N")
 
-CIRCLE_POINTS = {
-    "ABCK": ("A", "B", "C", "K"),
-    "abcK": ("a", "b", "c", "K"),
-    "Aa23": ("A", "a", "2", "3"),
-    "Bb31": ("B", "b", "3", "1"),
-    "Cc12": ("C", "c", "1", "2"),
-}
+# each circle's label spells its four points in quadrangle order
+CIRCLE_POINTS = {c: tuple(c) for c in CIRCLE_LABELS}
 
-CIRCLE_CENTER = {"ABCK": "U", "abcK": "V", "Aa23": "L", "Bb31": "M", "Cc12": "N"}
+CIRCLE_CENTER = dict(zip(CIRCLE_LABELS, CENTER_LABELS))
 
 # the circles the pentagon circle is met with: Z on ABCK and W on Aa23
 PENTAGON_MEETS = ("ABCK", "Aa23")

@@ -289,15 +289,15 @@ def _distance_record(p: Point, o: Point) -> tuple[int, int]:
     return dx * dx + dy * dy, z * z
 
 
-def _equidistant(o: Point, points: Sequence[Point]) -> Optional[tuple[int, int]]:
-    """The first point's distance record when every point is exactly as far
-    from o (their records agree by cross-multiplication), else None."""
-    record = n0, w0 = _distance_record(points[0], o)
+def _equidistant(o: Point, points: Sequence[Point]) -> bool:
+    """Every point is exactly as far from o: their distance records agree by
+    cross-multiplication."""
+    n0, w0 = _distance_record(points[0], o)
     for p in points[1:]:
         n, w = _distance_record(p, o)
         if n * w0 != n0 * w:
-            return None
-    return record
+            return False
+    return True
 
 
 def distance_squared(p: Point, q: Point) -> Fraction:
@@ -489,19 +489,9 @@ def circumcenter(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -
 
 
 def circle_through(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -> Circle:
-    """The circle through p, q and r about ``circumcenter(p, q, r, centre)``.
-
-    A ``centre`` that the same equidistance test accepts for three distinct
-    points is kept with p's distance record from that test; any other goes
-    to ``circumcenter``.
-    """
-    record = None
-    if centre is not None and p != q != r != p:
-        record = _equidistant(centre, (p, q, r))
-    if record is None:
-        centre = circumcenter(p, q, r)
-        record = _distance_record(p, centre)
-    return Circle(centre, Fraction(*record))
+    """The circle through p, q and r about ``circumcenter(p, q, r, centre)``."""
+    centre = circumcenter(p, q, r, centre)
+    return Circle(centre, distance_squared(p, centre))
 
 
 def second_intersection_with_line(circle: Circle, l: Line, known: Point) -> tuple[Point, bool]:
@@ -545,8 +535,8 @@ def radical_axis(c1: Circle, c2: Circle) -> Line:
 def second_intersection_of_circles(c1: Circle, c2: Circle, known: Point) -> tuple[Point, bool]:
     if c1 == c2:
         raise IdenticalCirclesError("second intersection of identical circles")
-    if c1._power(known) != 0 or c2._power(known) != 0:
-        raise NotIncidentError(f"{known} not on both circles")
+    # the radical axis is where the two powers agree, so the line routine's
+    # tests of known on it and on c1 test known on both circles
     return second_intersection_with_line(c1, radical_axis(c1, c2), known)
 
 

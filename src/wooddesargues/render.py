@@ -126,12 +126,11 @@ def render_svg(config: WoodDesarguesConfiguration, style: RenderStyle = RenderSt
     for _, x, y in markers:
         xs.append(x)
         ys.append(y)
-    if perspectrices:
-        for rec in PERSPECTIVE_TABLE:
-            for plbl in rec.perspectrix:
-                x, y = float_point(config.points[plbl])
-                xs.append(x)
-                ys.append(y)
+    if perspectrices:  # every labelled point lies on some perspectrix
+        for p in config.points.values():
+            x, y = float_point(p)
+            xs.append(x)
+            ys.append(y)
     if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
     if not all(map(math.isfinite, xs + ys)):

@@ -499,11 +499,12 @@ def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
     # J, U and V.
     # Verify: one power per incidence-table entry that is not true by
     # construction (25 on the five circles, L, M and N on the pentagon
-    # circle), 8 guards in the pentagon meets and antipodes, 3 in tangent_at,
-    # one per h-circumcircle for its fourth point, one for the antipode of K
-    # and 3 in the three-circle instance's meet; no determinant; three
-    # records per predicted Hagge and h-circumcircle centre, and the pentagon
-    # circle's record with three in its assert.
+    # circle), one guard per pentagon meet and per antipode of Z, 3 in
+    # tangent_at, one per h-circumcircle for its fourth point, one for the
+    # antipode of K and one in the three-circle instance's meet; no
+    # determinant; three records per predicted Hagge centre, four per
+    # h-circumcircle (three in the centre test, one for its radius), and the
+    # pentagon circle's record with three in its assert.
     seeds = [config.seed for _, config, _, _ in
              generate_configurations(FuzzPolicy(10, 42, magnitude))]
     powers = []
@@ -531,7 +532,7 @@ def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
         ledger.append((built, verified))
     asserted = 1 if __debug__ else 0
     assert ledger == [((20 + asserted, 0, 4 + 3 * asserted),
-                       (48, 0, 46 + 3 * asserted))] * 10
+                       (42, 0, 51 + 3 * asserted))] * 10
 
 
 # --- perspectrices -------------------------------------------------------------

@@ -216,8 +216,10 @@ def test_second_intersection_of_circles_examples():
 
     with pytest.raises(IdenticalCirclesError):
         second_intersection_of_circles(UNIT, UNIT, point(1, 0))
-    with pytest.raises(NotIncidentError):
-        second_intersection_of_circles(c1, c2, point(5, 5))
+    # on neither circle, on c1 only, on c2 only, on the radical axis x = 0 only
+    for known in (point(5, 5), point(-2, 0), point(2, 0), point(0, 5)):
+        with pytest.raises(NotIncidentError):
+            second_intersection_of_circles(c1, c2, known)
 
 
 def test_antipode_and_tangent_examples():

@@ -15,10 +15,12 @@ from wooddesargues.kernel import (
     Circle,
     DegenerateInputError,
     Line,
+    distance_squared,
     is_collinear,
     is_concyclic,
     line_through,
     meet,
+    midpoint,
     perpendicular_at,
     point,
 )
@@ -236,6 +238,36 @@ def test_missing_pentagon_circle_is_claimed_once(reference_config):
     result = next(r for r in report.results if r.name == "pentagon-perspectives")
     assert result.status == FAIL
     assert [label for label, _ in result.witnesses] == ["pentagon circle exists"]
+
+
+def _centre_l_on_a(cfg):
+    return dataclasses.replace(cfg, centers={**cfg.centers, "L": cfg.points["A"]})
+
+
+def _aa23_copies_abck(cfg):
+    return dataclasses.replace(cfg, circles={**cfg.circles, "Aa23": cfg.circles["ABCK"]})
+
+
+def _aa23_tangent_to_abck_at_j(cfg):
+    # a circle through J centred on segment UJ touches ABCK there
+    centre = midpoint(cfg.centers["U"], cfg.j)
+    tangent = Circle(centre, distance_squared(centre, cfg.j))
+    return dataclasses.replace(cfg, circles={**cfg.circles, "Aa23": tangent})
+
+
+@pytest.mark.parametrize("tamper, name, status, note", [
+    (_centre_l_on_a, "pentagon-perspectives", FAIL,
+     "vertex joins to centres do not span two lines"),
+    (_aa23_copies_abck, "three-circle-collinearity", DEGENERATE,
+     "circles Aa23 and ABCK coincide"),
+    (_aa23_tangent_to_abck_at_j, "three-circle-collinearity", DEGENERATE,
+     "circles Aa23 and ABCK tangent at J"),
+])
+def test_tampered_documents_reach_their_degenerate_notes(reference_config, tamper,
+                                                         name, status, note):
+    result = run_check(name, tamper(reference_config))
+    assert result.status == status
+    assert note in result.notes.split("; ")
 
 
 def test_pentagon_quadrangle_scrambled_order_has_no_similarity(reference_config):
