@@ -8,7 +8,9 @@ turns it into text.  Every claim also carries a scale-invariant
 double-precision recomputation of the same statement, so a passing report can
 be cross-checked against floating-point geometry.  That recomputation is
 deferred: it runs only when :func:`float_cross_residuals` reads it, never
-during :func:`verify_all` (and so never in ``verify`` or ``fuzz``).
+during :func:`verify_all` (and so never in ``verify`` or ``fuzz``).  A claim is
+recorded as a plain tuple; :class:`Claim` objects are built from the records
+only when :attr:`CheckResult.claims` is read, so :func:`verify_all` builds none.
 
 Statuses: ``pass``, ``fail`` (at least one violated equality, with an exact
 witness), and ``degenerate-pass`` (the claim is vacuous because of a point
@@ -99,8 +101,8 @@ def _square(v: float) -> float:
 
 
 # Scale-invariant double-precision residuals, one per primitive claim.  A
-# claim holds one of these and its arguments, and evaluates it only when its
-# residual is read.
+# claim's record holds one of these and its arguments; it is evaluated only
+# when the residual is read.
 
 
 def _no_residual() -> float:
@@ -162,14 +164,14 @@ def _map_residual(sim: Similarity, src: Point, dst: Point) -> float:
 
 
 class Claim:
-    """One primitive assertion: the exact verdict, the exact witness of a
-    violation (None when the claim holds), and a deferred double-precision
-    recomputation of the same statement, evaluated when ``residual`` is read."""
+    """One primitive assertion, built from its record: the exact verdict, the
+    exact witness of a violation (None when it holds), and a deferred float
+    recomputation of the statement, evaluated when ``residual`` is read."""
 
     __slots__ = ("label", "holds", "witness", "_residual", "_args")
 
     def __init__(self, label: str, holds: bool, witness: Optional[Witness],
-                 residual_fn: Callable[..., float], *args) -> None:
+                 residual_fn: Callable[..., float], args: tuple) -> None:
         self.label = label
         self.holds = holds
         self.witness = witness
@@ -183,14 +185,15 @@ class Claim:
 
 
 class ClaimSet:
-    """Accumulates claims and degeneracy/info notes for one check.
+    """Accumulates one record per claim, ``(label, holds, witness, residual_fn,
+    args)``, and the degeneracy/info notes of one check.
 
     Each primitive decides its claim on an integer that is exactly zero when
     the claim holds; the witness is computed only for a failing claim.
     """
 
     def __init__(self) -> None:
-        self.claims: list[Claim] = []
+        self.claims: list[tuple] = []
         self.degenerate_notes: list[str] = []
         self.info_notes: list[str] = []
         self.extra_witnesses: list[tuple[str, Witness]] = []
@@ -207,7 +210,8 @@ class ClaimSet:
         self.extra_witnesses.append((label, value))
 
     def fail(self, label: str, witness: Witness) -> bool:
-        return self._push(Claim(label, False, witness, _no_residual))
+        self.claims.append((label, False, witness, _no_residual, ()))
+        return False
 
     # primitive claims -------------------------------------------------------
 
@@ -216,17 +220,20 @@ class ClaimSet:
         """Assert a, b, c collinear; coincident points make it vacuously true.
         ``holds`` is a verdict already decided on an equivalent bracket."""
         if a.hom == b.hom or a.hom == c.hom or b.hom == c.hom:
-            return self._push(Claim(label, True, None, _no_residual))
+            self.claims.append((label, True, None, _no_residual, ()))
+            return True
         if holds is None:
             holds = is_collinear(a, b, c)
         witness = None if holds else collinearity_residual(a, b, c)
-        return self._push(Claim(label, holds, witness, _collinear_residual, a, b, c))
+        self.claims.append((label, holds, witness, _collinear_residual, (a, b, c)))
+        return holds
 
     def on_line(self, label: str, line: Line, p: Point, holds: Optional[bool] = None) -> bool:
         if holds is None:
             holds = line._at(p) == 0
         witness = None if holds else line.evaluate(p)
-        return self._push(Claim(label, holds, witness, _line_residual, line, p))
+        self.claims.append((label, holds, witness, _line_residual, (line, p)))
+        return holds
 
     def on_circle(self, label: str, circle: Circle, p: Point,
                   holds: Optional[bool] = None) -> bool:
@@ -235,12 +242,15 @@ class ClaimSet:
         if holds is None:
             holds = circle._power(p) == 0
         witness = None if holds else circle.power(p)
-        return self._push(Claim(label, holds, witness, _circle_residual, circle, p))
+        self.claims.append((label, holds, witness, _circle_residual, (circle, p)))
+        return holds
 
     def points_equal(self, label: str, got: Point, expected: Point) -> bool:
         if got == expected:
-            return self._push(Claim(label, True, None, _no_residual))
-        return self._push(Claim(label, False, got, _distance_residual, got, expected))
+            self.claims.append((label, True, None, _no_residual, ()))
+            return True
+        self.claims.append((label, False, got, _distance_residual, (got, expected)))
+        return False
 
     def lines_meet_at(self, label: str, l1: Line, l2: Line, target: Point,
                       coincide_note: str, parallel_witness: str = "parallel lines") -> None:
@@ -256,7 +266,8 @@ class ClaimSet:
     def scalars_equal(self, label: str, got: Fraction, expected: Fraction) -> bool:
         holds = got == expected
         witness = None if holds else got
-        return self._push(Claim(label, holds, witness, _scalar_residual, got, expected))
+        self.claims.append((label, holds, witness, _scalar_residual, (got, expected)))
+        return holds
 
     def concyclic(self, label: str, a: Point, b: Point, c: Point, d: Point,
                   holds: Optional[bool] = None) -> bool:
@@ -271,12 +282,14 @@ class ClaimSet:
                 holds, witness = False, "collinear-quadruple"
             else:
                 holds = True
-        return self._push(Claim(label, holds, witness, _concyclic_residual, a, b, c, d))
+        self.claims.append((label, holds, witness, _concyclic_residual, (a, b, c, d)))
+        return holds
 
     def maps_to(self, label: str, sim: Similarity, src: Point, dst: Point) -> bool:
         holds = sim.sends(src, dst)
         witness = None if holds else sim.apply(src)
-        return self._push(Claim(label, holds, witness, _map_residual, sim, src, dst))
+        self.claims.append((label, holds, witness, _map_residual, (sim, src, dst)))
+        return holds
 
     def fixed_at(self, label: str, sim: Similarity, expected: Point) -> bool:
         """Claim that ``expected`` is the fixed point of ``sim``, whose alpha is not 1.
@@ -284,19 +297,13 @@ class ClaimSet:
         The fixed point is then unique, so the claim is that sim sends
         ``expected`` to itself; the fixed point is built only as the witness.
         """
-        if sim.sends(expected, expected):
-            return self._push(Claim(label, True, None, _no_residual))
-        got = sim.fixed_point()
-        return self._push(Claim(label, False, got, _distance_residual, got, expected))
-
-    def _push(self, claim: Claim) -> bool:
-        self.claims.append(claim)
-        return claim.holds
+        got = expected if sim.sends(expected, expected) else sim.fixed_point()
+        return self.points_equal(label, got, expected)
 
     # result ------------------------------------------------------------------
 
     def result(self, name: str) -> "CheckResult":
-        witnesses = [(c.label, c.witness) for c in self.claims if not c.holds]
+        witnesses = [(label, w) for label, holds, w, _, _ in self.claims if not holds]
         if witnesses:
             status = FAIL
         else:
@@ -308,19 +315,24 @@ class ClaimSet:
 
 
 class CheckResult(_Value):
-    """A check's name, status, witnesses and notes, with the claims behind
-    them.  Set once like a kernel value; equality, hash and repr leave out the
-    claims."""
+    """A check's name, status, witnesses and notes, with the records of the
+    claims behind them.  Set once like a kernel value; equality, hash and repr
+    leave out the claims."""
 
-    __slots__ = ("name", "status", "witnesses", "notes", "claims")
+    __slots__ = ("name", "status", "witnesses", "notes", "records")
 
     def __init__(self, name: str, status: str, witnesses: list[tuple[str, Witness]],
-                 notes: str = "", claims: tuple[Claim, ...] = ()) -> None:
+                 notes: str = "", claims: tuple[tuple, ...] = ()) -> None:
         _set_name(self, name)
         _set_status(self, status)
         _set_witnesses(self, witnesses)
         _set_notes(self, notes)
-        _set_claims(self, claims)
+        _set_records(self, claims)
+
+    @property
+    def claims(self) -> tuple[Claim, ...]:
+        """The claims, built afresh from the records on each read."""
+        return tuple(Claim(*record) for record in self.records)
 
     def _compared(self) -> tuple:
         return self.name, self.status, self.witnesses, self.notes
@@ -338,7 +350,7 @@ class CheckResult(_Value):
             *self._compared())
 
 
-_set_name, _set_status, _set_witnesses, _set_notes, _set_claims = (
+_set_name, _set_status, _set_witnesses, _set_notes, _set_records = (
     getattr(CheckResult, name).__set__ for name in CheckResult.__slots__)
 
 
@@ -568,9 +580,9 @@ def _require_meet(cs: ClaimSet, derived: DerivedFigures,
     pt = pent.meets[clbl]
     if pt is None:
         incidence = derived.incidence
-        cs.on_circle(f"J on {clbl}", config.circles[clbl], config.j, incidence[clbl, "J"])
-        cs.on_circle("J on pentagon circle", pent.circle, config.j, incidence[PENTAGON, "J"])
-        if all(c.holds for c in cs.claims[-2:]):
+        ok = cs.on_circle(f"J on {clbl}", config.circles[clbl], config.j, incidence[clbl, "J"])
+        ok &= cs.on_circle("J on pentagon circle", pent.circle, config.j, incidence[PENTAGON, "J"])
+        if ok:
             cs.degenerate(f"{name}: no second meet of pentagon circle and {clbl} "
                           f"({pent.meet_notes.get(clbl, 'degenerate intersection')})")
         return None
@@ -964,6 +976,6 @@ def float_cross_residuals(report: VerificationReport) -> float:
     for result in report.results:
         if result.status == FAIL:
             continue
-        for claim in result.claims:
-            worst = max(worst, abs(claim.residual))
+        for _, _, _, residual_fn, args in result.records:
+            worst = max(worst, abs(residual_fn(*args)))
     return worst

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -33,6 +34,7 @@ from wooddesargues.verifier import (
 )
 
 from conftest import mutate_configuration, run_check
+from test_acceptance import MUTATIONS
 
 
 EXPECTED_NAMES = (
@@ -375,6 +377,52 @@ def test_failing_claims_carry_exact_witnesses(reference_config):
     # a passing claim computes no witness
     passing = verify_all(reference_config)
     assert all(c.witness is None for r in passing.results for c in r.claims if c.holds)
+
+
+def _reference_and_mutation_reports(reference_config):
+    return [verify_all(reference_config)] + [
+        verify_all(mutate_configuration(reference_config, *mutation))
+        for mutation in MUTATIONS.values()]
+
+
+def test_verify_all_builds_no_claim_objects(reference_config, monkeypatch):
+    # claims are recorded as tuples; reading result.claims builds the objects
+    original = verifier.Claim.__init__
+    built = []
+
+    def counting_init(self, *args):
+        built.append(args[0])
+        original(self, *args)
+
+    monkeypatch.setattr(verifier.Claim, "__init__", counting_init)
+    campaign = generate_configurations(FuzzPolicy(1000, 42, 12))
+    configs = [reference_config] + [config for _, config, _, _ in itertools.islice(campaign, 10)]
+    reports = [verify_all(config) for config in configs]
+    assert built == []
+    reference = reports[0].results
+    assert sum(len(r.claims) for r in reference) == sum(len(r.records) for r in reference) == 266
+    assert len(built) == 266
+
+
+def test_failing_witnesses_are_the_failing_claims(reference_config):
+    reports = _reference_and_mutation_reports(reference_config)
+    failed = [result for report in reports for result in report.failed]
+    assert len(failed) >= len(MUTATIONS)
+    for result in failed:
+        assert result.witnesses == [(c.label, c.witness) for c in result.claims if not c.holds]
+
+
+def test_each_claim_reads_its_record(reference_config):
+    for report in _reference_and_mutation_reports(reference_config):
+        worst = 0.0
+        for result in report.results:
+            for claim, record in zip(result.claims, result.records, strict=True):
+                label, holds, witness, residual_fn, args = record
+                assert (claim.label, claim.holds, claim.witness) == (label, holds, witness)
+                assert claim.residual == residual_fn(*args)
+                if result.status != FAIL:
+                    worst = max(worst, abs(claim.residual))
+        assert float_cross_residuals(report) == worst
 
 
 def test_only_the_report_writer_formats_witnesses(reference_config, monkeypatch):
