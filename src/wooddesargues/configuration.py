@@ -30,7 +30,6 @@ from .kernel import (
     UnitParameter,
     _join,
     _meet,
-    antipode,
     circle_through,
     circumcenter,
     distance_squared,
@@ -179,7 +178,6 @@ def build_configuration(seed: ConfigurationSeed) -> WoodDesarguesConfiguration:
     if center2 == ORIGIN:  # both circles pass through J
         raise DegenerateSeedError("coincident-circles")
     circle2 = Circle(center2, distance_squared(center2, pj))
-    assert circle2._power(pk) == 0
 
     # the spiral similarity about J taking circle 1 to circle 2 sends each
     # vertex X to the second meet of line XK with circle 2, K itself when that
@@ -260,12 +258,10 @@ def _membership_violation(points: dict[str, Point], j: Point,
 class PentagonFigures:
     # circle through U, V and J; None only for tampered inputs (collinear/coincident)
     circle: Optional[Circle]
-    # second meet of the pentagon circle, from J, with each circle of PENTAGON_MEETS
+    # second meet of the pentagon circle, from J, with each circle of PENTAGON_MEETS:
+    # J itself where they touch there, None where there is none (see meet_notes)
     meets: dict[str, Optional[Point]]
     meet_notes: dict[str, str]
-    tangencies: dict[str, bool]
-    x: Optional[Point]  # antipode of z = meets["ABCK"] on circle ABCK
-    y: Optional[Point]  # antipode of z on the pentagon circle
 
 
 Orthocentres = dict[tuple[str, str], Optional[Point]]
@@ -396,7 +392,6 @@ def derive_pentagon(config: WoodDesarguesConfiguration) -> PentagonFigures:
     u, v = config.centers["U"], config.centers["V"]
     meets: dict[str, Optional[Point]] = {clbl: None for clbl in PENTAGON_MEETS}
     meet_notes: dict[str, str] = {}
-    tangencies: dict[str, bool] = {clbl: False for clbl in PENTAGON_MEETS}
     try:
         pentagon: Optional[Circle] = circle_through(u, v, config.j)
     except (CollinearPointsError, CoincidentPointsError):
@@ -405,19 +400,11 @@ def derive_pentagon(config: WoodDesarguesConfiguration) -> PentagonFigures:
     if pentagon is not None:
         for clbl in PENTAGON_MEETS:
             try:
-                other, tangent = second_intersection_of_circles(
+                meets[clbl] = second_intersection_of_circles(
                     pentagon, config.circles[clbl], config.j)
             except GeometryError as exc:
                 meet_notes[clbl] = f"no second meet with {clbl}: {exc}"
-                continue
-            meets[clbl] = other
-            tangencies[clbl] = tangent
-
-    z = meets["ABCK"]
-    x = antipode(config.circles["ABCK"], z) if z is not None else None
-    y = antipode(pentagon, z) if (z is not None and pentagon is not None) else None
-    return PentagonFigures(circle=pentagon, meets=meets, meet_notes=meet_notes,
-                           tangencies=tangencies, x=x, y=y)
+    return PentagonFigures(circle=pentagon, meets=meets, meet_notes=meet_notes)
 
 
 def derive_perspectrices(config: WoodDesarguesConfiguration,

@@ -268,11 +268,10 @@ def float_point(p: Point) -> tuple[float, float]:
 
 def distinct(points: Iterable[Point]) -> list[Point]:
     """The points in first-seen order with exact repeats dropped."""
-    out: list[Point] = []
+    seen: dict[tuple[int, int, int], Point] = {}
     for p in points:
-        if p not in out:
-            out.append(p)
-    return out
+        seen.setdefault(p.hom, p)
+    return list(seen.values())
 
 
 def midpoint(p: Point, q: Point) -> Point:
@@ -494,11 +493,10 @@ def circle_through(p: Point, q: Point, r: Point, centre: Optional[Point] = None)
     return Circle(centre, distance_squared(p, centre))
 
 
-def second_intersection_with_line(circle: Circle, l: Line, known: Point) -> tuple[Point, bool]:
+def second_intersection_with_line(circle: Circle, l: Line, known: Point) -> Point:
     """Other intersection of ``l`` with ``circle`` given one rational point on both.
 
-    Returns ``(point, tangent)``; when ``l`` touches the circle at ``known`` the
-    known point itself comes back with the tangency flag set.
+    That is ``known`` itself exactly when ``l`` touches the circle there.
     """
     if l._at(known) != 0:
         raise NotIncidentError(f"{known} not on {l}")
@@ -510,9 +508,9 @@ def second_intersection_with_line(circle: Circle, l: Line, known: Point) -> tupl
     # so t = T / S with the integers below
     T = -2 * (l.a * (Y * Zc - Yc * Z) - l.b * (X * Zc - Xc * Z))
     if T == 0:
-        return known, True
+        return known
     S = Z * Zc * (l.a * l.a + l.b * l.b)
-    return _point(X * S - l.b * T * Z, Y * S + l.a * T * Z, Z * S), False
+    return _point(X * S - l.b * T * Z, Y * S + l.a * T * Z, Z * S)
 
 
 def radical_axis(c1: Circle, c2: Circle) -> Line:
@@ -532,7 +530,7 @@ def radical_axis(c1: Circle, c2: Circle) -> Line:
                                   k1 * Z2 * Z2 * d2 - k2 * Z1 * Z1 * d1)
 
 
-def second_intersection_of_circles(c1: Circle, c2: Circle, known: Point) -> tuple[Point, bool]:
+def second_intersection_of_circles(c1: Circle, c2: Circle, known: Point) -> Point:
     if c1 == c2:
         raise IdenticalCirclesError("second intersection of identical circles")
     # the radical axis is where the two powers agree, so the line routine's

@@ -574,8 +574,8 @@ def _coincidence_name(config: WoodDesarguesConfiguration, p: Point) -> str:
 def _require_meet(cs: ClaimSet, derived: DerivedFigures,
                   config: WoodDesarguesConfiguration, clbl: str,
                   name: str) -> Optional[Point]:
-    """Fetch a pentagon second-meet point, converting absence into a failed or
-    degenerate claim as appropriate.  The caller has claimed the pentagon circle."""
+    """Fetch a pentagon second-meet point, converting absence or tangency into a
+    failed or degenerate claim as appropriate.  The caller has claimed the pentagon circle."""
     pent = derived.pentagon
     pt = pent.meets[clbl]
     if pt is None:
@@ -586,7 +586,7 @@ def _require_meet(cs: ClaimSet, derived: DerivedFigures,
             cs.degenerate(f"{name}: no second meet of pentagon circle and {clbl} "
                           f"({pent.meet_notes.get(clbl, 'degenerate intersection')})")
         return None
-    if pent.tangencies[clbl]:
+    if pt == config.j:
         cs.degenerate(f"{name}: pentagon circle tangent to {clbl} at J")
         return None
     return pt
@@ -675,7 +675,7 @@ def check_tangent_concurrency(cs: ClaimSet, config: WoodDesarguesConfiguration,
         return
 
     # each antipode is on the circle it was taken on
-    x, y = derived.pentagon.x, derived.pentagon.y
+    x, y = antipode(config.circles["ABCK"], z), antipode(pentagon, z)
     cs.on_circle("X on ABCK", config.circles["ABCK"], x, True)
     cs.on_circle("Y on pentagon circle", pentagon, y, True)
     cs.witness("X", x)
@@ -828,10 +828,10 @@ def check_three_circle_collinearity(j: Point, o: Point, l: Point) -> CheckResult
        radical_axis(s1, s2) == radical_axis(s1, s3):
         cs.degenerate("coaxial circles: radical axes coincide")
     else:
-        a, tan_a = second_intersection_of_circles(s2, s3, j)
-        b, tan_b = second_intersection_of_circles(s1, s2, j)
-        d, tan_d = second_intersection_of_circles(s1, s3, j)
-        if tan_a or tan_b or tan_d:
+        a = second_intersection_of_circles(s2, s3, j)
+        b = second_intersection_of_circles(s1, s2, j)
+        d = second_intersection_of_circles(s1, s3, j)
+        if j in (a, b, d):
             cs.degenerate("tangent circle pair: a second intersection collapses onto J")
         else:
             for name, p in zip("ABD", (a, b, d)):
@@ -883,12 +883,12 @@ def check_three_circle_collinearity_instance(cs: ClaimSet, config: WoodDesargues
         return
 
     try:
-        a2, tangent = second_intersection_of_circles(
+        a2 = second_intersection_of_circles(
             config.circles["Aa23"], config.circles["ABCK"], config.j)
     except IdenticalCirclesError:
         cs.degenerate("circles Aa23 and ABCK coincide")
         return
-    if tangent:
+    if a2 == config.j:
         cs.degenerate("circles Aa23 and ABCK tangent at J")
         return
     cs.points_equal("second meet of Aa23 and ABCK is A", a2, config.points["A"])

@@ -191,9 +191,10 @@ def test_reference_derived_figures(reference_config, reference_derived):
     assert pent.circle == Circle(point(F(1, 2), F(3, 2)), F(5, 2))
     assert pent.meets["ABCK"] == point(F(-4, 5), F(3, 5))  # coincides with C at this seed
     assert pent.meets["Aa23"] == point(0, 3)               # coincides with a at this seed
-    assert pent.x == point(F(4, 5), F(-3, 5))
-    assert pent.y == point(F(9, 5), F(12, 5))
-    assert pent.tangencies == {"ABCK": False, "Aa23": False}
+    # X and Y, the antipodes of Z on ABCK and on the pentagon circle
+    results = {r.name: r for r in verify_all(reference_config).results}
+    assert dict(results["tangent-concurrency"].witnesses) == {
+        "X": point(F(4, 5), F(-3, 5)), "Y": point(F(9, 5), F(12, 5))}
 
 
 def test_reference_against_independent_sympy_oracle(reference_config, reference_derived):
@@ -363,7 +364,7 @@ def test_pentagon_meets_only_the_circles_checks_read(reference_config, monkeypat
     monkeypatch.setattr(configuration, "second_intersection_of_circles", counting)
     pent = derive_pentagon(reference_config)
     assert calls == [reference_config.circles["ABCK"], reference_config.circles["Aa23"]]
-    assert set(pent.meets) == set(pent.tangencies) == {"ABCK", "Aa23"}
+    assert set(pent.meets) == {"ABCK", "Aa23"}
 
 
 def _count_meets(monkeypatch) -> list:
@@ -494,9 +495,8 @@ def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
     # (Circle._power, concyclicity_determinant, _distance_record) calls per
     # build and per verify_all; the asserts python -O drops make the rest.
     # Build: the 20 incidences the labels name, the other 30 by point
-    # equality, and K on circle 2 asserted; one distance record per
-    # circle-2 and Wood radius, three in the assert on the circumcentre of
-    # J, U and V.
+    # equality; one distance record per circle-2 and Wood radius, three in
+    # the assert on the circumcentre of J, U and V.
     # Verify: one power per incidence-table entry that is not true by
     # construction (25 on the five circles, L, M and N on the pentagon
     # circle), one guard per pentagon meet and per antipode of Z, 3 in
@@ -531,7 +531,7 @@ def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
         assert not report.failed
         ledger.append((built, verified))
     asserted = 1 if __debug__ else 0
-    assert ledger == [((20 + asserted, 0, 4 + 3 * asserted),
+    assert ledger == [((20, 0, 4 + 3 * asserted),
                        (42, 0, 51 + 3 * asserted))] * 10
 
 

@@ -15,7 +15,7 @@ from itertools import combinations
 from math import gcd, isclose, sqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wooddesargues.kernel import (
@@ -436,24 +436,30 @@ def test_power_antipode_and_tangent(center, on, p):
 
 
 @given(points, points, points)
+@example(point(0, 0), point(1, 0), point(1, 1))  # the tangent x = 1
 @EXAMPLES
 def test_second_intersection_with_line(center, known, other):
     assume(center != known and known != other)
     circle = circle_on(center, known)
     line = fraction_line_through(known, other)
-    assert (second_intersection_with_line(circle, line, known)
-            == fraction_second_intersection_with_line(circle, line, known))
+    got = second_intersection_with_line(circle, line, known)
+    expected, tangent = fraction_second_intersection_with_line(circle, line, known)
+    assert got == expected
+    assert (got == known) == tangent
 
 
 @given(points, points, points)
+@example(point(-1, 0), point(1, 0), point(0, 0))  # unit circles touching at the origin
 @EXAMPLES
 def test_radical_axis_and_second_intersection_of_circles(c1, c2, known):
     assume(c1 != c2 and known != c1 and known != c2)
     s1, s2 = circle_on(c1, known), circle_on(c2, known)
     axis = fraction_radical_axis(s1, s2)
     assert radical_axis(s1, s2) == axis
-    assert (second_intersection_of_circles(s1, s2, known)
-            == fraction_second_intersection_with_line(s1, axis, known))
+    got = second_intersection_of_circles(s1, s2, known)
+    expected, tangent = fraction_second_intersection_with_line(s1, axis, known)
+    assert got == expected
+    assert (got == known) == tangent
 
 
 # --- double readings ---------------------------------------------------------------

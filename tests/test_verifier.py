@@ -338,7 +338,7 @@ def test_three_circle_fuzzed_instances_use_corrected_triples():
     # independent recomputation of the corrected triples
     s2 = Circle(l, (j - l).norm_squared())
     s3 = Circle(o, (j - o).norm_squared())
-    a, _ = second_intersection_of_circles(s2, s3, j)
+    a = second_intersection_of_circles(s2, s3, j)
     assert is_collinear(o, a, dict(result.witnesses)["B"])
 
 
