@@ -85,42 +85,32 @@ _PERSPECTIVE_ROWS = (
 PERSPECTIVE_TABLE = tuple(PerspectiveRecord(*row) for row in _PERSPECTIVE_ROWS)
 
 
-def _build_static_tables():
-    point_circles: dict[str, tuple[str, ...]] = {}
-    for plbl in POINT_LABELS:
-        on = tuple(clbl for clbl in CIRCLE_LABELS if plbl in CIRCLE_POINTS[clbl])
-        assert len(on) == 2, plbl
-        point_circles[plbl] = on
+# as in Desargues, a point is the pair of circles through it: K = {ABCK, abcK},
+# A = {ABCK, Aa23}, 1 = {Bb31, Cc12}; the ten points are the ten pairs
+POINT_CIRCLES = {p: tuple(c for c in CIRCLE_LABELS if p in c) for p in POINT_LABELS}
+_PAIR_POINT = {frozenset(pair): p for p, pair in POINT_CIRCLES.items()}
+assert set(_PAIR_POINT) == {frozenset((c, d)) for c in CIRCLE_LABELS for d in CIRCLE_LABELS
+                            if c != d}
 
-    other_circle = {(clbl, plbl): next(x for x in point_circles[plbl] if x != clbl)
-                    for clbl in CIRCLE_LABELS for plbl in CIRCLE_POINTS[clbl]}
+OTHER_CIRCLE = {(c, p): d for c in CIRCLE_LABELS for p in c for d in POINT_CIRCLES[p] if d != c}
+CENTERS_AVOIDING = {p: tuple(CIRCLE_CENTER[c] for c in CIRCLE_LABELS if c not in pair)
+                    for p, pair in POINT_CIRCLES.items()}
+# per point P and circle C not through it: P's first circle and the point
+# named by that circle and C, their one labelled point in common
+_SHARED_WITH = {(p, c): (pair[0], _PAIR_POINT[frozenset((pair[0], c))])
+                for p, pair in POINT_CIRCLES.items() for c in CIRCLE_LABELS if c not in pair}
 
-    centers_avoiding: dict[str, tuple[str, str, str]] = {}
-    for plbl in POINT_LABELS:
-        avoid = tuple(CIRCLE_CENTER[c] for c in CIRCLE_LABELS if c not in point_circles[plbl])
-        assert len(avoid) == 3
-        centers_avoiding[plbl] = avoid
-
-    # a row's two triangles are the quadrangles of the two circles through its
-    # vertex, each without that vertex: so the orthocentres keyed (circle, v)
-    # for the circles through v are the row's H and F
-    for rec in PERSPECTIVE_TABLE:
-        triangles = {frozenset(rec.triangle1), frozenset(rec.triangle2)}
-        assert triangles == {frozenset(CIRCLE_POINTS[c]) - {rec.vertex}
-                             for c in point_circles[rec.vertex]}, rec
-    # per point P and circle C not through it: P's first circle and the
-    # labelled point that circle shares with C, its one labelled point on both
-    shared_with = {}
-    for plbl in POINT_LABELS:
-        own = point_circles[plbl][0]
-        for clbl in CIRCLE_LABELS:
-            if clbl not in point_circles[plbl]:
-                shared, = set(CIRCLE_POINTS[own]) & set(CIRCLE_POINTS[clbl])
-                shared_with[plbl, clbl] = own, shared
-    return point_circles, other_circle, centers_avoiding, shared_with
-
-
-POINT_CIRCLES, OTHER_CIRCLE, CENTERS_AVOIDING, _SHARED_WITH = _build_static_tables()
+# a row's two triangles are the quadrangles of the two circles through its
+# vertex, each without that vertex: so the orthocentres keyed (circle, v)
+# for the circles through v are the row's H and F; its perspectrix is the
+# three points whose pairs avoid the vertex's
+for rec in PERSPECTIVE_TABLE:
+    pair = POINT_CIRCLES[rec.vertex]
+    assert {frozenset(rec.triangle1), frozenset(rec.triangle2)} == {
+        frozenset(CIRCLE_POINTS[c]) - {rec.vertex} for c in pair}, rec
+    assert set(rec.perspectrix) == {p for p, q in POINT_CIRCLES.items()
+                                    if not set(pair) & set(q)}, rec
+del rec, pair
 
 # ring_orthocentres triangles: a quadrangle's, each without one vertex, in
 # quadrangle order; the centres' (indices into CENTER_LABELS), in CENTERS_AVOIDING order

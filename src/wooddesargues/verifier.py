@@ -702,12 +702,12 @@ def check_hagge(cs: ClaimSet, config: WoodDesarguesConfiguration,
     similar h-quadrangles, and the shared circumradius."""
     pts = config.points
     ctr = config.centers
-    hs: dict[str, Optional[Point]] = {}
+    hs = derived.hagge
     pentagon = derived.pentagon.circle
 
     for rec, perspectrix in zip(PERSPECTIVE_TABLE, derived.perspectrices):
         v = rec.vertex
-        h = hs[v] = derived.hagge[v]
+        h = hs[v]
         if h is None:
             note = derived.hagge_notes.get(v, "")
             if any(derived.orthocentres[c, v] is None for c in POINT_CIRCLES[v]):
@@ -761,8 +761,8 @@ def check_hagge(cs: ClaimSet, config: WoodDesarguesConfiguration,
         cs.scalars_equal("common h-circumcircle r2 equals pentagon r2",
                          radii[0][1], pentagon.radius_squared)
 
-    # static fact, asserted once at import by _build_static_tables: every point
-    # label names exactly two circles, so each Hagge centre is on two h-quadrangles
+    # static fact, asserted at import with the tables: every point is the pair
+    # of circles through it, so each Hagge centre is on two h-quadrangles
     cs.info("each Hagge centre lies on two h-quadrangles")
 
 

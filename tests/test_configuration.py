@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from wooddesargues.configuration import (
     PERSPECTIVE_TABLE,
     POINT_CIRCLES,
     POINT_LABELS,
+    _PAIR_POINT,
     derive_centre_orthocentres,
     derive_hagge_centres,
     derive_incidence,
@@ -50,6 +52,7 @@ from wooddesargues.kernel import (
     distance_squared,
     incident,
     line_through,
+    midpoint,
     orthocentre,
     point,
     point_on_unit_circle,
@@ -111,6 +114,70 @@ def test_static_tables_are_consistent():
     assert CENTERS_AVOIDING["K"] == ("L", "M", "N")
     assert OTHER_CIRCLE[("ABCK", "K")] == "abcK"
     assert OTHER_CIRCLE[("abcK", "K")] == "ABCK"
+    # the ten points are the ten pairs of circles, and each row's perspectrix
+    # is the three points whose pairs avoid its vertex's (python -O drops the
+    # import-time asserts of both)
+    assert sorted(map(sorted, POINT_CIRCLES.values())) == sorted(
+        map(sorted, combinations(CIRCLE_LABELS, 2)))
+    for rec in PERSPECTIVE_TABLE:
+        assert sorted(rec.perspectrix) == sorted(
+            p for p in POINT_LABELS
+            if not set(POINT_CIRCLES[p]) & set(POINT_CIRCLES[rec.vertex]))
+
+
+# --- the ten-point equivalence -------------------------------------------------
+
+def _t(p):
+    """The unit-circle parameter of p: y/(1 + x), INFINITY at (-1, 0)."""
+    return INFINITY if p.x == -1 else p.y / (1 + p.x)
+
+
+def _re_rooting_holds(config):
+    # for each ordered pair (i, j) of circles, f(z) = (z - O_i)/(J - O_i) sends
+    # circle i to the unit circle and J to 1; reading the seed off the images
+    # of K = {i, j} and A, B, C = {i, k}, {i, l}, {i, m}, with s from circle
+    # j's image centre, rebuilds the image of the configuration, with each
+    # label's pair renamed by 1..5 -> i, j, k, l, m
+    for i, j in permutations(CIRCLE_LABELS, 2):
+        k, l, m = (c for c in CIRCLE_LABELS if c not in (i, j))
+        old_circle = dict(zip(CIRCLE_LABELS, (i, j, k, l, m)))
+        o = config.circles[i].center
+        scale = config.j - o
+
+        def f(z):
+            return (z - o).cdiv(scale)
+
+        def image_of(*pair):
+            return f(config.points[_PAIR_POINT[frozenset(pair)]])
+
+        j1, kk = f(config.j), image_of(i, j)
+        side = kk - j1
+        offset = f(config.circles[j].center) - midpoint(j1, kk)
+        normal = side.rot90()
+        s = (offset.x * normal.x + offset.y * normal.y) / side.norm_squared()
+        seed = ConfigurationSeed(F(0), *(_t(image_of(i, x)) for x in (j, k, l, m)), s)
+        new = build_configuration(seed)
+
+        old_label = {lbl: _PAIR_POINT[frozenset(old_circle[c] for c in POINT_CIRCLES[lbl])]
+                     for lbl in POINT_LABELS}
+        assert new.points == {lbl: f(config.points[old_label[lbl]])
+                              for lbl in POINT_LABELS}, (i, j)
+        assert new.j == point(1, 0), (i, j)
+        r2_scale = scale.norm_squared()
+        assert new.circles == {c: Circle(f(config.circles[old_circle[c]].center),
+                                         config.circles[old_circle[c]].radius_squared / r2_scale)
+                               for c in CIRCLE_LABELS}
+        assert new.centers == {CIRCLE_CENTER[c]: f(config.centers[CIRCLE_CENTER[old_circle[c]]])
+                               for c in CIRCLE_LABELS}
+
+
+def test_re_rooting_at_each_circle_pair_rebuilds_the_configuration(reference_config):
+    # the paper's ten points are equivalent: the build from any ordered pair
+    # of the five circles gives the same figure, up to a similarity
+    _re_rooting_holds(reference_config)
+    for magnitude in (12, 10 ** 12):
+        for _, config, _, _ in generate_configurations(FuzzPolicy(20, 42, magnitude)):
+            _re_rooting_holds(config)
 
 
 # --- reference fixture --------------------------------------------------------
