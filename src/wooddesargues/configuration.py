@@ -14,7 +14,7 @@ checking lives in :mod:`wooddesargues.verifier`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -144,13 +144,19 @@ class ConfigurationSeed:
 
 @dataclass(frozen=True)
 class WoodDesarguesConfiguration:
-    """The ten labeled points, J, the five circles and their centers."""
+    """The ten labeled points, J, the five circles and their centers; ``incidence``
+    tells whether each circle's four points lie on it, decided on each construction."""
 
     points: dict[str, Point]
     j: Point
     circles: dict[str, Circle]
     centers: dict[str, Point]
     seed: Optional[ConfigurationSeed] = None
+    incidence: dict[tuple[str, str], bool] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "incidence", {(c, p): self.circles[c]._power(self.points[p]) == 0
+                                               for c in CIRCLE_LABELS for p in CIRCLE_POINTS[c]})
 
     def quadrangle(self, circle_label: str) -> tuple[Point, ...]:
         return tuple(self.points[v] for v in CIRCLE_POINTS[circle_label])
@@ -198,28 +204,25 @@ def build_configuration(seed: ConfigurationSeed) -> WoodDesarguesConfiguration:
     # hard invariant: every point on exactly the two circles its label names.
     # A missing required incidence would falsify the construction outright; an
     # extra incidence is a coincidence seed that breaks the label combinatorics.
-    reason = _membership_violation(points, pj, circles)
-    if reason is not None:
-        raise DegenerateSeedError(reason)
     centers = {CIRCLE_CENTER[clbl]: circles[clbl].center for clbl in CIRCLE_LABELS}
+    config = WoodDesarguesConfiguration(points=points, j=pj, circles=circles,
+                                        centers=centers, seed=seed)
+    if (reason := _membership_violation(config)) is not None:
+        raise DegenerateSeedError(reason)
+    return config
 
-    return WoodDesarguesConfiguration(points=points, j=pj, circles=circles,
-                                      centers=centers, seed=seed)
 
-
-def _membership_violation(points: dict[str, Point], j: Point,
-                          circles: dict[str, Circle]) -> Optional[str]:
+def _membership_violation(config: WoodDesarguesConfiguration) -> Optional[str]:
     """The reason code of the first (point, circle) pair, in label order, whose
     incidence is not the one the labels name, or None.
 
-    Each circle must pass through j.  Two circles through j with different
-    centres meet in j and at most one more point, so when P is on its first
-    circle C1 and the point Q that C1 shares with a circle C is on both,
-    Q != j, P lies on C exactly when P is j or Q.  Every other pair not named
-    by the labels is tested with ``incident``.
+    Labelled pairs are read off ``config.incidence``.  Each circle must pass
+    through J.  Two circles through J with different centres meet in J and at
+    most one more point, so when P is on its first circle C1 and the point Q
+    that C1 shares with a circle C is on both, Q != J, P lies on C exactly
+    when P is J or Q.  Other pairs are tested with ``incident``.
     """
-    on = {(clbl, plbl): circles[clbl]._power(points[plbl]) == 0
-          for clbl in CIRCLE_LABELS for plbl in CIRCLE_POINTS[clbl]}
+    points, j, circles, on = config.points, config.j, config.circles, config.incidence
     for plbl in POINT_LABELS:
         p = points[plbl]
         for clbl in CIRCLE_LABELS:
@@ -294,16 +297,12 @@ def derive_incidence(config: WoodDesarguesConfiguration,
     """The ``DerivedFigures.incidence`` table, with the pentagon entries when
     there is a ``pentagon``, the circle through U, V and J.
 
-    U, V and J lie on that circle by construction; every other entry is one
-    power test.
+    The labelled points' entries are ``config.incidence``; U, V and J lie on
+    the pentagon circle by construction; every other entry is one power test.
     """
-    j = config.j
-    incidence: Incidence = {}
+    incidence: Incidence = dict(config.incidence)
     for clbl in CIRCLE_LABELS:
-        circle = config.circles[clbl]
-        for plbl in CIRCLE_POINTS[clbl]:
-            incidence[clbl, plbl] = circle._power(config.points[plbl]) == 0
-        incidence[clbl, "J"] = circle._power(j) == 0
+        incidence[clbl, "J"] = config.circles[clbl]._power(config.j) == 0
     if pentagon is not None:
         for x in CENTER_LABELS:
             incidence[PENTAGON, x] = x in ("U", "V") or pentagon._power(config.centers[x]) == 0

@@ -288,15 +288,15 @@ def _distance_record(p: Point, o: Point) -> tuple[int, int]:
     return dx * dx + dy * dy, z * z
 
 
-def _equidistant(o: Point, points: Sequence[Point]) -> bool:
-    """Every point is exactly as far from o: their distance records agree by
-    cross-multiplication."""
+def _equidistant(o: Point, points: Sequence[Point]) -> Optional[tuple[int, int]]:
+    """The first point's distance record when every point is exactly as far
+    from o (the records agree by cross-multiplication), else None."""
     n0, w0 = _distance_record(points[0], o)
     for p in points[1:]:
         n, w = _distance_record(p, o)
         if n * w0 != n0 * w:
-            return False
-    return True
+            return None
+    return n0, w0
 
 
 def distance_squared(p: Point, q: Point) -> Fraction:
@@ -488,8 +488,12 @@ def circumcenter(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -
 
 
 def circle_through(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -> Circle:
-    """The circle through p, q and r about ``circumcenter(p, q, r, centre)``."""
-    centre = circumcenter(p, q, r, centre)
+    """The circle through p, q and r about ``circumcenter(p, q, r, centre)``;
+    an accepted ``centre`` keeps p's distance record from its test for r^2."""
+    if (centre is not None and p.hom != q.hom != r.hom != p.hom
+            and (record := _equidistant(centre, (p, q, r)))):
+        return Circle(centre, Fraction(*record))
+    centre = circumcenter(p, q, r)
     return Circle(centre, distance_squared(p, centre))
 
 
@@ -541,6 +545,11 @@ def second_intersection_of_circles(c1: Circle, c2: Circle, known: Point) -> Poin
 def antipode(circle: Circle, p: Point) -> Point:
     if circle._power(p) != 0:
         raise NotIncidentError(f"{p} not on {circle}")
+    return _antipode(circle, p)
+
+
+# _antipode and _tangent_at: for a point already known to lie on the circle
+def _antipode(circle: Circle, p: Point) -> Point:
     X, Y, Z = p.hom
     Xc, Yc, Zc = circle.center.hom
     return _point(2 * Xc * Z - X * Zc, 2 * Yc * Z - Y * Zc, Zc * Z)
@@ -549,6 +558,10 @@ def antipode(circle: Circle, p: Point) -> Point:
 def tangent_at(circle: Circle, p: Point) -> Line:
     if circle._power(p) != 0:
         raise NotIncidentError(f"{p} not on {circle}")
+    return _tangent_at(circle, p)
+
+
+def _tangent_at(circle: Circle, p: Point) -> Line:
     X, Y, Z = p.hom
     Xc, Yc, Zc = circle.center.hom
     # normal Z Zc (p - center)
@@ -608,16 +621,22 @@ def ring_orthocentres(ring: Sequence[Point], triangles: Iterable[tuple[int, int,
 
     ``on[i]`` tells whether ring point i lies on one given circle about
     ``centre``.  A triangle of three distinct such points is inscribed about
-    ``centre``, so its orthocentre is the ``euler_sum`` of its vertices about
-    it.  Any other triangle, and each one when ``centre`` is None, goes to
-    ``orthocentre``.
+    ``centre``, so its orthocentre is Euler's p + q + r - 2 centre, summed
+    over the lcm of the Z of ``centre`` and the points on the circle.  Any
+    other triangle, and each one when ``centre`` is None, goes to ``orthocentre``.
     """
     out: list[Optional[Point]] = []
+    over = None
     for i, j, k in triangles:
         p, q, r = ring[i], ring[j], ring[k]
         h = None
         if centre is not None and on[i] and on[j] and on[k] and p.hom != q.hom != r.hom != p.hom:
-            h = euler_sum((p, q, r), centre)
+            if over is None:  # the centre and the points on the circle, over the lcm of their Z
+                d = math.lcm(centre.hom[2], *(s.hom[2] for s, o in zip(ring, on) if o))
+                over = [(X * m, Y * m) if o else None for (X, Y, Z), o in
+                        zip((s.hom for s in (*ring, centre)), (*on, True)) for m in (d // Z,)]
+            (X1, Y1), (X2, Y2), (X3, Y3), (Xo, Yo) = over[i], over[j], over[k], over[-1]
+            h = _point(X1 + X2 + X3 - 2 * Xo, Y1 + Y2 + Y3 - 2 * Yo, d)
             assert _on_altitudes(h, p, q, r)
         if h is None:
             try:

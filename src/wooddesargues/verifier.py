@@ -40,6 +40,7 @@ from .configuration import (
     derive_figures,
 )
 from .kernel import (
+    CollinearPointsError,
     DegenerateInputError,
     IdenticalCirclesError,
     ParallelLinesError,
@@ -51,10 +52,11 @@ from .kernel import (
     Point,
     Similarity,
     _Value,
+    _antipode,
     _minus,
     _point,
     _sum,
-    antipode,
+    _tangent_at,
     circle_through,
     collapses_to_line,
     collinearity_residual,
@@ -71,7 +73,6 @@ from .kernel import (
     perpendicular_at,
     radical_axis,
     second_intersection_of_circles,
-    tangent_at,
     to_float,
 )
 from .serialize import format_scalar
@@ -252,14 +253,15 @@ class ClaimSet:
         self.claims.append((label, False, got, _distance_residual, (got, expected)))
         return False
 
-    def lines_meet_at(self, label: str, l1: Line, l2: Line, target: Point,
+    def lines_meet_at(self, label: str, l1: Line, l2: Line, target: Point, holds: bool,
                       coincide_note: str, parallel_witness: str = "parallel lines") -> None:
-        """Claim that l1 and l2 meet exactly at target; identical lines are degenerate."""
+        """Claim that l1 and l2 meet exactly at target, decided by ``holds``: both pass it.
+        Identical lines are degenerate; the lines are met only for a failing witness."""
         if l1 == l2:
             self.degenerate(coincide_note)
             return
         try:
-            self.points_equal(label, meet(l1, l2), target)
+            self.points_equal(label, target if holds else meet(l1, l2), target)
         except ParallelLinesError:
             self.fail(label, parallel_witness)
 
@@ -486,16 +488,18 @@ def check_five_circles(cs: ClaimSet, config: WoodDesarguesConfiguration,
 
 
 def _similarity_claims(cs: ClaimSet, label: str, source: Sequence[Point],
-                       target: Sequence[Point]) -> Optional[Similarity]:
+                       target: Sequence[Point],
+                       guess: Optional[Similarity] = None) -> Optional[Similarity]:
     """Claim that the map pinned by the first two pairs transports the rest.
 
-    Returns the map for further claims, or None when no similarity can even
-    be formed (a coincident source pair is degenerate; a zero multiplier is
-    a failed claim)."""
+    That is ``guess`` when it sends both pairs.  Returns the map for further
+    claims, or None when no similarity can even be formed (a coincident
+    source pair is degenerate; a zero multiplier is a failed claim)."""
     if source[0] == source[1]:
         cs.degenerate(f"{label}: first two source points coincide")
         return None
-    sim = Similarity.pinned_by(source, target)
+    sim = (guess if guess is not None and all(map(guess.sends, source[:2], target[:2]))
+           else Similarity.pinned_by(source, target))
     if sim is None:
         cs.fail(f"{label}: nonzero multiplier", ORIGIN)
         return None
@@ -533,11 +537,15 @@ def check_orthocentre_quadrangle(cs: ClaimSet, config: WoodDesarguesConfiguratio
             return
         hpts.append(h)
 
-    sim = _similarity_claims(cs, f"{circle_label}~H-quadrangle", vpts, hpts)
+    # the half turn z -> 2M - z, M = vertex-sum/2 - centre, is the map to try
+    # first; 2M is canonical, as M is: halve Z when even, else double X and Y
+    expected = euler_sum(vpts, config.circles[circle_label].center, 2)
+    X, Y, Z = expected.hom
+    turn = Similarity(MINUS_ONE, Point((X, Y, Z // 2) if Z % 2 == 0 else (2 * X, 2 * Y, Z)))
+    sim = _similarity_claims(cs, f"{circle_label}~H-quadrangle", vpts, hpts, turn)
     if sim is not None:
         cs.points_equal("multiplier is -1 (half turn)", sim.alpha, MINUS_ONE)
         if sim.alpha != ONE:
-            expected = euler_sum(vpts, config.circles[circle_label].center, 2)
             cs.fixed_at("fixed point is vertex-sum/2 - centre", sim, expected)
 
 
@@ -602,14 +610,14 @@ def check_pentagon_perspectives(cs: ClaimSet, config: WoodDesarguesConfiguration
         z = _require_meet(cs, derived, config, "ABCK", "Z")
         w = _require_meet(cs, derived, config, "Aa23", "W")
 
+    on_joins = []  # per join, whether Z is on it
     if z is not None:
         for albl, clbl in (("A", "L"), ("B", "M"), ("C", "N")):
             a, c = pts[albl], ctr[clbl]
-            if a == z or c == z:
+            if ends := a == z or c == z:
                 cs.degenerate(f"line {albl}{clbl}Z degenerate: "
                               f"Z coincides with {_coincidence_name(config, z)}")
-                continue
-            cs.collinear(f"{albl}, {clbl}, Z collinear", a, c, z)
+            on_joins.append(ends or cs.collinear(f"{albl}, {clbl}, Z collinear", a, c, z))
         cs.witness("Z", z)
     if w is not None:
         a, u = pts["A"], ctr["U"]
@@ -637,7 +645,8 @@ def check_pentagon_perspectives(cs: ClaimSet, config: WoodDesarguesConfiguration
         if line_al is None or line_bm is None:
             cs.degenerate(note)
         else:
-            cs.lines_meet_at("AL meets BM at Z", line_al, line_bm, z, note)
+            cs.lines_meet_at("AL meets BM at Z", line_al, line_bm, z,
+                             on_joins[0] and on_joins[1], note)
 
 
 def check_pentagon_quadrangles(cs: ClaimSet, config: WoodDesarguesConfiguration) -> None:
@@ -674,24 +683,24 @@ def check_tangent_concurrency(cs: ClaimSet, config: WoodDesarguesConfiguration,
     if not ok:
         return
 
-    # each antipode is on the circle it was taken on
-    x, y = antipode(config.circles["ABCK"], z), antipode(pentagon, z)
+    # Z is on both circles it meets, and each antipode on the circle it was taken on
+    x, y = _antipode(config.circles["ABCK"], z), _antipode(pentagon, z)
     cs.on_circle("X on ABCK", config.circles["ABCK"], x, True)
     cs.on_circle("Y on pentagon circle", pentagon, y, True)
     cs.witness("X", x)
     cs.witness("Y", y)
 
-    tangents = [tangent_at(config.circles[clbl], pts[plbl]) for plbl, clbl in sides]
-    for (plbl, clbl), t in zip(sides, tangents):
-        cs.on_line(f"tangent at {plbl} to {clbl} passes X", t, x)
+    tangents = [_tangent_at(config.circles[clbl], pts[plbl]) for plbl, clbl in sides]
+    on = [cs.on_line(f"tangent at {plbl} to {clbl} passes X", t, x)
+          for (plbl, clbl), t in zip(sides, tangents)]
     cs.lines_meet_at("tangents at A, B meet at X", tangents[0], tangents[1], x,
-                     "tangents at A and B coincide", "parallel tangents")
+                     on[0] and on[1], "tangents at A and B coincide", "parallel tangents")
 
     parallels = [parallel_through(ctr[clbl], t) for t, clbl in zip(tangents, "LMN")]
-    for p, clbl in zip(parallels, "LMN"):
-        cs.on_line(f"parallel through {clbl} passes Y", p, y)
+    on = [cs.on_line(f"parallel through {clbl} passes Y", p, y)
+          for p, clbl in zip(parallels, "LMN")]
     cs.lines_meet_at("parallels through L, M meet at Y", parallels[0], parallels[1], y,
-                     "parallels through L and M coincide")
+                     on[0] and on[1], "parallels through L and M coincide")
 
     cs.points_equal("pentagon centre is midpoint of YZ", midpoint(y, z), pentagon.center)
 
@@ -741,12 +750,15 @@ def check_hagge(cs: ClaimSet, config: WoodDesarguesConfiguration,
         _similarity_claims(cs, f"{clbl}~h-quadrangle", src, dst)
 
         ring = distinct(dst)
-        if len(ring) < 3 or is_collinear(ring[0], ring[1], ring[2]):
+        centre = _point(*_minus(spread, ctr[CIRCLE_CENTER[clbl]])) if spread is not None else None
+        try:
+            circ = circle_through(*ring[:3], centre=centre) if len(ring) >= 3 else None
+        except CollinearPointsError:
+            circ = None
+        if circ is None:
             res = collinearity_residual(*ring[:3]) if len(ring) >= 3 else Fraction(0)
             cs.fail(f"h-quadrangle of {clbl} spans a circle", res)
             continue
-        centre = _point(*_minus(spread, ctr[CIRCLE_CENTER[clbl]])) if spread is not None else None
-        circ = circle_through(ring[0], ring[1], ring[2], centre=centre)
         for v, p in zip(verts, dst):
             # the circle passes through the three points it was built on
             cs.on_circle(f"h({v}) on h-circumcircle of {clbl}", circ, p,
@@ -775,12 +787,12 @@ def _perpendicular_concurrency_claims(cs: ClaimSet, circle: Circle,
     ``names`` labels the base points and ``target`` the antipode in claim
     labels; ``witness`` labels the antipode in the witnesses.
     """
-    t = antipode(circle, s)
+    t = _antipode(circle, s)
     perps = [perpendicular_at(b, line_through(s, b)) for b in base]
-    for name, line in zip(names, perps):
-        cs.on_line(f"perpendicular at {name} passes {target}", line, t)
+    on = [cs.on_line(f"perpendicular at {name} passes {target}", line, t)
+          for name, line in zip(names, perps)]
     cs.lines_meet_at(f"perpendiculars at {names[0]}, {names[1]} meet at {target}",
-                     perps[0], perps[1], t,
+                     perps[0], perps[1], t, on[0] and on[1],
                      f"perpendiculars at {names[0]} and {names[1]} coincide")
     cs.witness(witness, t)
 

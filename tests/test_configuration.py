@@ -366,7 +366,8 @@ def test_membership_decisions_match_the_plain_loop(seed_text):
     config = build_configuration(parse_seed_text(seed_text))
     reasons = Counter()
     for points, circles in _tampered_memberships(config):
-        reason = configuration._membership_violation(points, config.j, circles)
+        reason = configuration._membership_violation(
+            dataclasses.replace(config, points=points, circles=circles))
         assert reason == _plain_membership_violation(points, circles)
         reasons[reason.split(":")[1] if reason else None] += 1
     assert reasons == {None: 1, "extra": 40, "missing": 30}
@@ -561,17 +562,17 @@ def test_a_campaign_seed_builds_two_circumcentres(monkeypatch, magnitude):
 def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
     # (Circle._power, concyclicity_determinant, _distance_record) calls per
     # build and per verify_all; the asserts python -O drops make the rest.
-    # Build: the 20 incidences the labels name, the other 30 by point
-    # equality; one distance record per circle-2 and Wood radius, three in
-    # the assert on the circumcentre of J, U and V.
-    # Verify: one power per incidence-table entry that is not true by
-    # construction (25 on the five circles, L, M and N on the pentagon
-    # circle), one guard per pentagon meet and per antipode of Z, 3 in
-    # tangent_at, one per h-circumcircle for its fourth point, one for the
-    # antipode of K and one in the three-circle instance's meet; no
-    # determinant; three records per predicted Hagge centre, four per
-    # h-circumcircle (three in the centre test, one for its radius), and the
-    # pentagon circle's record with three in its assert.
+    # Build: the 20 incidences the labels name, which the configuration
+    # keeps, the other 30 by point equality; one distance record per
+    # circle-2 and Wood radius, three in the assert on the circumcentre of J,
+    # U and V.
+    # Verify: one power per incidence-table entry that is neither kept by
+    # the configuration nor true by construction (J on the five circles, L,
+    # M and N on the pentagon circle), one guard per pentagon meet, one per
+    # h-circumcircle for its fourth point and one in the three-circle
+    # instance's meet; no determinant; three records per predicted Hagge
+    # centre, three per h-circumcircle (its centre test, which gives its
+    # radius), and the pentagon circle's record with three in its assert.
     seeds = [config.seed for _, config, _, _ in
              generate_configurations(FuzzPolicy(10, 42, magnitude))]
     powers = []
@@ -599,7 +600,7 @@ def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
         ledger.append((built, verified))
     asserted = 1 if __debug__ else 0
     assert ledger == [((20, 0, 4 + 3 * asserted),
-                       (42, 0, 51 + 3 * asserted))] * 10
+                       (16, 0, 46 + 3 * asserted))] * 10
 
 
 # --- perspectrices -------------------------------------------------------------

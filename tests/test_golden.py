@@ -27,7 +27,7 @@ import hashlib
 
 import pytest
 
-from wooddesargues import FuzzPolicy, build_configuration, verify_all
+from wooddesargues import FuzzPolicy, build_configuration, derive_figures, verifier, verify_all
 from wooddesargues.fuzz import generate_configurations
 from wooddesargues.kernel import Circle, Line, Point, Similarity, point
 from wooddesargues.render import render_svg
@@ -322,3 +322,41 @@ def test_claim_ledger(reference_config):
             lines.append(f"notes\t{result.notes}")
     digests = {name: _sha256("\n".join(lines)) for name, lines in ledgers.items()}
     assert digests == CLAIM_LEDGER
+
+
+def test_the_predicted_half_turn_leaves_every_claim_record(reference_config, monkeypatch):
+    # the orthocentre-quadrangle checks offer the half turn about
+    # vertex-sum/2 - centre as the map their first two pairs pin; with the
+    # offer dropped, the map is pinned from the pairs, and every claim record
+    # and note is the same
+    real = verifier._similarity_claims
+    taken = []
+
+    def offered(cs, label, source, target, guess=None):
+        sim = real(cs, label, source, target, guess)
+        if guess is not None:
+            taken.append(sim is guess)
+        return sim
+
+    def pinned(cs, label, source, target, guess=None):
+        return real(cs, label, source, target)
+
+    checks = [(name, check) for name, check in verifier.CHECKS
+              if name.startswith("orthocentre-quadrangle:")]
+    configs = [(c, derive_figures(c)) for c in _ledger_configurations(reference_config)]
+
+    def records(similarity_claims):
+        monkeypatch.setattr(verifier, "_similarity_claims", similarity_claims)
+        out = []
+        for config, derived in configs:
+            for name, check in checks:
+                cs = verifier.ClaimSet()
+                check(cs, config, derived)
+                result = cs.result(name)
+                out.append((result.records, result.notes))
+        return out
+
+    assert records(offered) == records(pinned)
+    # the turn is taken on all five quadrangles of each of the 11 built
+    # configurations and on the quadrangles a probe leaves alone
+    assert (taken.count(True), taken.count(False)) == (154, 55)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 from itertools import combinations
-from math import gcd, isclose, sqrt
+from math import gcd, isclose, lcm, sqrt
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -383,6 +383,34 @@ def test_ring_orthocentres_equal_the_orthocentre_of_each_triangle(ring_and_centr
                 else fraction_orthocentre(*tri_points)
                 for tri_points in ([ring[i] for i in tri] for tri in triangles)]
     assert ring_orthocentres(ring, triangles, centre, as_far_as_the_first(ring, centre)) == expected
+
+
+@st.composite
+def inscribed(draw):
+    """4 or 5 distinct points on a circle, and its centre: over one shared
+    denominator d (unit-circle points scaled by the lcm of their denominators
+    over d, about a centre over d), or over the unit circle's own, mostly
+    coprime, denominators."""
+    unit = [point_on_unit_circle(t) for t in draw(st.lists(small, min_size=4, max_size=5,
+                                                           unique=True))]
+    if draw(st.booleans()):
+        d = draw(st.integers(1, HUGE))
+        scale = F(lcm(*(p.hom[2] for p in unit)), d)
+        o = point(*(F(draw(st.integers(-HUGE, HUGE)), d) for _ in "xy"))
+    else:
+        scale, o = draw(rationals.filter(bool)), draw(points)
+    return [fraction_add(o, fraction_scale(p, scale)) for p in unit], o
+
+
+@given(inscribed())
+@EXAMPLES
+def test_ring_orthocentres_sum_over_a_common_denominator(ring_and_centre):
+    # every triangle of the ring is inscribed about o, so each orthocentre is
+    # an Euler sum over the lcm of the ring's and o's denominators
+    ring, o = ring_and_centre
+    triangles = list(combinations(range(len(ring)), 3))
+    expected = [orthocentre(*(ring[i] for i in tri)) for tri in triangles]
+    assert ring_orthocentres(ring, triangles, o, [True] * len(ring)) == expected
 
 
 @given(points, points, rationals, st.one_of(st.none(), points))
