@@ -93,6 +93,8 @@ assert set(_PAIR_POINT) == {frozenset((c, d)) for c in CIRCLE_LABELS for d in CI
                             if c != d}
 
 OTHER_CIRCLE = {(c, p): d for c in CIRCLE_LABELS for p in c for d in POINT_CIRCLES[p] if d != c}
+# per circle, the centres of the other circles through its points, in quadrangle order
+QUADRANGLE_CENTRES = {c: tuple(CIRCLE_CENTER[OTHER_CIRCLE[c, p]] for p in c) for c in CIRCLE_LABELS}
 CENTERS_AVOIDING = {p: tuple(CIRCLE_CENTER[c] for c in CIRCLE_LABELS if c not in pair)
                     for p, pair in POINT_CIRCLES.items()}
 # per point P and circle C not through it: P's first circle and the point
@@ -259,6 +261,7 @@ class PentagonFigures:
 
 Orthocentres = dict[tuple[str, str], Optional[Point]]
 Incidence = dict[tuple[str, str], bool]
+QuadrangleMap = tuple[Optional[Similarity], tuple[bool, ...]]
 
 
 @dataclass(frozen=True)
@@ -280,6 +283,8 @@ class DerivedFigures:
     ``collinear[n]`` tells whether the perspectrix points of table row n are
     collinear, and ``perspectrices[n]`` is the line through the first two
     distinct of them, None when all three coincide.
+    ``quadrangle_maps`` is ``derive_quadrangle_maps(config)``, which
+    ``verify_all`` adds: ``derive_figures`` leaves it None.
     """
 
     orthocentres: Orthocentres
@@ -290,6 +295,7 @@ class DerivedFigures:
     collinear: tuple[bool, ...]
     perspectrices: tuple[Optional[Line], ...]
     incidence: Incidence
+    quadrangle_maps: Optional[dict[str, QuadrangleMap]] = None
 
 
 def derive_incidence(config: WoodDesarguesConfiguration,
@@ -407,6 +413,17 @@ def derive_perspectrices(config: WoodDesarguesConfiguration,
         first, *rest = distinct(row)
         lines.append(line_through(first, rest[0]) if rest else None)
     return tuple(collinear), tuple(lines)
+
+
+def derive_quadrangle_maps(config: WoodDesarguesConfiguration) -> dict[str, QuadrangleMap]:
+    """Per circle: the similarity its first two points and ``QUADRANGLE_CENTRES``
+    pin, None where either pair coincides, and whether it sends the others."""
+    maps = {}
+    for clbl in CIRCLE_LABELS:
+        src, dst = config.quadrangle(clbl), [config.centers[x] for x in QUADRANGLE_CENTRES[clbl]]
+        sim = Similarity.pinned_by(src, dst) if src[0] != src[1] else None
+        maps[clbl] = sim, (tuple(map(sim.sends, src[2:], dst[2:])) if sim is not None else ())
+    return maps
 
 
 def derive_figures(config: WoodDesarguesConfiguration) -> DerivedFigures:

@@ -75,13 +75,9 @@ class RetryBudgetExhausted(RuntimeError):
 
 
 def draw_seed(rng: Xorshift64Star, max_magnitude: int) -> ConfigurationSeed:
-    n = max_magnitude
-    values = []
-    for _ in range(6):
-        p = rng.next_int(-n, n)
-        q = rng.next_int(1, n)
-        values.append(Fraction(p, q))
-    return ConfigurationSeed(*values)
+    n = max_magnitude  # each numerator is drawn before its denominator
+    return ConfigurationSeed(*(Fraction(rng.next_int(-n, n), rng.next_int(1, n))
+                               for _ in range(6)))
 
 
 def generate_configurations(policy: FuzzPolicy) -> Iterator[tuple[int, WoodDesarguesConfiguration, int, list[str]]]:

@@ -568,21 +568,6 @@ def _tangent_at(circle: Circle, p: Point) -> Line:
     return Line.from_coefficients(*_normal_at(p, X * Zc - Xc * Z, Y * Zc - Yc * Z))
 
 
-def _sum(points: Iterable[Point]) -> tuple[int, int, int]:
-    """Unreduced homogeneous triple of the sum of the points."""
-    X, Y, Z = 0, 0, 1
-    for Xp, Yp, Zp in (p.hom for p in points):
-        X, Y, Z = X * Zp + Xp * Z, Y * Zp + Yp * Z, Z * Zp
-    return X, Y, Z
-
-
-def _minus(hom: tuple[int, int, int], p: Point, weight: int = 1) -> tuple[int, int, int]:
-    """Unreduced homogeneous triple of hom - weight * p."""
-    X, Y, Z = hom
-    Xp, Yp, Zp = p.hom
-    return X * Zp - weight * Xp * Z, Y * Zp - weight * Yp * Z, Z * Zp
-
-
 def euler_sum(points: Sequence[Point], centre: Point, divisor: int = 1) -> Point:
     """(sum of the points - 2 centre) / divisor, canonicalised once.
 
@@ -590,7 +575,10 @@ def euler_sum(points: Sequence[Point], centre: Point, divisor: int = 1) -> Point
     p + q + r - 2o; for a quadrangle inscribed in it, halved, the centre of the
     half turn taking each vertex to the orthocentre of the other three.
     """
-    X, Y, Z = _minus(_sum(points), centre, 2)
+    Xo, Yo, Z = centre.hom
+    X, Y = -2 * Xo, -2 * Yo
+    for Xp, Yp, Zp in (p.hom for p in points):
+        X, Y, Z = X * Zp + Xp * Z, Y * Zp + Yp * Z, Z * Zp
     return _point(X, Y, Z * divisor)
 
 

@@ -20,11 +20,12 @@ coincidence, reported distinctly).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .configuration import (
+    CENTER_LABELS,
     CENTERS_AVOIDING,
     CIRCLE_CENTER,
     CIRCLE_LABELS,
@@ -33,11 +34,14 @@ from .configuration import (
     PENTAGON,
     PERSPECTIVE_TABLE,
     POINT_CIRCLES,
+    QUADRANGLE_CENTRES,
     ConfigurationSeed,
     DerivedFigures,
     PerspectiveRecord,
+    QuadrangleMap,
     WoodDesarguesConfiguration,
     derive_figures,
+    derive_quadrangle_maps,
 )
 from .kernel import (
     CollinearPointsError,
@@ -53,9 +57,7 @@ from .kernel import (
     Similarity,
     _Value,
     _antipode,
-    _minus,
     _point,
-    _sum,
     _tangent_at,
     circle_through,
     collapses_to_line,
@@ -173,11 +175,8 @@ class Claim:
 
     def __init__(self, label: str, holds: bool, witness: Optional[Witness],
                  residual_fn: Callable[..., float], args: tuple) -> None:
-        self.label = label
-        self.holds = holds
-        self.witness = witness
-        self._residual = residual_fn
-        self._args = args
+        self.label, self.holds, self.witness = label, holds, witness
+        self._residual, self._args = residual_fn, args
 
     @property
     def residual(self) -> float:
@@ -287,8 +286,9 @@ class ClaimSet:
         self.claims.append((label, holds, witness, _concyclic_residual, (a, b, c, d)))
         return holds
 
-    def maps_to(self, label: str, sim: Similarity, src: Point, dst: Point) -> bool:
-        holds = sim.sends(src, dst)
+    def maps_to(self, label: str, sim: Similarity, src: Point, dst: Point,
+                holds: Optional[bool] = None) -> bool:
+        holds = sim.sends(src, dst) if holds is None else holds
         witness = None if holds else sim.apply(src)
         self.claims.append((label, holds, witness, _map_residual, (sim, src, dst)))
         return holds
@@ -488,23 +488,26 @@ def check_five_circles(cs: ClaimSet, config: WoodDesarguesConfiguration,
 
 
 def _similarity_claims(cs: ClaimSet, label: str, source: Sequence[Point],
-                       target: Sequence[Point],
-                       guess: Optional[Similarity] = None) -> Optional[Similarity]:
+                       target: Sequence[Point], guess: Optional[Similarity] = None,
+                       pinned: Optional[QuadrangleMap] = None) -> Optional[Similarity]:
     """Claim that the map pinned by the first two pairs transports the rest.
 
-    That is ``guess`` when it sends both pairs.  Returns the map for further
-    claims, or None when no similarity can even be formed (a coincident
-    source pair is degenerate; a zero multiplier is a failed claim)."""
+    That is ``guess`` when it sends both pairs.  ``pinned`` is that map with
+    its verdicts on the further pairs, already decided.  Returns the map for
+    further claims, or None when no similarity can even be formed (a
+    coincident source pair is degenerate; a zero multiplier is a failed claim)."""
     if source[0] == source[1]:
         cs.degenerate(f"{label}: first two source points coincide")
         return None
-    sim = (guess if guess is not None and all(map(guess.sends, source[:2], target[:2]))
-           else Similarity.pinned_by(source, target))
+    if pinned is None:
+        pinned = (guess if guess is not None and all(map(guess.sends, source[:2], target[:2]))
+                  else Similarity.pinned_by(source, target)), (None,) * len(source)
+    sim, holds = pinned
     if sim is None:
         cs.fail(f"{label}: nonzero multiplier", ORIGIN)
         return None
     for i in range(2, len(source)):
-        cs.maps_to(f"{label}: pair {i + 1} transported", sim, source[i], target[i])
+        cs.maps_to(f"{label}: pair {i + 1} transported", sim, source[i], target[i], holds[i - 2])
     return sim
 
 
@@ -603,8 +606,7 @@ def _require_meet(cs: ClaimSet, derived: DerivedFigures,
 def check_pentagon_perspectives(cs: ClaimSet, config: WoodDesarguesConfiguration,
                                 derived: DerivedFigures) -> None:
     """Z and W line up with the construction points and ABC ~ LMN from J."""
-    pts = config.points
-    ctr = config.centers
+    pts, ctr = config.points, config.centers
     z = w = None
     if _pentagon_circle(cs, config, derived) is not None:
         z = _require_meet(cs, derived, config, "ABCK", "Z")
@@ -628,9 +630,9 @@ def check_pentagon_perspectives(cs: ClaimSet, config: WoodDesarguesConfiguration
             cs.collinear("A, U, W collinear", a, u, w)
         cs.witness("W", w)
 
-    sim = _similarity_claims(cs, "ABC~LMN",
-                             [pts["A"], pts["B"], pts["C"]],
-                             [ctr["L"], ctr["M"], ctr["N"]])
+    # ABC ~ LMN is the ABCK quadrangle's map, pinned by the same two pairs
+    sim = _similarity_claims(cs, "ABC~LMN", [pts[x] for x in "ABC"], [ctr[x] for x in "LMN"],
+                             pinned=derived.quadrangle_maps["ABCK"])
     if sim is not None:
         cs.witness("alpha ABC~LMN", sim.alpha)
         if sim.alpha == ONE:
@@ -649,15 +651,13 @@ def check_pentagon_perspectives(cs: ClaimSet, config: WoodDesarguesConfiguration
                              on_joins[0] and on_joins[1], note)
 
 
-def check_pentagon_quadrangles(cs: ClaimSet, config: WoodDesarguesConfiguration) -> None:
+def check_pentagon_quadrangles(cs: ClaimSet, config: WoodDesarguesConfiguration,
+                               derived: DerivedFigures) -> None:
     """Each quadrangle maps vertexwise onto the four other centres, directly similarly."""
-    for clbl in CIRCLE_LABELS:
-        verts = CIRCLE_POINTS[clbl]
-        src = [config.points[v] for v in verts]
-        others = [CIRCLE_CENTER[OTHER_CIRCLE[clbl, v]] for v in verts]
-        dst = [config.centers[x] for x in others]
-        names = "".join(others)
-        sim = _similarity_claims(cs, f"{clbl}~{names}", src, dst)
+    for clbl, pinned in derived.quadrangle_maps.items():
+        names = "".join(QUADRANGLE_CENTRES[clbl])
+        sim = _similarity_claims(cs, f"{clbl}~{names}", config.quadrangle(clbl),
+                                 [config.centers[x] for x in names], pinned=pinned)
         if sim is not None:
             cs.witness(f"alpha {clbl}~{names}", sim.alpha)
 
@@ -666,8 +666,7 @@ def check_tangent_concurrency(cs: ClaimSet, config: WoodDesarguesConfiguration,
                               derived: DerivedFigures) -> None:
     """Tangents at A, B, C concur at X = antipode(Z) on circle ABCK; the parallels
     through L, M, N concur at Y = antipode(Z) on the pentagon circle."""
-    pts = config.points
-    ctr = config.centers
+    pts, ctr = config.points, config.centers
     pentagon = _pentagon_circle(cs, config, derived)
     if pentagon is None:
         return
@@ -705,14 +704,36 @@ def check_tangent_concurrency(cs: ClaimSet, config: WoodDesarguesConfiguration,
     cs.points_equal("pentagon centre is midpoint of YZ", midpoint(y, z), pentagon.center)
 
 
+def _h_circles(config: WoodDesarguesConfiguration, derived: DerivedFigures,
+               ) -> dict[str, tuple[Point, Optional[QuadrangleMap]]]:
+    """Per circle C: the centre S - 3P - C of its h-quadrangle's circle (S the
+    sum of the centres, P the pentagon centre), and the h-map and verdicts
+    the identity decides, else None.  When the five centres are distinct and
+    on the pentagon circle, each accepted prediction h(v) is Euler's
+    K - sigma(v), K = S - 2P - C and sigma the quadrangle map of C: the h-map
+    is z -> K - sigma(z), its circle the pentagon circle turned about (K + P)/2."""
+    ctr = [derived.pentagon.circle.center, *(config.centers[x] for x in CENTER_LABELS)]
+    d = math.lcm(*(p.hom[2] for p in ctr))  # the centres and P over the lcm of their Z
+    (Xp, Yp), *over = [(X * (d // Z), Y * (d // Z)) for X, Y, Z in (p.hom for p in ctr)]
+    Xs, Ys = sum(x for x, _ in over) - 2 * Xp, sum(y for _, y in over) - 2 * Yp
+    on, out = derived.incidence, {}
+    concyclic = len(distinct(ctr[1:])) == 5 and all(on[PENTAGON, x] for x in CENTER_LABELS)
+    for (clbl, (sigma, holds)), (Xc, Yc) in zip(derived.quadrangle_maps.items(), over):
+        Xk, Yk, h_map = Xs - Xc, Ys - Yc, None  # K over d
+        if concyclic and sigma is not None and all(
+                derived.hagge[v] is derived.centre_orthocentres[v] for v in clbl):
+            (Xa, Ya, Za), (Xb, Yb, Zb) = sigma.alpha.hom, sigma.beta.hom
+            h_map = Similarity(Point((-Xa, -Ya, Za)),
+                               _point(Xk * Zb - Xb * d, Yk * Zb - Yb * d, d * Zb)), holds
+        out[clbl] = _point(Xk - Xp, Yk - Yp, d), h_map
+    return out
+
+
 def check_hagge(cs: ClaimSet, config: WoodDesarguesConfiguration,
                 derived: DerivedFigures) -> None:
-    """Hagge centres: perspectrix incidence, centre-triangle orthocentre identity,
-    similar h-quadrangles, and the shared circumradius."""
-    pts = config.points
-    ctr = config.centers
-    hs = derived.hagge
-    pentagon = derived.pentagon.circle
+    """Hagge centres: perspectrix incidence, centre-triangle orthocentre identity, and
+    similar h-quadrangles with one circumradius, by the identity of _h_circles where it holds."""
+    hs, pentagon = derived.hagge, derived.pentagon.circle
 
     for rec, perspectrix in zip(PERSPECTIVE_TABLE, derived.perspectrices):
         v = rec.vertex
@@ -734,35 +755,33 @@ def check_hagge(cs: ClaimSet, config: WoodDesarguesConfiguration,
             continue
         cs.points_equal(f"h({v}) is orthocentre of {''.join(CENTERS_AVOIDING[v])}", h, expected)
 
-    # h(v) = (sum of the centres) - C(circle) - C(other circle of v) - 2P by
-    # Euler, with P the pentagon centre, so each h-quadrangle is centred at
-    # (sum of the centres) - 3P - C(circle): one unreduced sum, canonicalised
-    # once per circle; circle_through tests that centre first
-    spread = _minus(_sum(ctr.values()), pentagon.center, 3) if pentagon is not None else None
+    # an undecided h-quadrangle is pinned from its pairs, its circle built on three of them
+    h_circles = _h_circles(config, derived) if pentagon is not None else {}
     radii: list[tuple[str, Fraction]] = []
     for clbl in CIRCLE_LABELS:
         verts = CIRCLE_POINTS[clbl]
         if any(hs[v] is None for v in verts):
             cs.degenerate(f"h-quadrangle of {clbl} incomplete")
             continue
-        src = [pts[v] for v in verts]
-        dst = [hs[v] for v in verts]
-        _similarity_claims(cs, f"{clbl}~h-quadrangle", src, dst)
-
-        ring = distinct(dst)
-        centre = _point(*_minus(spread, ctr[CIRCLE_CENTER[clbl]])) if spread is not None else None
-        try:
-            circ = circle_through(*ring[:3], centre=centre) if len(ring) >= 3 else None
-        except CollinearPointsError:
-            circ = None
-        if circ is None:
-            res = collinearity_residual(*ring[:3]) if len(ring) >= 3 else Fraction(0)
-            cs.fail(f"h-quadrangle of {clbl} spans a circle", res)
-            continue
+        src, dst = config.quadrangle(clbl), [hs[v] for v in verts]
+        centre, h_map = h_circles.get(clbl, (None, None))
+        _similarity_claims(cs, f"{clbl}~h-quadrangle", src, dst, pinned=h_map)
+        if h_map is not None:
+            circ, ring = Circle(centre, pentagon.radius_squared), dst
+        else:
+            ring = distinct(dst)[:3]
+            try:
+                circ = circle_through(*ring, centre=centre) if len(ring) == 3 else None
+            except CollinearPointsError:
+                circ = None
+            if circ is None:
+                res = collinearity_residual(*ring) if len(ring) == 3 else Fraction(0)
+                cs.fail(f"h-quadrangle of {clbl} spans a circle", res)
+                continue
         for v, p in zip(verts, dst):
-            # the circle passes through the three points it was built on
+            # on the circle: the three points it was built on, or all four by the identity
             cs.on_circle(f"h({v}) on h-circumcircle of {clbl}", circ, p,
-                         True if p in ring[:3] else None)
+                         True if p in ring else None)
         radii.append((clbl, circ.radius_squared))
         cs.witness(f"h-circumcircle r2 of {clbl}", circ.radius_squared)
 
@@ -948,7 +967,7 @@ CHECKS: tuple[tuple[str, Check], ...] = (
     *((f"steiner-line:{q}", lambda cs, c, d, q=q: check_steiner_line(cs, d, q))
       for q in CIRCLE_LABELS),
     ("pentagon-perspectives", lambda cs, c, d: check_pentagon_perspectives(cs, c, d)),
-    ("pentagon-quadrangles", lambda cs, c, d: check_pentagon_quadrangles(cs, c)),
+    ("pentagon-quadrangles", lambda cs, c, d: check_pentagon_quadrangles(cs, c, d)),
     ("tangent-concurrency", lambda cs, c, d: check_tangent_concurrency(cs, c, d)),
     ("hagge-suite", lambda cs, c, d: check_hagge(cs, c, d)),
     ("perpendicular-concurrency",
@@ -968,7 +987,7 @@ def verify_all(config: WoodDesarguesConfiguration) -> VerificationReport:
 
     Each check fills a fresh ClaimSet; its result takes the registry entry's name.
     """
-    derived = derive_figures(config)
+    derived = replace(derive_figures(config), quadrangle_maps=derive_quadrangle_maps(config))
     results = []
     for name, check in CHECKS:
         cs = ClaimSet()

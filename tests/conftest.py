@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from wooddesargues import ConfigurationSeed, build_configuration, derive_figures, verifier
+from wooddesargues.configuration import derive_quadrangle_maps
 from wooddesargues.kernel import Point, point
 
 
@@ -34,9 +35,12 @@ def reference_derived(reference_config):
 
 def run_check(name: str, config, derived=None):
     """The result of the one registered check ``name`` on ``config``, as
-    ``verify_all`` names it; ``derived`` defaults to the figures of ``config``."""
+    ``verify_all`` names it; ``derived`` defaults to the figures of ``config``.
+    As in ``verify_all``, the quadrangle maps are added where it has none."""
     if derived is None:
         derived = derive_figures(config)
+    if derived.quadrangle_maps is None:
+        derived = dataclasses.replace(derived, quadrangle_maps=derive_quadrangle_maps(config))
     cs = verifier.ClaimSet()
     dict(verifier.CHECKS)[name](cs, config, derived)
     return cs.result(name)

@@ -560,31 +560,38 @@ def test_a_campaign_seed_builds_two_circumcentres(monkeypatch, magnitude):
 
 @pytest.mark.parametrize("magnitude", [12, 10 ** 12])
 def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
-    # (Circle._power, concyclicity_determinant, _distance_record) calls per
-    # build and per verify_all; the asserts python -O drops make the rest.
+    # (Circle._power, concyclicity_determinant, _distance_record,
+    # Similarity.pinned_by) calls per build and per verify_all; the asserts
+    # python -O drops make the rest.
     # Build: the 20 incidences the labels name, which the configuration
     # keeps, the other 30 by point equality; one distance record per
     # circle-2 and Wood radius, three in the assert on the circumcentre of J,
-    # U and V.
+    # U and V; the spiral and the Wood similarity.
     # Verify: one power per incidence-table entry that is neither kept by
     # the configuration nor true by construction (J on the five circles, L,
-    # M and N on the pentagon circle), one guard per pentagon meet, one per
-    # h-circumcircle for its fourth point and one in the three-circle
-    # instance's meet; no determinant; three records per predicted Hagge
-    # centre, three per h-circumcircle (its centre test, which gives its
-    # radius), and the pentagon circle's record with three in its assert.
+    # M and N on the pentagon circle), one guard per pentagon meet and one
+    # in the three-circle instance's meet; no determinant; three records per
+    # predicted Hagge centre, and the pentagon circle's record with three in
+    # its assert; ABC~abc and the five quadrangle maps, which ABC~LMN and
+    # every h-quadrangle read: each h-circumcircle is the pentagon circle
+    # turned half, so it needs no power or record.
     seeds = [config.seed for _, config, _, _ in
              generate_configurations(FuzzPolicy(10, 42, magnitude))]
-    powers = []
-    real_power = Circle._power
+    powers, pins = [], []
+    real_power, real_pinned_by = Circle._power, Similarity.pinned_by.__func__
 
     def counting_power(circle, p):
         powers.append(p)
         return real_power(circle, p)
 
+    def counting_pinned_by(cls, source, target):
+        pins.append(source)
+        return real_pinned_by(cls, source, target)
+
     monkeypatch.setattr(Circle, "_power", counting_power)
+    monkeypatch.setattr(Similarity, "pinned_by", classmethod(counting_pinned_by))
     calls = _count_kernel_calls(monkeypatch, "concyclicity_determinant", "_distance_record")
-    counted = [powers, *calls.values()]
+    counted = [powers, *calls.values(), pins]
 
     def work(stage, *args):
         for seen in counted:
@@ -599,8 +606,8 @@ def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
         assert not report.failed
         ledger.append((built, verified))
     asserted = 1 if __debug__ else 0
-    assert ledger == [((20, 0, 4 + 3 * asserted),
-                       (16, 0, 46 + 3 * asserted))] * 10
+    assert ledger == [((20, 0, 4 + 3 * asserted, 2),
+                       (11, 0, 31 + 3 * asserted, 6))] * 10
 
 
 # --- perspectrices -------------------------------------------------------------

@@ -360,3 +360,41 @@ def test_the_predicted_half_turn_leaves_every_claim_record(reference_config, mon
     # the turn is taken on all five quadrangles of each of the 11 built
     # configurations and on the quadrangles a probe leaves alone
     assert (taken.count(True), taken.count(False)) == (154, 55)
+
+
+def test_the_pinned_quadrangle_maps_leave_every_claim_record(reference_config, monkeypatch):
+    # pentagon-quadrangles and ABC~LMN read the quadrangle maps verify_all
+    # pins once, and hagge-suite decides an h-quadrangle by the identity of
+    # _h_circles where its conditions hold; with both switched off, every map
+    # is pinned from its pairs and every h-circle built on three of its
+    # points, and every claim record and note is the same
+    real_claims, real_circles = verifier._similarity_claims, verifier._h_circles
+    decided = []
+
+    def offered(cs, label, source, target, guess=None, pinned=None):
+        if label.endswith("~h-quadrangle"):
+            decided.append(pinned is not None)
+        return real_claims(cs, label, source, target, guess, pinned)
+
+    def pinned_afresh(cs, label, source, target, guess=None, pinned=None):
+        return real_claims(cs, label, source, target, guess)
+
+    def undecided(config, derived):
+        return {c: (centre, None) for c, (centre, _) in real_circles(config, derived).items()}
+
+    names = ("pentagon-perspectives", "pentagon-quadrangles", "hagge-suite")
+    policy = FuzzPolicy(count=20, rng_seed=42, max_magnitude=10 ** 12)
+    configs = [*_ledger_configurations(reference_config),
+               *(built for _, built, _, _ in generate_configurations(policy))]
+
+    def records(similarity_claims, h_circles):
+        monkeypatch.setattr(verifier, "_similarity_claims", similarity_claims)
+        monkeypatch.setattr(verifier, "_h_circles", h_circles)
+        return [(r.records, r.notes) for config in configs
+                for r in verify_all(config).results if r.name in names]
+
+    assert records(offered, real_circles) == records(pinned_afresh, undecided)
+    # the five circles of each of the 11 built ledger configurations and the
+    # 20 wide campaign seeds are decided; the probes and coincidences leave
+    # none so, and 146 of their h-quadrangles reach the claims
+    assert (decided.count(True), decided.count(False)) == (155, 146)

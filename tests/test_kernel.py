@@ -40,6 +40,7 @@ from wooddesargues.kernel import (
     perpendicular_bisector,
     point,
     point_on_unit_circle,
+    rational_text,
     second_intersection_of_circles,
     second_intersection_with_line,
     similarity_between,
@@ -397,5 +398,23 @@ def test_decimal_matches_str_past_the_digit_limit():
         got = [decimal(n) for n in values]
         sys.set_int_max_str_digits(0)
         assert got == [str(n) for n in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_rational_text_and_reprs_match_str_past_the_digit_limit():
+    big = 10 ** 5000 + 7
+    values = [F(big), F(-big), F(1, 10 ** 5000), F(-3, 10 ** 4400 + 1), F(big, 3)]
+    p = point(F(1, 10 ** 5000), F(-big))
+    circle = Circle(p, F(big, 3))
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ValueError):
+            str(F(big))  # so the values below take the long path
+        got = [rational_text(q) for q in values], repr(p), repr(circle)
+        sys.set_int_max_str_digits(0)
+        assert got == ([str(q) for q in values], f"({p.x}, {p.y})",
+                       f"Circle(center=({p.x}, {p.y}), r2={circle.radius_squared})")
     finally:
         sys.set_int_max_str_digits(limit)

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from wooddesargues import check_perpendicular_concurrency, check_three_circle_collinearity, check_names, verify_all
 from wooddesargues import serialize, verifier
-from wooddesargues.configuration import CENTER_LABELS, CIRCLE_LABELS, POINT_LABELS
+from wooddesargues.configuration import (
+    CENTER_LABELS,
+    CIRCLE_LABELS,
+    POINT_LABELS,
+    derive_quadrangle_maps,
+)
 from wooddesargues.fuzz import FuzzPolicy, generate_configurations
 from wooddesargues.kernel import (
     Circle,
@@ -207,6 +212,21 @@ def test_hagge_check_reports_radii(reference_config, reference_derived):
     assert result.status == PASS
     radii = [v for k, v in result.witnesses if k.startswith("h-circumcircle")]
     assert radii == [F(5, 2)] * 5
+
+
+def test_a_decided_h_quadrangle_takes_its_pair_verdicts_from_the_quadrangle_map(
+        reference_config, reference_derived):
+    # every circle of the reference configuration is decided by the identity,
+    # so a pair verdict of ABCK's map, marked failing, fails the h-map's
+    # claim on that pair, with the h-map's image as its witness: h(C) itself
+    maps = derive_quadrangle_maps(reference_config)
+    sigma, _ = maps["ABCK"]
+    derived = dataclasses.replace(reference_derived,
+                                  quadrangle_maps={**maps, "ABCK": (sigma, (False, True))})
+    result = run_check("hagge-suite", reference_config, derived)
+    assert result.status == FAIL
+    assert result.witnesses == [("ABCK~h-quadrangle: pair 3 transported",
+                                 reference_derived.hagge["C"])]
 
 
 def test_steiner_line_all_quadrangles(reference_config, reference_derived):
