@@ -30,6 +30,8 @@ from .kernel import (
     UnitParameter,
     _join,
     _meet,
+    _point,
+    _ring_orthocentres,
     circle_through,
     circumcenter,
     distance_squared,
@@ -260,6 +262,7 @@ class PentagonFigures:
 
 
 Orthocentres = dict[tuple[str, str], Optional[Point]]
+HalfTurns = dict[str, tuple[Point, tuple[Point, ...]]]
 Incidence = dict[tuple[str, str], bool]
 QuadrangleMap = tuple[Optional[Similarity], tuple[bool, ...]]
 
@@ -283,6 +286,10 @@ class DerivedFigures:
     ``collinear[n]`` tells whether the perspectrix points of table row n are
     collinear, and ``perspectrices[n]`` is the line through the first two
     distinct of them, None when all three coincide.
+    ``half_turns[circle]``, for each circle whose four orthocentres
+    ``derive_orthocentres`` summed about its centre, is T = vertex-sum - 2
+    centre and those four orthocentres, each T - v in quadrangle order: the
+    half turn z -> T - z takes the quadrangle to them.
     ``quadrangle_maps`` is ``derive_quadrangle_maps(config)``, which
     ``verify_all`` adds: ``derive_figures`` leaves it None.
     """
@@ -295,6 +302,7 @@ class DerivedFigures:
     collinear: tuple[bool, ...]
     perspectrices: tuple[Optional[Line], ...]
     incidence: Incidence
+    half_turns: HalfTurns = field(default_factory=dict)
     quadrangle_maps: Optional[dict[str, QuadrangleMap]] = None
 
 
@@ -316,22 +324,26 @@ def derive_incidence(config: WoodDesarguesConfiguration,
     return incidence
 
 
-def derive_orthocentres(config: WoodDesarguesConfiguration,
-                        incidence: Incidence) -> Orthocentres:
+def derive_orthocentres(config: WoodDesarguesConfiguration, incidence: Incidence,
+                        half_turns: Optional[HalfTurns] = None) -> Orthocentres:
     """The twenty orthocentres, keyed (circle, omitted vertex).
 
     Each quadrangle is inscribed in its circle, so its four orthocentres come
     from ``ring_orthocentres`` about the circle's stored centre, for the
     vertices the incidence table puts on the circle; the kernel meets two
-    bisectors instead for any other triangle.
+    bisectors instead for any other triangle.  Where the ring sums all four,
+    ``half_turns`` (when given) receives the circle's ``DerivedFigures.half_turns``
+    entry.
     """
     orthocentres: Orthocentres = {}
     for clbl in CIRCLE_LABELS:
         verts = CIRCLE_POINTS[clbl]
-        hs = ring_orthocentres(config.quadrangle(clbl), _QUADRANGLE_TRIANGLES,
-                               config.circles[clbl].center,
-                               [incidence[clbl, v] for v in verts])
+        hs, total = _ring_orthocentres(config.quadrangle(clbl), _QUADRANGLE_TRIANGLES,
+                                       config.circles[clbl].center,
+                                       [incidence[clbl, v] for v in verts])
         orthocentres.update(((clbl, v), h) for v, h in zip(verts, hs))
+        if total is not None and half_turns is not None:
+            half_turns[clbl] = _point(*total), tuple(hs)
     return orthocentres
 
 
@@ -432,11 +444,12 @@ def derive_figures(config: WoodDesarguesConfiguration) -> DerivedFigures:
     predict and the ten perspectrices."""
     pentagon = derive_pentagon(config)
     incidence = derive_incidence(config, pentagon.circle)
-    orthos = derive_orthocentres(config, incidence)
+    half_turns: HalfTurns = {}
+    orthos = derive_orthocentres(config, incidence, half_turns)
     centre_orthos = derive_centre_orthocentres(config, pentagon.circle, incidence)
     hagge, hagge_notes = derive_hagge_centres(config, orthos, centre_orthos)
     collinear, perspectrices = derive_perspectrices(config)
     return DerivedFigures(orthocentres=orthos, hagge=hagge, hagge_notes=hagge_notes,
                           pentagon=pentagon, centre_orthocentres=centre_orthos,
                           collinear=collinear, perspectrices=perspectrices,
-                          incidence=incidence)
+                          incidence=incidence, half_turns=half_turns)

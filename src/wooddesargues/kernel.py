@@ -613,8 +613,19 @@ def ring_orthocentres(ring: Sequence[Point], triangles: Iterable[tuple[int, int,
     over the lcm of the Z of ``centre`` and the points on the circle.  Any
     other triangle, and each one when ``centre`` is None, goes to ``orthocentre``.
     """
+    return _ring_orthocentres(ring, triangles, centre, on)[0]
+
+
+def _ring_orthocentres(ring: Sequence[Point], triangles: Iterable[tuple[int, int, int]],
+                       centre: Optional[Point], on: Sequence[bool],
+                       ) -> tuple[list[Optional[Point]], Optional[tuple[int, int, int]]]:
+    """``ring_orthocentres``, and T = (sum of the ring) - 2 centre as the
+    unreduced triple (X, Y, d) over that lcm when every ring point is on the
+    circle and every triangle was summed, else None.  For a quadrangle's four
+    triangles each orthocentre is then T - v, v the vertex left out."""
     out: list[Optional[Point]] = []
     over = None
+    summed = centre is not None and all(on)
     for i, j, k in triangles:
         p, q, r = ring[i], ring[j], ring[k]
         h = None
@@ -627,12 +638,16 @@ def ring_orthocentres(ring: Sequence[Point], triangles: Iterable[tuple[int, int,
             h = _point(X1 + X2 + X3 - 2 * Xo, Y1 + Y2 + Y3 - 2 * Yo, d)
             assert _on_altitudes(h, p, q, r)
         if h is None:
+            summed = False
             try:
                 h = orthocentre(p, q, r)
             except CollinearPointsError:
                 pass
         out.append(h)
-    return out
+    if not summed or over is None:
+        return out, None
+    *sums, (Xo, Yo) = over
+    return out, (sum(X for X, _ in sums) - 2 * Xo, sum(Y for _, Y in sums) - 2 * Yo, d)
 
 
 def _det4_rows(p: Point) -> tuple[int, int, int, int]:

@@ -20,6 +20,7 @@ coincidence, reported distinctly).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -213,6 +214,11 @@ class ClaimSet:
         self.claims.append((label, False, witness, _no_residual, ()))
         return False
 
+    def held(self, label: str) -> bool:
+        """Record a claim that holds outright, as a passing point equality does."""
+        self.claims.append((label, True, None, _no_residual, ()))
+        return True
+
     # primitive claims -------------------------------------------------------
 
     def collinear(self, label: str, a: Point, b: Point, c: Point,
@@ -220,8 +226,7 @@ class ClaimSet:
         """Assert a, b, c collinear; coincident points make it vacuously true.
         ``holds`` is a verdict already decided on an equivalent bracket."""
         if a.hom == b.hom or a.hom == c.hom or b.hom == c.hom:
-            self.claims.append((label, True, None, _no_residual, ()))
-            return True
+            return self.held(label)
         if holds is None:
             holds = is_collinear(a, b, c)
         witness = None if holds else collinearity_residual(a, b, c)
@@ -247,8 +252,7 @@ class ClaimSet:
 
     def points_equal(self, label: str, got: Point, expected: Point) -> bool:
         if got == expected:
-            self.claims.append((label, True, None, _no_residual, ()))
-            return True
+            return self.held(label)
         self.claims.append((label, False, got, _distance_residual, (got, expected)))
         return False
 
@@ -527,7 +531,15 @@ def check_core_similarity(cs: ClaimSet, config: WoodDesarguesConfiguration) -> N
 
 def check_orthocentre_quadrangle(cs: ClaimSet, config: WoodDesarguesConfiguration,
                                  derived: DerivedFigures, circle_label: str) -> None:
-    """The four orthocentres of a cyclic quadrangle's triangles form its half-turn image."""
+    """The four orthocentres of a cyclic quadrangle's triangles form its half-turn image.
+
+    Where ``derived.half_turns`` holds T for the circle and each orthocentre
+    read is that entry's own object, each is T - v by construction: the half
+    turn z -> T - z sends every vertex to its orthocentre and fixes T/2, so
+    every claim holds, with that turn as the map.  Otherwise the turn is
+    formed from the vertices and the circle's centre and offered as the map
+    the first two pairs pin, and each claim is decided.
+    """
     verts = CIRCLE_POINTS[circle_label]
     vpts = [config.points[v] for v in verts]
     hpts = []
@@ -540,16 +552,25 @@ def check_orthocentre_quadrangle(cs: ClaimSet, config: WoodDesarguesConfiguratio
             return
         hpts.append(h)
 
+    label = f"{circle_label}~H-quadrangle"
+    multiplier, fixed = "multiplier is -1 (half turn)", "fixed point is vertex-sum/2 - centre"
+    t, ring = derived.half_turns.get(circle_label, (None, ()))
+    if t is not None and all(map(operator.is_, hpts, ring)):
+        _similarity_claims(cs, label, vpts, hpts, pinned=(Similarity(MINUS_ONE, t), (True, True)))
+        cs.held(multiplier)
+        cs.held(fixed)
+        return
+
     # the half turn z -> 2M - z, M = vertex-sum/2 - centre, is the map to try
     # first; 2M is canonical, as M is: halve Z when even, else double X and Y
     expected = euler_sum(vpts, config.circles[circle_label].center, 2)
     X, Y, Z = expected.hom
     turn = Similarity(MINUS_ONE, Point((X, Y, Z // 2) if Z % 2 == 0 else (2 * X, 2 * Y, Z)))
-    sim = _similarity_claims(cs, f"{circle_label}~H-quadrangle", vpts, hpts, turn)
+    sim = _similarity_claims(cs, label, vpts, hpts, turn)
     if sim is not None:
-        cs.points_equal("multiplier is -1 (half turn)", sim.alpha, MINUS_ONE)
+        cs.points_equal(multiplier, sim.alpha, MINUS_ONE)
         if sim.alpha != ONE:
-            cs.fixed_at("fixed point is vertex-sum/2 - centre", sim, expected)
+            cs.fixed_at(fixed, sim, expected)
 
 
 def check_steiner_line(cs: ClaimSet, derived: DerivedFigures, circle_label: str) -> None:

@@ -561,8 +561,8 @@ def test_a_campaign_seed_builds_two_circumcentres(monkeypatch, magnitude):
 @pytest.mark.parametrize("magnitude", [12, 10 ** 12])
 def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
     # (Circle._power, concyclicity_determinant, _distance_record,
-    # Similarity.pinned_by) calls per build and per verify_all; the asserts
-    # python -O drops make the rest.
+    # Similarity.pinned_by, euler_sum, Similarity.sends) calls per build and
+    # per verify_all; the asserts python -O drops make the rest.
     # Build: the 20 incidences the labels name, which the configuration
     # keeps, the other 30 by point equality; one distance record per
     # circle-2 and Wood radius, three in the assert on the circumcentre of J,
@@ -574,11 +574,15 @@ def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
     # predicted Hagge centre, and the pentagon circle's record with three in
     # its assert; ABC~abc and the five quadrangle maps, which ABC~LMN and
     # every h-quadrangle read: each h-circumcircle is the pentagon circle
-    # turned half, so it needs no power or record.
+    # turned half, so it needs no power or record.  No Euler sum: each
+    # quadrangle's half turn comes from its ring.  Sends: the third pair of
+    # ABC~abc, its fixed point and that of ABC~LMN, and the two further
+    # pairs of each quadrangle map.
     seeds = [config.seed for _, config, _, _ in
              generate_configurations(FuzzPolicy(10, 42, magnitude))]
-    powers, pins = [], []
-    real_power, real_pinned_by = Circle._power, Similarity.pinned_by.__func__
+    powers, pins, sends = [], [], []
+    real_power, real_pinned_by, real_sends = (Circle._power, Similarity.pinned_by.__func__,
+                                              Similarity.sends)
 
     def counting_power(circle, p):
         powers.append(p)
@@ -588,10 +592,17 @@ def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
         pins.append(source)
         return real_pinned_by(cls, source, target)
 
+    def counting_sends(sim, p, q):
+        sends.append(p)
+        return real_sends(sim, p, q)
+
     monkeypatch.setattr(Circle, "_power", counting_power)
     monkeypatch.setattr(Similarity, "pinned_by", classmethod(counting_pinned_by))
-    calls = _count_kernel_calls(monkeypatch, "concyclicity_determinant", "_distance_record")
-    counted = [powers, *calls.values(), pins]
+    monkeypatch.setattr(Similarity, "sends", counting_sends)
+    calls = _count_kernel_calls(monkeypatch, "concyclicity_determinant", "_distance_record",
+                                "euler_sum")
+    euler = calls.pop("euler_sum")
+    counted = [powers, *calls.values(), pins, euler, sends]
 
     def work(stage, *args):
         for seen in counted:
@@ -606,8 +617,8 @@ def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
         assert not report.failed
         ledger.append((built, verified))
     asserted = 1 if __debug__ else 0
-    assert ledger == [((20, 0, 4 + 3 * asserted, 2),
-                       (11, 0, 31 + 3 * asserted, 6))] * 10
+    assert ledger == [((20, 0, 4 + 3 * asserted, 2, 0, 0),
+                       (11, 0, 31 + 3 * asserted, 6, 0, 13))] * 10
 
 
 # --- perspectrices -------------------------------------------------------------

@@ -27,7 +27,7 @@ import hashlib
 
 import pytest
 
-from wooddesargues import FuzzPolicy, build_configuration, derive_figures, verifier, verify_all
+from wooddesargues import FuzzPolicy, build_configuration, verifier, verify_all
 from wooddesargues.fuzz import generate_configurations
 from wooddesargues.kernel import Circle, Line, Point, Similarity, point
 from wooddesargues.render import render_svg
@@ -325,41 +325,40 @@ def test_claim_ledger(reference_config):
 
 
 def test_the_predicted_half_turn_leaves_every_claim_record(reference_config, monkeypatch):
-    # the orthocentre-quadrangle checks offer the half turn about
-    # vertex-sum/2 - centre as the map their first two pairs pin; with the
-    # offer dropped, the map is pinned from the pairs, and every claim record
-    # and note is the same
-    real = verifier._similarity_claims
-    taken = []
+    # an orthocentre-quadrangle check whose four orthocentres are the ring's
+    # own, each T - v about the circle's centre, records its claims as held
+    # with the half turn z -> T - z as the map; with the stored half turns
+    # removed, every quadrangle forms the turn by euler_sum and offers it,
+    # and every claim record and note is the same
+    real_claims, real_derive = verifier._similarity_claims, verifier.derive_figures
+    decided = []
 
-    def offered(cs, label, source, target, guess=None):
-        sim = real(cs, label, source, target, guess)
-        if guess is not None:
-            taken.append(sim is guess)
-        return sim
+    def offered(cs, label, source, target, guess=None, pinned=None):
+        if label.endswith("~H-quadrangle"):
+            decided.append(pinned is not None)
+        return real_claims(cs, label, source, target, guess, pinned)
 
-    def pinned(cs, label, source, target, guess=None):
-        return real(cs, label, source, target)
+    def without_half_turns(config):
+        return dataclasses.replace(real_derive(config), half_turns={})
 
-    checks = [(name, check) for name, check in verifier.CHECKS
-              if name.startswith("orthocentre-quadrangle:")]
-    configs = [(c, derive_figures(c)) for c in _ledger_configurations(reference_config)]
+    policy = FuzzPolicy(count=20, rng_seed=42, max_magnitude=10 ** 12)
+    configs = [*_ledger_configurations(reference_config),
+               *(built for _, built, _, _ in generate_configurations(policy))]
 
-    def records(similarity_claims):
-        monkeypatch.setattr(verifier, "_similarity_claims", similarity_claims)
-        out = []
-        for config, derived in configs:
-            for name, check in checks:
-                cs = verifier.ClaimSet()
-                check(cs, config, derived)
-                result = cs.result(name)
-                out.append((result.records, result.notes))
-        return out
+    def records(derive):
+        monkeypatch.setattr(verifier, "derive_figures", derive)
+        return [(r.records, r.notes) for config in configs for r in verify_all(config).results]
 
-    assert records(offered) == records(pinned)
-    # the turn is taken on all five quadrangles of each of the 11 built
-    # configurations and on the quadrangles a probe leaves alone
-    assert (taken.count(True), taken.count(False)) == (154, 55)
+    monkeypatch.setattr(verifier, "_similarity_claims", offered)
+    assert records(real_derive) == records(without_half_turns)
+    # decided: the five quadrangles of each of the 11 built ledger
+    # configurations and the 20 wide campaign seeds, and those a probe leaves
+    # alone; 154 of them are in the ledger configurations, whose other 55
+    # take the fallback, where the offered turn was taken on 154 and refused
+    # on 55 before the half turns were stored
+    count = len(decided) // 2
+    assert decided[count:] == [False] * count
+    assert (decided[:count].count(True), decided[:count].count(False)) == (254, 55)
 
 
 def test_the_pinned_quadrangle_maps_leave_every_claim_record(reference_config, monkeypatch):

@@ -19,6 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wooddesargues.kernel import (
+    _ring_orthocentres,
     Circle,
     CoincidentPointsError,
     CollinearPointsError,
@@ -31,6 +32,7 @@ from wooddesargues.kernel import (
     collinearity_residual,
     concyclicity_determinant,
     distance_squared,
+    euler_sum,
     float_point,
     float_sqrt,
     incident,
@@ -383,6 +385,29 @@ def test_ring_orthocentres_equal_the_orthocentre_of_each_triangle(ring_and_centr
                 else fraction_orthocentre(*tri_points)
                 for tri_points in ([ring[i] for i in tri] for tri in triangles)]
     assert ring_orthocentres(ring, triangles, centre, as_far_as_the_first(ring, centre)) == expected
+
+
+@given(rings(), st.sampled_from(["true", "moved", "ring point", "none"]))
+@example(([point(3, 4), point(-5, 0), point(0, -5), point(F(7, 5), F(24, 5))], point(0, 0)), "true")
+@EXAMPLES
+def test_ring_orthocentres_hand_back_the_sum_of_an_inscribed_ring(ring_and_centre, which):
+    # T = ring sum - 2 centre comes back, over the lcm the orthocentres were
+    # summed over, only when every ring point is on the circle about the
+    # centre and no two coincide; a quadrangle's orthocentres are then T - v
+    ring, o = ring_and_centre
+    centre = {"true": o, "moved": fraction_add(o, ONE), "ring point": ring[0], "none": None}[which]
+    on = as_far_as_the_first(ring, centre)
+    triangles = list(combinations(range(len(ring)), 3))
+    hs, total = _ring_orthocentres(ring, triangles, centre, on)
+    assert hs == ring_orthocentres(ring, triangles, centre, on)
+    if centre is None or not all(on) or len(set(ring)) < len(ring):
+        assert total is None
+        return
+    X, Y, d = total
+    t = point(F(X, d), F(Y, d))
+    assert t == euler_sum(ring, centre)
+    if len(ring) == 4:  # triangle n leaves out vertex 3 - n
+        assert hs == [fraction_sub(t, ring[3 - n]) for n in range(4)]
 
 
 @st.composite
