@@ -30,7 +30,6 @@ from .kernel import (
     UnitParameter,
     _join,
     _meet,
-    _point,
     _ring_orthocentres,
     circle_through,
     circumcenter,
@@ -262,7 +261,7 @@ class PentagonFigures:
 
 
 Orthocentres = dict[tuple[str, str], Optional[Point]]
-HalfTurns = dict[str, tuple[Point, tuple[Point, ...]]]
+HalfTurns = dict[str, tuple[tuple[int, int, int], tuple[Point, ...]]]
 Incidence = dict[tuple[str, str], bool]
 QuadrangleMap = tuple[Optional[Similarity], tuple[bool, ...]]
 
@@ -288,8 +287,9 @@ class DerivedFigures:
     distinct of them, None when all three coincide.
     ``half_turns[circle]``, for each circle whose four orthocentres
     ``derive_orthocentres`` summed about its centre, is T = vertex-sum - 2
-    centre and those four orthocentres, each T - v in quadrangle order: the
-    half turn z -> T - z takes the quadrangle to them.
+    centre, as the unreduced triple (X, Y, d) of that sum, and those four
+    orthocentres, each T - v in quadrangle order: the half turn z -> T - z
+    takes the quadrangle to them.
     ``quadrangle_maps`` is ``derive_quadrangle_maps(config)``, which
     ``verify_all`` adds: ``derive_figures`` leaves it None.
     """
@@ -302,7 +302,7 @@ class DerivedFigures:
     collinear: tuple[bool, ...]
     perspectrices: tuple[Optional[Line], ...]
     incidence: Incidence
-    half_turns: HalfTurns = field(default_factory=dict)
+    half_turns: HalfTurns
     quadrangle_maps: Optional[dict[str, QuadrangleMap]] = None
 
 
@@ -324,27 +324,28 @@ def derive_incidence(config: WoodDesarguesConfiguration,
     return incidence
 
 
-def derive_orthocentres(config: WoodDesarguesConfiguration, incidence: Incidence,
-                        half_turns: Optional[HalfTurns] = None) -> Orthocentres:
-    """The twenty orthocentres, keyed (circle, omitted vertex).
+def derive_orthocentres(config: WoodDesarguesConfiguration,
+                        incidence: Incidence) -> tuple[Orthocentres, HalfTurns]:
+    """The twenty orthocentres, keyed (circle, omitted vertex), and the
+    ``DerivedFigures.half_turns`` table.
 
     Each quadrangle is inscribed in its circle, so its four orthocentres come
     from ``ring_orthocentres`` about the circle's stored centre, for the
     vertices the incidence table puts on the circle; the kernel meets two
     bisectors instead for any other triangle.  Where the ring sums all four,
-    ``half_turns`` (when given) receives the circle's ``DerivedFigures.half_turns``
-    entry.
+    its half turn is the circle's entry.
     """
     orthocentres: Orthocentres = {}
+    half_turns: HalfTurns = {}
     for clbl in CIRCLE_LABELS:
         verts = CIRCLE_POINTS[clbl]
         hs, total = _ring_orthocentres(config.quadrangle(clbl), _QUADRANGLE_TRIANGLES,
                                        config.circles[clbl].center,
-                                       [incidence[clbl, v] for v in verts])
+                                       [incidence[clbl, v] for v in verts], True)
         orthocentres.update(((clbl, v), h) for v, h in zip(verts, hs))
-        if total is not None and half_turns is not None:
-            half_turns[clbl] = _point(*total), tuple(hs)
-    return orthocentres
+        if total is not None:
+            half_turns[clbl] = total, tuple(hs)
+    return orthocentres, half_turns
 
 
 def derive_centre_orthocentres(config: WoodDesarguesConfiguration,
@@ -444,8 +445,7 @@ def derive_figures(config: WoodDesarguesConfiguration) -> DerivedFigures:
     predict and the ten perspectrices."""
     pentagon = derive_pentagon(config)
     incidence = derive_incidence(config, pentagon.circle)
-    half_turns: HalfTurns = {}
-    orthos = derive_orthocentres(config, incidence, half_turns)
+    orthos, half_turns = derive_orthocentres(config, incidence)
     centre_orthos = derive_centre_orthocentres(config, pentagon.circle, incidence)
     hagge, hagge_notes = derive_hagge_centres(config, orthos, centre_orthos)
     collinear, perspectrices = derive_perspectrices(config)

@@ -613,19 +613,20 @@ def ring_orthocentres(ring: Sequence[Point], triangles: Iterable[tuple[int, int,
     over the lcm of the Z of ``centre`` and the points on the circle.  Any
     other triangle, and each one when ``centre`` is None, goes to ``orthocentre``.
     """
-    return _ring_orthocentres(ring, triangles, centre, on)[0]
+    return _ring_orthocentres(ring, triangles, centre, on, False)[0]
 
 
 def _ring_orthocentres(ring: Sequence[Point], triangles: Iterable[tuple[int, int, int]],
-                       centre: Optional[Point], on: Sequence[bool],
+                       centre: Optional[Point], on: Sequence[bool], half_turn: bool,
                        ) -> tuple[list[Optional[Point]], Optional[tuple[int, int, int]]]:
-    """``ring_orthocentres``, and T = (sum of the ring) - 2 centre as the
-    unreduced triple (X, Y, d) over that lcm when every ring point is on the
-    circle and every triangle was summed, else None.  For a quadrangle's four
-    triangles each orthocentre is then T - v, v the vertex left out."""
+    """``ring_orthocentres``, and, if ``half_turn`` asks for it, T = (sum of
+    the ring) - 2 centre as the unreduced triple (X, Y, d) over that lcm when
+    every ring point is on the circle and every triangle was summed, else
+    None.  For a quadrangle's four triangles each orthocentre is then T - v,
+    v the vertex left out."""
     out: list[Optional[Point]] = []
     over = None
-    summed = centre is not None and all(on)
+    summed = half_turn and centre is not None and all(on)
     for i, j, k in triangles:
         p, q, r = ring[i], ring[j], ring[k]
         h = None

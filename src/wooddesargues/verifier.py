@@ -536,7 +536,8 @@ def check_orthocentre_quadrangle(cs: ClaimSet, config: WoodDesarguesConfiguratio
     Where ``derived.half_turns`` holds T for the circle and each orthocentre
     read is that entry's own object, each is T - v by construction: the half
     turn z -> T - z sends every vertex to its orthocentre and fixes T/2, so
-    every claim holds, with that turn as the map.  Otherwise the turn is
+    every claim holds, with that turn as the map; T is canonicalised here,
+    not in the derive that render shares.  Otherwise the turn is
     formed from the vertices and the circle's centre and offered as the map
     the first two pairs pin, and each claim is decided.
     """
@@ -556,7 +557,8 @@ def check_orthocentre_quadrangle(cs: ClaimSet, config: WoodDesarguesConfiguratio
     multiplier, fixed = "multiplier is -1 (half turn)", "fixed point is vertex-sum/2 - centre"
     t, ring = derived.half_turns.get(circle_label, (None, ()))
     if t is not None and all(map(operator.is_, hpts, ring)):
-        _similarity_claims(cs, label, vpts, hpts, pinned=(Similarity(MINUS_ONE, t), (True, True)))
+        _similarity_claims(cs, label, vpts, hpts,
+                           pinned=(Similarity(MINUS_ONE, _point(*t)), (True, True)))
         cs.held(multiplier)
         cs.held(fixed)
         return

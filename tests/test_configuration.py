@@ -410,7 +410,7 @@ def test_s_zero_allowed():
 
 
 def test_orthocentre_table_holds_each_row_pair(reference_config, reference_derived):
-    orth = derive_orthocentres(reference_config, reference_derived.incidence)
+    orth, _ = derive_orthocentres(reference_config, reference_derived.incidence)
     assert len(orth) == 20
     # a row's two orthocentres, computed from its triangles directly, are the
     # entries of the two circles through its vertex: each orthocentre serves
@@ -466,8 +466,10 @@ def test_orthocentres_meet_no_lines_given_the_stored_centres(
     # predict, which circumcenter returns as given
     calls = _count_kernel_calls(monkeypatch, "orthocentre", "_bisector", "_meet")
     incidence = reference_derived.incidence
-    orthos = derive_orthocentres(reference_config, incidence)
+    orthos, half_turns = derive_orthocentres(reference_config, incidence)
     assert orthos == reference_derived.orthocentres
+    assert half_turns == reference_derived.half_turns
+    assert set(half_turns) == set(CIRCLE_LABELS)
     predicted = derive_centre_orthocentres(reference_config, reference_derived.pentagon.circle,
                                            incidence)
     assert predicted == reference_derived.centre_orthocentres
@@ -485,9 +487,12 @@ def test_orthocentres_ignore_a_stored_centre_off_the_circle(reference_config, mo
                "ABCK": Circle(reference_config.j, abck.radius_squared)}
     moved = dataclasses.replace(reference_config, circles=circles)
     meets = _count_meets(monkeypatch)
-    assert derive_orthocentres(moved, derive_incidence(moved, None)) == unseeded
-    # only the four triangles of ABCK meet two bisectors
+    orthos, half_turns = derive_orthocentres(moved, derive_incidence(moved, None))
+    assert orthos == unseeded
+    # only the four triangles of ABCK meet two bisectors, and only ABCK has
+    # no half turn
     assert len(meets) == 4
+    assert set(half_turns) == set(CIRCLE_LABELS) - {"ABCK"}
 
 
 def test_hagge_circles_meet_no_bisectors_given_the_predicted_centres(

@@ -328,15 +328,25 @@ def test_the_predicted_half_turn_leaves_every_claim_record(reference_config, mon
     # an orthocentre-quadrangle check whose four orthocentres are the ring's
     # own, each T - v about the circle's centre, records its claims as held
     # with the half turn z -> T - z as the map; with the stored half turns
-    # removed, every quadrangle forms the turn by euler_sum and offers it,
-    # and every claim record and note is the same
+    # removed, every quadrangle forms the turn by euler_sum and offers it as
+    # the map its first two pairs pin; with the offer dropped as well, the map
+    # is pinned from the pairs; and every claim record and note is the same
     real_claims, real_derive = verifier._similarity_claims, verifier.derive_figures
-    decided = []
+    decided, taken = [], []
 
-    def offered(cs, label, source, target, guess=None, pinned=None):
+    def deciding(cs, label, source, target, guess=None, pinned=None):
         if label.endswith("~H-quadrangle"):
             decided.append(pinned is not None)
         return real_claims(cs, label, source, target, guess, pinned)
+
+    def offering(cs, label, source, target, guess=None, pinned=None):
+        sim = real_claims(cs, label, source, target, guess, pinned)
+        if guess is not None:
+            taken.append(sim is guess)
+        return sim
+
+    def pinned_afresh(cs, label, source, target, guess=None, pinned=None):
+        return real_claims(cs, label, source, target, pinned=pinned)
 
     def without_half_turns(config):
         return dataclasses.replace(real_derive(config), half_turns={})
@@ -345,20 +355,19 @@ def test_the_predicted_half_turn_leaves_every_claim_record(reference_config, mon
     configs = [*_ledger_configurations(reference_config),
                *(built for _, built, _, _ in generate_configurations(policy))]
 
-    def records(derive):
+    def records(derive, similarity_claims):
         monkeypatch.setattr(verifier, "derive_figures", derive)
+        monkeypatch.setattr(verifier, "_similarity_claims", similarity_claims)
         return [(r.records, r.notes) for config in configs for r in verify_all(config).results]
 
-    monkeypatch.setattr(verifier, "_similarity_claims", offered)
-    assert records(real_derive) == records(without_half_turns)
-    # decided: the five quadrangles of each of the 11 built ledger
-    # configurations and the 20 wide campaign seeds, and those a probe leaves
-    # alone; 154 of them are in the ledger configurations, whose other 55
-    # take the fallback, where the offered turn was taken on 154 and refused
-    # on 55 before the half turns were stored
-    count = len(decided) // 2
-    assert decided[count:] == [False] * count
-    assert (decided[:count].count(True), decided[:count].count(False)) == (254, 55)
+    held = records(real_derive, deciding)
+    assert held == records(without_half_turns, offering)
+    assert held == records(without_half_turns, pinned_afresh)
+    # the five quadrangles of each of the 11 built ledger configurations and
+    # the 20 wide campaign seeds, and those a probe leaves alone, are decided;
+    # without the half turns, the offered turn is taken on exactly those
+    assert (decided.count(True), decided.count(False)) == (254, 55)
+    assert (taken.count(True), taken.count(False)) == (254, 55)
 
 
 def test_the_pinned_quadrangle_maps_leave_every_claim_record(reference_config, monkeypatch):

@@ -398,8 +398,9 @@ def test_ring_orthocentres_hand_back_the_sum_of_an_inscribed_ring(ring_and_centr
     centre = {"true": o, "moved": fraction_add(o, ONE), "ring point": ring[0], "none": None}[which]
     on = as_far_as_the_first(ring, centre)
     triangles = list(combinations(range(len(ring)), 3))
-    hs, total = _ring_orthocentres(ring, triangles, centre, on)
+    hs, total = _ring_orthocentres(ring, triangles, centre, on, True)
     assert hs == ring_orthocentres(ring, triangles, centre, on)
+    assert _ring_orthocentres(ring, triangles, centre, on, False) == (hs, None)
     if centre is None or not all(on) or len(set(ring)) < len(ring):
         assert total is None
         return
