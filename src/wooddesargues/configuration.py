@@ -36,7 +36,6 @@ from .kernel import (
     distance_squared,
     distinct,
     incident,
-    is_collinear,
     line_through,
     midpoint,
     point_on_unit_circle,
@@ -418,13 +417,16 @@ def derive_pentagon(config: WoodDesarguesConfiguration) -> PentagonFigures:
 def derive_perspectrices(config: WoodDesarguesConfiguration,
                          ) -> tuple[tuple[bool, ...], tuple[Optional[Line], ...]]:
     """Per table row: whether its perspectrix points are collinear, and the
-    line through the first two distinct of them, None when all three coincide."""
+    line through the first two distinct of them, None when all three coincide.
+
+    With three distinct points the verdict is that line at the third, which
+    is the bracket of the row up to a nonzero factor."""
     collinear, lines = [], []
     for rec in PERSPECTIVE_TABLE:
-        row = [config.points[x] for x in rec.perspectrix]
-        collinear.append(is_collinear(*row))
-        first, *rest = distinct(row)
-        lines.append(line_through(first, rest[0]) if rest else None)
+        first, *rest = distinct(config.points[x] for x in rec.perspectrix)
+        line = line_through(first, rest[0]) if rest else None
+        collinear.append(len(rest) < 2 or line._at(rest[1]) == 0)
+        lines.append(line)
     return tuple(collinear), tuple(lines)
 
 

@@ -288,15 +288,17 @@ def _distance_record(p: Point, o: Point) -> tuple[int, int]:
     return dx * dx + dy * dy, z * z
 
 
-def _equidistant(o: Point, points: Sequence[Point]) -> Optional[tuple[int, int]]:
-    """The first point's distance record when every point is exactly as far
-    from o (the records agree by cross-multiplication), else None."""
-    n0, w0 = _distance_record(points[0], o)
-    for p in points[1:]:
-        n, w = _distance_record(p, o)
-        if n * w0 != n0 * w:
-            return None
-    return n0, w0
+def _equidistant(o: Point, points: Sequence[Point]) -> bool:
+    """Whether every point is exactly as far from o as the first, p0: each
+    |p - o|^2 - |p0 - o|^2 = (p - p0).(p + p0 - 2 o) is zero, one bilinear
+    form over (Z Z0)^2 Zo per further point, with no distance record."""
+    X0, Y0, Z0 = points[0].hom
+    Xo, Yo, Zo = o.hom
+    for X, Y, Z in (p.hom for p in points[1:]):
+        x, x0, y, y0, z = X * Z0, X0 * Z, Y * Z0, Y0 * Z, 2 * Z * Z0
+        if (x - x0) * ((x + x0) * Zo - Xo * z) + (y - y0) * ((y + y0) * Zo - Yo * z):
+            return False
+    return True
 
 
 def distance_squared(p: Point, q: Point) -> Fraction:
@@ -489,11 +491,8 @@ def circumcenter(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -
 
 def circle_through(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -> Circle:
     """The circle through p, q and r about ``circumcenter(p, q, r, centre)``;
-    an accepted ``centre`` keeps p's distance record from its test for r^2."""
-    if (centre is not None and p.hom != q.hom != r.hom != p.hom
-            and (record := _equidistant(centre, (p, q, r)))):
-        return Circle(centre, Fraction(*record))
-    centre = circumcenter(p, q, r)
+    r^2 is p's distance record from that centre, the only one formed."""
+    centre = circumcenter(p, q, r, centre)
     return Circle(centre, distance_squared(p, centre))
 
 
@@ -592,6 +591,18 @@ def _on_altitudes(h: Point, p: Point, q: Point, r: Point) -> bool:
             + (Yh * Z2 - Y2 * Zh) * (Y3 * Z1 - Y1 * Z3) == 0)
 
 
+def _on_altitudes_over(h: Point, d: int, p: tuple[int, int], q: tuple[int, int],
+                       r: tuple[int, int]) -> bool:
+    """``_on_altitudes`` for p, q, r given as numerators (X, Y) over d: h is
+    brought over d too, so the two dot products need 4 products."""
+    Xh, Yh, Zh = h.hom
+    k = d // Zh
+    Xh, Yh = Xh * k, Yh * k
+    (X1, Y1), (X2, Y2), (X3, Y3) = p, q, r
+    return (Zh * k == d and (Xh - X1) * (X3 - X2) + (Yh - Y1) * (Y3 - Y2) == 0
+            and (Xh - X2) * (X3 - X1) + (Yh - Y2) * (Y3 - Y1) == 0)
+
+
 def orthocentre(p: Point, q: Point, r: Point) -> Point:
     """Euler's point p + q + r - 2*o, with o the meet of two perpendicular
     bisectors, checked on two altitudes."""
@@ -635,9 +646,11 @@ def _ring_orthocentres(ring: Sequence[Point], triangles: Iterable[tuple[int, int
                 d = math.lcm(centre.hom[2], *(s.hom[2] for s, o in zip(ring, on) if o))
                 over = [(X * m, Y * m) if o else None for (X, Y, Z), o in
                         zip((s.hom for s in (*ring, centre)), (*on, True)) for m in (d // Z,)]
+                # so each pair in over is, over d, exactly its point
+                assert all(d % s.hom[2] == 0 for s, o in zip((*ring, centre), (*on, True)) if o)
             (X1, Y1), (X2, Y2), (X3, Y3), (Xo, Yo) = over[i], over[j], over[k], over[-1]
             h = _point(X1 + X2 + X3 - 2 * Xo, Y1 + Y2 + Y3 - 2 * Yo, d)
-            assert _on_altitudes(h, p, q, r)
+            assert _on_altitudes_over(h, d, over[i], over[j], over[k])
         if h is None:
             summed = False
             try:

@@ -58,6 +58,7 @@ from .kernel import (
     Similarity,
     _Value,
     _antipode,
+    _join,
     _point,
     _tangent_at,
     circle_through,
@@ -593,10 +594,12 @@ def check_steiner_line(cs: ClaimSet, derived: DerivedFigures, circle_label: str)
     line_pts = distinct(fpts)
     if len(line_pts) < 3:
         cs.info(f"only {len(line_pts)} distinct orthocentres; collinearity is immediate")
-    else:
-        for k in range(2, len(line_pts)):
-            cs.collinear(f"orthocentre line point {k + 1}",
-                         line_pts[0], line_pts[1], line_pts[k])
+    else:  # the bracket [p q r] is join(p, q) at r
+        a, b, c = _join(line_pts[0], line_pts[1])
+        for k, r in enumerate(line_pts[2:], 3):
+            X, Y, Z = r.hom
+            cs.collinear(f"orthocentre line point {k}", line_pts[0], line_pts[1], r,
+                         a * X + b * Y + c * Z == 0)
 
 
 def _coincidence_name(config: WoodDesarguesConfiguration, p: Point) -> str:
@@ -804,7 +807,7 @@ def check_hagge(cs: ClaimSet, config: WoodDesarguesConfiguration,
         for v, p in zip(verts, dst):
             # on the circle: the three points it was built on, or all four by the identity
             cs.on_circle(f"h({v}) on h-circumcircle of {clbl}", circ, p,
-                         True if p in ring else None)
+                         True if h_map is not None or p in ring else None)
         radii.append((clbl, circ.radius_squared))
         cs.witness(f"h-circumcircle r2 of {clbl}", circ.radius_squared)
 

@@ -565,19 +565,24 @@ def test_a_campaign_seed_builds_two_circumcentres(monkeypatch, magnitude):
 
 @pytest.mark.parametrize("magnitude", [12, 10 ** 12])
 def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
-    # (Circle._power, concyclicity_determinant, _distance_record,
+    # (Circle._power, concyclicity_determinant, _distance_record, _det3,
     # Similarity.pinned_by, euler_sum, Similarity.sends) calls per build and
-    # per verify_all; the asserts python -O drops make the rest.
+    # per verify_all; python -O drops asserts, none of which makes any.
     # Build: the 20 incidences the labels name, which the configuration
     # keeps, the other 30 by point equality; one distance record per
-    # circle-2 and Wood radius, three in the assert on the circumcentre of J,
-    # U and V; the spiral and the Wood similarity.
+    # circle-2 and Wood radius; the collinearity guard of the circumcentre of
+    # J, U and V, whose assert compares no records; the spiral and the Wood
+    # similarity.
     # Verify: one power per incidence-table entry that is neither kept by
     # the configuration nor true by construction (J on the five circles, L,
     # M and N on the pentagon circle), one guard per pentagon meet and one
-    # in the three-circle instance's meet; no determinant; three records per
-    # predicted Hagge centre, and the pentagon circle's record with three in
-    # its assert; ABC~abc and the five quadrangle maps, which ABC~LMN and
+    # in the three-circle instance's meet; no determinant; one record, the
+    # pentagon circle's radius: a predicted Hagge centre and the pentagon
+    # centre are tested for equidistance by bilinear forms.  Brackets: the
+    # pentagon circle's collinearity guard, the four pentagon-perspective
+    # joins, the perpendicular-concurrency instance's guard and three in the
+    # three-circle instance; each perspectrix and Steiner line is decided on
+    # its own line.  ABC~abc and the five quadrangle maps, which ABC~LMN and
     # every h-quadrangle read: each h-circumcircle is the pentagon circle
     # turned half, so it needs no power or record.  No Euler sum: each
     # quadrangle's half turn comes from its ring.  Sends: the third pair of
@@ -605,7 +610,7 @@ def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
     monkeypatch.setattr(Similarity, "pinned_by", classmethod(counting_pinned_by))
     monkeypatch.setattr(Similarity, "sends", counting_sends)
     calls = _count_kernel_calls(monkeypatch, "concyclicity_determinant", "_distance_record",
-                                "euler_sum")
+                                "_det3", "euler_sum")
     euler = calls.pop("euler_sum")
     counted = [powers, *calls.values(), pins, euler, sends]
 
@@ -621,9 +626,9 @@ def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
         report, verified = work(verify_all, config)
         assert not report.failed
         ledger.append((built, verified))
-    asserted = 1 if __debug__ else 0
-    assert ledger == [((20, 0, 4 + 3 * asserted, 2, 0, 0),
-                       (11, 0, 31 + 3 * asserted, 6, 0, 13))] * 10
+    # at magnitude 12, seed 1's Z is N, so the join CNZ needs no bracket
+    brackets = [8 if (magnitude, n) == (12, 1) else 9 for n in range(10)]
+    assert ledger == [((20, 0, 4, 1, 2, 0, 0), (11, 0, 1, b, 6, 0, 13)) for b in brackets]
 
 
 # --- perspectrices -------------------------------------------------------------

@@ -29,7 +29,8 @@ import pytest
 
 from wooddesargues import FuzzPolicy, build_configuration, verifier, verify_all
 from wooddesargues.fuzz import generate_configurations
-from wooddesargues.kernel import Circle, Line, Point, Similarity, point
+from wooddesargues.configuration import PERSPECTIVE_TABLE, derive_perspectrices
+from wooddesargues.kernel import Circle, Line, Point, Similarity, is_collinear, point
 from wooddesargues.render import render_svg
 from wooddesargues.serialize import (
     configuration_to_document,
@@ -406,3 +407,37 @@ def test_the_pinned_quadrangle_maps_leave_every_claim_record(reference_config, m
     # 20 wide campaign seeds are decided; the probes and coincidences leave
     # none so, and 146 of their h-quadrangles reach the claims
     assert (decided.count(True), decided.count(False)) == (155, 146)
+
+
+def test_perspectrix_and_steiner_verdicts_are_the_brackets(reference_config, monkeypatch):
+    # derive_perspectrices decides each row on its own line, and
+    # check_steiner_line each further point on the join of the first two:
+    # over the probes, where rows and Steiner lines fail, and the wide
+    # campaign, each verdict is its row's bracket, and every claim record is
+    # the one ClaimSet.collinear makes when it decides each bracket itself
+    policy = FuzzPolicy(count=20, rng_seed=42, max_magnitude=10 ** 12)
+    configs = [*_ledger_configurations(reference_config),
+               *(built for _, built, _, _ in generate_configurations(policy))]
+    rows = []
+    for config in configs:
+        collinear, _ = derive_perspectrices(config)
+        assert collinear == tuple(is_collinear(*(config.points[x] for x in rec.perspectrix))
+                                  for rec in PERSPECTIVE_TABLE)
+        rows.extend(collinear)
+    real_collinear = verifier.ClaimSet.collinear
+
+    def deciding_itself(cs, label, a, b, c, holds=None):
+        return real_collinear(cs, label, a, b, c)
+
+    def records():
+        return [(r.name, r.records, r.notes) for config in configs
+                for r in verify_all(config).results]
+
+    held = records()
+    monkeypatch.setattr(verifier.ClaimSet, "collinear", deciding_itself)
+    assert held == records()
+    steiner = [holds for name, recs, _ in held if name.startswith("steiner-line")
+               for label, holds, *_ in recs if label.startswith("orthocentre line point")]
+    # so the verdicts are compared where they fail, which no built seed reaches
+    assert (rows.count(True), rows.count(False)) == (552, 78)
+    assert (steiner.count(True), steiner.count(False)) == (361, 146)

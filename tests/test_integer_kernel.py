@@ -19,6 +19,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wooddesargues.kernel import (
+    _equidistant,
+    _on_altitudes,
+    _on_altitudes_over,
     _ring_orthocentres,
     Circle,
     CoincidentPointsError,
@@ -437,6 +440,51 @@ def test_ring_orthocentres_sum_over_a_common_denominator(ring_and_centre):
     triangles = list(combinations(range(len(ring)), 3))
     expected = [orthocentre(*(ring[i] for i in tri)) for tri in triangles]
     assert ring_orthocentres(ring, triangles, o, [True] * len(ring)) == expected
+
+
+@given(inscribed(), st.integers(0, 3), st.sampled_from([ONE, point(F(1, 7), F(-2, 3))]))
+@EXAMPLES
+def test_equidistance_is_decided_as_the_distances_compare(ring_and_centre, i, nudge):
+    # the bilinear form (p - p0).(p + p0 - 2o) agrees with comparing the
+    # distances themselves, on the ring and with one of its points moved;
+    # an accepted centre gives the circle the squared distance from it
+    ring, o = ring_and_centre
+    moved = list(ring)
+    moved[i] = fraction_add(ring[i], nudge)
+    for points in (ring, moved):
+        far = [distance_squared(p, o) for p in points]
+        assert _equidistant(o, points) == (far == [far[0]] * len(far))
+    assert circle_through(*ring[:3], centre=o) == circle_on(o, ring[0])
+
+
+@given(inscribed(), st.sampled_from([ONE, point(F(1, 7), F(-2, 3))]))
+@EXAMPLES
+def test_the_altitude_test_over_the_ring_denominator(ring_and_centre, nudge):
+    # over the lcm d of the ring's and the centre's Z, each orthocentre is on
+    # the altitudes exactly as _on_altitudes finds it, and a moved one is not
+    ring, o = ring_and_centre
+    d = lcm(o.hom[2], *(p.hom[2] for p in ring))
+    over = [(X * (d // Z), Y * (d // Z)) for X, Y, Z in (p.hom for p in ring)]
+    for tri in combinations(range(len(ring)), 3):
+        p, q, r = (ring[n] for n in tri)
+        h = orthocentre(p, q, r)
+        for g, on in ((h, True), (fraction_add(h, nudge), False)):
+            assert _on_altitudes(g, p, q, r) == on
+            assert _on_altitudes_over(g, d, *(over[n] for n in tri)) == on
+
+
+@pytest.mark.skipif(not __debug__, reason="python -O strips the altitude assert")
+@given(inscribed(), st.integers(0, 3))
+@EXAMPLES
+def test_a_ring_point_marked_on_its_circle_wrongly_fails_the_altitude_assert(
+        ring_and_centre, i):
+    # Euler's sum about o is no orthocentre of a triangle through a point
+    # off the circle, so the assert over the ring's numerators catches it
+    ring, o = ring_and_centre
+    ring[i] = fraction_add(ring[i], ONE)
+    assume(distance_squared(ring[i], o) != distance_squared(ring[i - 1], o))
+    with pytest.raises(AssertionError):
+        _ring_orthocentres(ring, combinations(range(len(ring)), 3), o, [True] * len(ring), False)
 
 
 @given(points, points, rationals, st.one_of(st.none(), points))
