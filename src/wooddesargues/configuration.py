@@ -30,7 +30,6 @@ from .kernel import (
     UnitParameter,
     _join,
     _meet,
-    _ring_orthocentres,
     circle_through,
     circumcenter,
     distance_squared,
@@ -260,7 +259,8 @@ class PentagonFigures:
 
 
 Orthocentres = dict[tuple[str, str], Optional[Point]]
-HalfTurns = dict[str, tuple[tuple[int, int, int], tuple[Point, ...]]]
+HalfTurn = tuple[int, int, int]  # (X, Y, d), unreduced
+HalfTurns = dict[str, tuple[HalfTurn, tuple[Point, ...]]]
 Incidence = dict[tuple[str, str], bool]
 QuadrangleMap = tuple[Optional[Similarity], tuple[bool, ...]]
 
@@ -289,6 +289,10 @@ class DerivedFigures:
     centre, as the unreduced triple (X, Y, d) of that sum, and those four
     orthocentres, each T - v in quadrangle order: the half turn z -> T - z
     takes the quadrangle to them.
+    ``centre_half_turn`` is T = S - 2P, S the sum of the centres and P the
+    pentagon centre, unreduced over the lcm of their Z, when the ring of the
+    centres summed all ten triangles about P, else None: that is, when the
+    five centres are distinct and all on the pentagon circle.
     ``quadrangle_maps`` is ``derive_quadrangle_maps(config)``, which
     ``verify_all`` adds: ``derive_figures`` leaves it None.
     """
@@ -302,6 +306,7 @@ class DerivedFigures:
     perspectrices: tuple[Optional[Line], ...]
     incidence: Incidence
     half_turns: HalfTurns
+    centre_half_turn: Optional[HalfTurn]
     quadrangle_maps: Optional[dict[str, QuadrangleMap]] = None
 
 
@@ -338,9 +343,9 @@ def derive_orthocentres(config: WoodDesarguesConfiguration,
     half_turns: HalfTurns = {}
     for clbl in CIRCLE_LABELS:
         verts = CIRCLE_POINTS[clbl]
-        hs, total = _ring_orthocentres(config.quadrangle(clbl), _QUADRANGLE_TRIANGLES,
-                                       config.circles[clbl].center,
-                                       [incidence[clbl, v] for v in verts], True)
+        hs, total = ring_orthocentres(config.quadrangle(clbl), _QUADRANGLE_TRIANGLES,
+                                      config.circles[clbl].center,
+                                      [incidence[clbl, v] for v in verts])
         orthocentres.update(((clbl, v), h) for v, h in zip(verts, hs))
         if total is not None:
             half_turns[clbl] = total, tuple(hs)
@@ -349,9 +354,10 @@ def derive_orthocentres(config: WoodDesarguesConfiguration,
 
 def derive_centre_orthocentres(config: WoodDesarguesConfiguration,
                                pentagon: Optional[Circle],
-                               incidence: Incidence) -> dict[str, Optional[Point]]:
+                               incidence: Incidence,
+                               ) -> tuple[dict[str, Optional[Point]], Optional[HalfTurn]]:
     """Per table row v: the orthocentre of the three centres of the circles
-    not through v, None when they are collinear.
+    not through v, None when they are collinear; and the ring's half turn.
 
     The centres lie on the pentagon circle, so the ten come from
     ``ring_orthocentres`` about its centre, for the centres the incidence
@@ -361,9 +367,9 @@ def derive_centre_orthocentres(config: WoodDesarguesConfiguration,
     if pentagon is not None:
         centre = pentagon.center
         on = [incidence[PENTAGON, x] for x in CENTER_LABELS]
-    hs = ring_orthocentres([config.centers[x] for x in CENTER_LABELS], _CENTRE_TRIANGLES,
-                           centre, on)
-    return dict(zip(CENTERS_AVOIDING, hs))
+    hs, total = ring_orthocentres([config.centers[x] for x in CENTER_LABELS],
+                                  _CENTRE_TRIANGLES, centre, on)
+    return dict(zip(CENTERS_AVOIDING, hs)), total
 
 
 def derive_hagge_centres(config: WoodDesarguesConfiguration, orthos: Orthocentres,
@@ -448,10 +454,12 @@ def derive_figures(config: WoodDesarguesConfiguration) -> DerivedFigures:
     pentagon = derive_pentagon(config)
     incidence = derive_incidence(config, pentagon.circle)
     orthos, half_turns = derive_orthocentres(config, incidence)
-    centre_orthos = derive_centre_orthocentres(config, pentagon.circle, incidence)
+    centre_orthos, centre_half_turn = derive_centre_orthocentres(config, pentagon.circle,
+                                                                 incidence)
     hagge, hagge_notes = derive_hagge_centres(config, orthos, centre_orthos)
     collinear, perspectrices = derive_perspectrices(config)
     return DerivedFigures(orthocentres=orthos, hagge=hagge, hagge_notes=hagge_notes,
                           pentagon=pentagon, centre_orthocentres=centre_orthos,
                           collinear=collinear, perspectrices=perspectrices,
-                          incidence=incidence, half_turns=half_turns)
+                          incidence=incidence, half_turns=half_turns,
+                          centre_half_turn=centre_half_turn)

@@ -489,10 +489,10 @@ def circumcenter(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -
     return centre
 
 
-def circle_through(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -> Circle:
-    """The circle through p, q and r about ``circumcenter(p, q, r, centre)``;
-    r^2 is p's distance record from that centre, the only one formed."""
-    centre = circumcenter(p, q, r, centre)
+def circle_through(p: Point, q: Point, r: Point) -> Circle:
+    """The circle through p, q and r about ``circumcenter(p, q, r)``; r^2 is
+    p's distance record from that centre, the only one formed."""
+    centre = circumcenter(p, q, r)
     return Circle(centre, distance_squared(p, centre))
 
 
@@ -614,30 +614,23 @@ def orthocentre(p: Point, q: Point, r: Point) -> Point:
 
 
 def ring_orthocentres(ring: Sequence[Point], triangles: Iterable[tuple[int, int, int]],
-                      centre: Optional[Point], on: Sequence[bool]) -> list[Optional[Point]]:
+                      centre: Optional[Point], on: Sequence[bool],
+                      ) -> tuple[list[Optional[Point]], Optional[tuple[int, int, int]]]:
     """The orthocentre of each triangle of ring points named by its indices,
-    None when its vertices are collinear.
+    None when its vertices are collinear, and the ring's half turn.
 
     ``on[i]`` tells whether ring point i lies on one given circle about
     ``centre``.  A triangle of three distinct such points is inscribed about
     ``centre``, so its orthocentre is Euler's p + q + r - 2 centre, summed
     over the lcm of the Z of ``centre`` and the points on the circle.  Any
     other triangle, and each one when ``centre`` is None, goes to ``orthocentre``.
+    The half turn T = (sum of the ring) - 2 centre is the unreduced (X, Y, d)
+    over that lcm when every triangle was summed and every ring point is on
+    the circle, else None; a quadrangle's orthocentres are then each T - v.
     """
-    return _ring_orthocentres(ring, triangles, centre, on, False)[0]
-
-
-def _ring_orthocentres(ring: Sequence[Point], triangles: Iterable[tuple[int, int, int]],
-                       centre: Optional[Point], on: Sequence[bool], half_turn: bool,
-                       ) -> tuple[list[Optional[Point]], Optional[tuple[int, int, int]]]:
-    """``ring_orthocentres``, and, if ``half_turn`` asks for it, T = (sum of
-    the ring) - 2 centre as the unreduced triple (X, Y, d) over that lcm when
-    every ring point is on the circle and every triangle was summed, else
-    None.  For a quadrangle's four triangles each orthocentre is then T - v,
-    v the vertex left out."""
     out: list[Optional[Point]] = []
     over = None
-    summed = half_turn and centre is not None and all(on)
+    summed = centre is not None and all(on)
     for i, j, k in triangles:
         p, q, r = ring[i], ring[j], ring[k]
         h = None

@@ -26,7 +26,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .configuration import (
-    CENTER_LABELS,
     CENTERS_AVOIDING,
     CIRCLE_CENTER,
     CIRCLE_LABELS,
@@ -493,20 +492,19 @@ def check_five_circles(cs: ClaimSet, config: WoodDesarguesConfiguration,
 
 
 def _similarity_claims(cs: ClaimSet, label: str, source: Sequence[Point],
-                       target: Sequence[Point], guess: Optional[Similarity] = None,
+                       target: Sequence[Point],
                        pinned: Optional[QuadrangleMap] = None) -> Optional[Similarity]:
     """Claim that the map pinned by the first two pairs transports the rest.
 
-    That is ``guess`` when it sends both pairs.  ``pinned`` is that map with
-    its verdicts on the further pairs, already decided.  Returns the map for
+    ``pinned`` is that map with its verdicts on the further pairs, already
+    decided; without it the map is pinned here.  Returns the map for
     further claims, or None when no similarity can even be formed (a
     coincident source pair is degenerate; a zero multiplier is a failed claim)."""
     if source[0] == source[1]:
         cs.degenerate(f"{label}: first two source points coincide")
         return None
     if pinned is None:
-        pinned = (guess if guess is not None and all(map(guess.sends, source[:2], target[:2]))
-                  else Similarity.pinned_by(source, target)), (None,) * len(source)
+        pinned = Similarity.pinned_by(source, target), (None,) * len(source)
     sim, holds = pinned
     if sim is None:
         cs.fail(f"{label}: nonzero multiplier", ORIGIN)
@@ -538,9 +536,8 @@ def check_orthocentre_quadrangle(cs: ClaimSet, config: WoodDesarguesConfiguratio
     read is that entry's own object, each is T - v by construction: the half
     turn z -> T - z sends every vertex to its orthocentre and fixes T/2, so
     every claim holds, with that turn as the map; T is canonicalised here,
-    not in the derive that render shares.  Otherwise the turn is
-    formed from the vertices and the circle's centre and offered as the map
-    the first two pairs pin, and each claim is decided.
+    not in the derive that render shares.  Otherwise the map is pinned from
+    the first two pairs, and each claim is decided.
     """
     verts = CIRCLE_POINTS[circle_label]
     vpts = [config.points[v] for v in verts]
@@ -564,16 +561,11 @@ def check_orthocentre_quadrangle(cs: ClaimSet, config: WoodDesarguesConfiguratio
         cs.held(fixed)
         return
 
-    # the half turn z -> 2M - z, M = vertex-sum/2 - centre, is the map to try
-    # first; 2M is canonical, as M is: halve Z when even, else double X and Y
-    expected = euler_sum(vpts, config.circles[circle_label].center, 2)
-    X, Y, Z = expected.hom
-    turn = Similarity(MINUS_ONE, Point((X, Y, Z // 2) if Z % 2 == 0 else (2 * X, 2 * Y, Z)))
-    sim = _similarity_claims(cs, label, vpts, hpts, turn)
+    sim = _similarity_claims(cs, label, vpts, hpts)
     if sim is not None:
         cs.points_equal(multiplier, sim.alpha, MINUS_ONE)
         if sim.alpha != ONE:
-            cs.fixed_at(fixed, sim, expected)
+            cs.fixed_at(fixed, sim, euler_sum(vpts, config.circles[circle_label].center, 2))
 
 
 def check_steiner_line(cs: ClaimSet, derived: DerivedFigures, circle_label: str) -> None:
@@ -731,27 +723,27 @@ def check_tangent_concurrency(cs: ClaimSet, config: WoodDesarguesConfiguration,
 
 
 def _h_circles(config: WoodDesarguesConfiguration, derived: DerivedFigures,
-               ) -> dict[str, tuple[Point, Optional[QuadrangleMap]]]:
-    """Per circle C: the centre S - 3P - C of its h-quadrangle's circle (S the
-    sum of the centres, P the pentagon centre), and the h-map and verdicts
-    the identity decides, else None.  When the five centres are distinct and
-    on the pentagon circle, each accepted prediction h(v) is Euler's
-    K - sigma(v), K = S - 2P - C and sigma the quadrangle map of C: the h-map
-    is z -> K - sigma(z), its circle the pentagon circle turned about (K + P)/2."""
-    ctr = [derived.pentagon.circle.center, *(config.centers[x] for x in CENTER_LABELS)]
-    d = math.lcm(*(p.hom[2] for p in ctr))  # the centres and P over the lcm of their Z
-    (Xp, Yp), *over = [(X * (d // Z), Y * (d // Z)) for X, Y, Z in (p.hom for p in ctr)]
-    Xs, Ys = sum(x for x, _ in over) - 2 * Xp, sum(y for _, y in over) - 2 * Yp
-    on, out = derived.incidence, {}
-    concyclic = len(distinct(ctr[1:])) == 5 and all(on[PENTAGON, x] for x in CENTER_LABELS)
-    for (clbl, (sigma, holds)), (Xc, Yc) in zip(derived.quadrangle_maps.items(), over):
-        Xk, Yk, h_map = Xs - Xc, Ys - Yc, None  # K over d
-        if concyclic and sigma is not None and all(
-                derived.hagge[v] is derived.centre_orthocentres[v] for v in clbl):
-            (Xa, Ya, Za), (Xb, Yb, Zb) = sigma.alpha.hom, sigma.beta.hom
-            h_map = Similarity(Point((-Xa, -Ya, Za)),
-                               _point(Xk * Zb - Xb * d, Yk * Zb - Yb * d, d * Zb)), holds
-        out[clbl] = _point(Xk - Xp, Yk - Yp, d), h_map
+               ) -> dict[str, tuple[Point, QuadrangleMap]]:
+    """Per circle C whose h-quadrangle the identity decides: the centre
+    S - 3P - C of its circle and the h-map with its verdicts.  Given the
+    centre half turn T = S - 2P, each accepted prediction h(v) is Euler's
+    K - sigma(v), K = T - C and sigma the quadrangle map of C: the h-map is
+    z -> K - sigma(z), its circle the pentagon circle turned about (K + P)/2."""
+    out: dict[str, tuple[Point, QuadrangleMap]] = {}
+    if derived.centre_half_turn is None:
+        return out
+    Xt, Yt, d = derived.centre_half_turn  # d is the lcm of the Z of the centres and P
+    Xp, Yp, Zp = derived.pentagon.circle.center.hom
+    for clbl, (sigma, holds) in derived.quadrangle_maps.items():
+        if sigma is None or any(derived.hagge[v] is not derived.centre_orthocentres[v]
+                                for v in clbl):
+            continue
+        Xc, Yc, Zc = config.centers[CIRCLE_CENTER[clbl]].hom
+        Xk, Yk = Xt - Xc * (d // Zc), Yt - Yc * (d // Zc)  # K over d
+        (Xa, Ya, Za), (Xb, Yb, Zb) = sigma.alpha.hom, sigma.beta.hom
+        h_map = Similarity(Point((-Xa, -Ya, Za)),
+                           _point(Xk * Zb - Xb * d, Yk * Zb - Yb * d, d * Zb))
+        out[clbl] = _point(Xk - Xp * (d // Zp), Yk - Yp * (d // Zp), d), (h_map, holds)
     return out
 
 
@@ -782,7 +774,7 @@ def check_hagge(cs: ClaimSet, config: WoodDesarguesConfiguration,
         cs.points_equal(f"h({v}) is orthocentre of {''.join(CENTERS_AVOIDING[v])}", h, expected)
 
     # an undecided h-quadrangle is pinned from its pairs, its circle built on three of them
-    h_circles = _h_circles(config, derived) if pentagon is not None else {}
+    h_circles = _h_circles(config, derived)
     radii: list[tuple[str, Fraction]] = []
     for clbl in CIRCLE_LABELS:
         verts = CIRCLE_POINTS[clbl]
@@ -797,7 +789,7 @@ def check_hagge(cs: ClaimSet, config: WoodDesarguesConfiguration,
         else:
             ring = distinct(dst)[:3]
             try:
-                circ = circle_through(*ring, centre=centre) if len(ring) == 3 else None
+                circ = circle_through(*ring) if len(ring) == 3 else None
             except CollinearPointsError:
                 circ = None
             if circ is None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, permutations
@@ -27,6 +28,7 @@ from wooddesargues.configuration import (
     CIRCLE_LABELS,
     CIRCLE_POINTS,
     OTHER_CIRCLE,
+    PENTAGON,
     PERSPECTIVE_TABLE,
     POINT_CIRCLES,
     POINT_LABELS,
@@ -470,9 +472,10 @@ def test_orthocentres_meet_no_lines_given_the_stored_centres(
     assert orthos == reference_derived.orthocentres
     assert half_turns == reference_derived.half_turns
     assert set(half_turns) == set(CIRCLE_LABELS)
-    predicted = derive_centre_orthocentres(reference_config, reference_derived.pentagon.circle,
-                                           incidence)
+    predicted, total = derive_centre_orthocentres(reference_config,
+                                                  reference_derived.pentagon.circle, incidence)
     assert predicted == reference_derived.centre_orthocentres
+    assert total == reference_derived.centre_half_turn
     assert (derive_hagge_centres(reference_config, orthos, predicted)
             == (reference_derived.hagge, reference_derived.hagge_notes))
     assert calls == {"orthocentre": [], "_bisector": [], "_meet": []}
@@ -495,6 +498,30 @@ def test_orthocentres_ignore_a_stored_centre_off_the_circle(reference_config, mo
     assert set(half_turns) == set(CIRCLE_LABELS) - {"ABCK"}
 
 
+def _centre_sum(config, pentagon) -> tuple[int, int, int]:
+    """S - 2P over the lcm d of the Z of P and the five centres, S their sum, as (X, Y, d)."""
+    ctr = [pentagon.center, *(config.centers[x] for x in CENTER_LABELS)]
+    d = math.lcm(*(p.hom[2] for p in ctr))
+    (Xp, Yp), *over = [(X * (d // Z), Y * (d // Z)) for X, Y, Z in (p.hom for p in ctr)]
+    return sum(x for x, _ in over) - 2 * Xp, sum(y for _, y in over) - 2 * Yp, d
+
+
+def test_the_centre_half_turn_is_the_sum_of_five_distinct_concyclic_centres(reference_config):
+    policy = FuzzPolicy(20, 42, 10 ** 12)
+    for config in [reference_config,
+                   *(built for _, built, _, _ in generate_configurations(policy))]:
+        derived = derive_figures(config)
+        assert derived.centre_half_turn == _centre_sum(config, derived.pentagon.circle)
+    # two equal centres, all on the pentagon circle; and one centre off it
+    centers = reference_config.centers
+    coincident = dataclasses.replace(reference_config, centers={**centers, "M": centers["L"]})
+    off = mutate_configuration(reference_config, "center", "L", "x", 1)
+    for moved, on in ((coincident, True), (off, False)):
+        derived = derive_figures(moved)
+        assert derived.incidence[PENTAGON, "L"] is on
+        assert derived.centre_half_turn is None
+
+
 def test_hagge_circles_meet_no_bisectors_given_the_predicted_centres(
         reference_config, reference_derived, monkeypatch):
     meets = _count_meets(monkeypatch)
@@ -508,13 +535,13 @@ def test_hagge_circles_meet_no_bisectors_given_the_predicted_centres(
 
 
 def _record_circles(monkeypatch, module) -> list:
-    """Record (points, centre passed, circle) for each circle_through call of ``module``."""
+    """Record (points, circle) for each circle_through call of ``module``."""
     calls = []
     real = module.circle_through
 
-    def recording(p, q, r, centre=None):
-        circle = real(p, q, r, centre=centre)
-        calls.append(((p, q, r), centre, circle))
+    def recording(p, q, r):
+        circle = real(p, q, r)
+        calls.append(((p, q, r), circle))
         return circle
 
     monkeypatch.setattr(module, "circle_through", recording)
@@ -534,11 +561,11 @@ def test_rejected_predicted_centres_give_the_unpredicted_circles(
         circle = kernel.circle_through(moved.j, h_pt, f_pt)
         assert Circle(h, distance_squared(h, moved.j)) == circle
 
+    # so hagge-suite builds some h-circumcircle on three Hagge centres
     ring_calls = _record_circles(monkeypatch, verifier)
     verify_all(moved)
-    predicted = [(centre, circle) for _, centre, circle in ring_calls if centre is not None]
-    assert any(centre != circle.center for centre, circle in predicted)
-    for points, _, circle in ring_calls:
+    assert any(set(points) <= set(derived.hagge.values()) for points, _ in ring_calls)
+    for points, circle in ring_calls:
         assert circle == kernel.circle_through(*points)
 
 
@@ -546,8 +573,8 @@ def test_rejected_predicted_centres_give_the_unpredicted_circles(
 def test_a_campaign_seed_builds_two_circumcentres(monkeypatch, magnitude):
     # the centre of the circle through J, U and V, once in the build (it pins
     # the similarity giving the Wood centres) and once as the pentagon circle;
-    # every Hagge circle and h-circumcircle takes its predicted centre, which
-    # circumcenter returns
+    # every Hagge circle takes its predicted centre, which circumcenter
+    # returns, and every h-circumcircle is the pentagon circle turned half
     calls = []
     real = kernel.circumcenter
 

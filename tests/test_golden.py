@@ -329,25 +329,15 @@ def test_the_predicted_half_turn_leaves_every_claim_record(reference_config, mon
     # an orthocentre-quadrangle check whose four orthocentres are the ring's
     # own, each T - v about the circle's centre, records its claims as held
     # with the half turn z -> T - z as the map; with the stored half turns
-    # removed, every quadrangle forms the turn by euler_sum and offers it as
-    # the map its first two pairs pin; with the offer dropped as well, the map
-    # is pinned from the pairs; and every claim record and note is the same
+    # removed, every quadrangle's map is pinned from its first two pairs; and
+    # every claim record and note is the same
     real_claims, real_derive = verifier._similarity_claims, verifier.derive_figures
-    decided, taken = [], []
+    decided = []
 
-    def deciding(cs, label, source, target, guess=None, pinned=None):
+    def deciding(cs, label, source, target, pinned=None):
         if label.endswith("~H-quadrangle"):
             decided.append(pinned is not None)
-        return real_claims(cs, label, source, target, guess, pinned)
-
-    def offering(cs, label, source, target, guess=None, pinned=None):
-        sim = real_claims(cs, label, source, target, guess, pinned)
-        if guess is not None:
-            taken.append(sim is guess)
-        return sim
-
-    def pinned_afresh(cs, label, source, target, guess=None, pinned=None):
-        return real_claims(cs, label, source, target, pinned=pinned)
+        return real_claims(cs, label, source, target, pinned)
 
     def without_half_turns(config):
         return dataclasses.replace(real_derive(config), half_turns={})
@@ -361,14 +351,10 @@ def test_the_predicted_half_turn_leaves_every_claim_record(reference_config, mon
         monkeypatch.setattr(verifier, "_similarity_claims", similarity_claims)
         return [(r.records, r.notes) for config in configs for r in verify_all(config).results]
 
-    held = records(real_derive, deciding)
-    assert held == records(without_half_turns, offering)
-    assert held == records(without_half_turns, pinned_afresh)
+    assert records(real_derive, deciding) == records(without_half_turns, real_claims)
     # the five quadrangles of each of the 11 built ledger configurations and
-    # the 20 wide campaign seeds, and those a probe leaves alone, are decided;
-    # without the half turns, the offered turn is taken on exactly those
+    # the 20 wide campaign seeds, and those a probe leaves alone, are decided
     assert (decided.count(True), decided.count(False)) == (254, 55)
-    assert (taken.count(True), taken.count(False)) == (254, 55)
 
 
 def test_the_pinned_quadrangle_maps_leave_every_claim_record(reference_config, monkeypatch):
@@ -380,16 +366,16 @@ def test_the_pinned_quadrangle_maps_leave_every_claim_record(reference_config, m
     real_claims, real_circles = verifier._similarity_claims, verifier._h_circles
     decided = []
 
-    def offered(cs, label, source, target, guess=None, pinned=None):
+    def offered(cs, label, source, target, pinned=None):
         if label.endswith("~h-quadrangle"):
             decided.append(pinned is not None)
-        return real_claims(cs, label, source, target, guess, pinned)
+        return real_claims(cs, label, source, target, pinned)
 
-    def pinned_afresh(cs, label, source, target, guess=None, pinned=None):
-        return real_claims(cs, label, source, target, guess)
+    def pinned_afresh(cs, label, source, target, pinned=None):
+        return real_claims(cs, label, source, target)
 
     def undecided(config, derived):
-        return {c: (centre, None) for c, (centre, _) in real_circles(config, derived).items()}
+        return {}
 
     names = ("pentagon-perspectives", "pentagon-quadrangles", "hagge-suite")
     policy = FuzzPolicy(count=20, rng_seed=42, max_magnitude=10 ** 12)

@@ -22,7 +22,6 @@ from wooddesargues.kernel import (
     _equidistant,
     _on_altitudes,
     _on_altitudes_over,
-    _ring_orthocentres,
     Circle,
     CoincidentPointsError,
     CollinearPointsError,
@@ -338,11 +337,10 @@ def test_circumcentre_and_orthocentre(p, q, r):
     assume(fraction_collinearity_residual(p, q, r) != 0)
     o = fraction_circumcenter(p, q, r)
     assert orthocentre(p, q, r) == fraction_orthocentre(p, q, r)
-    # the circumcentre and the circle are the same whatever centre is passed,
-    # true or not
+    # the circumcentre is the same whatever centre is passed, true or not
     for centre in (o, fraction_add(o, ONE), p, None):
         assert circumcenter(p, q, r, centre) == o
-        assert circle_through(p, q, r, centre=centre) == circle_on(o, p)
+    assert circle_through(p, q, r) == circle_on(o, p)
 
 
 @st.composite
@@ -387,7 +385,8 @@ def test_ring_orthocentres_equal_the_orthocentre_of_each_triangle(ring_and_centr
     expected = [None if fraction_collinearity_residual(*tri_points) == 0
                 else fraction_orthocentre(*tri_points)
                 for tri_points in ([ring[i] for i in tri] for tri in triangles)]
-    assert ring_orthocentres(ring, triangles, centre, as_far_as_the_first(ring, centre)) == expected
+    hs, _ = ring_orthocentres(ring, triangles, centre, as_far_as_the_first(ring, centre))
+    assert hs == expected
 
 
 @given(rings(), st.sampled_from(["true", "moved", "ring point", "none"]))
@@ -401,9 +400,7 @@ def test_ring_orthocentres_hand_back_the_sum_of_an_inscribed_ring(ring_and_centr
     centre = {"true": o, "moved": fraction_add(o, ONE), "ring point": ring[0], "none": None}[which]
     on = as_far_as_the_first(ring, centre)
     triangles = list(combinations(range(len(ring)), 3))
-    hs, total = _ring_orthocentres(ring, triangles, centre, on, True)
-    assert hs == ring_orthocentres(ring, triangles, centre, on)
-    assert _ring_orthocentres(ring, triangles, centre, on, False) == (hs, None)
+    hs, total = ring_orthocentres(ring, triangles, centre, on)
     if centre is None or not all(on) or len(set(ring)) < len(ring):
         assert total is None
         return
@@ -439,7 +436,7 @@ def test_ring_orthocentres_sum_over_a_common_denominator(ring_and_centre):
     ring, o = ring_and_centre
     triangles = list(combinations(range(len(ring)), 3))
     expected = [orthocentre(*(ring[i] for i in tri)) for tri in triangles]
-    assert ring_orthocentres(ring, triangles, o, [True] * len(ring)) == expected
+    assert ring_orthocentres(ring, triangles, o, [True] * len(ring))[0] == expected
 
 
 @given(inscribed(), st.integers(0, 3), st.sampled_from([ONE, point(F(1, 7), F(-2, 3))]))
@@ -447,14 +444,16 @@ def test_ring_orthocentres_sum_over_a_common_denominator(ring_and_centre):
 def test_equidistance_is_decided_as_the_distances_compare(ring_and_centre, i, nudge):
     # the bilinear form (p - p0).(p + p0 - 2o) agrees with comparing the
     # distances themselves, on the ring and with one of its points moved;
-    # an accepted centre gives the circle the squared distance from it
+    # an accepted centre is returned as given, and the circle has the
+    # squared distance from it
     ring, o = ring_and_centre
     moved = list(ring)
     moved[i] = fraction_add(ring[i], nudge)
     for points in (ring, moved):
         far = [distance_squared(p, o) for p in points]
         assert _equidistant(o, points) == (far == [far[0]] * len(far))
-    assert circle_through(*ring[:3], centre=o) == circle_on(o, ring[0])
+    assert circumcenter(*ring[:3], o) is o
+    assert circle_through(*ring[:3]) == circle_on(o, ring[0])
 
 
 @given(inscribed(), st.sampled_from([ONE, point(F(1, 7), F(-2, 3))]))
@@ -484,7 +483,7 @@ def test_a_ring_point_marked_on_its_circle_wrongly_fails_the_altitude_assert(
     ring[i] = fraction_add(ring[i], ONE)
     assume(distance_squared(ring[i], o) != distance_squared(ring[i - 1], o))
     with pytest.raises(AssertionError):
-        _ring_orthocentres(ring, combinations(range(len(ring)), 3), o, [True] * len(ring), False)
+        ring_orthocentres(ring, combinations(range(len(ring)), 3), o, [True] * len(ring))
 
 
 @given(points, points, rationals, st.one_of(st.none(), points))
@@ -498,7 +497,7 @@ def test_orthocentre_of_collinear_points_raises_whatever_centre_is_passed(p, q, 
     # three when they coincide
     for c in (centre, midpoint(p, q), p):
         on = as_far_as_the_first([p, q, r], c)
-        assert ring_orthocentres([p, q, r], [(0, 1, 2)], c, on) == [None]
+        assert ring_orthocentres([p, q, r], [(0, 1, 2)], c, on) == ([None], None)
 
 
 @given(points, points, rationals, st.one_of(st.none(), points))
@@ -506,10 +505,12 @@ def test_orthocentre_of_collinear_points_raises_whatever_centre_is_passed(p, q, 
 def test_circle_through_collinear_points_raises_whatever_centre_is_passed(p, q, t, centre):
     r = fraction_add(p, fraction_scale(fraction_sub(q, p), t))
     assume(p != q and r != p and r != q)
+    with pytest.raises(CollinearPointsError):
+        circle_through(p, q, r)
     # each midpoint is equidistant from two of the three points
     for c in (centre, midpoint(p, q), midpoint(q, r)):
         with pytest.raises(CollinearPointsError):
-            circle_through(p, q, r, centre=c)
+            circumcenter(p, q, r, c)
 
 
 @given(points, points, st.one_of(st.none(), points))
@@ -517,10 +518,12 @@ def test_circle_through_collinear_points_raises_whatever_centre_is_passed(p, q, 
 def test_coincident_points_raise_whatever_centre_is_passed(p, q, centre):
     assume(p != q)
     # the midpoint of p and q is equidistant from all three of p, p, q
-    for c in (centre, midpoint(p, q), p):
-        for args in ((p, p, q), (p, q, p), (q, p, p), (p, p, p)):
+    for args in ((p, p, q), (p, q, p), (q, p, p), (p, p, p)):
+        with pytest.raises(CoincidentPointsError):
+            circle_through(*args)
+        for c in (centre, midpoint(p, q), p):
             with pytest.raises(CoincidentPointsError):
-                circle_through(*args, centre=c)
+                circumcenter(*args, c)
 
 
 # --- circles ----------------------------------------------------------------------
