@@ -27,9 +27,12 @@ from .kernel import (
     ORIGIN,
     Point,
     Similarity,
+    INFINITY,
     UnitParameter,
+    _det3,
     _join,
     _meet,
+    _reflected_meet,
     circle_through,
     circumcenter,
     distance_squared,
@@ -146,7 +149,8 @@ class ConfigurationSeed:
 @dataclass(frozen=True)
 class WoodDesarguesConfiguration:
     """The ten labeled points, J, the five circles and their centers; ``incidence``
-    tells whether each circle's four points lie on it, decided on each construction."""
+    tells whether each circle's four points lie on it, decided on each construction;
+    ``build_maps`` is the spiral and Wood map ``build_configuration`` pinned, else None."""
 
     points: dict[str, Point]
     j: Point
@@ -154,6 +158,8 @@ class WoodDesarguesConfiguration:
     centers: dict[str, Point]
     seed: Optional[ConfigurationSeed] = None
     incidence: dict[tuple[str, str], bool] = field(init=False, compare=False, repr=False)
+    build_maps: Optional[tuple[Similarity, Similarity]] = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "incidence", {(c, p): self.circles[c]._power(self.points[p]) == 0
@@ -166,7 +172,9 @@ class WoodDesarguesConfiguration:
 def build_configuration(seed: ConfigurationSeed) -> WoodDesarguesConfiguration:
     """Construct the configuration, rejecting degenerate seeds with a reason code."""
     ts = seed.t_values()
-    if len(set(ts)) < len(ts):
+    # as reduced pairs: a Fraction's hash takes a modular inverse
+    keys = {t if t is INFINITY else (t.numerator, t.denominator) for t in ts}
+    if len(keys) < len(ts):
         raise DegenerateSeedError("duplicate-parameter")
     pj, pk, pa, pb, pc = map(point_on_unit_circle, ts)
 
@@ -210,7 +218,18 @@ def build_configuration(seed: ConfigurationSeed) -> WoodDesarguesConfiguration:
                                         centers=centers, seed=seed)
     if (reason := _membership_violation(config)) is not None:
         raise DegenerateSeedError(reason)
+    object.__setattr__(config, "build_maps", (spiral, wood))
     return config
+
+
+def _meets_again_at(config: WoodDesarguesConfiguration, on: Incidence, c1: str, c2: str,
+                    plbl: str) -> bool:
+    """Whether circles c1 and c2, both through J, meet again exactly at point
+    ``plbl``: ``on`` puts it on both, it is not J and the centres differ, as two
+    such circles meet in J and at most one more point."""
+    circles = config.circles
+    return (on[c1, plbl] and on[c2, plbl] and config.points[plbl].hom != config.j.hom
+            and circles[c1].center.hom != circles[c2].center.hom)
 
 
 def _membership_violation(config: WoodDesarguesConfiguration) -> Optional[str]:
@@ -218,10 +237,9 @@ def _membership_violation(config: WoodDesarguesConfiguration) -> Optional[str]:
     incidence is not the one the labels name, or None.
 
     Labelled pairs are read off ``config.incidence``.  Each circle must pass
-    through J.  Two circles through J with different centres meet in J and at
-    most one more point, so when P is on its first circle C1 and the point Q
-    that C1 shares with a circle C is on both, Q != J, P lies on C exactly
-    when P is J or Q.  Other pairs are tested with ``incident``.
+    through J.  When P is on its first circle C1 and C1 meets a circle C
+    again exactly at the point Q they share (``_meets_again_at``), P lies on C
+    exactly when P is J or Q.  Other pairs are tested with ``incident``.
     """
     points, j, circles, on = config.points, config.j, config.circles, config.incidence
     for plbl in POINT_LABELS:
@@ -233,10 +251,8 @@ def _membership_violation(config: WoodDesarguesConfiguration) -> Optional[str]:
                     return f"membership-violation:missing:{plbl}:{clbl}"
                 continue
             own, qlbl = _SHARED_WITH[plbl, clbl]
-            q = points[qlbl]
-            if (on[own, plbl] and on[own, qlbl] and on[clbl, qlbl] and q.hom != j.hom
-                    and circles[own].center.hom != circles[clbl].center.hom):
-                extra = p.hom == j.hom or p.hom == q.hom
+            if on[own, plbl] and _meets_again_at(config, on, own, clbl, qlbl):
+                extra = p.hom == j.hom or p.hom == points[qlbl].hom
             else:
                 extra = incident(circles[clbl], p)
             if extra:
@@ -256,6 +272,9 @@ class PentagonFigures:
     # J itself where they touch there, None where there is none (see meet_notes)
     meets: dict[str, Optional[Point]]
     meet_notes: dict[str, str]
+    # per centre L, M, N and U, whether A, L, Z (B, M, Z; C, N, Z; A, U, W) are
+    # collinear, where the meet is not J and the three points are distinct
+    joins: dict[str, bool]
 
 
 Orthocentres = dict[tuple[str, str], Optional[Point]]
@@ -310,21 +329,13 @@ class DerivedFigures:
     quadrangle_maps: Optional[dict[str, QuadrangleMap]] = None
 
 
-def derive_incidence(config: WoodDesarguesConfiguration,
-                     pentagon: Optional[Circle]) -> Incidence:
-    """The ``DerivedFigures.incidence`` table, with the pentagon entries when
-    there is a ``pentagon``, the circle through U, V and J.
-
-    The labelled points' entries are ``config.incidence``; U, V and J lie on
-    the pentagon circle by construction; every other entry is one power test.
-    """
+def derive_incidence(config: WoodDesarguesConfiguration) -> Incidence:
+    """The ``DerivedFigures.incidence`` table without the pentagon entries,
+    which ``derive_pentagon`` adds: the labelled points' entries are
+    ``config.incidence``, and J on each circle is one power test."""
     incidence: Incidence = dict(config.incidence)
     for clbl in CIRCLE_LABELS:
         incidence[clbl, "J"] = config.circles[clbl]._power(config.j) == 0
-    if pentagon is not None:
-        for x in CENTER_LABELS:
-            incidence[PENTAGON, x] = x in ("U", "V") or pentagon._power(config.centers[x]) == 0
-        incidence[PENTAGON, "J"] = True
     return incidence
 
 
@@ -401,23 +412,38 @@ def derive_hagge_centres(config: WoodDesarguesConfiguration, orthos: Orthocentre
     return out, notes
 
 
-def derive_pentagon(config: WoodDesarguesConfiguration) -> PentagonFigures:
-    u, v = config.centers["U"], config.centers["V"]
-    meets: dict[str, Optional[Point]] = {clbl: None for clbl in PENTAGON_MEETS}
+def derive_pentagon(config: WoodDesarguesConfiguration, incidence: Incidence) -> PentagonFigures:
+    """The circle through U, V and J, offered the Wood map's image of U as its
+    centre, its meets and joins; adds its entries to ``derive_incidence``'s table.
+    J is on it, so it meets a circle the table puts through J about another
+    centre at J reflected in the line of centres, ``_reflected_meet``."""
+    j, u, v = config.j, config.centers["U"], config.centers["V"]
+    meets: dict[str, Optional[Point]] = dict.fromkeys(PENTAGON_MEETS)
     meet_notes: dict[str, str] = {}
+    joins: dict[str, bool] = {}
     try:
-        pentagon: Optional[Circle] = circle_through(u, v, config.j)
+        pentagon = circle_through(u, v, j, config.build_maps and config.build_maps[1].beta)
     except (CollinearPointsError, CoincidentPointsError):
-        pentagon = None
+        return PentagonFigures(circle=None, meets=meets, meet_notes=meet_notes, joins=joins)
 
-    if pentagon is not None:
-        for clbl in PENTAGON_MEETS:
-            try:
-                meets[clbl] = second_intersection_of_circles(
-                    pentagon, config.circles[clbl], config.j)
-            except GeometryError as exc:
-                meet_notes[clbl] = f"no second meet with {clbl}: {exc}"
-    return PentagonFigures(circle=pentagon, meets=meets, meet_notes=meet_notes)
+    for x in CENTER_LABELS:
+        incidence[PENTAGON, x] = x in ("U", "V") or pentagon._power(config.centers[x]) == 0
+    incidence[PENTAGON, "J"] = True
+    for clbl in PENTAGON_MEETS:
+        circle = config.circles[clbl]
+        try:
+            if incidence[clbl, "J"] and circle.center.hom != pentagon.center.hom:
+                meets[clbl] = _reflected_meet(pentagon.center, circle.center, j)
+            else:
+                meets[clbl] = second_intersection_of_circles(pentagon, circle, j)
+        except GeometryError as exc:
+            meet_notes[clbl] = f"no second meet with {clbl}: {exc}"
+    for plbl, clbl, mlbl in (("A", "L", "ABCK"), ("B", "M", "ABCK"), ("C", "N", "ABCK"),
+                             ("A", "U", "Aa23")):
+        p, c, m = config.points[plbl], config.centers[clbl], meets[mlbl]
+        if m is not None and m.hom != j.hom and len({p.hom, c.hom, m.hom}) == 3:
+            joins[clbl] = _det3(p, c, m) == 0
+    return PentagonFigures(circle=pentagon, meets=meets, meet_notes=meet_notes, joins=joins)
 
 
 def derive_perspectrices(config: WoodDesarguesConfiguration,
@@ -438,11 +464,13 @@ def derive_perspectrices(config: WoodDesarguesConfiguration,
 
 def derive_quadrangle_maps(config: WoodDesarguesConfiguration) -> dict[str, QuadrangleMap]:
     """Per circle: the similarity its first two points and ``QUADRANGLE_CENTRES``
-    pin, None where either pair coincides, and whether it sends the others."""
+    pin, None where either pair coincides, and whether it sends the others.
+    ABCK's is the build's Wood map where kept, as it sends A and B to L and M."""
     maps = {}
     for clbl in CIRCLE_LABELS:
         src, dst = config.quadrangle(clbl), [config.centers[x] for x in QUADRANGLE_CENTRES[clbl]]
-        sim = Similarity.pinned_by(src, dst) if src[0] != src[1] else None
+        wood = config.build_maps[1] if clbl == "ABCK" and config.build_maps else None
+        sim = None if src[0] == src[1] else wood or Similarity.pinned_by(src, dst)
         maps[clbl] = sim, (tuple(map(sim.sends, src[2:], dst[2:])) if sim is not None else ())
     return maps
 
@@ -451,8 +479,8 @@ def derive_figures(config: WoodDesarguesConfiguration) -> DerivedFigures:
     """The incidence table, orthocentres keyed (circle, omitted vertex), the
     pentagon figure, the centre-triangle orthocentres, the Hagge centres they
     predict and the ten perspectrices."""
-    pentagon = derive_pentagon(config)
-    incidence = derive_incidence(config, pentagon.circle)
+    incidence = derive_incidence(config)
+    pentagon = derive_pentagon(config, incidence)
     orthos, half_turns = derive_orthocentres(config, incidence)
     centre_orthos, centre_half_turn = derive_centre_orthocentres(config, pentagon.circle,
                                                                  incidence)

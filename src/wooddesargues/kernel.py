@@ -489,10 +489,10 @@ def circumcenter(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -
     return centre
 
 
-def circle_through(p: Point, q: Point, r: Point) -> Circle:
-    """The circle through p, q and r about ``circumcenter(p, q, r)``; r^2 is
-    p's distance record from that centre, the only one formed."""
-    centre = circumcenter(p, q, r)
+def circle_through(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -> Circle:
+    """The circle through p, q and r about ``circumcenter(p, q, r, centre)``;
+    r^2 is p's distance record from that centre, the only one formed."""
+    centre = circumcenter(p, q, r, centre)
     return Circle(centre, distance_squared(p, centre))
 
 
@@ -505,15 +505,21 @@ def second_intersection_with_line(circle: Circle, l: Line, known: Point) -> Poin
         raise NotIncidentError(f"{known} not on {l}")
     if circle._power(known) != 0:
         raise NotIncidentError(f"{known} not on {circle}")
+    return _second_meet(circle.center, l.a, l.b, known)
+
+
+def _second_meet(center: Point, a: int, b: int, known: Point) -> Point:
+    """For a circle about ``center`` through ``known``: its other meet with the
+    line through ``known`` with normal (a, b), ``known`` where that line touches it."""
     X, Y, Z = known.hom
-    Xc, Yc, Zc = circle.center.hom
+    Xc, Yc, Zc = center.hom
     # known + t*d on the circle, d = (-b, a): t * (t*|d|^2 + 2 d.(known - center)) = 0,
     # so t = T / S with the integers below
-    T = -2 * (l.a * (Y * Zc - Yc * Z) - l.b * (X * Zc - Xc * Z))
+    T = -2 * (a * (Y * Zc - Yc * Z) - b * (X * Zc - Xc * Z))
     if T == 0:
         return known
-    S = Z * Zc * (l.a * l.a + l.b * l.b)
-    return _point(X * S - l.b * T * Z, Y * S + l.a * T * Z, Z * S)
+    S = Z * Zc * (a * a + b * b)
+    return _point(X * S - b * T * Z, Y * S + a * T * Z, Z * S)
 
 
 def radical_axis(c1: Circle, c2: Circle) -> Line:
@@ -534,11 +540,23 @@ def radical_axis(c1: Circle, c2: Circle) -> Line:
 
 
 def second_intersection_of_circles(c1: Circle, c2: Circle, known: Point) -> Point:
+    """The other meet of two circles through ``known``, which is ``known``
+    itself exactly when they touch there."""
     if c1 == c2:
         raise IdenticalCirclesError("second intersection of identical circles")
-    # the radical axis is where the two powers agree, so the line routine's
-    # tests of known on it and on c1 test known on both circles
+    if c1.center.hom != c2.center.hom and c1._power(known) == 0 == c2._power(known):
+        return _reflected_meet(c1.center, c2.center, known)
+    # a failed guard raises from the radical-axis route: the axis is where the
+    # two powers agree, so the line routine tests known on both circles
     return second_intersection_with_line(c1, radical_axis(c1, c2), known)
+
+
+def _reflected_meet(o1: Point, o2: Point, known: Point) -> Point:
+    """The other meet of circles about o1 != o2 through ``known``: ``known``
+    reflected in the line of centres, as their common chord has normal o2 - o1."""
+    X1, Y1, Z1 = o1.hom
+    X2, Y2, Z2 = o2.hom
+    return _second_meet(o1, X2 * Z1 - X1 * Z2, Y2 * Z1 - Y1 * Z2, known)
 
 
 def antipode(circle: Circle, p: Point) -> Point:

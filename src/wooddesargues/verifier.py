@@ -40,6 +40,7 @@ from .configuration import (
     PerspectiveRecord,
     QuadrangleMap,
     WoodDesarguesConfiguration,
+    _meets_again_at,
     derive_figures,
     derive_quadrangle_maps,
 )
@@ -58,6 +59,7 @@ from .kernel import (
     _Value,
     _antipode,
     _join,
+    _normal_at,
     _point,
     _tangent_at,
     circle_through,
@@ -73,7 +75,6 @@ from .kernel import (
     meet,
     midpoint,
     parallel_through,
-    perpendicular_at,
     radical_axis,
     second_intersection_of_circles,
     to_float,
@@ -515,9 +516,12 @@ def _similarity_claims(cs: ClaimSet, label: str, source: Sequence[Point],
 
 
 def check_core_similarity(cs: ClaimSet, config: WoodDesarguesConfiguration) -> None:
-    """ABC -> abc is a direct similarity fixed at J with ratio^2 = r2(abcK)/r2(ABCK)."""
+    """ABC -> abc is a direct similarity fixed at J with ratio^2 = r2(abcK)/r2(ABCK);
+    the build's spiral, where kept, made a and b, so it is the map they pin."""
     pts = config.points
-    sim = _similarity_claims(cs, "ABC~abc", [pts[x] for x in "ABC"], [pts[x] for x in "abc"])
+    spiral = (config.build_maps[0], (None,)) if config.build_maps is not None else None
+    sim = _similarity_claims(cs, "ABC~abc", [pts[x] for x in "ABC"], [pts[x] for x in "abc"],
+                             pinned=spiral)
     if sim is not None:
         cs.witness("alpha", sim.alpha)
         if sim.alpha == ONE:
@@ -624,7 +628,7 @@ def _require_meet(cs: ClaimSet, derived: DerivedFigures,
 def check_pentagon_perspectives(cs: ClaimSet, config: WoodDesarguesConfiguration,
                                 derived: DerivedFigures) -> None:
     """Z and W line up with the construction points and ABC ~ LMN from J."""
-    pts, ctr = config.points, config.centers
+    pts, ctr, joins = config.points, config.centers, derived.pentagon.joins
     z = w = None
     if _pentagon_circle(cs, config, derived) is not None:
         z = _require_meet(cs, derived, config, "ABCK", "Z")
@@ -637,7 +641,8 @@ def check_pentagon_perspectives(cs: ClaimSet, config: WoodDesarguesConfiguration
             if ends := a == z or c == z:
                 cs.degenerate(f"line {albl}{clbl}Z degenerate: "
                               f"Z coincides with {_coincidence_name(config, z)}")
-            on_joins.append(ends or cs.collinear(f"{albl}, {clbl}, Z collinear", a, c, z))
+            on_joins.append(ends or cs.collinear(f"{albl}, {clbl}, Z collinear", a, c, z,
+                                                 joins.get(clbl)))
         cs.witness("Z", z)
     if w is not None:
         a, u = pts["A"], ctr["U"]
@@ -645,7 +650,7 @@ def check_pentagon_perspectives(cs: ClaimSet, config: WoodDesarguesConfiguration
             cs.degenerate(f"line AUW degenerate: W coincides with "
                           f"{_coincidence_name(config, w)}")
         else:
-            cs.collinear("A, U, W collinear", a, u, w)
+            cs.collinear("A, U, W collinear", a, u, w, joins.get("U"))
         cs.witness("W", w)
 
     # ABC ~ LMN is the ABCK quadrangle's map, pinned by the same two pairs
@@ -825,7 +830,9 @@ def _perpendicular_concurrency_claims(cs: ClaimSet, circle: Circle,
     labels; ``witness`` labels the antipode in the witnesses.
     """
     t = _antipode(circle, s)
-    perps = [perpendicular_at(b, line_through(s, b)) for b in base]
+    Xs, Ys, Zs = s.hom  # normal Zs Zb (b - s); callers exclude s = b
+    perps = [Line.from_coefficients(*_normal_at(b, X * Zs - Xs * Z, Y * Zs - Ys * Z))
+             for b in base for X, Y, Z in (b.hom,)]
     on = [cs.on_line(f"perpendicular at {name} passes {target}", line, t)
           for name, line in zip(names, perps)]
     cs.lines_meet_at(f"perpendiculars at {names[0]}, {names[1]} meet at {target}",
@@ -918,7 +925,8 @@ def check_perpendicular_concurrency_instance(cs: ClaimSet,
 
 def check_three_circle_collinearity_instance(cs: ClaimSet, config: WoodDesarguesConfiguration,
                                              derived: DerivedFigures) -> None:
-    """Embedded instance on (pentagon, Aa23, ABCK): reproduces lines AUW and ALZ."""
+    """Embedded instance on (pentagon, Aa23, ABCK): reproduces lines AUW and ALZ,
+    through A where ``_meets_again_at`` says so, with the pentagon joins' brackets."""
     if _pentagon_circle(cs, config, derived) is None:
         return
     incidence = derived.incidence
@@ -931,26 +939,30 @@ def check_three_circle_collinearity_instance(cs: ClaimSet, config: WoodDesargues
     if w is None or z is None:
         return
 
-    try:
-        a2 = second_intersection_of_circles(
-            config.circles["Aa23"], config.circles["ABCK"], config.j)
-    except IdenticalCirclesError:
-        cs.degenerate("circles Aa23 and ABCK coincide")
-        return
-    if a2 == config.j:
-        cs.degenerate("circles Aa23 and ABCK tangent at J")
-        return
-    cs.points_equal("second meet of Aa23 and ABCK is A", a2, config.points["A"])
+    a = config.points["A"]
+    if _meets_again_at(config, incidence, "Aa23", "ABCK", "A"):
+        a2 = a
+    else:
+        try:
+            a2 = second_intersection_of_circles(
+                config.circles["Aa23"], config.circles["ABCK"], config.j)
+        except IdenticalCirclesError:
+            cs.degenerate("circles Aa23 and ABCK coincide")
+            return
+        if a2 == config.j:
+            cs.degenerate("circles Aa23 and ABCK tangent at J")
+            return
+    cs.points_equal("second meet of Aa23 and ABCK is A", a2, a)
 
-    u, l = config.centers["U"], config.centers["L"]
+    u, l, joins = config.centers["U"], config.centers["L"], derived.pentagon.joins
     if u == a2 or u == w or a2 == w:
         cs.degenerate("triple (U, A, W) has coincident points")
     else:
-        cs.collinear("U, A, W collinear", u, a2, w)
+        cs.collinear("U, A, W collinear", u, a2, w, joins.get("U") if a2 == a else None)
     if l == a2 or l == z or a2 == z:
         cs.degenerate("triple (L, A, Z) has coincident points")
     else:
-        cs.collinear("L, A, Z collinear", l, a2, z)
+        cs.collinear("L, A, Z collinear", l, a2, z, joins.get("L") if a2 == a else None)
     printed = is_collinear(l, w, z)
     cs.info(f"printed triple (L, B, D) collinear here: {str(printed).lower()}")
 

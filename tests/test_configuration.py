@@ -424,17 +424,26 @@ def test_orthocentre_table_holds_each_row_pair(reference_config, reference_deriv
 
 
 def test_pentagon_meets_only_the_circles_checks_read(reference_config, monkeypatch):
-    calls = []
-    real = configuration.second_intersection_of_circles
-
-    def counting(c1, c2, known):
-        calls.append(c2)
-        return real(c1, c2, known)
-
-    monkeypatch.setattr(configuration, "second_intersection_of_circles", counting)
-    pent = derive_pentagon(reference_config)
-    assert calls == [reference_config.circles["ABCK"], reference_config.circles["Aa23"]]
-    assert set(pent.meets) == {"ABCK", "Aa23"}
+    # the table puts J on ABCK and Aa23, so each meet is J reflected in the
+    # line of centres; with J moved off Aa23 by its radius, that meet takes
+    # the guarded route, which raises into the note
+    j, circles = reference_config.j, reference_config.circles
+    aa23 = Circle(circles["Aa23"].center, circles["Aa23"].radius_squared + 1)
+    moved = dataclasses.replace(reference_config, circles={**circles, "Aa23": aa23})
+    for config, guarded in ((reference_config, ()), (moved, ("Aa23",))):
+        calls = _count_kernel_calls(monkeypatch, "_reflected_meet",
+                                    "second_intersection_of_circles")
+        pent = derive_pentagon(config, derive_incidence(config))
+        o = pent.circle.center
+        assert calls == {
+            "_reflected_meet": [(o, config.circles[c].center, j) for c in ("ABCK", "Aa23")
+                                if c not in guarded],
+            "second_intersection_of_circles": [(pent.circle, config.circles[c], j)
+                                               for c in guarded]}
+        assert set(pent.meets) == {"ABCK", "Aa23"}
+        monkeypatch.undo()
+    assert pent.meets["Aa23"] is None
+    assert pent.meet_notes["Aa23"].startswith("no second meet with Aa23: ")
 
 
 def _count_meets(monkeypatch) -> list:
@@ -490,7 +499,7 @@ def test_orthocentres_ignore_a_stored_centre_off_the_circle(reference_config, mo
                "ABCK": Circle(reference_config.j, abck.radius_squared)}
     moved = dataclasses.replace(reference_config, circles=circles)
     meets = _count_meets(monkeypatch)
-    orthos, half_turns = derive_orthocentres(moved, derive_incidence(moved, None))
+    orthos, half_turns = derive_orthocentres(moved, derive_incidence(moved))
     assert orthos == unseeded
     # only the four triangles of ABCK meet two bisectors, and only ABCK has
     # no half turn
@@ -570,11 +579,12 @@ def test_rejected_predicted_centres_give_the_unpredicted_circles(
 
 
 @pytest.mark.parametrize("magnitude", [12, 10 ** 12])
-def test_a_campaign_seed_builds_two_circumcentres(monkeypatch, magnitude):
-    # the centre of the circle through J, U and V, once in the build (it pins
-    # the similarity giving the Wood centres) and once as the pentagon circle;
-    # every Hagge circle takes its predicted centre, which circumcenter
-    # returns, and every h-circumcircle is the pentagon circle turned half
+def test_a_campaign_seed_builds_one_circumcentre(monkeypatch, magnitude):
+    # the centre of the circle through J, U and V, in the build (it pins the
+    # similarity giving the Wood centres); the pentagon circle takes the Wood
+    # map's image of U and every Hagge circle its predicted centre, which
+    # circumcenter returns, and every h-circumcircle is the pentagon circle
+    # turned half
     calls = []
     real = kernel.circumcenter
 
@@ -587,7 +597,7 @@ def test_a_campaign_seed_builds_two_circumcentres(monkeypatch, magnitude):
     for module in (kernel, configuration):
         monkeypatch.setattr(module, "circumcenter", counting)
     run_campaign(FuzzPolicy(count=10, rng_seed=42, max_magnitude=magnitude))
-    assert len(calls) == 2 * 10
+    assert len(calls) == 10
 
 
 @pytest.mark.parametrize("magnitude", [12, 10 ** 12])
@@ -602,19 +612,22 @@ def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
     # similarity.
     # Verify: one power per incidence-table entry that is neither kept by
     # the configuration nor true by construction (J on the five circles, L,
-    # M and N on the pentagon circle), one guard per pentagon meet and one
-    # in the three-circle instance's meet; no determinant; one record, the
-    # pentagon circle's radius: a predicted Hagge centre and the pentagon
-    # centre are tested for equidistance by bilinear forms.  Brackets: the
-    # pentagon circle's collinearity guard, the four pentagon-perspective
-    # joins, the perpendicular-concurrency instance's guard and three in the
-    # three-circle instance; each perspectrix and Steiner line is decided on
-    # its own line.  ABC~abc and the five quadrangle maps, which ABC~LMN and
-    # every h-quadrangle read: each h-circumcircle is the pentagon circle
-    # turned half, so it needs no power or record.  No Euler sum: each
-    # quadrangle's half turn comes from its ring.  Sends: the third pair of
-    # ABC~abc, its fixed point and that of ABC~LMN, and the two further
-    # pairs of each quadrangle map.
+    # M and N on the pentagon circle); the pentagon meets reflect J, and
+    # the three-circle instance reads A as its meet off the table; no
+    # determinant; one record, the pentagon circle's radius: a predicted
+    # Hagge centre and the pentagon centre, the Wood map's image of U, are
+    # tested for equidistance by bilinear forms.  Brackets: the four
+    # pentagon joins, which the three-circle instance reads too, the
+    # perpendicular-concurrency instance's guard and the three-circle
+    # instance's printed triple; the accepted pentagon centre needs no
+    # collinearity guard, and each perspectrix and Steiner line is decided
+    # on its own line.  Pinned: four quadrangle maps; ABC~abc is the build's
+    # spiral and ABCK's map, which ABC~LMN reads, its Wood map, and every
+    # h-quadrangle reads the quadrangle maps: each h-circumcircle is the
+    # pentagon circle turned half, so it needs no power or record.  No
+    # Euler sum: each quadrangle's half turn comes from its ring.  Sends:
+    # the third pair of ABC~abc, its fixed point and that of ABC~LMN, and
+    # the two further pairs of each quadrangle map.
     seeds = [config.seed for _, config, _, _ in
              generate_configurations(FuzzPolicy(10, 42, magnitude))]
     powers, pins, sends = [], [], []
@@ -654,8 +667,8 @@ def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
         assert not report.failed
         ledger.append((built, verified))
     # at magnitude 12, seed 1's Z is N, so the join CNZ needs no bracket
-    brackets = [8 if (magnitude, n) == (12, 1) else 9 for n in range(10)]
-    assert ledger == [((20, 0, 4, 1, 2, 0, 0), (11, 0, 1, b, 6, 0, 13)) for b in brackets]
+    brackets = [5 if (magnitude, n) == (12, 1) else 6 for n in range(10)]
+    assert ledger == [((20, 0, 4, 1, 2, 0, 0), (8, 0, 1, b, 4, 0, 13)) for b in brackets]
 
 
 # --- perspectrices -------------------------------------------------------------

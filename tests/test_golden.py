@@ -27,10 +27,31 @@ import hashlib
 
 import pytest
 
-from wooddesargues import FuzzPolicy, build_configuration, verifier, verify_all
+from wooddesargues import (
+    FuzzPolicy,
+    build_configuration,
+    configuration,
+    derive_figures,
+    verifier,
+    verify_all,
+)
 from wooddesargues.fuzz import generate_configurations
-from wooddesargues.configuration import PERSPECTIVE_TABLE, derive_perspectrices
-from wooddesargues.kernel import Circle, Line, Point, Similarity, is_collinear, point
+from wooddesargues.configuration import (
+    PERSPECTIVE_TABLE,
+    QUADRANGLE_CENTRES,
+    derive_perspectrices,
+)
+from wooddesargues.kernel import (
+    Circle,
+    Line,
+    Point,
+    Similarity,
+    distance_squared,
+    is_collinear,
+    point,
+    radical_axis,
+    second_intersection_with_line,
+)
 from wooddesargues.render import render_svg
 from wooddesargues.serialize import (
     configuration_to_document,
@@ -393,6 +414,47 @@ def test_the_pinned_quadrangle_maps_leave_every_claim_record(reference_config, m
     # 20 wide campaign seeds are decided; the probes and coincidences leave
     # none so, and 146 of their h-quadrangles reach the claims
     assert (decided.count(True), decided.count(False)) == (155, 146)
+
+
+def test_the_build_maps_and_reflected_meets_leave_every_claim_record(reference_config,
+                                                                      monkeypatch):
+    # a built configuration keeps the build's spiral S and Wood map W: S is
+    # ABC~abc pinned from its pairs, W is ABCK's quadrangle map pinned from
+    # its pairs, and W's beta is the pentagon centre.  With the maps dropped
+    # by dataclasses.replace, every second meet taken the radical-axis way
+    # and the three-circle instance's meet of Aa23 and ABCK met, not read off
+    # the incidence table, every claim record and note is the same
+    policy = FuzzPolicy(count=20, rng_seed=42, max_magnitude=10 ** 12)
+    configs = [*_ledger_configurations(reference_config),
+               *(built for _, built, _, _ in generate_configurations(policy))]
+    built = [config for config in configs if config.build_maps is not None]
+    # the reference, the ten ledger campaign seeds and the twenty wide ones
+    assert len(built) == 31
+    for config in built:
+        spiral, wood = config.build_maps
+        pts, ctr = config.points, config.centers
+        assert spiral == Similarity.pinned_by([pts["A"], pts["B"]], [pts["a"], pts["b"]])
+        assert wood == Similarity.pinned_by(config.quadrangle("ABCK"),
+                                            [ctr[x] for x in QUADRANGLE_CENTRES["ABCK"]])
+        assert wood.beta == derive_figures(config).pentagon.circle.center
+
+    def radical_route(c1, c2, known):
+        return second_intersection_with_line(c1, radical_axis(c1, c2), known)
+
+    def through_known(o1, o2, known):
+        # the reflected meet's circles: about each centre, through known
+        return radical_route(Circle(o1, distance_squared(known, o1)),
+                             Circle(o2, distance_squared(known, o2)), known)
+
+    def records(configs):
+        return [(r.records, r.notes) for config in configs for r in verify_all(config).results]
+
+    held = records(configs)
+    monkeypatch.setattr(configuration, "_reflected_meet", through_known)
+    for module in (configuration, verifier):
+        monkeypatch.setattr(module, "second_intersection_of_circles", radical_route)
+    monkeypatch.setattr(verifier, "_meets_again_at", lambda *args: False)
+    assert records([dataclasses.replace(config) for config in configs]) == held
 
 
 def test_perspectrix_and_steiner_verdicts_are_the_brackets(reference_config, monkeypatch):

@@ -22,9 +22,12 @@ from wooddesargues.kernel import (
     _equidistant,
     _on_altitudes,
     _on_altitudes_over,
+    _reflected_meet,
     Circle,
     CoincidentPointsError,
     CollinearPointsError,
+    GeometryError,
+    IdenticalCirclesError,
     Line,
     ONE,
     Similarity,
@@ -565,6 +568,55 @@ def test_radical_axis_and_second_intersection_of_circles(c1, c2, known):
     expected, tangent = fraction_second_intersection_with_line(s1, axis, known)
     assert got == expected
     assert (got == known) == tangent
+
+
+def radical_route(c1, c2, known):
+    """The second meet through the radical axis, after the identical-circles
+    guard: the oracle of the reflected meet, its values and its errors."""
+    if c1 == c2:
+        raise IdenticalCirclesError("second intersection of identical circles")
+    return second_intersection_with_line(c1, radical_axis(c1, c2), known)
+
+
+def outcome(meet, *args):
+    """What ``meet(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return meet(*args)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", ["meet", "tangent", "identical", "concentric",
+                                  "off c1", "off c2", "off both"])
+@given(points, points, points, rationals)
+@example(point(-1, 0), point(1, 0), point(0, 0), F(2))  # unit circles touching at 0
+@settings(max_examples=30, deadline=None)
+def test_second_meets_reflect_known_in_the_line_of_centres(case, o1, o2, known, t):
+    # circles about o1 and o2 through known, o2 moved onto the line of o1
+    # and known for a tangent pair; or c2 = c1, a concentric c2, or known
+    # moved off one circle or both by a larger radius
+    assume(o1 != known and t not in (0, 1) and (o1 != o2 or case != "meet"))
+    if case == "tangent":
+        o2 = fraction_add(o1, fraction_scale(fraction_sub(known, o1), t))
+    elif case == "concentric":
+        o2 = o1
+    assume(o2 != known)
+    c1, c2 = circle_on(o1, known), circle_on(o2, known)
+    if case == "identical":
+        c2 = c1
+    elif case == "concentric" or case in ("off c2", "off both"):
+        c2 = Circle(o2, c2.radius_squared * 4)
+    if case in ("off c1", "off both"):
+        c1 = Circle(o1, c1.radius_squared * 4)
+    got = outcome(second_intersection_of_circles, c1, c2, known)
+    assert got == outcome(radical_route, c1, c2, known)
+    if case in ("meet", "tangent"):
+        assert got == _reflected_meet(o1, o2, known)
+        assert (got == known) == is_collinear(o1, o2, known)
+    else:
+        assert isinstance(got, tuple)
+    if case == "tangent":
+        assert got == known
 
 
 # --- double readings ---------------------------------------------------------------
