@@ -272,15 +272,13 @@ class PentagonFigures:
     # J itself where they touch there, None where there is none (see meet_notes)
     meets: dict[str, Optional[Point]]
     meet_notes: dict[str, str]
-    # per centre L, M, N and U, whether A, L, Z (B, M, Z; C, N, Z; A, U, W) are
-    # collinear, where the meet is not J and the three points are distinct
-    joins: dict[str, bool]
 
 
 Orthocentres = dict[tuple[str, str], Optional[Point]]
 HalfTurn = tuple[int, int, int]  # (X, Y, d), unreduced
 HalfTurns = dict[str, tuple[HalfTurn, tuple[Point, ...]]]
 Incidence = dict[tuple[str, str], bool]
+Joins = dict[str, bool]
 QuadrangleMap = tuple[Optional[Similarity], tuple[bool, ...]]
 
 
@@ -312,8 +310,9 @@ class DerivedFigures:
     pentagon centre, unreduced over the lcm of their Z, when the ring of the
     centres summed all ten triangles about P, else None: that is, when the
     five centres are distinct and all on the pentagon circle.
-    ``quadrangle_maps`` is ``derive_quadrangle_maps(config)``, which
-    ``verify_all`` adds: ``derive_figures`` leaves it None.
+    ``quadrangle_maps`` is ``derive_quadrangle_maps(config)`` and ``joins``
+    is ``derive_joins(config, pentagon)``, which ``verify_all`` adds:
+    ``derive_figures`` leaves them None, as render reads neither.
     """
 
     orthocentres: Orthocentres
@@ -327,6 +326,7 @@ class DerivedFigures:
     half_turns: HalfTurns
     centre_half_turn: Optional[HalfTurn]
     quadrangle_maps: Optional[dict[str, QuadrangleMap]] = None
+    joins: Optional[Joins] = None
 
 
 def derive_incidence(config: WoodDesarguesConfiguration) -> Incidence:
@@ -414,17 +414,16 @@ def derive_hagge_centres(config: WoodDesarguesConfiguration, orthos: Orthocentre
 
 def derive_pentagon(config: WoodDesarguesConfiguration, incidence: Incidence) -> PentagonFigures:
     """The circle through U, V and J, offered the Wood map's image of U as its
-    centre, its meets and joins; adds its entries to ``derive_incidence``'s table.
+    centre, and its meets; adds its entries to ``derive_incidence``'s table.
     J is on it, so it meets a circle the table puts through J about another
     centre at J reflected in the line of centres, ``_reflected_meet``."""
     j, u, v = config.j, config.centers["U"], config.centers["V"]
     meets: dict[str, Optional[Point]] = dict.fromkeys(PENTAGON_MEETS)
     meet_notes: dict[str, str] = {}
-    joins: dict[str, bool] = {}
     try:
         pentagon = circle_through(u, v, j, config.build_maps and config.build_maps[1].beta)
     except (CollinearPointsError, CoincidentPointsError):
-        return PentagonFigures(circle=None, meets=meets, meet_notes=meet_notes, joins=joins)
+        return PentagonFigures(circle=None, meets=meets, meet_notes=meet_notes)
 
     for x in CENTER_LABELS:
         incidence[PENTAGON, x] = x in ("U", "V") or pentagon._power(config.centers[x]) == 0
@@ -438,12 +437,19 @@ def derive_pentagon(config: WoodDesarguesConfiguration, incidence: Incidence) ->
                 meets[clbl] = second_intersection_of_circles(pentagon, circle, j)
         except GeometryError as exc:
             meet_notes[clbl] = f"no second meet with {clbl}: {exc}"
-    for plbl, clbl, mlbl in (("A", "L", "ABCK"), ("B", "M", "ABCK"), ("C", "N", "ABCK"),
-                             ("A", "U", "Aa23")):
-        p, c, m = config.points[plbl], config.centers[clbl], meets[mlbl]
-        if m is not None and m.hom != j.hom and len({p.hom, c.hom, m.hom}) == 3:
-            joins[clbl] = _det3(p, c, m) == 0
-    return PentagonFigures(circle=pentagon, meets=meets, meet_notes=meet_notes, joins=joins)
+    return PentagonFigures(circle=pentagon, meets=meets, meet_notes=meet_notes)
+
+
+# the pentagon joins: (point, centre, meet) for the lines ALZ, BMZ, CNZ and AUW
+_JOINS = (("A", "L", "ABCK"), ("B", "M", "ABCK"), ("C", "N", "ABCK"), ("A", "U", "Aa23"))
+
+
+def derive_joins(config: WoodDesarguesConfiguration, pentagon: PentagonFigures) -> Joins:
+    """Per centre of ``_JOINS``, whether its point, it and its meet are
+    collinear, one bracket each, where the meet is not J and the three differ."""
+    ends = ((c, config.points[p], config.centers[c], pentagon.meets[m]) for p, c, m in _JOINS)
+    return {c: _det3(p, q, m) == 0 for c, p, q, m in ends
+            if m is not None and m.hom != config.j.hom and len({p.hom, q.hom, m.hom}) == 3}
 
 
 def derive_perspectrices(config: WoodDesarguesConfiguration,

@@ -42,6 +42,7 @@ from .configuration import (
     WoodDesarguesConfiguration,
     _meets_again_at,
     derive_figures,
+    derive_joins,
     derive_quadrangle_maps,
 )
 from .kernel import (
@@ -298,6 +299,28 @@ class ClaimSet:
         self.claims.append((label, holds, witness, _map_residual, (sim, src, dst)))
         return holds
 
+    def similarity(self, label: str, source: Sequence[Point], target: Sequence[Point],
+                   pinned: Optional[QuadrangleMap] = None) -> Optional[Similarity]:
+        """Claim that the map pinned by the first two pairs transports the rest.
+
+        ``pinned`` is that map with its verdicts on the further pairs, decided
+        elsewhere; without it the map is pinned here.  Returns the map, or None
+        where none is formed: a coincident source pair is degenerate, a zero
+        multiplier a failed claim."""
+        if source[0] == source[1]:
+            self.degenerate(f"{label}: first two source points coincide")
+            return None
+        if pinned is None:
+            pinned = Similarity.pinned_by(source, target), (None,) * len(source)
+        sim, holds = pinned
+        if sim is None:
+            self.fail(f"{label}: nonzero multiplier", ORIGIN)
+            return None
+        for i in range(2, len(source)):
+            self.maps_to(f"{label}: pair {i + 1} transported", sim, source[i], target[i],
+                         holds[i - 2])
+        return sim
+
     def fixed_at(self, label: str, sim: Similarity, expected: Point) -> bool:
         """Claim that ``expected`` is the fixed point of ``sim``, whose alpha is not 1.
 
@@ -459,8 +482,7 @@ def _pentagon_circle(cs: ClaimSet, config: WoodDesarguesConfiguration,
     """The pentagon circle, or None after a failed claim that U, V, J span it."""
     pentagon = derived.pentagon.circle
     if pentagon is None:
-        res = collinearity_residual(config.centers["U"], config.centers["V"], config.j)
-        cs.fail(label, res)
+        cs.fail(label, collinearity_residual(config.centers["U"], config.centers["V"], config.j))
     return pentagon
 
 
@@ -492,36 +514,12 @@ def check_five_circles(cs: ClaimSet, config: WoodDesarguesConfiguration,
     cs.witness("pentagon r2", pentagon.radius_squared)
 
 
-def _similarity_claims(cs: ClaimSet, label: str, source: Sequence[Point],
-                       target: Sequence[Point],
-                       pinned: Optional[QuadrangleMap] = None) -> Optional[Similarity]:
-    """Claim that the map pinned by the first two pairs transports the rest.
-
-    ``pinned`` is that map with its verdicts on the further pairs, already
-    decided; without it the map is pinned here.  Returns the map for
-    further claims, or None when no similarity can even be formed (a
-    coincident source pair is degenerate; a zero multiplier is a failed claim)."""
-    if source[0] == source[1]:
-        cs.degenerate(f"{label}: first two source points coincide")
-        return None
-    if pinned is None:
-        pinned = Similarity.pinned_by(source, target), (None,) * len(source)
-    sim, holds = pinned
-    if sim is None:
-        cs.fail(f"{label}: nonzero multiplier", ORIGIN)
-        return None
-    for i in range(2, len(source)):
-        cs.maps_to(f"{label}: pair {i + 1} transported", sim, source[i], target[i], holds[i - 2])
-    return sim
-
-
 def check_core_similarity(cs: ClaimSet, config: WoodDesarguesConfiguration) -> None:
     """ABC -> abc is a direct similarity fixed at J with ratio^2 = r2(abcK)/r2(ABCK);
     the build's spiral, where kept, made a and b, so it is the map they pin."""
     pts = config.points
-    spiral = (config.build_maps[0], (None,)) if config.build_maps is not None else None
-    sim = _similarity_claims(cs, "ABC~abc", [pts[x] for x in "ABC"], [pts[x] for x in "abc"],
-                             pinned=spiral)
+    spiral = config.build_maps and (config.build_maps[0], (None,))
+    sim = cs.similarity("ABC~abc", [pts[x] for x in "ABC"], [pts[x] for x in "abc"], pinned=spiral)
     if sim is not None:
         cs.witness("alpha", sim.alpha)
         if sim.alpha == ONE:
@@ -559,13 +557,12 @@ def check_orthocentre_quadrangle(cs: ClaimSet, config: WoodDesarguesConfiguratio
     multiplier, fixed = "multiplier is -1 (half turn)", "fixed point is vertex-sum/2 - centre"
     t, ring = derived.half_turns.get(circle_label, (None, ()))
     if t is not None and all(map(operator.is_, hpts, ring)):
-        _similarity_claims(cs, label, vpts, hpts,
-                           pinned=(Similarity(MINUS_ONE, _point(*t)), (True, True)))
+        cs.similarity(label, vpts, hpts, pinned=(Similarity(MINUS_ONE, _point(*t)), (True, True)))
         cs.held(multiplier)
         cs.held(fixed)
         return
 
-    sim = _similarity_claims(cs, label, vpts, hpts)
+    sim = cs.similarity(label, vpts, hpts)
     if sim is not None:
         cs.points_equal(multiplier, sim.alpha, MINUS_ONE)
         if sim.alpha != ONE:
@@ -628,7 +625,7 @@ def _require_meet(cs: ClaimSet, derived: DerivedFigures,
 def check_pentagon_perspectives(cs: ClaimSet, config: WoodDesarguesConfiguration,
                                 derived: DerivedFigures) -> None:
     """Z and W line up with the construction points and ABC ~ LMN from J."""
-    pts, ctr, joins = config.points, config.centers, derived.pentagon.joins
+    pts, ctr, joins = config.points, config.centers, derived.joins
     z = w = None
     if _pentagon_circle(cs, config, derived) is not None:
         z = _require_meet(cs, derived, config, "ABCK", "Z")
@@ -654,8 +651,8 @@ def check_pentagon_perspectives(cs: ClaimSet, config: WoodDesarguesConfiguration
         cs.witness("W", w)
 
     # ABC ~ LMN is the ABCK quadrangle's map, pinned by the same two pairs
-    sim = _similarity_claims(cs, "ABC~LMN", [pts[x] for x in "ABC"], [ctr[x] for x in "LMN"],
-                             pinned=derived.quadrangle_maps["ABCK"])
+    sim = cs.similarity("ABC~LMN", [pts[x] for x in "ABC"], [ctr[x] for x in "LMN"],
+                       pinned=derived.quadrangle_maps["ABCK"])
     if sim is not None:
         cs.witness("alpha ABC~LMN", sim.alpha)
         if sim.alpha == ONE:
@@ -664,14 +661,12 @@ def check_pentagon_perspectives(cs: ClaimSet, config: WoodDesarguesConfiguration
             cs.fixed_at("similarity centre is J", sim, config.j)
 
     if z is not None:
-        line_al = line_through(pts["A"], ctr["L"]) if pts["A"] != ctr["L"] else None
-        line_bm = line_through(pts["B"], ctr["M"]) if pts["B"] != ctr["M"] else None
         note = "vertex joins to centres do not span two lines"
-        if line_al is None or line_bm is None:
+        if pts["A"] == ctr["L"] or pts["B"] == ctr["M"]:
             cs.degenerate(note)
         else:
-            cs.lines_meet_at("AL meets BM at Z", line_al, line_bm, z,
-                             on_joins[0] and on_joins[1], note)
+            cs.lines_meet_at("AL meets BM at Z", line_through(pts["A"], ctr["L"]),
+                             line_through(pts["B"], ctr["M"]), z, all(on_joins[:2]), note)
 
 
 def check_pentagon_quadrangles(cs: ClaimSet, config: WoodDesarguesConfiguration,
@@ -679,8 +674,8 @@ def check_pentagon_quadrangles(cs: ClaimSet, config: WoodDesarguesConfiguration,
     """Each quadrangle maps vertexwise onto the four other centres, directly similarly."""
     for clbl, pinned in derived.quadrangle_maps.items():
         names = "".join(QUADRANGLE_CENTRES[clbl])
-        sim = _similarity_claims(cs, f"{clbl}~{names}", config.quadrangle(clbl),
-                                 [config.centers[x] for x in names], pinned=pinned)
+        sim = cs.similarity(f"{clbl}~{names}", config.quadrangle(clbl),
+                            [config.centers[x] for x in names], pinned=pinned)
         if sim is not None:
             cs.witness(f"alpha {clbl}~{names}", sim.alpha)
 
@@ -788,7 +783,7 @@ def check_hagge(cs: ClaimSet, config: WoodDesarguesConfiguration,
             continue
         src, dst = config.quadrangle(clbl), [hs[v] for v in verts]
         centre, h_map = h_circles.get(clbl, (None, None))
-        _similarity_claims(cs, f"{clbl}~h-quadrangle", src, dst, pinned=h_map)
+        cs.similarity(f"{clbl}~h-quadrangle", src, dst, pinned=h_map)
         if h_map is not None:
             circ, ring = Circle(centre, pentagon.radius_squared), dst
         else:
@@ -954,16 +949,13 @@ def check_three_circle_collinearity_instance(cs: ClaimSet, config: WoodDesargues
             return
     cs.points_equal("second meet of Aa23 and ABCK is A", a2, a)
 
-    u, l, joins = config.centers["U"], config.centers["L"], derived.pentagon.joins
-    if u == a2 or u == w or a2 == w:
-        cs.degenerate("triple (U, A, W) has coincident points")
-    else:
-        cs.collinear("U, A, W collinear", u, a2, w, joins.get("U") if a2 == a else None)
-    if l == a2 or l == z or a2 == z:
-        cs.degenerate("triple (L, A, Z) has coincident points")
-    else:
-        cs.collinear("L, A, Z collinear", l, a2, z, joins.get("L") if a2 == a else None)
-    printed = is_collinear(l, w, z)
+    for c, m, name in (("U", w, "U, A, W"), ("L", z, "L, A, Z")):
+        p = config.centers[c]
+        if p == a2 or p == m or a2 == m:
+            cs.degenerate(f"triple ({name}) has coincident points")
+        else:
+            cs.collinear(f"{name} collinear", p, a2, m, derived.joins.get(c) if a2 == a else None)
+    printed = is_collinear(config.centers["L"], w, z)
     cs.info(f"printed triple (L, B, D) collinear here: {str(printed).lower()}")
 
 
@@ -1017,7 +1009,9 @@ def verify_all(config: WoodDesarguesConfiguration) -> VerificationReport:
 
     Each check fills a fresh ClaimSet; its result takes the registry entry's name.
     """
-    derived = replace(derive_figures(config), quadrangle_maps=derive_quadrangle_maps(config))
+    derived = derive_figures(config)
+    derived = replace(derived, quadrangle_maps=derive_quadrangle_maps(config),
+                      joins=derive_joins(config, derived.pentagon))
     results = []
     for name, check in CHECKS:
         cs = ClaimSet()

@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from wooddesargues import ConfigurationSeed, build_configuration, derive_figures, verifier
-from wooddesargues.configuration import derive_quadrangle_maps
-from wooddesargues.kernel import Point, point
+from wooddesargues.configuration import derive_joins, derive_quadrangle_maps
+from wooddesargues.kernel import Circle, Point, point
 
 
 REFERENCE_SEED = ConfigurationSeed(F(0), F(1), F(-1), F(2), F(3), F(-3, 2))
@@ -33,15 +33,18 @@ def reference_derived(reference_config):
     return derive_figures(reference_config)
 
 
-def run_check(name: str, config, derived=None):
+def run_check(name: str, config, derived=None, claim_set=verifier.ClaimSet):
     """The result of the one registered check ``name`` on ``config``, as
-    ``verify_all`` names it; ``derived`` defaults to the figures of ``config``.
-    As in ``verify_all``, the quadrangle maps are added where it has none."""
+    ``verify_all`` names it, filling a ``claim_set``; ``derived`` defaults to
+    the figures of ``config``.  As in ``verify_all``, the quadrangle maps and
+    the pentagon joins are added where it has none."""
     if derived is None:
         derived = derive_figures(config)
     if derived.quadrangle_maps is None:
         derived = dataclasses.replace(derived, quadrangle_maps=derive_quadrangle_maps(config))
-    cs = verifier.ClaimSet()
+    if derived.joins is None:
+        derived = dataclasses.replace(derived, joins=derive_joins(config, derived.pentagon))
+    cs = claim_set()
     dict(verifier.CHECKS)[name](cs, config, derived)
     return cs.result(name)
 
@@ -55,13 +58,16 @@ def mutate_configuration(config, kind: str, label: str, axis: str, delta):
 
     points = dict(config.points)
     centers = dict(config.centers)
+    circles = dict(config.circles)
     j = config.j
     if kind == "point":
         points[label] = bump(points[label])
     elif kind == "center":
         centers[label] = bump(centers[label])
+    elif kind == "circle":  # its stored centre, with its radius kept
+        circles[label] = Circle(bump(circles[label].center), circles[label].radius_squared)
     elif kind == "j":
         j = bump(j)
     else:
         raise ValueError(kind)
-    return dataclasses.replace(config, points=points, centers=centers, j=j)
+    return dataclasses.replace(config, points=points, centers=centers, circles=circles, j=j)

@@ -17,15 +17,19 @@ digest itself is pinned in ``test_criterion_3_fuzz_campaign``.
 
 Reports carry only failing witnesses, so the claim ledger pins every claim:
 its label, its verdict, its residual function and that function's exact
-arguments, with each check's notes.
+arguments, with each check's notes.  The undecided arm, every check rerun
+with each shortcut withheld, must give the same claims.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wooddesargues import (
     FuzzPolicy,
@@ -37,9 +41,8 @@ from wooddesargues import (
 )
 from wooddesargues.fuzz import generate_configurations
 from wooddesargues.configuration import (
-    PERSPECTIVE_TABLE,
-    QUADRANGLE_CENTRES,
-    derive_perspectrices,
+    CENTER_LABELS, CIRCLE_LABELS, PERSPECTIVE_TABLE, POINT_LABELS, derive_perspectrices,
+    derive_quadrangle_maps,
 )
 from wooddesargues.kernel import (
     Circle,
@@ -47,7 +50,6 @@ from wooddesargues.kernel import (
     Point,
     Similarity,
     distance_squared,
-    is_collinear,
     point,
     radical_axis,
     second_intersection_with_line,
@@ -62,7 +64,7 @@ from wooddesargues.serialize import (
     report_to_document,
 )
 
-from conftest import mutate_configuration
+from conftest import mutate_configuration, run_check
 from test_acceptance import MUTATIONS
 
 
@@ -221,14 +223,9 @@ def test_circle_centre_report(reference_config, label, move):
 
 
 def _moved(config, move: str):
-    if move == "centre V":
-        return mutate_configuration(config, "center", "V", "x", 1)
-    if move == "point A":
-        return mutate_configuration(config, "point", "A", "x", 1)
-    circle = config.circles["ABCK"]
-    centre = point(circle.center.x + 1, circle.center.y)
-    circles = {**config.circles, "ABCK": Circle(centre, circle.radius_squared)}
-    return dataclasses.replace(config, circles=circles)
+    kind, label = {"centre V": ("center", "V"), "point A": ("point", "A"),
+                   "circle ABCK centre": ("circle", "ABCK")}[move]
+    return mutate_configuration(config, kind, label, "x", 1)
 
 
 @pytest.mark.parametrize("move", sorted(MOVED_SVGS))
@@ -346,146 +343,129 @@ def test_claim_ledger(reference_config):
     assert digests == CLAIM_LEDGER
 
 
-def test_the_predicted_half_turn_leaves_every_claim_record(reference_config, monkeypatch):
-    # an orthocentre-quadrangle check whose four orthocentres are the ring's
-    # own, each T - v about the circle's centre, records its claims as held
-    # with the half turn z -> T - z as the map; with the stored half turns
-    # removed, every quadrangle's map is pinned from its first two pairs; and
-    # every claim record and note is the same
-    real_claims, real_derive = verifier._similarity_claims, verifier.derive_figures
-    decided = []
+# --- the undecided arm ----------------------------------------------------------
 
-    def deciding(cs, label, source, target, pinned=None):
-        if label.endswith("~H-quadrangle"):
-            decided.append(pinned is not None)
-        return real_claims(cs, label, source, target, pinned)
+class _Undecided(verifier.ClaimSet):
+    """Decides every claim itself: drops each passed-in verdict and map."""
 
-    def without_half_turns(config):
-        return dataclasses.replace(real_derive(config), half_turns={})
+    def collinear(self, label, a, b, c, holds=None):
+        return super().collinear(label, a, b, c)
 
+    def on_line(self, label, line, p, holds=None):
+        return super().on_line(label, line, p)
+
+    def on_circle(self, label, circle, p, holds=None):
+        return super().on_circle(label, circle, p)
+
+    def concyclic(self, label, a, b, c, d, holds=None):
+        return super().concyclic(label, a, b, c, d)
+
+    def maps_to(self, label, sim, src, dst, holds=None):
+        return super().maps_to(label, sim, src, dst)
+
+    def similarity(self, label, source, target, pinned=None):
+        return super().similarity(label, source, target)
+
+    def lines_meet_at(self, label, l1, l2, target, holds, *notes):
+        return super().lines_meet_at(label, l1, l2, target, False, *notes)
+
+
+def _radical_route(c1, c2, known):
+    return second_intersection_with_line(c1, radical_axis(c1, c2), known)
+
+
+def _through_known(o1, o2, known):
+    # the reflected meet's circles: about each centre, through known
+    return _radical_route(*(Circle(o, distance_squared(known, o)) for o in (o1, o2)), known)
+
+
+def _claims(results) -> dict:
+    return {r.name: (r.records, r.notes) for r in results}
+
+
+def _undecided_claims(config) -> dict:
+    """Each registered check's records and notes with every shortcut withheld:
+    no verdict or map passed to a ClaimSet method (each such method must be
+    overridden), no derived half turn, perspectrix or join verdict, no build
+    maps, no reflected second meet and no meet read off the incidence table."""
+    claim_set = _Undecided.__base__  # the package's, even while a test patches the name
+    shortcuts = {name for name, method in vars(claim_set).items() if callable(method)
+                 and {"holds", "pinned"} & set(inspect.signature(method).parameters)}
+    assert shortcuts <= set(vars(_Undecided)), shortcuts - set(vars(_Undecided))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(configuration, "_reflected_meet", _through_known)
+        for module in (configuration, verifier):
+            mp.setattr(module, "second_intersection_of_circles", _radical_route)
+        mp.setattr(verifier, "_meets_again_at", lambda *args: False)
+        config = dataclasses.replace(config)  # drops build_maps
+        derived = dataclasses.replace(
+            derive_figures(config), half_turns={}, centre_half_turn=None,
+            collinear=(False,) * len(PERSPECTIVE_TABLE), joins={},
+            quadrangle_maps=derive_quadrangle_maps(config))
+        return _claims(run_check(name, config, derived, _Undecided)
+                       for name, _ in verifier.CHECKS)
+
+
+# one field changed: a point, centre, J or circle centre moved, or a point
+# copied onto a point or a centre
+_tampering = st.one_of(
+    *(st.tuples(st.just(kind), st.sampled_from(labels), st.sampled_from("xy"),
+                st.integers(-3, 3).filter(bool))
+      for kind, labels in (("point", POINT_LABELS), ("center", CENTER_LABELS), ("j", "J"),
+                           ("circle", CIRCLE_LABELS))),
+    st.tuples(st.just("copy"), st.sampled_from(POINT_LABELS),
+              st.sampled_from(POINT_LABELS + CENTER_LABELS)))
+
+
+def _tampered(config, kind, label, *change):
+    if kind != "copy":
+        return mutate_configuration(config, kind, label, *change)
+    named = {**config.points, **config.centers}
+    return dataclasses.replace(config, points={**config.points, label: named[change[0]]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2 ** 63), st.sampled_from([12, 10 ** 12]), st.none() | _tampering)
+def test_every_shortcut_leaves_every_claim_record(rng_seed, magnitude, tampering):
+    # each check gives the same records and notes with every verdict, map and
+    # derived shortcut withheld; on a built seed the float oracle audits the
+    # decided objects, whose residuals a wrong one would raise
+    _, config, _, _ = next(generate_configurations(FuzzPolicy(1, rng_seed, magnitude)))
+    if tampering is not None:
+        config = _tampered(config, *tampering)
+    report = verify_all(config)
+    assert _claims(report.results) == _undecided_claims(config)
+    if tampering is None:
+        assert not report.failed and verifier.float_cross_residuals(report) < 1e-9
+
+
+def test_every_shortcut_is_taken_on_the_fixed_configurations(reference_config, monkeypatch):
+    # the ledger configurations and twenty wide campaign seeds: both arms
+    # agree, and each shortcut is taken where its precondition holds
     policy = FuzzPolicy(count=20, rng_seed=42, max_magnitude=10 ** 12)
     configs = [*_ledger_configurations(reference_config),
                *(built for _, built, _, _ in generate_configurations(policy))]
+    taken = Counter()
 
-    def records(derive, similarity_claims):
-        monkeypatch.setattr(verifier, "derive_figures", derive)
-        monkeypatch.setattr(verifier, "_similarity_claims", similarity_claims)
-        return [(r.records, r.notes) for config in configs for r in verify_all(config).results]
+    class Counting(verifier.ClaimSet):
+        def similarity(self, label, source, target, pinned=None):
+            taken[label.split("~")[1], pinned is not None] += 1
+            return super().similarity(label, source, target, pinned)
 
-    assert records(real_derive, deciding) == records(without_half_turns, real_claims)
-    # the five quadrangles of each of the 11 built ledger configurations and
-    # the 20 wide campaign seeds, and those a probe leaves alone, are decided
-    assert (decided.count(True), decided.count(False)) == (254, 55)
-
-
-def test_the_pinned_quadrangle_maps_leave_every_claim_record(reference_config, monkeypatch):
-    # pentagon-quadrangles and ABC~LMN read the quadrangle maps verify_all
-    # pins once, and hagge-suite decides an h-quadrangle by the identity of
-    # _h_circles where its conditions hold; with both switched off, every map
-    # is pinned from its pairs and every h-circle built on three of its
-    # points, and every claim record and note is the same
-    real_claims, real_circles = verifier._similarity_claims, verifier._h_circles
-    decided = []
-
-    def offered(cs, label, source, target, pinned=None):
-        if label.endswith("~h-quadrangle"):
-            decided.append(pinned is not None)
-        return real_claims(cs, label, source, target, pinned)
-
-    def pinned_afresh(cs, label, source, target, pinned=None):
-        return real_claims(cs, label, source, target)
-
-    def undecided(config, derived):
-        return {}
-
-    names = ("pentagon-perspectives", "pentagon-quadrangles", "hagge-suite")
-    policy = FuzzPolicy(count=20, rng_seed=42, max_magnitude=10 ** 12)
-    configs = [*_ledger_configurations(reference_config),
-               *(built for _, built, _, _ in generate_configurations(policy))]
-
-    def records(similarity_claims, h_circles):
-        monkeypatch.setattr(verifier, "_similarity_claims", similarity_claims)
-        monkeypatch.setattr(verifier, "_h_circles", h_circles)
-        return [(r.records, r.notes) for config in configs
-                for r in verify_all(config).results if r.name in names]
-
-    assert records(offered, real_circles) == records(pinned_afresh, undecided)
-    # the five circles of each of the 11 built ledger configurations and the
-    # 20 wide campaign seeds are decided; the probes and coincidences leave
-    # none so, and 146 of their h-quadrangles reach the claims
-    assert (decided.count(True), decided.count(False)) == (155, 146)
-
-
-def test_the_build_maps_and_reflected_meets_leave_every_claim_record(reference_config,
-                                                                      monkeypatch):
-    # a built configuration keeps the build's spiral S and Wood map W: S is
-    # ABC~abc pinned from its pairs, W is ABCK's quadrangle map pinned from
-    # its pairs, and W's beta is the pentagon centre.  With the maps dropped
-    # by dataclasses.replace, every second meet taken the radical-axis way
-    # and the three-circle instance's meet of Aa23 and ABCK met, not read off
-    # the incidence table, every claim record and note is the same
-    policy = FuzzPolicy(count=20, rng_seed=42, max_magnitude=10 ** 12)
-    configs = [*_ledger_configurations(reference_config),
-               *(built for _, built, _, _ in generate_configurations(policy))]
-    built = [config for config in configs if config.build_maps is not None]
-    # the reference, the ten ledger campaign seeds and the twenty wide ones
-    assert len(built) == 31
-    for config in built:
-        spiral, wood = config.build_maps
-        pts, ctr = config.points, config.centers
-        assert spiral == Similarity.pinned_by([pts["A"], pts["B"]], [pts["a"], pts["b"]])
-        assert wood == Similarity.pinned_by(config.quadrangle("ABCK"),
-                                            [ctr[x] for x in QUADRANGLE_CENTRES["ABCK"]])
-        assert wood.beta == derive_figures(config).pentagon.circle.center
-
-    def radical_route(c1, c2, known):
-        return second_intersection_with_line(c1, radical_axis(c1, c2), known)
-
-    def through_known(o1, o2, known):
-        # the reflected meet's circles: about each centre, through known
-        return radical_route(Circle(o1, distance_squared(known, o1)),
-                             Circle(o2, distance_squared(known, o2)), known)
-
-    def records(configs):
-        return [(r.records, r.notes) for config in configs for r in verify_all(config).results]
-
-    held = records(configs)
-    monkeypatch.setattr(configuration, "_reflected_meet", through_known)
-    for module in (configuration, verifier):
-        monkeypatch.setattr(module, "second_intersection_of_circles", radical_route)
-    monkeypatch.setattr(verifier, "_meets_again_at", lambda *args: False)
-    assert records([dataclasses.replace(config) for config in configs]) == held
-
-
-def test_perspectrix_and_steiner_verdicts_are_the_brackets(reference_config, monkeypatch):
-    # derive_perspectrices decides each row on its own line, and
-    # check_steiner_line each further point on the join of the first two:
-    # over the probes, where rows and Steiner lines fail, and the wide
-    # campaign, each verdict is its row's bracket, and every claim record is
-    # the one ClaimSet.collinear makes when it decides each bracket itself
-    policy = FuzzPolicy(count=20, rng_seed=42, max_magnitude=10 ** 12)
-    configs = [*_ledger_configurations(reference_config),
-               *(built for _, built, _, _ in generate_configurations(policy))]
-    rows = []
+    monkeypatch.setattr(verifier, "ClaimSet", Counting)
     for config in configs:
-        collinear, _ = derive_perspectrices(config)
-        assert collinear == tuple(is_collinear(*(config.points[x] for x in rec.perspectrix))
-                                  for rec in PERSPECTIVE_TABLE)
-        rows.extend(collinear)
-    real_collinear = verifier.ClaimSet.collinear
-
-    def deciding_itself(cs, label, a, b, c, holds=None):
-        return real_collinear(cs, label, a, b, c)
-
-    def records():
-        return [(r.name, r.records, r.notes) for config in configs
-                for r in verify_all(config).results]
-
-    held = records()
-    monkeypatch.setattr(verifier.ClaimSet, "collinear", deciding_itself)
-    assert held == records()
-    steiner = [holds for name, recs, _ in held if name.startswith("steiner-line")
-               for label, holds, *_ in recs if label.startswith("orthocentre line point")]
-    # so the verdicts are compared where they fail, which no built seed reaches
-    assert (rows.count(True), rows.count(False)) == (552, 78)
-    assert (steiner.count(True), steiner.count(False)) == (361, 146)
+        decided = _claims(verify_all(config).results)
+        assert decided == _undecided_claims(config)
+        taken["built", config.build_maps is not None] += 1
+        taken.update(("row", holds) for holds in derive_perspectrices(config)[0])
+        taken.update(("steiner", holds) for name, (records, _) in decided.items()
+                     if name.startswith("steiner-line:") for label, holds, *_ in records
+                     if label.startswith("orthocentre line point"))
+    # the quadrangles of the 31 built configurations, and those a probe leaves
+    # alone, take their half turn; their h-quadrangles take the identity, and
+    # 146 more reach the claims; the perspectrix and Steiner verdicts are
+    # compared where they fail, which no built seed reaches
+    kinds = ("H-quadrangle", "h-quadrangle", "built", "row", "steiner")
+    assert {kind: (taken[kind, True], taken[kind, False]) for kind in kinds} == {
+        "H-quadrangle": (254, 55), "h-quadrangle": (155, 146), "built": (31, 32),
+        "row": (552, 78), "steiner": (361, 146)}

@@ -2,7 +2,12 @@ from __future__ import annotations
 
 import pytest
 
+from wooddesargues import FuzzPolicy
+from wooddesargues.fuzz import generate_configurations
 from wooddesargues.render import LAYERS, RenderStyle, render_svg
+from wooddesargues.serialize import configuration_from_document, configuration_to_document
+
+from test_configuration import _count_kernel_calls
 
 
 def test_render_is_deterministic(reference_config):
@@ -59,3 +64,15 @@ def test_style_validation():
     with pytest.raises(ValueError):
         RenderStyle(margin=0.7)
     assert RenderStyle().layers == LAYERS
+
+
+def test_render_decides_no_pentagon_join(monkeypatch):
+    # the pentagon joins are verify's alone: a reloaded document's render forms
+    # one bracket, the collinearity guard of the pentagon circle's centre
+    policy = FuzzPolicy(count=20, rng_seed=42, max_magnitude=10 ** 12)
+    configs = [configuration_from_document(configuration_to_document(built))
+               for _, built, _, _ in generate_configurations(policy)]
+    calls = _count_kernel_calls(monkeypatch, "_det3")["_det3"]
+    for config in configs:
+        render_svg(config)
+    assert len(calls) == len(configs)

@@ -5,17 +5,10 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wooddesargues import check_perpendicular_concurrency, check_three_circle_collinearity, check_names, verify_all
 from wooddesargues import serialize, verifier
-from wooddesargues.configuration import (
-    CENTER_LABELS,
-    CIRCLE_LABELS,
-    POINT_LABELS,
-    derive_quadrangle_maps,
-)
+from wooddesargues.configuration import CIRCLE_LABELS, derive_quadrangle_maps
 from wooddesargues.fuzz import FuzzPolicy, generate_configurations
 from wooddesargues.kernel import (
     Circle,
@@ -23,7 +16,6 @@ from wooddesargues.kernel import (
     Line,
     distance_squared,
     is_collinear,
-    is_concyclic,
     line_through,
     meet,
     midpoint,
@@ -102,81 +94,6 @@ def test_perspective_row_witness_carries_the_axis(reference_config):
     result = run_check("perspective:K", reference_config)
     assert result.status == PASS
     assert ("perspectrix", Line(1, -3, 11)) in result.witnesses
-
-
-point_changes = st.one_of(
-    st.tuples(st.just("copy"), st.sampled_from(POINT_LABELS), st.sampled_from(POINT_LABELS)),
-    st.tuples(st.just("move"), st.sampled_from(POINT_LABELS), st.sampled_from("xy"),
-              st.integers(-3, 3).filter(bool)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 2 ** 63), st.lists(point_changes, min_size=1, max_size=3))
-def test_perspective_claims_hold_exactly_when_their_bracket_vanishes(rng_seed, changes):
-    # each claim is decided on a verdict shared by its configuration line, so
-    # decide it afresh from its own residual arguments
-    _, config, _, _ = next(generate_configurations(FuzzPolicy(1, rng_seed, 12)))
-    for kind, label, *change in changes:
-        if kind == "copy":
-            points = {**config.points, label: config.points[change[0]]}
-            config = dataclasses.replace(config, points=points)
-        else:
-            config = mutate_configuration(config, "point", label, *change)
-    pts = config.points
-    for result in verify_all(config).results:
-        if not result.name.startswith("perspective:"):
-            continue
-        for claim in result.claims:
-            name = claim._residual.__name__
-            if name == "_collinear_residual":
-                assert claim.holds == is_collinear(*claim._args)
-            elif name == "_line_residual":
-                u, v = claim.label.split(" on side ")[1]
-                assert claim.holds == (line_through(pts[u], pts[v])._at(claim._args[1]) == 0)
-            else:  # two of the three points coincide
-                assert name == "_no_residual" and claim.holds
-
-
-centre_changes = st.one_of(
-    st.tuples(st.just("center"), st.sampled_from(CENTER_LABELS), st.sampled_from("xy"),
-              st.integers(-3, 3).filter(bool)),
-    st.tuples(st.just("circle"), st.sampled_from(CIRCLE_LABELS), st.sampled_from("xy"),
-              st.integers(-3, 3).filter(bool)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 2 ** 63),
-       st.lists(st.one_of(point_changes, centre_changes), min_size=1, max_size=3))
-def test_circle_claims_hold_exactly_when_their_power_vanishes(rng_seed, changes):
-    # on_circle and concyclic claims read the incidence table, or hold by
-    # construction: decide each afresh from its own arguments
-    _, config, _, _ = next(generate_configurations(FuzzPolicy(1, rng_seed, 12)))
-    for kind, label, *change in changes:
-        if kind == "copy":
-            points = {**config.points, label: config.points[change[0]]}
-            config = dataclasses.replace(config, points=points)
-        elif kind == "circle":
-            circle, (axis, delta) = config.circles[label], change
-            c = circle.center
-            moved = point(c.x + delta, c.y) if axis == "x" else point(c.x, c.y + delta)
-            circles = {**config.circles, label: Circle(moved, circle.radius_squared)}
-            config = dataclasses.replace(config, circles=circles)
-        else:
-            config = mutate_configuration(config, "point" if kind == "move" else kind,
-                                          label, *change)
-    seen = set()
-    for result in verify_all(config).results:
-        for claim in result.claims:
-            name = claim._residual.__name__
-            if name == "_circle_residual":
-                circle, p = claim._args
-                assert claim.holds == (circle._power(p) == 0)
-            elif name == "_concyclic_residual":
-                assert claim.holds == is_concyclic(*claim._args)
-            else:
-                continue
-            seen.add(name)
-    assert "_circle_residual" in seen
 
 
 def test_check_result_is_a_value_that_leaves_out_its_claims(reference_config):
