@@ -423,6 +423,13 @@ def _normal_at(p: Point, a: int, b: int) -> tuple[int, int, int]:
     return a * Z, b * Z, -(a * X + b * Y)
 
 
+def _perpendicular_through(p: Point, o: Point) -> Line:
+    """The line through p perpendicular to op, p != o: the tangent at p to a circle about o."""
+    X, Y, Z = p.hom
+    Xo, Yo, Zo = o.hom  # normal Z Zo (p - o)
+    return Line.from_coefficients(*_normal_at(p, X * Zo - Xo * Z, Y * Zo - Yo * Z))
+
+
 def _meet(a1: int, b1: int, c1: int, a2: int, b2: int, c2: int) -> Point:
     z = a1 * b2 - a2 * b1
     if z == 0:
@@ -565,7 +572,7 @@ def antipode(circle: Circle, p: Point) -> Point:
     return _antipode(circle, p)
 
 
-# _antipode and _tangent_at: for a point already known to lie on the circle
+# for a point already known to lie on the circle
 def _antipode(circle: Circle, p: Point) -> Point:
     X, Y, Z = p.hom
     Xc, Yc, Zc = circle.center.hom
@@ -575,14 +582,7 @@ def _antipode(circle: Circle, p: Point) -> Point:
 def tangent_at(circle: Circle, p: Point) -> Line:
     if circle._power(p) != 0:
         raise NotIncidentError(f"{p} not on {circle}")
-    return _tangent_at(circle, p)
-
-
-def _tangent_at(circle: Circle, p: Point) -> Line:
-    X, Y, Z = p.hom
-    Xc, Yc, Zc = circle.center.hom
-    # normal Z Zc (p - center)
-    return Line.from_coefficients(*_normal_at(p, X * Zc - Xc * Z, Y * Zc - Yc * Z))
+    return _perpendicular_through(p, circle.center)
 
 
 def euler_sum(points: Sequence[Point], centre: Point, divisor: int = 1) -> Point:

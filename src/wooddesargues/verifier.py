@@ -60,9 +60,8 @@ from .kernel import (
     _Value,
     _antipode,
     _join,
-    _normal_at,
+    _perpendicular_through,
     _point,
-    _tangent_at,
     circle_through,
     collapses_to_line,
     collinearity_residual,
@@ -216,7 +215,7 @@ class ClaimSet:
         self.claims.append((label, False, witness, _no_residual, ()))
         return False
 
-    def held(self, label: str) -> bool:
+    def _held(self, label: str) -> bool:
         """Record a claim that holds outright, as a passing point equality does."""
         self.claims.append((label, True, None, _no_residual, ()))
         return True
@@ -228,7 +227,7 @@ class ClaimSet:
         """Assert a, b, c collinear; coincident points make it vacuously true.
         ``holds`` is a verdict already decided on an equivalent bracket."""
         if a.hom == b.hom or a.hom == c.hom or b.hom == c.hom:
-            return self.held(label)
+            return self._held(label)
         if holds is None:
             holds = is_collinear(a, b, c)
         witness = None if holds else collinearity_residual(a, b, c)
@@ -254,7 +253,7 @@ class ClaimSet:
 
     def points_equal(self, label: str, got: Point, expected: Point) -> bool:
         if got == expected:
-            return self.held(label)
+            return self._held(label)
         self.claims.append((label, False, got, _distance_residual, (got, expected)))
         return False
 
@@ -321,12 +320,17 @@ class ClaimSet:
                          holds[i - 2])
         return sim
 
-    def fixed_at(self, label: str, sim: Similarity, expected: Point) -> bool:
+    def fixed_at(self, label: str, sim: Similarity, expected: Optional[Point],
+                 holds: Optional[bool] = None) -> bool:
         """Claim that ``expected`` is the fixed point of ``sim``, whose alpha is not 1.
 
         The fixed point is then unique, so the claim is that sim sends
         ``expected`` to itself; the fixed point is built only as the witness.
+        A true ``holds``, decided elsewhere, records the claim without reading
+        ``expected``, which the caller may then leave unbuilt.
         """
+        if holds:
+            return self._held(label)
         got = expected if sim.sends(expected, expected) else sim.fixed_point()
         return self.points_equal(label, got, expected)
 
@@ -553,20 +557,16 @@ def check_orthocentre_quadrangle(cs: ClaimSet, config: WoodDesarguesConfiguratio
             return
         hpts.append(h)
 
-    label = f"{circle_label}~H-quadrangle"
-    multiplier, fixed = "multiplier is -1 (half turn)", "fixed point is vertex-sum/2 - centre"
     t, ring = derived.half_turns.get(circle_label, (None, ()))
-    if t is not None and all(map(operator.is_, hpts, ring)):
-        cs.similarity(label, vpts, hpts, pinned=(Similarity(MINUS_ONE, _point(*t)), (True, True)))
-        cs.held(multiplier)
-        cs.held(fixed)
-        return
-
-    sim = cs.similarity(label, vpts, hpts)
+    turn = t is not None and all(map(operator.is_, hpts, ring))
+    pinned = (Similarity(MINUS_ONE, _point(*t)), (True, True)) if turn else None
+    sim = cs.similarity(f"{circle_label}~H-quadrangle", vpts, hpts, pinned=pinned)
     if sim is not None:
-        cs.points_equal(multiplier, sim.alpha, MINUS_ONE)
+        cs.points_equal("multiplier is -1 (half turn)", sim.alpha, MINUS_ONE)
         if sim.alpha != ONE:
-            cs.fixed_at(fixed, sim, euler_sum(vpts, config.circles[circle_label].center, 2))
+            centre = config.circles[circle_label].center
+            cs.fixed_at("fixed point is vertex-sum/2 - centre", sim,
+                        None if turn else euler_sum(vpts, centre, 2), turn or None)
 
 
 def check_steiner_line(cs: ClaimSet, derived: DerivedFigures, circle_label: str) -> None:
@@ -707,7 +707,8 @@ def check_tangent_concurrency(cs: ClaimSet, config: WoodDesarguesConfiguration,
     cs.witness("X", x)
     cs.witness("Y", y)
 
-    tangents = [_tangent_at(config.circles[clbl], pts[plbl]) for plbl, clbl in sides]
+    tangents = [_perpendicular_through(pts[plbl], config.circles[clbl].center)
+                for plbl, clbl in sides]
     on = [cs.on_line(f"tangent at {plbl} to {clbl} passes X", t, x)
           for (plbl, clbl), t in zip(sides, tangents)]
     cs.lines_meet_at("tangents at A, B meet at X", tangents[0], tangents[1], x,
@@ -825,9 +826,7 @@ def _perpendicular_concurrency_claims(cs: ClaimSet, circle: Circle,
     labels; ``witness`` labels the antipode in the witnesses.
     """
     t = _antipode(circle, s)
-    Xs, Ys, Zs = s.hom  # normal Zs Zb (b - s); callers exclude s = b
-    perps = [Line.from_coefficients(*_normal_at(b, X * Zs - Xs * Z, Y * Zs - Ys * Z))
-             for b in base for X, Y, Z in (b.hom,)]
+    perps = [_perpendicular_through(b, s) for b in base]  # callers exclude s = b
     on = [cs.on_line(f"perpendicular at {name} passes {target}", line, t)
           for name, line in zip(names, perps)]
     cs.lines_meet_at(f"perpendiculars at {names[0]}, {names[1]} meet at {target}",

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from wooddesargues import ConfigurationSeed, build_configuration, derive_figures, verifier
-from wooddesargues.configuration import derive_joins, derive_quadrangle_maps
+from wooddesargues import ConfigurationSeed, build_configuration, verifier
+from wooddesargues.configuration import derive_figures, derive_joins, derive_quadrangle_maps
 from wooddesargues.kernel import Circle, Point, point
 
 

@@ -15,18 +15,10 @@ import time
 from fractions import Fraction as F
 from pathlib import Path
 
-from wooddesargues import (
-    FuzzPolicy,
-    Xorshift64Star,
-    build_configuration,
-    check_perpendicular_concurrency,
-    check_three_circle_collinearity,
-    derive_figures,
-    verify_all,
-)
+from wooddesargues import FuzzPolicy, build_configuration, verify_all
 from wooddesargues.cli import main
-from wooddesargues.configuration import CIRCLE_POINTS
-from wooddesargues.fuzz import generate_configurations, run_campaign
+from wooddesargues.configuration import CIRCLE_POINTS, derive_figures
+from wooddesargues.fuzz import Xorshift64Star, generate_configurations, run_campaign
 from wooddesargues.kernel import (
     Circle,
     Line,
@@ -43,7 +35,14 @@ from wooddesargues.kernel import (
     similarity_between,
 )
 from wooddesargues.serialize import dumps
-from wooddesargues.verifier import DEGENERATE, FAIL, PASS, float_cross_residuals
+from wooddesargues.verifier import (
+    DEGENERATE,
+    FAIL,
+    PASS,
+    check_perpendicular_concurrency,
+    check_three_circle_collinearity,
+    float_cross_residuals,
+)
 
 from conftest import ACCEPTANCE_LINES, REFERENCE_SEED, mutate_configuration
 

@@ -16,7 +16,6 @@ from wooddesargues import (
     DegenerateSeedError,
     build_configuration,
     configuration,
-    derive_figures,
     kernel,
     verifier,
     verify_all,
@@ -34,6 +33,7 @@ from wooddesargues.configuration import (
     POINT_LABELS,
     _PAIR_POINT,
     derive_centre_orthocentres,
+    derive_figures,
     derive_hagge_centres,
     derive_incidence,
     derive_orthocentres,

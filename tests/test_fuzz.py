@@ -4,9 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from wooddesargues import FuzzPolicy, Xorshift64Star, run_campaign, verify_all
+from wooddesargues import FuzzPolicy, run_campaign, verify_all
 from wooddesargues.fuzz import (
     RetryBudgetExhausted,
+    Xorshift64Star,
     draw_seed,
     generate_configurations,
 )

@@ -35,14 +35,13 @@ from wooddesargues import (
     FuzzPolicy,
     build_configuration,
     configuration,
-    derive_figures,
     verifier,
     verify_all,
 )
 from wooddesargues.fuzz import generate_configurations
 from wooddesargues.configuration import (
-    CENTER_LABELS, CIRCLE_LABELS, PERSPECTIVE_TABLE, POINT_LABELS, derive_perspectrices,
-    derive_quadrangle_maps,
+    CENTER_LABELS, CIRCLE_LABELS, PERSPECTIVE_TABLE, POINT_LABELS, derive_figures,
+    derive_perspectrices, derive_quadrangle_maps,
 )
 from wooddesargues.kernel import (
     Circle,
@@ -365,6 +364,9 @@ class _Undecided(verifier.ClaimSet):
 
     def similarity(self, label, source, target, pinned=None):
         return super().similarity(label, source, target)
+
+    def fixed_at(self, label, sim, expected, holds=None):
+        return super().fixed_at(label, sim, expected)
 
     def lines_meet_at(self, label, l1, l2, target, holds, *notes):
         return super().lines_meet_at(label, l1, l2, target, False, *notes)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from wooddesargues import check_perpendicular_concurrency, check_three_circle_collinearity, check_names, verify_all
+from wooddesargues import check_names, verify_all
 from wooddesargues import serialize, verifier
 from wooddesargues.configuration import CIRCLE_LABELS, derive_quadrangle_maps
 from wooddesargues.fuzz import FuzzPolicy, generate_configurations
@@ -27,6 +27,8 @@ from wooddesargues.verifier import (
     DEGENERATE,
     FAIL,
     PASS,
+    check_perpendicular_concurrency,
+    check_three_circle_collinearity,
     float_cross_residuals,
 )
 
@@ -207,6 +209,36 @@ def test_tampered_documents_reach_their_degenerate_notes(reference_config, tampe
     result = run_check(name, tamper(reference_config))
     assert result.status == status
     assert note in result.notes.split("; ")
+
+
+def _b_on_a(cfg):
+    return dataclasses.replace(cfg, points={**cfg.points, "b": cfg.points["a"]})
+
+
+_SHIFT = point(1, 2)
+
+
+def _abc_shifted_from_abc(cfg):
+    # a, b, c are A, B, C shifted by one vector: ABC -> abc is a translation
+    shifted = {v.lower(): cfg.points[v] + _SHIFT for v in "ABC"}
+    return dataclasses.replace(cfg, points={**cfg.points, **shifted})
+
+
+def _lm_shifted_from_ab(cfg):
+    # L and M are A and B shifted by one vector: ABC -> LMN is a translation
+    shifted = {"L": cfg.points["A"] + _SHIFT, "M": cfg.points["B"] + _SHIFT}
+    return dataclasses.replace(cfg, centers={**cfg.centers, **shifted})
+
+
+@pytest.mark.parametrize("tamper, name, label", [
+    (_b_on_a, "core-similarity", "ABC~abc: nonzero multiplier"),
+    (_abc_shifted_from_abc, "core-similarity", "similarity has a fixed point"),
+    (_lm_shifted_from_ab, "pentagon-perspectives", "centre similarity has a fixed point"),
+])
+def test_tampered_documents_fail_their_similarity_claims(reference_config, tamper, name, label):
+    result = run_check(name, tamper(reference_config))
+    assert result.status == FAIL
+    assert label in [witness_label for witness_label, _ in result.witnesses]
 
 
 def test_pentagon_quadrangle_scrambled_order_has_no_similarity(reference_config):
