@@ -222,24 +222,15 @@ def build_configuration(seed: ConfigurationSeed) -> WoodDesarguesConfiguration:
     return config
 
 
-def _meets_again_at(config: WoodDesarguesConfiguration, on: Incidence, c1: str, c2: str,
-                    plbl: str) -> bool:
-    """Whether circles c1 and c2, both through J, meet again exactly at point
-    ``plbl``: ``on`` puts it on both, it is not J and the centres differ, as two
-    such circles meet in J and at most one more point."""
-    circles = config.circles
-    return (on[c1, plbl] and on[c2, plbl] and config.points[plbl].hom != config.j.hom
-            and circles[c1].center.hom != circles[c2].center.hom)
-
-
 def _membership_violation(config: WoodDesarguesConfiguration) -> Optional[str]:
     """The reason code of the first (point, circle) pair, in label order, whose
     incidence is not the one the labels name, or None.
 
     Labelled pairs are read off ``config.incidence``.  Each circle must pass
-    through J.  When P is on its first circle C1 and C1 meets a circle C
-    again exactly at the point Q they share (``_meets_again_at``), P lies on C
-    exactly when P is J or Q.  Other pairs are tested with ``incident``.
+    through J.  When P is on its first circle C1, and C1 and a circle C about
+    another centre both pass through the point Q they share, Q not J, the two
+    meet in J and Q only, so P lies on C exactly when P is J or Q.  Other
+    pairs are tested with ``incident``.
     """
     points, j, circles, on = config.points, config.j, config.circles, config.incidence
     for plbl in POINT_LABELS:
@@ -251,8 +242,10 @@ def _membership_violation(config: WoodDesarguesConfiguration) -> Optional[str]:
                     return f"membership-violation:missing:{plbl}:{clbl}"
                 continue
             own, qlbl = _SHARED_WITH[plbl, clbl]
-            if on[own, plbl] and _meets_again_at(config, on, own, clbl, qlbl):
-                extra = p.hom == j.hom or p.hom == points[qlbl].hom
+            q = points[qlbl].hom
+            if (on[own, plbl] and on[own, qlbl] and on[clbl, qlbl] and q != j.hom
+                    and circles[own].center.hom != circles[clbl].center.hom):
+                extra = p.hom == j.hom or p.hom == q
             else:
                 extra = incident(circles[clbl], p)
             if extra:
@@ -345,18 +338,18 @@ def derive_orthocentres(config: WoodDesarguesConfiguration,
     ``DerivedFigures.half_turns`` table.
 
     Each quadrangle is inscribed in its circle, so its four orthocentres come
-    from ``ring_orthocentres`` about the circle's stored centre, for the
-    vertices the incidence table puts on the circle; the kernel meets two
-    bisectors instead for any other triangle.  Where the ring sums all four,
+    from ``ring_orthocentres`` about the circle's stored centre when the
+    incidence table puts all four vertices on the circle; else the kernel
+    meets two bisectors for each triangle.  Where the ring sums all four,
     its half turn is the circle's entry.
     """
     orthocentres: Orthocentres = {}
     half_turns: HalfTurns = {}
     for clbl in CIRCLE_LABELS:
         verts = CIRCLE_POINTS[clbl]
+        on = all(incidence[clbl, v] for v in verts)
         hs, total = ring_orthocentres(config.quadrangle(clbl), _QUADRANGLE_TRIANGLES,
-                                      config.circles[clbl].center,
-                                      [incidence[clbl, v] for v in verts])
+                                      config.circles[clbl].center if on else None)
         orthocentres.update(((clbl, v), h) for v, h in zip(verts, hs))
         if total is not None:
             half_turns[clbl] = total, tuple(hs)
@@ -371,15 +364,12 @@ def derive_centre_orthocentres(config: WoodDesarguesConfiguration,
     not through v, None when they are collinear; and the ring's half turn.
 
     The centres lie on the pentagon circle, so the ten come from
-    ``ring_orthocentres`` about its centre, for the centres the incidence
-    table puts on it.
+    ``ring_orthocentres`` about its centre when the incidence table puts all
+    five on it; else the kernel meets two bisectors for each triangle.
     """
-    centre, on = None, ()
-    if pentagon is not None:
-        centre = pentagon.center
-        on = [incidence[PENTAGON, x] for x in CENTER_LABELS]
+    on = pentagon is not None and all(incidence[PENTAGON, x] for x in CENTER_LABELS)
     hs, total = ring_orthocentres([config.centers[x] for x in CENTER_LABELS],
-                                  _CENTRE_TRIANGLES, centre, on)
+                                  _CENTRE_TRIANGLES, pentagon.center if on else None)
     return dict(zip(CENTERS_AVOIDING, hs)), total
 
 

@@ -599,20 +599,11 @@ def euler_sum(points: Sequence[Point], centre: Point, divisor: int = 1) -> Point
     return _point(X, Y, Z * divisor)
 
 
-def _on_altitudes(h: Point, p: Point, q: Point, r: Point) -> bool:
-    """h lies on the altitudes at p and q: (h - p).(r - q) = (h - q).(r - p) = 0."""
-    (X1, Y1, Z1), (X2, Y2, Z2), (X3, Y3, Z3) = p.hom, q.hom, r.hom
-    Xh, Yh, Zh = h.hom
-    return ((Xh * Z1 - X1 * Zh) * (X3 * Z2 - X2 * Z3)
-            + (Yh * Z1 - Y1 * Zh) * (Y3 * Z2 - Y2 * Z3) == 0
-            and (Xh * Z2 - X2 * Zh) * (X3 * Z1 - X1 * Z3)
-            + (Yh * Z2 - Y2 * Zh) * (Y3 * Z1 - Y1 * Z3) == 0)
-
-
 def _on_altitudes_over(h: Point, d: int, p: tuple[int, int], q: tuple[int, int],
                        r: tuple[int, int]) -> bool:
-    """``_on_altitudes`` for p, q, r given as numerators (X, Y) over d: h is
-    brought over d too, so the two dot products need 4 products."""
+    """h lies on the altitudes at p and q, (h - p).(r - q) = (h - q).(r - p) = 0,
+    for p, q, r given as numerators (X, Y) over d: h is brought over d too, so
+    the two dot products need 4 products."""
     Xh, Yh, Zh = h.hom
     k = d // Zh
     Xh, Yh = Xh * k, Yh * k
@@ -621,58 +612,53 @@ def _on_altitudes_over(h: Point, d: int, p: tuple[int, int], q: tuple[int, int],
             and (Xh - X2) * (X3 - X1) + (Yh - Y2) * (Y3 - Y1) == 0)
 
 
+def _euler_sums(ring: Sequence[Point], triangles: Iterable[tuple[int, int, int]],
+                centre: Point) -> tuple[list[Point], tuple[int, int, int]]:
+    """Euler's p + q + r - 2 centre for each triangle of ring points, which
+    all lie on one circle about ``centre``, each checked on two altitudes;
+    and T = (sum of the ring) - 2 centre, unreduced as (X, Y, d).  Every sum
+    is taken over the lcm d of the Z of ``centre`` and the ring points."""
+    d = math.lcm(centre.hom[2], *(s.hom[2] for s in ring))
+    *over, (Xo, Yo) = [(X * (d // Z), Y * (d // Z)) for X, Y, Z in
+                       (s.hom for s in (*ring, centre))]
+    out = []
+    for i, j, k in triangles:
+        (X1, Y1), (X2, Y2), (X3, Y3) = over[i], over[j], over[k]
+        h = _point(X1 + X2 + X3 - 2 * Xo, Y1 + Y2 + Y3 - 2 * Yo, d)
+        assert _on_altitudes_over(h, d, over[i], over[j], over[k])
+        out.append(h)
+    return out, (sum(X for X, _ in over) - 2 * Xo, sum(Y for _, Y in over) - 2 * Yo, d)
+
+
 def orthocentre(p: Point, q: Point, r: Point) -> Point:
     """Euler's point p + q + r - 2*o, with o the meet of two perpendicular
-    bisectors, checked on two altitudes."""
+    bisectors, summed and checked on two altitudes by ``_euler_sums``."""
     if is_collinear(p, q, r):
         raise CollinearPointsError(f"orthocentre of collinear points {p}, {q}, {r}")
-    h = euler_sum((p, q, r), _meet(*_bisector(p, q), *_bisector(q, r)))
-    assert _on_altitudes(h, p, q, r)
-    return h
+    return _euler_sums((p, q, r), ((0, 1, 2),), _meet(*_bisector(p, q), *_bisector(q, r)))[0][0]
 
 
 def ring_orthocentres(ring: Sequence[Point], triangles: Iterable[tuple[int, int, int]],
-                      centre: Optional[Point], on: Sequence[bool],
+                      centre: Optional[Point],
                       ) -> tuple[list[Optional[Point]], Optional[tuple[int, int, int]]]:
     """The orthocentre of each triangle of ring points named by its indices,
     None when its vertices are collinear, and the ring's half turn.
 
-    ``on[i]`` tells whether ring point i lies on one given circle about
-    ``centre``.  A triangle of three distinct such points is inscribed about
-    ``centre``, so its orthocentre is Euler's p + q + r - 2 centre, summed
-    over the lcm of the Z of ``centre`` and the points on the circle.  Any
-    other triangle, and each one when ``centre`` is None, goes to ``orthocentre``.
-    The half turn T = (sum of the ring) - 2 centre is the unreduced (X, Y, d)
-    over that lcm when every triangle was summed and every ring point is on
-    the circle, else None; a quadrangle's orthocentres are then each T - v.
+    Pass ``centre`` only when every ring point lies on one circle about it.
+    If no two ring points are then equal, every triangle is inscribed about
+    ``centre`` and summed by ``_euler_sums``, and the half turn is its T, so
+    a quadrangle's orthocentres are each T - v.  Otherwise every triangle
+    goes to ``orthocentre`` and the half turn is None.
     """
+    if centre is not None and len({p.hom for p in ring}) == len(ring):
+        return _euler_sums(ring, triangles, centre)
     out: list[Optional[Point]] = []
-    over = None
-    summed = centre is not None and all(on)
     for i, j, k in triangles:
-        p, q, r = ring[i], ring[j], ring[k]
-        h = None
-        if centre is not None and on[i] and on[j] and on[k] and p.hom != q.hom != r.hom != p.hom:
-            if over is None:  # the centre and the points on the circle, over the lcm of their Z
-                d = math.lcm(centre.hom[2], *(s.hom[2] for s, o in zip(ring, on) if o))
-                over = [(X * m, Y * m) if o else None for (X, Y, Z), o in
-                        zip((s.hom for s in (*ring, centre)), (*on, True)) for m in (d // Z,)]
-                # so each pair in over is, over d, exactly its point
-                assert all(d % s.hom[2] == 0 for s, o in zip((*ring, centre), (*on, True)) if o)
-            (X1, Y1), (X2, Y2), (X3, Y3), (Xo, Yo) = over[i], over[j], over[k], over[-1]
-            h = _point(X1 + X2 + X3 - 2 * Xo, Y1 + Y2 + Y3 - 2 * Yo, d)
-            assert _on_altitudes_over(h, d, over[i], over[j], over[k])
-        if h is None:
-            summed = False
-            try:
-                h = orthocentre(p, q, r)
-            except CollinearPointsError:
-                pass
-        out.append(h)
-    if not summed or over is None:
-        return out, None
-    *sums, (Xo, Yo) = over
-    return out, (sum(X for X, _ in sums) - 2 * Xo, sum(Y for _, Y in sums) - 2 * Yo, d)
+        try:
+            out.append(orthocentre(ring[i], ring[j], ring[k]))
+        except CollinearPointsError:
+            out.append(None)
+    return out, None
 
 
 def _det4_rows(p: Point) -> tuple[int, int, int, int]:

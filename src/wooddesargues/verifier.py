@@ -40,7 +40,6 @@ from .configuration import (
     PerspectiveRecord,
     QuadrangleMap,
     WoodDesarguesConfiguration,
-    _meets_again_at,
     derive_figures,
     derive_joins,
     derive_quadrangle_maps,
@@ -48,7 +47,6 @@ from .configuration import (
 from .kernel import (
     CollinearPointsError,
     DegenerateInputError,
-    IdenticalCirclesError,
     ParallelLinesError,
     Circle,
     Line,
@@ -62,6 +60,7 @@ from .kernel import (
     _join,
     _perpendicular_through,
     _point,
+    _reflected_meet,
     circle_through,
     collapses_to_line,
     collinearity_residual,
@@ -919,13 +918,16 @@ def check_perpendicular_concurrency_instance(cs: ClaimSet,
 
 def check_three_circle_collinearity_instance(cs: ClaimSet, config: WoodDesarguesConfiguration,
                                              derived: DerivedFigures) -> None:
-    """Embedded instance on (pentagon, Aa23, ABCK): reproduces lines AUW and ALZ,
-    through A where ``_meets_again_at`` says so, with the pentagon joins' brackets."""
+    """Embedded instance on (pentagon, Aa23, ABCK): reproduces lines AUW and ALZ
+    through the second meet of Aa23 and ABCK, which is J reflected in their
+    line of centres as in ``derive_pentagon``, with the pentagon joins'
+    brackets where that meet is A."""
     if _pentagon_circle(cs, config, derived) is None:
         return
+    j, aa23, abck = config.j, config.circles["Aa23"], config.circles["ABCK"]
     incidence = derived.incidence
-    ok = cs.on_circle("J on Aa23", config.circles["Aa23"], config.j, incidence["Aa23", "J"])
-    ok &= cs.on_circle("J on ABCK", config.circles["ABCK"], config.j, incidence["ABCK", "J"])
+    ok = cs.on_circle("J on Aa23", aa23, j, incidence["Aa23", "J"])
+    ok &= cs.on_circle("J on ABCK", abck, j, incidence["ABCK", "J"])
     if not ok:
         return
     w = _require_meet(cs, derived, config, "Aa23", "W")
@@ -933,19 +935,14 @@ def check_three_circle_collinearity_instance(cs: ClaimSet, config: WoodDesargues
     if w is None or z is None:
         return
 
-    a = config.points["A"]
-    if _meets_again_at(config, incidence, "Aa23", "ABCK", "A"):
-        a2 = a
-    else:
-        try:
-            a2 = second_intersection_of_circles(
-                config.circles["Aa23"], config.circles["ABCK"], config.j)
-        except IdenticalCirclesError:
-            cs.degenerate("circles Aa23 and ABCK coincide")
-            return
-        if a2 == config.j:
-            cs.degenerate("circles Aa23 and ABCK tangent at J")
-            return
+    # both pass through J, so equal centres make them one circle
+    if aa23.center.hom == abck.center.hom:
+        cs.degenerate("circles Aa23 and ABCK coincide")
+        return
+    a, a2 = config.points["A"], _reflected_meet(aa23.center, abck.center, j)
+    if a2 == j:
+        cs.degenerate("circles Aa23 and ABCK tangent at J")
+        return
     cs.points_equal("second meet of Aa23 and ABCK is A", a2, a)
 
     for c, m, name in (("U", w, "U, A, W"), ("L", z, "L, A, Z")):

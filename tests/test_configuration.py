@@ -491,20 +491,24 @@ def test_orthocentres_meet_no_lines_given_the_stored_centres(
 
 
 def test_orthocentres_ignore_a_stored_centre_off_the_circle(reference_config, monkeypatch):
-    pts = reference_config.points
-    unseeded = {(c, v): orthocentre(*(pts[x] for x in CIRCLE_POINTS[c] if x != v))
-                for c in CIRCLE_LABELS for v in CIRCLE_POINTS[c]}
+    # a circle whose four vertices are not all on it in the incidence table
+    # hands each of its four triangles to orthocentre, which meets two
+    # bisectors, and has no half turn: ABCK about J, and Bb31 and Cc12 with
+    # point 1 moved off both
     abck = reference_config.circles["ABCK"]
-    circles = {**reference_config.circles,
-               "ABCK": Circle(reference_config.j, abck.radius_squared)}
-    moved = dataclasses.replace(reference_config, circles=circles)
-    meets = _count_meets(monkeypatch)
-    orthos, half_turns = derive_orthocentres(moved, derive_incidence(moved))
-    assert orthos == unseeded
-    # only the four triangles of ABCK meet two bisectors, and only ABCK has
-    # no half turn
-    assert len(meets) == 4
-    assert set(half_turns) == set(CIRCLE_LABELS) - {"ABCK"}
+    centre_off = dataclasses.replace(reference_config, circles={
+        **reference_config.circles, "ABCK": Circle(reference_config.j, abck.radius_squared)})
+    point_off = mutate_configuration(reference_config, "point", "1", "x", 1)
+    for moved, off in ((centre_off, {"ABCK"}), (point_off, {"Bb31", "Cc12"})):
+        pts = moved.points
+        unseeded = {(c, v): orthocentre(*(pts[x] for x in CIRCLE_POINTS[c] if x != v))
+                    for c in CIRCLE_LABELS for v in CIRCLE_POINTS[c]}
+        meets = _count_meets(monkeypatch)
+        orthos, half_turns = derive_orthocentres(moved, derive_incidence(moved))
+        assert orthos == unseeded
+        assert len(meets) == 4 * len(off)
+        assert set(half_turns) == set(CIRCLE_LABELS) - off
+        monkeypatch.undo()
 
 
 def _centre_sum(config, pentagon) -> tuple[int, int, int]:
@@ -612,8 +616,8 @@ def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
     # similarity.
     # Verify: one power per incidence-table entry that is neither kept by
     # the configuration nor true by construction (J on the five circles, L,
-    # M and N on the pentagon circle); the pentagon meets reflect J, and
-    # the three-circle instance reads A as its meet off the table; no
+    # M and N on the pentagon circle); the pentagon meets and the
+    # three-circle instance's meet of Aa23 and ABCK reflect J; no
     # determinant; one record, the pentagon circle's radius: a predicted
     # Hagge centre and the pentagon centre, the Wood map's image of U, are
     # tested for equidistance by bilinear forms.  Brackets: the four

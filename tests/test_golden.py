@@ -389,16 +389,15 @@ def _undecided_claims(config) -> dict:
     """Each registered check's records and notes with every shortcut withheld:
     no verdict or map passed to a ClaimSet method (each such method must be
     overridden), no derived half turn, perspectrix or join verdict, no build
-    maps, no reflected second meet and no meet read off the incidence table."""
+    maps and no reflected second meet."""
     claim_set = _Undecided.__base__  # the package's, even while a test patches the name
     shortcuts = {name for name, method in vars(claim_set).items() if callable(method)
                  and {"holds", "pinned"} & set(inspect.signature(method).parameters)}
     assert shortcuts <= set(vars(_Undecided)), shortcuts - set(vars(_Undecided))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(configuration, "_reflected_meet", _through_known)
         for module in (configuration, verifier):
+            mp.setattr(module, "_reflected_meet", _through_known)
             mp.setattr(module, "second_intersection_of_circles", _radical_route)
-        mp.setattr(verifier, "_meets_again_at", lambda *args: False)
         config = dataclasses.replace(config)  # drops build_maps
         derived = dataclasses.replace(
             derive_figures(config), half_turns={}, centre_half_turn=None,

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from wooddesargues.kernel import (
     _equidistant,
-    _on_altitudes,
     _on_altitudes_over,
     _reflected_meet,
     Circle,
@@ -102,6 +101,10 @@ def fraction_scale(p, k):
 
 def fraction_norm_squared(p):
     return p.x * p.x + p.y * p.y
+
+
+def fraction_dot(p, q):
+    return p.x * q.x + p.y * q.y
 
 
 def fraction_cmul(p, q):
@@ -388,7 +391,8 @@ def test_ring_orthocentres_equal_the_orthocentre_of_each_triangle(ring_and_centr
     expected = [None if fraction_collinearity_residual(*tri_points) == 0
                 else fraction_orthocentre(*tri_points)
                 for tri_points in ([ring[i] for i in tri] for tri in triangles)]
-    hs, _ = ring_orthocentres(ring, triangles, centre, as_far_as_the_first(ring, centre))
+    on = as_far_as_the_first(ring, centre)
+    hs, _ = ring_orthocentres(ring, triangles, centre if all(on) else None)
     assert hs == expected
 
 
@@ -403,7 +407,7 @@ def test_ring_orthocentres_hand_back_the_sum_of_an_inscribed_ring(ring_and_centr
     centre = {"true": o, "moved": fraction_add(o, ONE), "ring point": ring[0], "none": None}[which]
     on = as_far_as_the_first(ring, centre)
     triangles = list(combinations(range(len(ring)), 3))
-    hs, total = ring_orthocentres(ring, triangles, centre, on)
+    hs, total = ring_orthocentres(ring, triangles, centre if all(on) else None)
     if centre is None or not all(on) or len(set(ring)) < len(ring):
         assert total is None
         return
@@ -439,7 +443,7 @@ def test_ring_orthocentres_sum_over_a_common_denominator(ring_and_centre):
     ring, o = ring_and_centre
     triangles = list(combinations(range(len(ring)), 3))
     expected = [orthocentre(*(ring[i] for i in tri)) for tri in triangles]
-    assert ring_orthocentres(ring, triangles, o, [True] * len(ring))[0] == expected
+    assert ring_orthocentres(ring, triangles, o)[0] == expected
 
 
 @given(inscribed(), st.integers(0, 3), st.sampled_from([ONE, point(F(1, 7), F(-2, 3))]))
@@ -463,7 +467,8 @@ def test_equidistance_is_decided_as_the_distances_compare(ring_and_centre, i, nu
 @EXAMPLES
 def test_the_altitude_test_over_the_ring_denominator(ring_and_centre, nudge):
     # over the lcm d of the ring's and the centre's Z, each orthocentre is on
-    # the altitudes exactly as _on_altitudes finds it, and a moved one is not
+    # the altitudes exactly as the two dot products (h - p).(r - q) and
+    # (h - q).(r - p) over rationals vanish, and a moved one is not
     ring, o = ring_and_centre
     d = lcm(o.hom[2], *(p.hom[2] for p in ring))
     over = [(X * (d // Z), Y * (d // Z)) for X, Y, Z in (p.hom for p in ring)]
@@ -471,7 +476,8 @@ def test_the_altitude_test_over_the_ring_denominator(ring_and_centre, nudge):
         p, q, r = (ring[n] for n in tri)
         h = orthocentre(p, q, r)
         for g, on in ((h, True), (fraction_add(h, nudge), False)):
-            assert _on_altitudes(g, p, q, r) == on
+            assert (fraction_dot(fraction_sub(g, p), fraction_sub(r, q)) == 0
+                    == fraction_dot(fraction_sub(g, q), fraction_sub(r, p))) == on
             assert _on_altitudes_over(g, d, *(over[n] for n in tri)) == on
 
 
@@ -486,7 +492,7 @@ def test_a_ring_point_marked_on_its_circle_wrongly_fails_the_altitude_assert(
     ring[i] = fraction_add(ring[i], ONE)
     assume(distance_squared(ring[i], o) != distance_squared(ring[i - 1], o))
     with pytest.raises(AssertionError):
-        ring_orthocentres(ring, combinations(range(len(ring)), 3), o, [True] * len(ring))
+        ring_orthocentres(ring, combinations(range(len(ring)), 3), o)
 
 
 @given(points, points, rationals, st.one_of(st.none(), points))
@@ -500,7 +506,8 @@ def test_orthocentre_of_collinear_points_raises_whatever_centre_is_passed(p, q, 
     # three when they coincide
     for c in (centre, midpoint(p, q), p):
         on = as_far_as_the_first([p, q, r], c)
-        assert ring_orthocentres([p, q, r], [(0, 1, 2)], c, on) == ([None], None)
+        hs = ring_orthocentres([p, q, r], [(0, 1, 2)], c if all(on) else None)
+        assert hs == ([None], None)
 
 
 @given(points, points, rationals, st.one_of(st.none(), points))

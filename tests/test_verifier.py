@@ -8,7 +8,7 @@ import pytest
 
 from wooddesargues import check_names, verify_all
 from wooddesargues import serialize, verifier
-from wooddesargues.configuration import CIRCLE_LABELS, derive_quadrangle_maps
+from wooddesargues.configuration import CIRCLE_LABELS, derive_figures, derive_quadrangle_maps
 from wooddesargues.fuzz import FuzzPolicy, generate_configurations
 from wooddesargues.kernel import (
     Circle,
@@ -196,6 +196,18 @@ def _aa23_tangent_to_abck_at_j(cfg):
     return dataclasses.replace(cfg, circles={**cfg.circles, "Aa23": tangent})
 
 
+def _abck_is_the_pentagon_circle(cfg):
+    # J is on both, and they are one circle: no second meet
+    pentagon = derive_figures(cfg).pentagon.circle
+    return dataclasses.replace(cfg, circles={**cfg.circles, "ABCK": pentagon})
+
+
+def _b_and_bb31_on_a_and_aa23(cfg):
+    # B on A and circle Bb31 on Aa23: one tangent serves A and B
+    return dataclasses.replace(cfg, points={**cfg.points, "B": cfg.points["A"]},
+                               circles={**cfg.circles, "Bb31": cfg.circles["Aa23"]})
+
+
 @pytest.mark.parametrize("tamper, name, status, note", [
     (_centre_l_on_a, "pentagon-perspectives", FAIL,
      "vertex joins to centres do not span two lines"),
@@ -203,6 +215,11 @@ def _aa23_tangent_to_abck_at_j(cfg):
      "circles Aa23 and ABCK coincide"),
     (_aa23_tangent_to_abck_at_j, "three-circle-collinearity", DEGENERATE,
      "circles Aa23 and ABCK tangent at J"),
+    (_abck_is_the_pentagon_circle, "tangent-concurrency", DEGENERATE,
+     "Z: no second meet of pentagon circle and ABCK "
+     "(no second meet with ABCK: second intersection of identical circles)"),
+    (_b_and_bb31_on_a_and_aa23, "tangent-concurrency", FAIL,
+     "tangents at A and B coincide"),
 ])
 def test_tampered_documents_reach_their_degenerate_notes(reference_config, tamper,
                                                          name, status, note):
