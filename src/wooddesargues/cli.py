@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 from typing import Optional
 
@@ -37,8 +39,11 @@ def _write_output(text: str, path: Optional[str], what: str) -> bool:
         if path is None or path == "-":
             sys.stdout.write(text)
         else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            # overwrite, then cut a regular file to length: ext4 flushes a file cut to zero on close
+            with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+                fh.write(text.encode("utf-8"))
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
     except OSError as exc:
         print(f"cannot write {what}: {exc}", file=sys.stderr)
         return False

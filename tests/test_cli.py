@@ -108,6 +108,62 @@ def test_unwritable_output_exits_3(command, what, reference_document: Path, tmp_
     assert capsys.readouterr().err.startswith(f"cannot write {what}:")
 
 
+LONGER_SEED_TEXT = "tJ=1/7,tK=13/11,tA=-17/5,tB=23/9,tC=31/4,s=-37/29"
+
+
+# each command twice: the second output is longer than the first
+@pytest.mark.parametrize("shorter, longer", [
+    (["gen", "--seed", REFERENCE_SEED_TEXT, "-o"], ["gen", "--seed", LONGER_SEED_TEXT, "-o"]),
+    (["verify", "{document}", "--report"], ["verify", "{moved}", "--report"]),
+    (["render", "{document}", "--layers", "points", "-o"], ["render", "{document}", "-o"]),
+    (["fuzz", "--count", "1", "--rng-seed", "42", "--max-num", "12", "-o"],
+     ["fuzz", "--count", "3", "--rng-seed", "42", "--max-num", "12", "-o"]),
+], ids=["gen", "verify", "render", "fuzz"])
+def test_output_files_are_overwritten_in_place(shorter, longer, reference_document: Path,
+                                               tmp_path: Path, capsys):
+    doc = json.loads(reference_document.read_text())
+    doc["points"]["A"][0] = "7/1"  # A off its circles: a longer, failing report
+    moved = tmp_path / "moved-a.json"
+    moved.write_text(json.dumps(doc))
+
+    def to_stdout(argv: list) -> tuple:
+        # verify prints its report when it has no --report; the rest take -o -
+        status = main(argv[:-1] if argv[-1] == "--report" else argv + ["-"])
+        return status, capsys.readouterr().out.encode("utf-8")
+
+    out = tmp_path / "out"
+    out.write_bytes(b"#" * 100_000)
+    inode = os.stat(out).st_ino
+    expected_lengths = []
+    for command in (shorter, longer):
+        argv = [arg.format(document=reference_document, moved=moved) for arg in command]
+        status, expected = to_stdout(argv)
+        assert main(argv + [str(out)]) == status
+        assert out.read_bytes() == expected
+        assert os.stat(out).st_ino == inode
+        expected_lengths.append(len(expected))
+    assert expected_lengths[0] < expected_lengths[1] < 100_000
+
+
+def test_output_to_targets_that_are_not_plain_files(reference_document: Path, tmp_path: Path,
+                                                     capsys):
+    gen = ["gen", "--seed", REFERENCE_SEED_TEXT, "-o"]
+    # a device cannot be cut to length: the write goes through untruncated
+    assert main(gen + [os.devnull]) == 0
+    assert main(gen + [str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("cannot write output:")
+
+    target = tmp_path / "target.json"
+    target.write_bytes(b"#" * 10_000)
+    inode = os.stat(target).st_ino
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(gen + [str(link)]) == 0
+    assert link.is_symlink()
+    assert _sha256(target) == REFERENCE_DOCUMENT
+    assert os.stat(target).st_ino == inode
+
+
 def test_fuzz_exit_codes(tmp_path: Path):
     out = tmp_path / "campaign.json"
     assert main(["fuzz", "--count", "5", "--rng-seed", "42", "--max-num", "12",

@@ -8,7 +8,12 @@ import pytest
 
 from wooddesargues import check_names, verify_all
 from wooddesargues import serialize, verifier
-from wooddesargues.configuration import CIRCLE_LABELS, derive_figures, derive_quadrangle_maps
+from wooddesargues.configuration import (
+    CIRCLE_LABELS,
+    POINT_CIRCLES,
+    derive_figures,
+    derive_quadrangle_maps,
+)
 from wooddesargues.fuzz import FuzzPolicy, generate_configurations
 from wooddesargues.kernel import (
     Circle,
@@ -208,6 +213,12 @@ def _b_and_bb31_on_a_and_aa23(cfg):
                                circles={**cfg.circles, "Bb31": cfg.circles["Aa23"]})
 
 
+def _j_on_an_orthocentre_of_k(cfg):
+    # J moved onto K's orthocentre in its first circle: h(K) and h(A) undefined
+    orthocentre = derive_figures(cfg).orthocentres[POINT_CIRCLES["K"][0], "K"]
+    return dataclasses.replace(cfg, j=orthocentre)
+
+
 @pytest.mark.parametrize("tamper, name, status, note", [
     (_centre_l_on_a, "pentagon-perspectives", FAIL,
      "vertex joins to centres do not span two lines"),
@@ -220,6 +231,10 @@ def _b_and_bb31_on_a_and_aa23(cfg):
      "(no second meet with ABCK: second intersection of identical circles)"),
     (_b_and_bb31_on_a_and_aa23, "tangent-concurrency", FAIL,
      "tangents at A and B coincide"),
+    (_j_on_an_orthocentre_of_k, "hagge-suite", FAIL,
+     "h(K) undefined: coincidence among J, H, F for row K"),
+    (_j_on_an_orthocentre_of_k, "hagge-suite", FAIL,
+     "h(A) undefined: J, H, F collinear for row A"),
 ])
 def test_tampered_documents_reach_their_degenerate_notes(reference_config, tamper,
                                                          name, status, note):
