@@ -607,8 +607,9 @@ def test_a_campaign_seed_builds_one_circumcentre(monkeypatch, magnitude):
 @pytest.mark.parametrize("magnitude", [12, 10 ** 12])
 def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
     # (Circle._power, concyclicity_determinant, _distance_record, _det3,
-    # Similarity.pinned_by, euler_sum, Similarity.sends) calls per build and
-    # per verify_all; python -O drops asserts, none of which makes any.
+    # Similarity.pinned_by, euler_sum, Similarity.sends, _point) calls per
+    # build and per verify_all; python -O drops asserts, none of which makes
+    # any.
     # Build: the 20 incidences the labels name, which the configuration
     # keeps, the other 30 by point equality; one distance record per
     # circle-2 and Wood radius; the collinearity guard of the circumcentre of
@@ -631,7 +632,8 @@ def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
     # pentagon circle turned half, so it needs no power or record.  No
     # Euler sum: each quadrangle's half turn comes from its ring.  Sends:
     # the third pair of ABC~abc, its fixed point and that of ABC~LMN, and
-    # the two further pairs of each quadrangle map.
+    # the two further pairs of each quadrangle map.  _point: each
+    # canonicalised point, 24 per build and 60 per verify.
     seeds = [config.seed for _, config, _, _ in
              generate_configurations(FuzzPolicy(10, 42, magnitude))]
     powers, pins, sends = [], [], []
@@ -654,9 +656,9 @@ def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
     monkeypatch.setattr(Similarity, "pinned_by", classmethod(counting_pinned_by))
     monkeypatch.setattr(Similarity, "sends", counting_sends)
     calls = _count_kernel_calls(monkeypatch, "concyclicity_determinant", "_distance_record",
-                                "_det3", "euler_sum")
-    euler = calls.pop("euler_sum")
-    counted = [powers, *calls.values(), pins, euler, sends]
+                                "_det3", "euler_sum", "_point")
+    euler, points = calls.pop("euler_sum"), calls.pop("_point")
+    counted = [powers, *calls.values(), pins, euler, sends, points]
 
     def work(stage, *args):
         for seen in counted:
@@ -672,7 +674,7 @@ def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
         ledger.append((built, verified))
     # at magnitude 12, seed 1's Z is N, so the join CNZ needs no bracket
     brackets = [5 if (magnitude, n) == (12, 1) else 6 for n in range(10)]
-    assert ledger == [((20, 0, 4, 1, 2, 0, 0), (8, 0, 1, b, 4, 0, 13)) for b in brackets]
+    assert ledger == [((20, 0, 4, 1, 2, 0, 0, 24), (8, 0, 1, b, 4, 0, 13, 60)) for b in brackets]
 
 
 # --- perspectrices -------------------------------------------------------------
