@@ -54,23 +54,27 @@ class UnrenderableError(ValueError):
 
 
 def _clip_line(line: Line, box: tuple[float, float, float, float]):
-    """Segment of an infinite line inside a rectangle, or None."""
+    """Segment of an infinite line inside a rectangle, or None.
+
+    Edge hits are kept, and told apart, up to a tolerance relative to the
+    rectangle's size, so a scaled drawing clips the same."""
     a, b, c = line.float_coefficients()
     x0, y0, x1, y1 = box
+    tol = 1e-9 * max(x1 - x0, y1 - y0)
     pts = []
     if b != 0.0:
         for x in (x0, x1):
             y = -(a * x + c) / b
-            if y0 - 1e-9 <= y <= y1 + 1e-9:
+            if y0 - tol <= y <= y1 + tol:
                 pts.append((x, y))
     if a != 0.0:
         for y in (y0, y1):
             x = -(b * y + c) / a
-            if x0 - 1e-9 <= x <= x1 + 1e-9:
+            if x0 - tol <= x <= x1 + tol:
                 pts.append((x, y))
     dedup: list[tuple[float, float]] = []
     for p in pts:
-        if all(math.hypot(p[0] - q[0], p[1] - q[1]) > 1e-9 for q in dedup):
+        if all(math.hypot(p[0] - q[0], p[1] - q[1]) > tol for q in dedup):
             dedup.append(p)
     if len(dedup) < 2:
         return None
@@ -138,9 +142,8 @@ def render_svg(config: WoodDesarguesConfiguration, style: RenderStyle = RenderSt
 
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    w = max(x1 - x0, 1e-9)
-    h = max(y1 - y0, 1e-9)
-    pad = style.margin * max(w, h)
+    # a drawing of one point takes a floor for its extent; any other is scale-free
+    pad = style.margin * (max(x1 - x0, y1 - y0) or 1e-9)
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
     w, h = x1 - x0, y1 - y0
     if not (math.isfinite(w) and math.isfinite(h)):

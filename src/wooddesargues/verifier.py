@@ -23,6 +23,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Optional, Sequence, Union
 
 from .configuration import (
@@ -185,12 +186,18 @@ class Claim:
         return self._residual(*self._args)
 
 
+_verdict = operator.itemgetter(1)  # of a claim record
+
+
 class ClaimSet:
     """Accumulates one record per claim, ``(label, holds, witness, residual_fn,
     args)``, and the degeneracy/info notes of one check.
 
     Each primitive decides its claim on an integer that is exactly zero when
-    the claim holds; the witness is computed only for a failing claim.
+    the claim holds; the witness is computed only for a failing claim.  A
+    perspective row whose claims all name distinct points records its ten
+    claims, decided on the row's line verdicts, in one pass through
+    ``incidences``.
     """
 
     def __init__(self) -> None:
@@ -251,7 +258,7 @@ class ClaimSet:
         return holds
 
     def points_equal(self, label: str, got: Point, expected: Point) -> bool:
-        if got == expected:
+        if got.hom == expected.hom:
             return self._held(label)
         self.claims.append((label, False, got, _distance_residual, (got, expected)))
         return False
@@ -260,13 +267,29 @@ class ClaimSet:
                       coincide_note: str, parallel_witness: str = "parallel lines") -> None:
         """Claim that l1 and l2 meet exactly at target, decided by ``holds``: both pass it.
         Identical lines are degenerate; the lines are met only for a failing witness."""
-        if l1 == l2:
+        if (l1.a, l1.b, l1.c) == (l2.a, l2.b, l2.c):
             self.degenerate(coincide_note)
             return
         try:
             self.points_equal(label, target if holds else meet(l1, l2), target)
         except ParallelLinesError:
             self.fail(label, parallel_witness)
+
+    def incidences(self, labels: Sequence[str], residuals: Sequence[Callable[..., float]],
+                   args: Sequence[tuple], holds: Sequence[bool]) -> None:
+        """Claim per label, with the verdict ``holds`` decided elsewhere, that
+        its ``args`` are three distinct points on a line, where its residual
+        is ``_collinear_residual``, or a line and a point on it, where it is
+        ``_line_residual``.  The records are those ``collinear`` and
+        ``on_line`` make, appended in one pass where every claim holds."""
+        if all(holds):
+            self.claims += zip(labels, holds, repeat(None), residuals, args)
+            return
+        for label, residual, claim, held in zip(labels, residuals, args, holds):
+            if residual is _collinear_residual:
+                self.collinear(label, *claim, holds=held)
+            else:
+                self.on_line(label, *claim, holds=held)
 
     def scalars_equal(self, label: str, got: Fraction, expected: Fraction) -> bool:
         holds = got == expected
@@ -305,7 +328,7 @@ class ClaimSet:
         elsewhere; without it the map is pinned here.  Returns the map, or None
         where none is formed: a coincident source pair is degenerate, a zero
         multiplier a failed claim."""
-        if source[0] == source[1]:
+        if source[0].hom == source[1].hom:
             self.degenerate(f"{label}: first two source points coincide")
             return None
         if pinned is None:
@@ -336,12 +359,12 @@ class ClaimSet:
     # result ------------------------------------------------------------------
 
     def result(self, name: str) -> "CheckResult":
-        witnesses = [(label, w) for label, holds, w, _, _ in self.claims if not holds]
-        if witnesses:
-            status = FAIL
-        else:
+        if all(map(_verdict, self.claims)):
             status = DEGENERATE if self.degenerate_notes else PASS
             witnesses = list(self.extra_witnesses)
+        else:
+            status = FAIL
+            witnesses = [(label, w) for label, holds, w, _, _ in self.claims if not holds]
         notes = "; ".join(self.degenerate_notes + self.info_notes)
         return CheckResult(name=name, status=status, witnesses=witnesses,
                            notes=notes, claims=tuple(self.claims))
@@ -411,9 +434,14 @@ class VerificationReport:
 
 
 # Each claim of a perspective row names three points of one of the ten
-# configuration lines, the perspectrices (a KeyError here if not): a row's plan
-# keeps, per claim, its point labels, label and note texts and that line's index.
+# configuration lines, the perspectrices (a KeyError here if not).  A row reads
+# its points as v, p1 p2 p3, q1 q2 q3, w1 w2 w3 (vertex, triangles,
+# perspectrix); its claims are the joins p_i q_i v, the two sides at each w_i
+# and the perspectrix.  Its plan: getters of the points and of the claims'
+# line verdicts, the side lines and their getter, the claim labels and notes.
 _LINE_INDEX = {frozenset(rec.perspectrix): n for n, rec in enumerate(PERSPECTIVE_TABLE)}
+_OTHER_VERTICES = ((1, 2), (0, 2), (0, 1))
+_ROW_RESIDUALS = (_collinear_residual,) * 3 + (_line_residual,) * 6 + (_collinear_residual,)
 
 
 def _perspective_plan(rec: PerspectiveRecord) -> tuple:
@@ -422,17 +450,20 @@ def _perspective_plan(rec: PerspectiveRecord) -> tuple:
     def line(*labels: str) -> int:
         return _LINE_INDEX[frozenset(labels)]
 
-    joins = tuple((t1[i], t2[i], line(t1[i], t2[i], v), f"{t1[i]}{t2[i]} through {v}",
-                   f"corresponding vertices {t1[i]}, {t2[i]} coincide") for i in range(3))
-    sides = []
-    for i in range(3):
-        j, k = (m for m in range(3) if m != i)
-        n1, n2 = t1[j] + t1[k], t2[j] + t2[k]
-        sides.append((w[i], t1[j], t1[k], line(t1[j], t1[k], w[i]), f"{w[i]} on side {n1}",
-                      t2[j], t2[k], line(t2[j], t2[k], w[i]), f"{w[i]} on side {n2}",
-                      f"side pair {n1}/{n2} has coincident endpoints",
-                      f"sides {n1} and {n2} coincide"))
-    return v, joins, tuple(sides), w, f"perspectrix {''.join(w)} collinear"
+    sides = [(t[j] + t[k], line(t[j], t[k], w[i]))
+             for i, (j, k) in enumerate(_OTHER_VERTICES) for t in (t1, t2)]
+    side_lines = tuple(m for _, m in sides)
+    pairs = list(zip(sides[::2], sides[1::2]))
+    return (operator.itemgetter(v, *t1, *t2, *w),
+            operator.itemgetter(*(line(t1[i], t2[i], v) for i in range(3)), *side_lines,
+                                line(*w)),
+            side_lines, operator.itemgetter(*side_lines),
+            (*(f"{t1[i]}{t2[i]} through {v}" for i in range(3)),
+             *(f"{w[n // 2]} on side {name}" for n, (name, _) in enumerate(sides)),
+             f"perspectrix {''.join(w)} collinear"),
+            (*(f"corresponding vertices {t1[i]}, {t2[i]} coincide" for i in range(3)),
+             *(f"side pair {n1}/{n2} has coincident endpoints" for (n1, _), (n2, _) in pairs),
+             *(f"sides {n1} and {n2} coincide" for (n1, _), (n2, _) in pairs)))
 
 
 _PERSPECTIVE_PLANS = tuple(map(_perspective_plan, PERSPECTIVE_TABLE))
@@ -447,35 +478,58 @@ def check_perspective(cs: ClaimSet, config: WoodDesarguesConfiguration,
     points are collinear (``derived.collinear``): for distinct u and v, the
     line uv at w is the bracket [u v w] over a nonzero integer, and the
     bracket is alternating.  A side is that line when they are.
+
+    A row whose claims each name distinct points, as they do when the ten
+    points are distinct, and whose two sides differ at each perspectrix
+    point records its ten claims in one pass, through
+    ``ClaimSet.incidences``; any other row records them one at a time, with a
+    degenerate note in place of each claim a coincidence makes vacuous.
     """
-    pts, collinear, lines = config.points, derived.collinear, derived.perspectrices
-    vertex, joins, sides, perspectrix, perspectrix_label = _PERSPECTIVE_PLANS[row]
-    v = pts[vertex]
-    for x, y, m, label, note in joins:
-        p, q = pts[x], pts[y]
+    collinear, lines = derived.collinear, derived.perspectrices
+    ten, verdicts, side_lines, side_getter, labels, notes = _PERSPECTIVE_PLANS[row]
+    v, p1, p2, p3, q1, q2, q3, w1, w2, w3 = ten(config.points)
+    V, P1, P2, P3, Q1, Q2, Q3, W1, W2, W3 = (v.hom, p1.hom, p2.hom, p3.hom, q1.hom, q2.hom,
+                                             q3.hom, w1.hom, w2.hom, w3.hom)
+    holds = verdicts(collinear)
+    # the joins' p, q and v, each side's two ends and the perspectrix points differ
+    distinct = (P1 != Q1 and P2 != Q2 and P3 != Q3 and V not in (P1, P2, P3, Q1, Q2, Q3)
+                and P1 != P2 != P3 != P1 and Q1 != Q2 != Q3 != Q1 and W1 != W2 != W3 != W1)
+    # each side, None where its two ends coincide
+    sides = side_getter(lines) if distinct and all(holds) else [
+        None if a.hom == b.hom else lines[m] if held else line_through(a, b)
+        for m, held, a, b in zip(side_lines, holds[3:9], (p2, q2, p1, q1, p1, q1),
+                                 (p3, q3, p3, q3, p2, q2))]
+    s1, s2, s3, s4, s5, s6 = sides
+    # and the two sides at each perspectrix point differ, compared by coefficients
+    if distinct and not (s1.a == s2.a and s1.b == s2.b and s1.c == s2.c
+                         or s3.a == s4.a and s3.b == s4.b and s3.c == s4.c
+                         or s5.a == s6.a and s5.b == s6.b and s5.c == s6.c):
+        cs.incidences(labels, _ROW_RESIDUALS,
+                      ((p1, q1, v), (p2, q2, v), (p3, q3, v), (s1, w1), (s2, w1), (s3, w2),
+                       (s4, w2), (s5, w3), (s6, w3), (w1, w2, w3)), holds)
+        cs.witness("perspectrix", lines[row])
+        return
+
+    for i, (p, q) in enumerate(((p1, q1), (p2, q2), (p3, q3))):
         if p.hom == q.hom:
-            cs.degenerate(note)
+            cs.degenerate(notes[i])
         else:
-            cs.collinear(label, p, q, v, collinear[m])
+            cs.collinear(labels[i], p, q, v, holds[i])
 
-    for w, x1, y1, m1, label1, x2, y2, m2, label2, coincident_note, same_note in sides:
-        p1, q1, p2, q2 = pts[x1], pts[y1], pts[x2], pts[y2]
-        if p1.hom == q1.hom or p2.hom == q2.hom:
-            cs.degenerate(coincident_note)
-            continue
-        side1 = lines[m1] if collinear[m1] else line_through(p1, q1)
-        side2 = lines[m2] if collinear[m2] else line_through(p2, q2)
-        if side1 == side2:
-            cs.degenerate(same_note)
-            continue
-        cs.on_line(label1, side1, pts[w], collinear[m1])
-        cs.on_line(label2, side2, pts[w], collinear[m2])
+    for i, w in enumerate((w1, w2, w3)):
+        side1, side2 = sides[2 * i], sides[2 * i + 1]  # claims 3 + 2i and 4 + 2i
+        if side1 is None or side2 is None:
+            cs.degenerate(notes[3 + i])
+        elif (side1.a, side1.b, side1.c) == (side2.a, side2.b, side2.c):
+            cs.degenerate(notes[6 + i])
+        else:
+            cs.on_line(labels[3 + 2 * i], side1, w, holds[3 + 2 * i])
+            cs.on_line(labels[4 + 2 * i], side2, w, holds[4 + 2 * i])
 
-    w1, w2, w3 = (pts[x] for x in perspectrix)
-    if w1.hom == w2.hom or w1.hom == w3.hom or w2.hom == w3.hom:
+    if W1 == W2 or W1 == W3 or W2 == W3:
         cs.degenerate("perspectrix points coincide")
     else:
-        cs.collinear(perspectrix_label, w1, w2, w3, collinear[row])
+        cs.collinear(labels[9], w1, w2, w3, holds[9])
         cs.witness("perspectrix", lines[row])
 
 
@@ -525,7 +579,7 @@ def check_core_similarity(cs: ClaimSet, config: WoodDesarguesConfiguration) -> N
     sim = cs.similarity("ABC~abc", [pts[x] for x in "ABC"], [pts[x] for x in "abc"], pinned=spiral)
     if sim is not None:
         cs.witness("alpha", sim.alpha)
-        if sim.alpha == ONE:
+        if sim.alpha.hom == ONE.hom:
             cs.fail("similarity has a fixed point", sim.alpha)
         else:
             cs.fixed_at("fixed point is J", sim, config.j)
@@ -562,7 +616,7 @@ def check_orthocentre_quadrangle(cs: ClaimSet, config: WoodDesarguesConfiguratio
     sim = cs.similarity(f"{circle_label}~H-quadrangle", vpts, hpts, pinned=pinned)
     if sim is not None:
         cs.points_equal("multiplier is -1 (half turn)", sim.alpha, MINUS_ONE)
-        if sim.alpha != ONE:
+        if sim.alpha.hom != ONE.hom:
             centre = config.circles[circle_label].center
             cs.fixed_at("fixed point is vertex-sum/2 - centre", sim,
                         None if turn else euler_sum(vpts, centre, 2), turn or None)
@@ -615,7 +669,7 @@ def _require_meet(cs: ClaimSet, derived: DerivedFigures,
             cs.degenerate(f"{name}: no second meet of pentagon circle and {clbl} "
                           f"({pent.meet_notes.get(clbl, 'degenerate intersection')})")
         return None
-    if pt == config.j:
+    if pt.hom == config.j.hom:
         cs.degenerate(f"{name}: pentagon circle tangent to {clbl} at J")
         return None
     return pt
@@ -634,7 +688,7 @@ def check_pentagon_perspectives(cs: ClaimSet, config: WoodDesarguesConfiguration
     if z is not None:
         for albl, clbl in (("A", "L"), ("B", "M"), ("C", "N")):
             a, c = pts[albl], ctr[clbl]
-            if ends := a == z or c == z:
+            if ends := a.hom == z.hom or c.hom == z.hom:
                 cs.degenerate(f"line {albl}{clbl}Z degenerate: "
                               f"Z coincides with {_coincidence_name(config, z)}")
             on_joins.append(ends or cs.collinear(f"{albl}, {clbl}, Z collinear", a, c, z,
@@ -642,7 +696,7 @@ def check_pentagon_perspectives(cs: ClaimSet, config: WoodDesarguesConfiguration
         cs.witness("Z", z)
     if w is not None:
         a, u = pts["A"], ctr["U"]
-        if a == w or u == w:
+        if a.hom == w.hom or u.hom == w.hom:
             cs.degenerate(f"line AUW degenerate: W coincides with "
                           f"{_coincidence_name(config, w)}")
         else:
@@ -654,14 +708,14 @@ def check_pentagon_perspectives(cs: ClaimSet, config: WoodDesarguesConfiguration
                        pinned=derived.quadrangle_maps["ABCK"])
     if sim is not None:
         cs.witness("alpha ABC~LMN", sim.alpha)
-        if sim.alpha == ONE:
+        if sim.alpha.hom == ONE.hom:
             cs.fail("centre similarity has a fixed point", sim.alpha)
         else:
             cs.fixed_at("similarity centre is J", sim, config.j)
 
     if z is not None:
         note = "vertex joins to centres do not span two lines"
-        if pts["A"] == ctr["L"] or pts["B"] == ctr["M"]:
+        if pts["A"].hom == ctr["L"].hom or pts["B"].hom == ctr["M"].hom:
             cs.degenerate(note)
         else:
             cs.lines_meet_at("AL meets BM at Z", line_through(pts["A"], ctr["L"]),
@@ -910,7 +964,7 @@ def check_perpendicular_concurrency_instance(cs: ClaimSet,
         return
     pts = [config.points[x] for x in ("A", "B", "C")]
     k = config.points["K"]
-    if k in pts or is_collinear(*pts):
+    if k.hom in [p.hom for p in pts] or is_collinear(*pts):
         cs.degenerate("degenerate lemma instance")
         return
     _perpendicular_concurrency_claims(cs, circ, pts, k, "ABC", "antipode(K)", "antipode of K")
@@ -940,17 +994,18 @@ def check_three_circle_collinearity_instance(cs: ClaimSet, config: WoodDesargues
         cs.degenerate("circles Aa23 and ABCK coincide")
         return
     a, a2 = config.points["A"], _reflected_meet(aa23.center, abck.center, j)
-    if a2 == j:
+    if a2.hom == j.hom:
         cs.degenerate("circles Aa23 and ABCK tangent at J")
         return
     cs.points_equal("second meet of Aa23 and ABCK is A", a2, a)
 
     for c, m, name in (("U", w, "U, A, W"), ("L", z, "L, A, Z")):
         p = config.centers[c]
-        if p == a2 or p == m or a2 == m:
+        if p.hom == a2.hom or p.hom == m.hom or a2.hom == m.hom:
             cs.degenerate(f"triple ({name}) has coincident points")
         else:
-            cs.collinear(f"{name} collinear", p, a2, m, derived.joins.get(c) if a2 == a else None)
+            cs.collinear(f"{name} collinear", p, a2, m,
+                         derived.joins.get(c) if a2.hom == a.hom else None)
     printed = is_collinear(config.centers["L"], w, z)
     cs.info(f"printed triple (L, B, D) collinear here: {str(printed).lower()}")
 

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+import re
+from fractions import Fraction as F
+
 import pytest
 
 from wooddesargues import FuzzPolicy
 from wooddesargues.fuzz import generate_configurations
+from wooddesargues.kernel import Circle
 from wooddesargues.render import LAYERS, RenderStyle, render_svg
 from wooddesargues.serialize import configuration_from_document, configuration_to_document
 
@@ -76,3 +81,27 @@ def test_render_decides_no_pentagon_join(monkeypatch):
     for config in configs:
         render_svg(config)
     assert len(calls) == len(configs)
+
+
+
+def _scaled(config, k):
+    # every coordinate times k: points, J and centres, and each r^2 times k^2
+    return dataclasses.replace(
+        config, points={lbl: p.scale(k) for lbl, p in config.points.items()}, j=config.j.scale(k),
+        circles={lbl: Circle(c.center.scale(k), c.radius_squared * k * k)
+                 for lbl, c in config.circles.items()},
+        centers={lbl: p.scale(k) for lbl, p in config.centers.items()})
+
+
+def _drawn(svg: str) -> tuple:
+    return (svg.count("<line"), svg.count("<circle"),
+            re.search(r'width="([^"]*)" height="([^"]*)"', svg).groups())
+
+
+@pytest.mark.parametrize("k", [F(1, 10 ** 12), F(1, 10 ** 20), F(10 ** 12)])
+def test_a_scaled_drawing_draws_the_same_figures(reference_config, k):
+    # the drawing is similarity-invariant: every perspectrix line and circle
+    # is drawn, in a viewport of the same size, at any scale
+    assert _drawn(render_svg(_scaled(reference_config, k))) == (
+        10, 16, ("800.000000", "751.707713"))
+    assert _drawn(render_svg(reference_config)) == (10, 16, ("800.000000", "751.707713"))

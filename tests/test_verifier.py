@@ -5,12 +5,16 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wooddesargues import check_names, verify_all
 from wooddesargues import serialize, verifier
 from wooddesargues.configuration import (
+    CIRCLE_CENTER,
     CIRCLE_LABELS,
     POINT_CIRCLES,
+    POINT_LABELS,
+    WoodDesarguesConfiguration,
     derive_figures,
     derive_quadrangle_maps,
 )
@@ -39,6 +43,7 @@ from wooddesargues.verifier import (
 
 from conftest import mutate_configuration, run_check
 from test_acceptance import MUTATIONS
+from test_golden import _tampered, _tampering
 
 
 EXPECTED_NAMES = (
@@ -219,7 +224,15 @@ def _j_on_an_orthocentre_of_k(cfg):
     return dataclasses.replace(cfg, j=orthocentre)
 
 
+def _b_and_c_on_line_bc(cfg):
+    # b and c moved apart along line BC: row K's sides BC and bc, through 1, are one line
+    b, c = cfg.points["B"], cfg.points["C"]
+    return dataclasses.replace(cfg, points={**cfg.points, "b": b + (c - b).scale(2),
+                                            "c": b + (c - b).scale(3)})
+
+
 @pytest.mark.parametrize("tamper, name, status, note", [
+    (_b_and_c_on_line_bc, "perspective:K", FAIL, "sides BC and bc coincide"),
     (_centre_l_on_a, "pentagon-perspectives", FAIL,
      "vertex joins to centres do not span two lines"),
     (_aa23_copies_abck, "three-circle-collinearity", DEGENERATE,
@@ -460,3 +473,54 @@ def test_report_writer_formats_each_witness_kind(reference_config):
     assert moved_a[("core-similarity", "fixed point is J")] == "(261/197, 108/197)"
     assert passing[("perspective:K", "perspectrix")] == "[1x + -3y + 11 = 0]"
     assert moved_k[("hagge-suite", "h(B) derivable")] == "missing orthocentre for row B"
+
+
+# --- the ten points are equivalent: relabelling the circles ---------------------
+
+_POINT_OF_PAIR = {frozenset(pair): p for p, pair in POINT_CIRCLES.items()}
+
+
+def _relabelled(config, sigma: dict[str, str]):
+    """``config`` with circle c renamed sigma[c], its centre with it, and point
+    {c, d} renamed {sigma[c], sigma[d]}; J is kept and the seed dropped.  Also
+    the new label of each point."""
+    image = {p: _POINT_OF_PAIR[frozenset(sigma[c] for c in pair)]
+             for p, pair in POINT_CIRCLES.items()}
+    point_from = {q: p for p, q in image.items()}
+    circle_from = {d: c for c, d in sigma.items()}
+    moved = WoodDesarguesConfiguration(
+        points={q: config.points[point_from[q]] for q in POINT_LABELS}, j=config.j,
+        circles={d: config.circles[circle_from[d]] for d in CIRCLE_LABELS},
+        centers={CIRCLE_CENTER[d]: config.centers[CIRCLE_CENTER[circle_from[d]]]
+                 for d in CIRCLE_LABELS})
+    return moved, image
+
+
+def _counts(result) -> tuple:
+    """Status, failing claims, claim records and notes of a check result."""
+    return (result.status, sum(not holds for _, holds, *_ in result.records),
+            len(result.records), len(result.notes.split("; ")) if result.notes else 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2 ** 63), st.sampled_from([12, 10 ** 6]),
+       st.permutations(CIRCLE_LABELS), st.none() | _tampering)
+def test_relabelling_the_circles_permutes_the_checks(rng_seed, magnitude, order, tampering):
+    # S5 acts on the five circle labels and through them on the ten points:
+    # each perspective row, orthocentre quadrangle and Steiner line goes to
+    # its image with the same counts; the checks of the whole configuration
+    # keep their status (which pairs pin their maps depends on the labels)
+    _, config, _, _ = next(generate_configurations(FuzzPolicy(1, rng_seed, magnitude)))
+    if tampering is not None:
+        config = _tampered(config, *tampering)
+    sigma = dict(zip(CIRCLE_LABELS, order))
+    moved, image = _relabelled(config, sigma)
+    before = {r.name: r for r in verify_all(config).results}
+    after = {r.name: r for r in verify_all(moved).results}
+    for p in POINT_LABELS:
+        assert _counts(after[f"perspective:{image[p]}"]) == _counts(before[f"perspective:{p}"])
+    for c in CIRCLE_LABELS:
+        for family in ("orthocentre-quadrangle", "steiner-line"):
+            assert _counts(after[f"{family}:{sigma[c]}"]) == _counts(before[f"{family}:{c}"])
+    for name in ("five-circles", "hagge-suite", "pentagon-quadrangles"):
+        assert after[name].status == before[name].status
