@@ -186,9 +186,6 @@ class Claim:
         return self._residual(*self._args)
 
 
-_verdict = operator.itemgetter(1)  # of a claim record
-
-
 class ClaimSet:
     """Accumulates one record per claim, ``(label, holds, witness, residual_fn,
     args)``, and the degeneracy/info notes of one check.
@@ -359,12 +356,12 @@ class ClaimSet:
     # result ------------------------------------------------------------------
 
     def result(self, name: str) -> "CheckResult":
-        if all(map(_verdict, self.claims)):
+        witnesses = [(label, w) for label, holds, w, _, _ in self.claims if not holds]
+        if witnesses:
+            status = FAIL
+        else:
             status = DEGENERATE if self.degenerate_notes else PASS
             witnesses = list(self.extra_witnesses)
-        else:
-            status = FAIL
-            witnesses = [(label, w) for label, holds, w, _, _ in self.claims if not holds]
         notes = "; ".join(self.degenerate_notes + self.info_notes)
         return CheckResult(name=name, status=status, witnesses=witnesses,
                            notes=notes, claims=tuple(self.claims))
