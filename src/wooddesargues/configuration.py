@@ -182,7 +182,7 @@ def build_configuration(seed: ConfigurationSeed) -> WoodDesarguesConfiguration:
 
     circle1 = Circle(ORIGIN, Fraction(1))
     center2 = midpoint(pj, pk) + (pk - pj).rot90().scale(seed.s)
-    if center2.hom == ORIGIN.hom:  # both circles pass through J
+    if center2 == ORIGIN:  # both circles pass through J
         raise DegenerateSeedError("coincident-circles")
     circle2 = Circle(center2, distance_squared(center2, pj))
 
@@ -192,7 +192,7 @@ def build_configuration(seed: ConfigurationSeed) -> WoodDesarguesConfiguration:
     spiral = Similarity.pinned_by((pj, ORIGIN), (pj, center2))
     sa, sb, sc = map(spiral.apply, (pa, pb, pc))
     for lbl, other in zip("abc", (sa, sb, sc)):
-        if other.hom == pk.hom:
+        if other == pk:
             raise DegenerateSeedError(f"tangent-at-K:{lbl}")
 
     p1 = _meet(*_join(pb, pc), *_join(sb, sc))
@@ -468,7 +468,7 @@ def derive_quadrangle_maps(config: WoodDesarguesConfiguration) -> dict[str, Quad
     for clbl in CIRCLE_LABELS:
         src, dst = config.quadrangle(clbl), [config.centers[x] for x in QUADRANGLE_CENTRES[clbl]]
         wood = config.build_maps[1] if clbl == "ABCK" and config.build_maps else None
-        sim = None if src[0].hom == src[1].hom else wood or Similarity.pinned_by(src, dst)
+        sim = None if src[0] == src[1] else wood or Similarity.pinned_by(src, dst)
         maps[clbl] = sim, (tuple(map(sim.sends, src[2:], dst[2:])) if sim is not None else ())
     return maps
 

@@ -148,9 +148,11 @@ def render_svg(config: WoodDesarguesConfiguration, style: RenderStyle = RenderSt
     w, h = x1 - x0, y1 - y0
     if not (math.isfinite(w) and math.isfinite(h)):
         raise UnrenderableError("the drawing's extent does not fit in a double")
-    k = style.size / max(w, h)
+    k = style.size / max(w, h) if max(w, h) else math.inf
     width, height = k * w, k * h
     tx, ty = -k * x0, k * y1
+    if not (math.isfinite(k) and math.isfinite(tx) and math.isfinite(ty)):
+        raise UnrenderableError("the drawing's scale does not fit in a double")
 
     def to_screen(x: float, y: float) -> tuple[float, float]:
         return (k * x + tx, ty - k * y)

@@ -192,8 +192,8 @@ class ClaimSet:
 
     Each primitive decides its claim on an integer that is exactly zero when
     the claim holds; the witness is computed only for a failing claim.  A
-    perspective row whose claims all name distinct points records its ten
-    claims, decided on the row's line verdicts, in one pass through
+    perspective row whose claims all hold and name distinct points records its
+    ten claims, decided on the row's line verdicts, in one pass through
     ``incidences``.
     """
 
@@ -274,19 +274,12 @@ class ClaimSet:
 
     def incidences(self, labels: Sequence[str], residuals: Sequence[Callable[..., float]],
                    args: Sequence[tuple], holds: Sequence[bool]) -> None:
-        """Claim per label, with the verdict ``holds`` decided elsewhere, that
-        its ``args`` are three distinct points on a line, where its residual
-        is ``_collinear_residual``, or a line and a point on it, where it is
-        ``_line_residual``.  The records are those ``collinear`` and
-        ``on_line`` make, appended in one pass where every claim holds."""
-        if all(holds):
-            self.claims += zip(labels, holds, repeat(None), residuals, args)
-            return
-        for label, residual, claim, held in zip(labels, residuals, args, holds):
-            if residual is _collinear_residual:
-                self.collinear(label, *claim, holds=held)
-            else:
-                self.on_line(label, *claim, holds=held)
+        """Claim per label, with the verdict ``holds`` decided elsewhere and
+        true, that its ``args`` are three distinct points on a line, where its
+        residual is ``_collinear_residual``, or a line and a point on it, where
+        it is ``_line_residual``.  The records, appended in one pass, are those
+        ``collinear`` and ``on_line`` make."""
+        self.claims += zip(labels, holds, repeat(None), residuals, args)
 
     def scalars_equal(self, label: str, got: Fraction, expected: Fraction) -> bool:
         holds = got == expected
@@ -431,13 +424,12 @@ class VerificationReport:
 
 
 # Each claim of a perspective row names three points of one of the ten
-# configuration lines, the perspectrices (a KeyError here if not).  A row reads
-# its points as v, p1 p2 p3, q1 q2 q3, w1 w2 w3 (vertex, triangles,
-# perspectrix); its claims are the joins p_i q_i v, the two sides at each w_i
-# and the perspectrix.  Its plan: getters of the points and of the claims'
-# line verdicts, the side lines and their getter, the claim labels and notes.
+# configuration lines, the perspectrices (a KeyError here if not): a row's plan
+# keeps, per claim, its point labels, label and note texts and that line's index.
+# For the one pass it also keeps getters of the row's points, in the order v,
+# p1 p2 p3, q1 q2 q3, w1 w2 w3 (vertex, triangles, perspectrix), of its claims'
+# line verdicts and of its six sides, two at each w_i, and its claim labels.
 _LINE_INDEX = {frozenset(rec.perspectrix): n for n, rec in enumerate(PERSPECTIVE_TABLE)}
-_OTHER_VERTICES = ((1, 2), (0, 2), (0, 1))
 _ROW_RESIDUALS = (_collinear_residual,) * 3 + (_line_residual,) * 6 + (_collinear_residual,)
 
 
@@ -447,20 +439,24 @@ def _perspective_plan(rec: PerspectiveRecord) -> tuple:
     def line(*labels: str) -> int:
         return _LINE_INDEX[frozenset(labels)]
 
-    sides = [(t[j] + t[k], line(t[j], t[k], w[i]))
-             for i, (j, k) in enumerate(_OTHER_VERTICES) for t in (t1, t2)]
-    side_lines = tuple(m for _, m in sides)
-    pairs = list(zip(sides[::2], sides[1::2]))
-    return (operator.itemgetter(v, *t1, *t2, *w),
-            operator.itemgetter(*(line(t1[i], t2[i], v) for i in range(3)), *side_lines,
-                                line(*w)),
-            side_lines, operator.itemgetter(*side_lines),
-            (*(f"{t1[i]}{t2[i]} through {v}" for i in range(3)),
-             *(f"{w[n // 2]} on side {name}" for n, (name, _) in enumerate(sides)),
-             f"perspectrix {''.join(w)} collinear"),
-            (*(f"corresponding vertices {t1[i]}, {t2[i]} coincide" for i in range(3)),
-             *(f"side pair {n1}/{n2} has coincident endpoints" for (n1, _), (n2, _) in pairs),
-             *(f"sides {n1} and {n2} coincide" for (n1, _), (n2, _) in pairs)))
+    joins = tuple((t1[i], t2[i], line(t1[i], t2[i], v), f"{t1[i]}{t2[i]} through {v}",
+                   f"corresponding vertices {t1[i]}, {t2[i]} coincide") for i in range(3))
+    sides = []
+    for i in range(3):
+        j, k = (m for m in range(3) if m != i)
+        n1, n2 = t1[j] + t1[k], t2[j] + t2[k]
+        sides.append((w[i], t1[j], t1[k], line(t1[j], t1[k], w[i]), f"{w[i]} on side {n1}",
+                      t2[j], t2[k], line(t2[j], t2[k], w[i]), f"{w[i]} on side {n2}",
+                      f"side pair {n1}/{n2} has coincident endpoints",
+                      f"sides {n1} and {n2} coincide"))
+    perspectrix_label = f"perspectrix {''.join(w)} collinear"
+    side_lines = [m for side in sides for m in (side[3], side[7])]
+    one_pass = (operator.itemgetter(v, *t1, *t2, *w),
+                operator.itemgetter(*(join[2] for join in joins), *side_lines, line(*w)),
+                operator.itemgetter(*side_lines),
+                (*(join[3] for join in joins), *(lbl for side in sides for lbl in side[4:9:4]),
+                 perspectrix_label))
+    return one_pass, v, joins, tuple(sides), w, perspectrix_label
 
 
 _PERSPECTIVE_PLANS = tuple(map(_perspective_plan, PERSPECTIVE_TABLE))
@@ -476,57 +472,60 @@ def check_perspective(cs: ClaimSet, config: WoodDesarguesConfiguration,
     line uv at w is the bracket [u v w] over a nonzero integer, and the
     bracket is alternating.  A side is that line when they are.
 
-    A row whose claims each name distinct points, as they do when the ten
-    points are distinct, and whose two sides differ at each perspectrix
-    point records its ten claims in one pass, through
-    ``ClaimSet.incidences``; any other row records them one at a time, with a
+    A row whose ten verdicts hold, whose claims each name distinct points, as
+    they do when the ten points are distinct, and whose two sides differ at
+    each perspectrix point records its claims in one pass, through
+    ``ClaimSet.incidences``.  Any other row records them one at a time, with a
     degenerate note in place of each claim a coincidence makes vacuous.
     """
-    collinear, lines = derived.collinear, derived.perspectrices
-    ten, verdicts, side_lines, side_getter, labels, notes = _PERSPECTIVE_PLANS[row]
-    v, p1, p2, p3, q1, q2, q3, w1, w2, w3 = ten(config.points)
-    V, P1, P2, P3, Q1, Q2, Q3, W1, W2, W3 = (v.hom, p1.hom, p2.hom, p3.hom, q1.hom, q2.hom,
-                                             q3.hom, w1.hom, w2.hom, w3.hom)
+    pts, collinear, lines = config.points, derived.collinear, derived.perspectrices
+    one_pass, vertex, joins, sides, perspectrix, perspectrix_label = _PERSPECTIVE_PLANS[row]
+    ten, verdicts, side_lines, labels = one_pass
     holds = verdicts(collinear)
-    # the joins' p, q and v, each side's two ends and the perspectrix points differ
-    distinct = (P1 != Q1 and P2 != Q2 and P3 != Q3 and V not in (P1, P2, P3, Q1, Q2, Q3)
-                and P1 != P2 != P3 != P1 and Q1 != Q2 != Q3 != Q1 and W1 != W2 != W3 != W1)
-    # each side, None where its two ends coincide
-    sides = side_getter(lines) if distinct and all(holds) else [
-        None if a.hom == b.hom else lines[m] if held else line_through(a, b)
-        for m, held, a, b in zip(side_lines, holds[3:9], (p2, q2, p1, q1, p1, q1),
-                                 (p3, q3, p3, q3, p2, q2))]
-    s1, s2, s3, s4, s5, s6 = sides
-    # and the two sides at each perspectrix point differ, compared by coefficients
-    if distinct and not (s1.a == s2.a and s1.b == s2.b and s1.c == s2.c
-                         or s3.a == s4.a and s3.b == s4.b and s3.c == s4.c
-                         or s5.a == s6.a and s5.b == s6.b and s5.c == s6.c):
-        cs.incidences(labels, _ROW_RESIDUALS,
-                      ((p1, q1, v), (p2, q2, v), (p3, q3, v), (s1, w1), (s2, w1), (s3, w2),
-                       (s4, w2), (s5, w3), (s6, w3), (w1, w2, w3)), holds)
-        cs.witness("perspectrix", lines[row])
-        return
+    if all(holds):
+        v, p1, p2, p3, q1, q2, q3, w1, w2, w3 = ten(pts)
+        V, P1, P2, P3, Q1, Q2, Q3, W1, W2, W3 = (v.hom, p1.hom, p2.hom, p3.hom, q1.hom,
+                                                 q2.hom, q3.hom, w1.hom, w2.hom, w3.hom)
+        # the joins' p, q and v, each side's two ends and the perspectrix points differ
+        if (P1 != Q1 and P2 != Q2 and P3 != Q3 and V not in (P1, P2, P3, Q1, Q2, Q3)
+                and P1 != P2 != P3 != P1 and Q1 != Q2 != Q3 != Q1 and W1 != W2 != W3 != W1):
+            s1, s2, s3, s4, s5, s6 = side_lines(lines)
+            # and so do the two sides at each perspectrix point
+            if ((s1.a, s1.b, s1.c) != (s2.a, s2.b, s2.c)
+                    and (s3.a, s3.b, s3.c) != (s4.a, s4.b, s4.c)
+                    and (s5.a, s5.b, s5.c) != (s6.a, s6.b, s6.c)):
+                cs.incidences(labels, _ROW_RESIDUALS,
+                              ((p1, q1, v), (p2, q2, v), (p3, q3, v), (s1, w1), (s2, w1),
+                               (s3, w2), (s4, w2), (s5, w3), (s6, w3), (w1, w2, w3)), holds)
+                cs.witness("perspectrix", lines[row])
+                return
 
-    for i, (p, q) in enumerate(((p1, q1), (p2, q2), (p3, q3))):
+    v = pts[vertex]
+    for x, y, m, label, note in joins:
+        p, q = pts[x], pts[y]
         if p.hom == q.hom:
-            cs.degenerate(notes[i])
+            cs.degenerate(note)
         else:
-            cs.collinear(labels[i], p, q, v, holds[i])
+            cs.collinear(label, p, q, v, collinear[m])
 
-    for i, w in enumerate((w1, w2, w3)):
-        side1, side2 = sides[2 * i], sides[2 * i + 1]  # claims 3 + 2i and 4 + 2i
-        if side1 is None or side2 is None:
-            cs.degenerate(notes[3 + i])
-        elif (side1.a, side1.b, side1.c) == (side2.a, side2.b, side2.c):
-            cs.degenerate(notes[6 + i])
-        else:
-            cs.on_line(labels[3 + 2 * i], side1, w, holds[3 + 2 * i])
-            cs.on_line(labels[4 + 2 * i], side2, w, holds[4 + 2 * i])
+    for w, x1, y1, m1, label1, x2, y2, m2, label2, coincident_note, same_note in sides:
+        p1, q1, p2, q2 = pts[x1], pts[y1], pts[x2], pts[y2]
+        if p1.hom == q1.hom or p2.hom == q2.hom:
+            cs.degenerate(coincident_note)
+            continue
+        side1 = lines[m1] if collinear[m1] else line_through(p1, q1)
+        side2 = lines[m2] if collinear[m2] else line_through(p2, q2)
+        if (side1.a, side1.b, side1.c) == (side2.a, side2.b, side2.c):
+            cs.degenerate(same_note)
+            continue
+        cs.on_line(label1, side1, pts[w], collinear[m1])
+        cs.on_line(label2, side2, pts[w], collinear[m2])
 
-    if W1 == W2 or W1 == W3 or W2 == W3:
+    w1, w2, w3 = (pts[x] for x in perspectrix)
+    if w1.hom == w2.hom or w1.hom == w3.hom or w2.hom == w3.hom:
         cs.degenerate("perspectrix points coincide")
     else:
-        cs.collinear(labels[9], w1, w2, w3, holds[9])
+        cs.collinear(perspectrix_label, w1, w2, w3, collinear[row])
         cs.witness("perspectrix", lines[row])
 
 
@@ -666,7 +665,7 @@ def _require_meet(cs: ClaimSet, derived: DerivedFigures,
             cs.degenerate(f"{name}: no second meet of pentagon circle and {clbl} "
                           f"({pent.meet_notes.get(clbl, 'degenerate intersection')})")
         return None
-    if pt.hom == config.j.hom:
+    if pt == config.j:
         cs.degenerate(f"{name}: pentagon circle tangent to {clbl} at J")
         return None
     return pt
@@ -685,7 +684,7 @@ def check_pentagon_perspectives(cs: ClaimSet, config: WoodDesarguesConfiguration
     if z is not None:
         for albl, clbl in (("A", "L"), ("B", "M"), ("C", "N")):
             a, c = pts[albl], ctr[clbl]
-            if ends := a.hom == z.hom or c.hom == z.hom:
+            if ends := a == z or c == z:
                 cs.degenerate(f"line {albl}{clbl}Z degenerate: "
                               f"Z coincides with {_coincidence_name(config, z)}")
             on_joins.append(ends or cs.collinear(f"{albl}, {clbl}, Z collinear", a, c, z,
@@ -693,7 +692,7 @@ def check_pentagon_perspectives(cs: ClaimSet, config: WoodDesarguesConfiguration
         cs.witness("Z", z)
     if w is not None:
         a, u = pts["A"], ctr["U"]
-        if a.hom == w.hom or u.hom == w.hom:
+        if a == w or u == w:
             cs.degenerate(f"line AUW degenerate: W coincides with "
                           f"{_coincidence_name(config, w)}")
         else:
@@ -712,7 +711,7 @@ def check_pentagon_perspectives(cs: ClaimSet, config: WoodDesarguesConfiguration
 
     if z is not None:
         note = "vertex joins to centres do not span two lines"
-        if pts["A"].hom == ctr["L"].hom or pts["B"].hom == ctr["M"].hom:
+        if pts["A"] == ctr["L"] or pts["B"] == ctr["M"]:
             cs.degenerate(note)
         else:
             cs.lines_meet_at("AL meets BM at Z", line_through(pts["A"], ctr["L"]),
@@ -961,7 +960,7 @@ def check_perpendicular_concurrency_instance(cs: ClaimSet,
         return
     pts = [config.points[x] for x in ("A", "B", "C")]
     k = config.points["K"]
-    if k.hom in [p.hom for p in pts] or is_collinear(*pts):
+    if k in pts or is_collinear(*pts):
         cs.degenerate("degenerate lemma instance")
         return
     _perpendicular_concurrency_claims(cs, circ, pts, k, "ABC", "antipode(K)", "antipode of K")
@@ -991,18 +990,17 @@ def check_three_circle_collinearity_instance(cs: ClaimSet, config: WoodDesargues
         cs.degenerate("circles Aa23 and ABCK coincide")
         return
     a, a2 = config.points["A"], _reflected_meet(aa23.center, abck.center, j)
-    if a2.hom == j.hom:
+    if a2 == j:
         cs.degenerate("circles Aa23 and ABCK tangent at J")
         return
     cs.points_equal("second meet of Aa23 and ABCK is A", a2, a)
 
     for c, m, name in (("U", w, "U, A, W"), ("L", z, "L, A, Z")):
         p = config.centers[c]
-        if p.hom == a2.hom or p.hom == m.hom or a2.hom == m.hom:
+        if p == a2 or p == m or a2 == m:
             cs.degenerate(f"triple ({name}) has coincident points")
         else:
-            cs.collinear(f"{name} collinear", p, a2, m,
-                         derived.joins.get(c) if a2.hom == a.hom else None)
+            cs.collinear(f"{name} collinear", p, a2, m, derived.joins.get(c) if a2 == a else None)
     printed = is_collinear(config.centers["L"], w, z)
     cs.info(f"printed triple (L, B, D) collinear here: {str(printed).lower()}")
 

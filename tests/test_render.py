@@ -9,7 +9,7 @@ import pytest
 from wooddesargues import FuzzPolicy
 from wooddesargues.fuzz import generate_configurations
 from wooddesargues.kernel import Circle
-from wooddesargues.render import LAYERS, RenderStyle, render_svg
+from wooddesargues.render import LAYERS, RenderStyle, UnrenderableError, render_svg
 from wooddesargues.serialize import configuration_from_document, configuration_to_document
 
 from test_configuration import _count_kernel_calls
@@ -83,7 +83,6 @@ def test_render_decides_no_pentagon_join(monkeypatch):
     assert len(calls) == len(configs)
 
 
-
 def _scaled(config, k):
     # every coordinate times k: points, J and centres, and each r^2 times k^2
     return dataclasses.replace(
@@ -105,3 +104,17 @@ def test_a_scaled_drawing_draws_the_same_figures(reference_config, k):
     assert _drawn(render_svg(_scaled(reference_config, k))) == (
         10, 16, ("800.000000", "751.707713"))
     assert _drawn(render_svg(reference_config)) == (10, 16, ("800.000000", "751.707713"))
+
+
+def test_a_drawing_too_small_to_scale_is_unrenderable(reference_config):
+    # an extent of about 1e-306, or none at all without a margin, has no
+    # finite scale to the 800-unit viewport, and no inf or nan is written
+    one_point = dataclasses.replace(
+        reference_config, points={lbl: p.scale(0) for lbl, p in reference_config.points.items()},
+        j=reference_config.j.scale(0),
+        centers={lbl: p.scale(0) for lbl, p in reference_config.centers.items()})
+    for config, style in ((_scaled(reference_config, F(1, 10 ** 307)), RenderStyle()),
+                          (one_point, RenderStyle(layers=("points",), margin=0.0))):
+        with pytest.raises(UnrenderableError, match="scale does not fit in a double"):
+            render_svg(config, style)
+    assert "<rect" in render_svg(one_point, RenderStyle(layers=("points",)))
