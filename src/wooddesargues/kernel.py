@@ -438,7 +438,7 @@ def _meet(a1: int, b1: int, c1: int, a2: int, b2: int, c2: int) -> Point:
 
 
 def line_through(p: Point, q: Point) -> Line:
-    if p.hom == q.hom:
+    if p == q:
         raise CoincidentPointsError(f"line through coincident points {p}")
     return Line.from_coefficients(*_join(p, q))
 
@@ -485,7 +485,7 @@ def circumcenter(p: Point, q: Point, r: Point, centre: Optional[Point] = None) -
     so any ``centre``, or None, gives the same point, and coincident or
     collinear points raise whatever ``centre`` is.
     """
-    if p.hom == q.hom or q.hom == r.hom or p.hom == r.hom:
+    if p == q or q == r or p == r:
         raise CoincidentPointsError("circumcenter of coincident points")
     if centre is not None and _equidistant(centre, (p, q, r)):
         return centre
@@ -711,7 +711,7 @@ class Similarity(_Value):
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: Point, beta: Point) -> None:
-        if alpha.hom == ORIGIN.hom:
+        if alpha == ORIGIN:
             raise DegenerateInputError("similarity multiplier must be nonzero")
         _set_alpha(self, alpha)
         _set_beta(self, beta)
@@ -723,7 +723,7 @@ class Similarity(_Value):
         None when the targets coincide, since no similarity collapses two
         distinct points.
         """
-        if source[0].hom == source[1].hom:
+        if source[0] == source[1]:
             raise DegenerateInputError("first two source points must be distinct")
         (X1, Y1, Z1), (X2, Y2, Z2) = source[0].hom, source[1].hom
         (U1, V1, W1), (U2, V2, W2) = target[0].hom, target[1].hom
@@ -764,7 +764,7 @@ class Similarity(_Value):
 
     def fixed_point(self) -> Optional[Point]:
         """Unique fixed point, absent for translations (alpha = 1)."""
-        if self.alpha.hom == ONE.hom:
+        if self.alpha == ONE:
             return None
         return self.beta.cdiv(ONE - self.alpha)
 

@@ -255,7 +255,7 @@ class ClaimSet:
         return holds
 
     def points_equal(self, label: str, got: Point, expected: Point) -> bool:
-        if got.hom == expected.hom:
+        if got == expected:
             return self._held(label)
         self.claims.append((label, False, got, _distance_residual, (got, expected)))
         return False
@@ -264,7 +264,7 @@ class ClaimSet:
                       coincide_note: str, parallel_witness: str = "parallel lines") -> None:
         """Claim that l1 and l2 meet exactly at target, decided by ``holds``: both pass it.
         Identical lines are degenerate; the lines are met only for a failing witness."""
-        if (l1.a, l1.b, l1.c) == (l2.a, l2.b, l2.c):
+        if l1 == l2:
             self.degenerate(coincide_note)
             return
         try:
@@ -318,7 +318,7 @@ class ClaimSet:
         elsewhere; without it the map is pinned here.  Returns the map, or None
         where none is formed: a coincident source pair is degenerate, a zero
         multiplier a failed claim."""
-        if source[0].hom == source[1].hom:
+        if source[0] == source[1]:
             self.degenerate(f"{label}: first two source points coincide")
             return None
         if pinned is None:
@@ -515,7 +515,7 @@ def check_perspective(cs: ClaimSet, config: WoodDesarguesConfiguration,
             continue
         side1 = lines[m1] if collinear[m1] else line_through(p1, q1)
         side2 = lines[m2] if collinear[m2] else line_through(p2, q2)
-        if (side1.a, side1.b, side1.c) == (side2.a, side2.b, side2.c):
+        if side1 == side2:
             cs.degenerate(same_note)
             continue
         cs.on_line(label1, side1, pts[w], collinear[m1])
@@ -575,7 +575,7 @@ def check_core_similarity(cs: ClaimSet, config: WoodDesarguesConfiguration) -> N
     sim = cs.similarity("ABC~abc", [pts[x] for x in "ABC"], [pts[x] for x in "abc"], pinned=spiral)
     if sim is not None:
         cs.witness("alpha", sim.alpha)
-        if sim.alpha.hom == ONE.hom:
+        if sim.alpha == ONE:
             cs.fail("similarity has a fixed point", sim.alpha)
         else:
             cs.fixed_at("fixed point is J", sim, config.j)
@@ -612,7 +612,7 @@ def check_orthocentre_quadrangle(cs: ClaimSet, config: WoodDesarguesConfiguratio
     sim = cs.similarity(f"{circle_label}~H-quadrangle", vpts, hpts, pinned=pinned)
     if sim is not None:
         cs.points_equal("multiplier is -1 (half turn)", sim.alpha, MINUS_ONE)
-        if sim.alpha.hom != ONE.hom:
+        if sim.alpha != ONE:
             centre = config.circles[circle_label].center
             cs.fixed_at("fixed point is vertex-sum/2 - centre", sim,
                         None if turn else euler_sum(vpts, centre, 2), turn or None)
@@ -704,7 +704,7 @@ def check_pentagon_perspectives(cs: ClaimSet, config: WoodDesarguesConfiguration
                        pinned=derived.quadrangle_maps["ABCK"])
     if sim is not None:
         cs.witness("alpha ABC~LMN", sim.alpha)
-        if sim.alpha.hom == ONE.hom:
+        if sim.alpha == ONE:
             cs.fail("centre similarity has a fixed point", sim.alpha)
         else:
             cs.fixed_at("similarity centre is J", sim, config.j)

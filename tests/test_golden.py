@@ -447,6 +447,30 @@ def test_every_shortcut_leaves_every_claim_record(rng_seed, magnitude, tampering
         assert not report.failed and verifier.float_cross_residuals(report) < 1e-9
 
 
+def _row_with_its_vertex_on_p1(rec):
+    # the ten points of one row, v on p1, q2 on w3 and q3 on w2: every one of
+    # the ten lines holds, all claims but the join p1 q1 v name distinct
+    # points, and the sides at each perspectrix point differ
+    (p1, p2, p3), (q1, q2, q3), (w1, w2, w3) = rec.triangle1, rec.triangle2, rec.perspectrix
+    at = {rec.vertex: (0, 0), p1: (0, 0), p2: (1, 0), p3: (0, 1), q1: (1, 1), q2: (2, 0),
+          q3: (0, 3), w1: (4, -3), w2: (0, 3), w3: (2, 0)}
+    return {label: point(*xy) for label, xy in at.items()}
+
+
+@pytest.mark.parametrize("points", [
+    {label: point(n, 2 * n) for n, label in enumerate(POINT_LABELS)},
+    _row_with_its_vertex_on_p1(PERSPECTIVE_TABLE[0])], ids=["one-line", "vertex-on-p1"])
+def test_a_row_with_a_vacuous_claim_keeps_the_loop(reference_config, points):
+    # every perspective verdict holds, yet a coincidence makes a claim vacuous:
+    # ten distinct points on one line, whose sides coincide at every
+    # perspectrix point, and row 0 with its vertex on p1.  The one pass would
+    # record such a claim as decided; the loop notes it, or records it as
+    # holding outright, as the undecided arm does
+    config = dataclasses.replace(reference_config, points=points)
+    assert all(derive_perspectrices(config)[0])
+    assert _claims(verify_all(config).results) == _undecided_claims(config)
+
+
 def test_every_shortcut_is_taken_on_the_fixed_configurations(reference_config, monkeypatch):
     # the ledger configurations and twenty wide campaign seeds: both arms
     # agree, and each shortcut is taken where its precondition holds
