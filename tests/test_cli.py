@@ -108,6 +108,56 @@ def test_unwritable_output_exits_3(command, what, reference_document: Path, tmp_
     assert capsys.readouterr().err.startswith(f"cannot write {what}:")
 
 
+# every failure a command reports itself: its argv, exit code and stderr line.
+# "{out}" is a file holding earlier bytes, "{dir}" a directory, "{huge}" the
+# reference document with point 1's x set to 10**400
+CLI_FAILURES = {
+    "gen-seed-key": (["gen", "--seed", "tX=0", "-o", "{out}"], 3,
+                     "seed parse error: unknown seed key 'tX'"),
+    "gen-degenerate": (["gen", "--seed", "tJ=0,tK=0,tA=-1,tB=2,tC=3,s=0", "-o", "{out}"], 2,
+                       "degenerate seed: duplicate-parameter"),
+    "verify-missing": (["verify", "{missing}", "--report", "{out}"], 3,
+                       "cannot load document: [Errno 2] No such file or directory: '{missing}'"),
+    "fuzz-policy": (["fuzz", "--count", "1", "--rng-seed", "1", "--max-num", "1", "-o", "{out}"],
+                    3, "bad policy: max magnitude must be at least 2"),
+    "fuzz-budget": (["fuzz", "--count", "1", "--rng-seed", "1", "--max-num", "2",
+                     "--max-retries", "8", "-o", "{out}"], 2,
+                    "retry budget exhausted at index 0; last rejection reasons: "
+                    + str(["duplicate-parameter"] * 5)),
+    "render-style": (["render", "{document}", "--layers", "bogus", "-o", "{out}"], 3,
+                     "bad style: unknown layers: ['bogus']"),
+    "render-double": (["render", "{huge}", "-o", "{out}"], 3,
+                      "cannot render: a drawn coordinate does not fit in a double"),
+    "gen-write": (["gen", "--seed", REFERENCE_SEED_TEXT, "-o", "{dir}"], 3,
+                  "cannot write output: [Errno 21] Is a directory: '{dir}'"),
+    "verify-write": (["verify", "{document}", "--report", "{dir}"], 3,
+                     "cannot write report: [Errno 21] Is a directory: '{dir}'"),
+    "fuzz-write": (["fuzz", "--count", "1", "--rng-seed", "42", "--max-num", "12", "-o", "{dir}"],
+                   3, "cannot write report: [Errno 21] Is a directory: '{dir}'"),
+    "render-write": (["render", "{document}", "-o", "{dir}"], 3,
+                     "cannot write output: [Errno 21] Is a directory: '{dir}'"),
+}
+
+
+@pytest.mark.parametrize("name", CLI_FAILURES)
+def test_each_failure_is_its_exit_code_and_one_stderr_line(name: str, reference_document: Path,
+                                                          tmp_path: Path, capsys):
+    argv, code, message = CLI_FAILURES[name]
+    doc = json.loads(reference_document.read_text())
+    doc["points"]["1"][0] = str(10 ** 400)
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.write_bytes(b"#" * 1000)
+    names = {"document": reference_document, "huge": huge, "out": out,
+             "dir": tmp_path / "dir", "missing": tmp_path / "missing.json"}
+    names["dir"].mkdir()
+    assert main([arg.format(**names) for arg in argv]) == code
+    assert capsys.readouterr() == ("", message.format(**names) + "\n")
+    # each failure comes before the write: an earlier output file is untouched
+    assert out.read_bytes() == b"#" * 1000
+
+
 LONGER_SEED_TEXT = "tJ=1/7,tK=13/11,tA=-17/5,tB=23/9,tC=31/4,s=-37/29"
 
 

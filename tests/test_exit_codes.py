@@ -10,7 +10,8 @@ centre.  An unknown key always exits 3.
 The same holds for ``gen``, ``verify``, ``render`` and ``fuzz`` argv built from
 hostile integers, floats, seed strings and paths, run in-process through
 ``cli.main``.  Counts, magnitudes and retry budgets that would be accepted stay
-small, so every campaign finishes in milliseconds.
+small, so every campaign finishes in milliseconds.  A command that exits 2 or
+3 other than on a usage error writes nothing to stdout and one line to stderr.
 """
 
 from __future__ import annotations
@@ -276,3 +277,7 @@ def test_argv_keeps_the_exit_code_contract(argv, argv_files):
         code = main([_resolve(token, argv_files) for token in argv])
     assert code in EXIT_CODES
     assert "Traceback" not in stderr.getvalue()
+    # a failure a command reports itself is one line on stderr and nothing on stdout
+    if code in (2, 3) and not stderr.getvalue().startswith("usage:"):
+        assert stdout.getvalue() == ""
+        assert stderr.getvalue().endswith("\n") and stderr.getvalue().count("\n") == 1
