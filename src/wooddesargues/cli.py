@@ -1,7 +1,8 @@
 """Command-line front end: gen, verify, fuzz, render.
 
 Exit codes: 0 success, 1 verification failure, 2 degenerate seed or exhausted
-retry budget, 3 I/O or format error.  Nothing else.
+retry budget, 3 I/O or format error.  Nothing else.  A command failure is
+raised as ``_Failure``; ``main`` alone turns it into its code and stderr line.
 """
 
 from __future__ import annotations
@@ -33,8 +34,16 @@ EXIT_DEGENERATE = 2
 EXIT_FORMAT = 3
 
 
-def _write_output(text: str, path: Optional[str], what: str) -> bool:
-    """Write text to path (stdout for None or "-"); False after saying why it cannot."""
+class _Failure(Exception):
+    """A command that cannot finish: its exit code, and the line ``main`` prints on stderr."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+def _write_output(text: str, path: Optional[str], what: str) -> None:
+    """Write text to path (stdout for None or "-")."""
     try:
         if path is None or path == "-":
             sys.stdout.write(text)
@@ -45,50 +54,38 @@ def _write_output(text: str, path: Optional[str], what: str) -> bool:
                 if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                     fh.truncate()
     except OSError as exc:
-        print(f"cannot write {what}: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise _Failure(EXIT_FORMAT, f"cannot write {what}: {exc}") from None
 
 
-def _load_document(path: str) -> Optional[WoodDesarguesConfiguration]:
-    """The configuration in the document at path, or None after saying why it cannot load."""
+def _load_document(path: str) -> WoodDesarguesConfiguration:
+    """The configuration in the document at path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return configuration_from_document(loads(fh.read()))
     except (OSError, UnicodeDecodeError, FormatError) as exc:
-        print(f"cannot load document: {exc}", file=sys.stderr)
-        return None
+        raise _Failure(EXIT_FORMAT, f"cannot load document: {exc}") from None
 
 
 def cmd_gen(args) -> int:
     try:
         seed = parse_seed_text(args.seed)
     except FormatError as exc:
-        print(f"seed parse error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+        raise _Failure(EXIT_FORMAT, f"seed parse error: {exc}") from None
     try:
         config = build_configuration(seed)
     except DegenerateSeedError as exc:
-        print(f"degenerate seed: {exc.reason}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    if not _write_output(dumps(configuration_to_document(config)), args.output, "output"):
-        return EXIT_FORMAT
+        raise _Failure(EXIT_DEGENERATE, f"degenerate seed: {exc.reason}") from None
+    _write_output(dumps(configuration_to_document(config)), args.output, "output")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    config = _load_document(args.document)
-    if config is None:
-        return EXIT_FORMAT
-    report = verify_all(config)
-    if not _write_output(dumps(report_to_document(report)), args.report, "report"):
-        return EXIT_FORMAT
+    report = verify_all(_load_document(args.document))
+    _write_output(dumps(report_to_document(report)), args.report, "report")
     failed = report.failed
-    if failed:
-        for result in failed:
-            print(f"FAIL {result.name}: {result.witnesses[0][0]}", file=sys.stderr)
-        return EXIT_VERIFICATION_FAILED
-    return EXIT_OK
+    for result in failed:
+        print(f"FAIL {result.name}: {result.witnesses[0][0]}", file=sys.stderr)
+    return EXIT_VERIFICATION_FAILED if failed else EXIT_OK
 
 
 def cmd_fuzz(args) -> int:
@@ -96,23 +93,18 @@ def cmd_fuzz(args) -> int:
         policy = FuzzPolicy(count=args.count, rng_seed=args.rng_seed,
                             max_magnitude=args.max_num, max_retries=args.max_retries)
     except ValueError as exc:
-        print(f"bad policy: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+        raise _Failure(EXIT_FORMAT, f"bad policy: {exc}") from None
     try:
         outcome = run_campaign(policy)
     except RetryBudgetExhausted as exc:
-        print(f"retry budget exhausted at index {exc.index}; "
-              f"last rejection reasons: {exc.reasons[-5:]}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    if not _write_output(dumps(outcome.to_document()), args.output, "report"):
-        return EXIT_FORMAT
+        raise _Failure(EXIT_DEGENERATE, f"retry budget exhausted at index {exc.index}; "
+                                        f"last rejection reasons: {exc.reasons[-5:]}") from None
+    _write_output(dumps(outcome.to_document()), args.output, "report")
     return EXIT_OK if outcome.fail_count == 0 else EXIT_VERIFICATION_FAILED
 
 
 def cmd_render(args) -> int:
     config = _load_document(args.document)
-    if config is None:
-        return EXIT_FORMAT
     if args.layers is None:
         layers = LAYERS
     else:
@@ -120,15 +112,12 @@ def cmd_render(args) -> int:
     try:
         style = RenderStyle(layers=layers, size=args.size, margin=args.margin)
     except ValueError as exc:
-        print(f"bad style: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+        raise _Failure(EXIT_FORMAT, f"bad style: {exc}") from None
     try:
         svg = render_svg(config, style)
     except UnrenderableError as exc:
-        print(f"cannot render: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    if not _write_output(svg, args.output, "output"):
-        return EXIT_FORMAT
+        raise _Failure(EXIT_FORMAT, f"cannot render: {exc}") from None
+    _write_output(svg, args.output, "output")
     return EXIT_OK
 
 
@@ -183,7 +172,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         # argparse reserves 2 for usage errors; in this contract 2 means a
         # degenerate seed, so usage problems map onto the format-error code
         return EXIT_OK if exc.code == 0 else EXIT_FORMAT
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failure as failure:
+        print(failure, file=sys.stderr)
+        return failure.code
 
 
 if __name__ == "__main__":
