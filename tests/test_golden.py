@@ -49,6 +49,7 @@ from wooddesargues.kernel import (
     Point,
     Similarity,
     distance_squared,
+    is_collinear,
     point,
     radical_axis,
     second_intersection_with_line,
@@ -392,11 +393,12 @@ def _claims(results) -> dict:
     return {r.name: (r.records, r.notes) for r in results}
 
 
-def _undecided_claims(config) -> dict:
+def _undecided_claims(config, collinear=None, arm=_Undecided) -> dict:
     """Each registered check's records and notes with every shortcut withheld:
     no verdict or map passed to a ClaimSet method (each such method must be
     overridden), no derived half turn, perspectrix or join verdict, no build
-    maps and no reflected second meet."""
+    maps and no reflected second meet.  Given ``collinear``, the ten
+    perspective checks alone run, and each row takes its line verdicts from it."""
     claim_set = _Undecided.__base__  # the package's, even while a test patches the name
     shortcuts = {name for name, method in vars(claim_set).items() if callable(method)
                  and {"holds", "pinned"} & set(inspect.signature(method).parameters)}
@@ -408,10 +410,10 @@ def _undecided_claims(config) -> dict:
         config = dataclasses.replace(config)  # drops build_maps
         derived = dataclasses.replace(
             derive_figures(config), half_turns={}, centre_half_turn=None,
-            collinear=(False,) * len(PERSPECTIVE_TABLE), joins={},
-            quadrangle_maps=derive_quadrangle_maps(config))
-        return _claims(run_check(name, config, derived, _Undecided)
-                       for name, _ in verifier.CHECKS)
+            collinear=(False,) * len(PERSPECTIVE_TABLE) if collinear is None else collinear,
+            joins={}, quadrangle_maps=derive_quadrangle_maps(config))
+        return _claims(run_check(name, config, derived, arm) for name, _ in verifier.CHECKS
+                       if collinear is None or name.startswith("perspective:"))
 
 
 # one field changed: a point, centre, J or circle centre moved, or a point
@@ -445,6 +447,28 @@ def test_every_shortcut_leaves_every_claim_record(rng_seed, magnitude, tampering
     assert _claims(report.results) == _undecided_claims(config)
     if tampering is None:
         assert not report.failed and verifier.float_cross_residuals(report) < 1e-9
+
+
+def test_the_undecided_arm_decides_each_one_pass_row():
+    # the withheld pass never reaches _Undecided.incidences, as no row verdict
+    # holds there; with each row's verdicts the bracket of its own perspectrix
+    # points, every row of a built seed takes the one pass, and the override
+    # decides each of its claims itself
+    rows = []
+
+    class Counting(_Undecided):
+        def incidences(self, labels, residuals, args, holds=None):
+            rows.append(labels)
+            return super().incidences(labels, residuals, args, holds)
+
+    policy = FuzzPolicy(count=30, rng_seed=5, max_magnitude=10 ** 12)
+    for _, config, _, _ in generate_configurations(policy):
+        collinear = tuple(is_collinear(*(config.points[x] for x in rec.perspectrix))
+                          for rec in PERSPECTIVE_TABLE)
+        decided = {name: claims for name, claims in _claims(verify_all(config).results).items()
+                   if name.startswith("perspective:")}
+        assert _undecided_claims(config, collinear, Counting) == decided
+    assert len(rows) == len(PERSPECTIVE_TABLE) * policy.count
 
 
 def _row_with_its_vertex_on_p1(rec):
