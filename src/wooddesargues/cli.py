@@ -1,8 +1,8 @@
 """Command-line front end: gen, verify, fuzz, render.
 
 Exit codes: 0 success, 1 verification failure, 2 degenerate seed or exhausted
-retry budget, 3 I/O or format error.  Nothing else.  A command failure is
-raised as ``_Failure``; ``main`` alone turns it into its code and stderr line.
+retry budget, 3 I/O or format error.  Nothing else.
+A command failure is raised, and ``main`` alone prints its stderr line and returns its code.
 """
 
 from __future__ import annotations
