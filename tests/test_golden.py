@@ -18,7 +18,8 @@ digest itself is pinned in ``test_criterion_3_fuzz_campaign``.
 Reports carry only failing witnesses, so the claim ledger pins every claim:
 its label, its verdict, its residual function and that function's exact
 arguments, with each check's notes.  The undecided arm, every check rerun
-with each shortcut withheld, must give the same claims.
+with each shortcut withheld, must give the same claims; so must its second
+pass over the perspective rows, each row's verdicts taken from its own bracket.
 """
 
 from __future__ import annotations
