@@ -9,11 +9,13 @@ Pinned outputs: the reference configuration document, its report and its SVG;
 the report of every mutation probe of the acceptance suite (each one carries
 failing witnesses); the report with one circle's stored centre moved, since
 the mutation probes move only points, centres and J; the SVG of three moved
-configurations, whose derived figures leave the known-centre paths; and the
-full report of the first seed of the 1000/42/12 campaign to reach each
-degenerate-note branch.  The campaign seeds are given
-as seed text so this file does not run the campaign; the campaign document
-digest itself is pinned in ``test_criterion_3_fuzz_campaign``.
+configurations, whose derived figures leave the known-centre paths; the SVGs
+of a corpus of reloaded fuzzed configurations, plain and with A moved, under
+each layer alone, no layer, all layers and all layers without a margin; and
+the full report of the first seed of the 1000/42/12 campaign to reach each
+degenerate-note branch.  The campaign seeds are given as seed text so this
+file does not run the campaign; the campaign document digest itself is pinned
+in ``test_criterion_3_fuzz_campaign``.
 
 Reports carry only failing witnesses, so the claim ledger pins every claim:
 its label, its verdict, its residual function and that function's exact
@@ -27,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import inspect
+import xml.etree.ElementTree as ET
 from collections import Counter
 
 import pytest
@@ -55,8 +58,9 @@ from wooddesargues.kernel import (
     radical_axis,
     second_intersection_with_line,
 )
-from wooddesargues.render import render_svg
+from wooddesargues.render import LAYERS, RenderStyle, render_svg
 from wooddesargues.serialize import (
+    configuration_from_document,
     configuration_to_document,
     dumps,
     format_scalar,
@@ -65,7 +69,7 @@ from wooddesargues.serialize import (
     report_to_document,
 )
 
-from conftest import mutate_configuration, run_check
+from conftest import REFERENCE_SEED, mutate_configuration, run_check
 from test_acceptance import MUTATIONS
 
 
@@ -232,6 +236,42 @@ def _moved(config, move: str):
 @pytest.mark.parametrize("move", sorted(MOVED_SVGS))
 def test_moved_svg(reference_config, move):
     assert _sha256(render_svg(_moved(reference_config, move))) == MOVED_SVGS[move]
+
+
+# style -> digest of the SVGs of the layer corpus, concatenated in corpus
+# order: the reference configuration and FuzzPolicy(8, 42, m) for m in 12 and
+# 10**12, each reloaded through its document, then each rendered plain and
+# with point A moved by +3 in x (34 drawings per style)
+LAYER_SVGS = {
+    "all": "7c92ebc1ed011104acd669c44e30a468c90540edea03800fc4a591aaa8317318",
+    "points": "6cd70c06a1ea0c5aeeb3165ab73e845c9905779ec72d42e0fa3a3c8c91cd0c17",
+    "circles": "085bc33f5c9148db3cfbe719624908398805ed2aa66686b890eff89b252d6b5c",
+    "perspectrices": "04a8b497fb483bb90625ceb05f588db602760d09f7ed30de71b4c4ef9ae4940c",
+    "haggeCentres": "260547820f9223a3cd9d9c63de3a8228fabf72585efd83c651c6a8d673f8932e",
+    "pentagon": "21bf84e42bd7fd9a656c6de889d31abeb49c7df85d68448f0ddd8194619b73c4",
+    "none": "1cd118d2e3e1d97f5c0dbdc2d512a2a0b4792dcbcaba6f7d4a00241fee5a30aa",
+    "all, margin 0": "95b57e06e7eaa023b3417c1cabe2c1f26908d773d8f0be257df2f6f4ca2310c5",
+}
+LAYER_STYLES = {"all": RenderStyle(), **{layer: RenderStyle(layers=(layer,)) for layer in LAYERS},
+                "none": RenderStyle(layers=()), "all, margin 0": RenderStyle(margin=0.0)}
+
+
+def test_every_layer_svg_is_pinned():
+    built = [build_configuration(REFERENCE_SEED)] + [
+        config for m in (12, 10 ** 12)
+        for _, config, _, _ in generate_configurations(FuzzPolicy(8, 42, m))]
+    corpus = []
+    for config in built:
+        config = configuration_from_document(configuration_to_document(config))
+        corpus += [config, mutate_configuration(config, "point", "A", "x", 3)]
+    assert set(LAYER_STYLES) == set(LAYER_SVGS)
+    digests = {}
+    for name, style in LAYER_STYLES.items():
+        svgs = [render_svg(config, style) for config in corpus]
+        for svg in svgs:
+            ET.fromstring(svg.encode("utf-8"))
+        digests[name] = _sha256("".join(svgs))
+    assert digests == LAYER_SVGS
 
 
 @pytest.mark.parametrize("index", sorted(CAMPAIGN_SEED_REPORTS))
