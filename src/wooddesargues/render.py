@@ -17,7 +17,6 @@ from .configuration import (
     CENTER_LABELS,
     CIRCLE_LABELS,
     POINT_LABELS,
-    PERSPECTIVE_TABLE,
     WoodDesarguesConfiguration,
     derive_figures,
 )
@@ -86,57 +85,33 @@ def render_svg(config: WoodDesarguesConfiguration, style: RenderStyle = RenderSt
     derived = derive_figures(config)
     layers = set(style.layers)
 
-    circles: list[tuple[str, float, float, float, str]] = []  # label, cx, cy, r, stroke
+    # exact figures in draw order: rings as (centre, r^2, stroke), markers as (label, point)
+    rings, markers = [], []
     if "circles" in layers:
-        for lbl in CIRCLE_LABELS:
-            c = config.circles[lbl]
-            cx, cy = float_point(c.center)
-            circles.append((lbl, cx, cy, float_sqrt(c.radius_squared), _CIRCLE_STROKE))
-    if "pentagon" in layers and derived.pentagon.circle is not None:
-        c = derived.pentagon.circle
-        cx, cy = float_point(c.center)
-        circles.append(("pentagon", cx, cy, float_sqrt(c.radius_squared), _PENTAGON_STROKE))
-
-    markers: list[tuple[str, float, float]] = []
+        rings += [(c.center, c.radius_squared, _CIRCLE_STROKE)
+                  for c in map(config.circles.__getitem__, CIRCLE_LABELS)]
+    pentagon = derived.pentagon.circle
+    if "pentagon" in layers and pentagon is not None:
+        rings.append((pentagon.center, pentagon.radius_squared, _PENTAGON_STROKE))
     if "points" in layers:
-        for lbl in POINT_LABELS:
-            x, y = float_point(config.points[lbl])
-            markers.append((lbl, x, y))
-        x, y = float_point(config.j)
-        markers.append(("J", x, y))
-        for lbl in CENTER_LABELS:
-            x, y = float_point(config.centers[lbl])
-            markers.append((lbl, x, y))
-    if "haggeCentres" in layers:
-        for rec in PERSPECTIVE_TABLE:
-            h = derived.hagge[rec.vertex]
-            if h is None:
-                continue
-            cx, cy = float_point(h)
-            circles.append((f"hagge-{rec.vertex}", cx, cy,
-                            float_sqrt(distance_squared(h, config.j)), _HAGGE_STROKE))
-            markers.append((f"h({rec.vertex})", cx, cy))
+        markers += [(lbl, config.points[lbl]) for lbl in POINT_LABELS]
+        markers += [("J", config.j)] + [(lbl, config.centers[lbl]) for lbl in CENTER_LABELS]
+    if "haggeCentres" in layers:  # h(v) in table order; its circle passes J
+        hagge = [(v, h) for v, h in derived.hagge.items() if h is not None]
+        rings += [(h, distance_squared(h, config.j), _HAGGE_STROKE) for _, h in hagge]
+        markers += [(f"h({v})", h) for v, h in hagge]
+    perspectrices = ([line for line in derived.perspectrices if line is not None]
+                     if "perspectrices" in layers else [])
 
-    perspectrices: list[Line] = []
-    if "perspectrices" in layers:
-        perspectrices = [line for line in derived.perspectrices if line is not None]
-
-    # bounding box over everything that will be drawn
-    xs: list[float] = []
-    ys: list[float] = []
-    for _, cx, cy, r, _stroke in circles:
-        xs += [cx - r, cx + r]
-        ys += [cy - r, cy + r]
-    for _, x, y in markers:
-        xs.append(x)
-        ys.append(y)
+    # each figure read as doubles once; the box covers every drawn one
+    rings = [(float_point(c), float_sqrt(r2), stroke) for c, r2, stroke in rings]
+    markers = [(lbl, float_point(p)) for lbl, p in markers]
+    corners = [corner for (cx, cy), r, _ in rings
+               for corner in ((cx - r, cy - r), (cx + r, cy + r))]
+    corners += [p for _, p in markers]
     if perspectrices:  # every labelled point lies on some perspectrix
-        for p in config.points.values():
-            x, y = float_point(p)
-            xs.append(x)
-            ys.append(y)
-    if not xs:
-        xs, ys = [0.0, 1.0], [0.0, 1.0]
+        corners += map(float_point, config.points.values())
+    xs, ys = zip(*corners) if corners else ((0.0, 1.0), (0.0, 1.0))
     if not all(map(math.isfinite, xs + ys)):
         raise UnrenderableError("a drawn coordinate does not fit in a double")
 
@@ -154,24 +129,19 @@ def render_svg(config: WoodDesarguesConfiguration, style: RenderStyle = RenderSt
     if not (math.isfinite(k) and math.isfinite(tx) and math.isfinite(ty)):
         raise UnrenderableError("the drawing's scale does not fit in a double")
 
-    def to_screen(x: float, y: float) -> tuple[float, float]:
-        return (k * x + tx, ty - k * y)
-
     # every number is written as f"{v + 0.0:.6f}": adding 0.0 turns -0.0 into 0.0
     sw = f"{1.5 / k + 0.0:.6f}"   # stroke width in world units
     ms = 4.0 / k                  # marker size in world units
     ms_text = f"{ms + 0.0:.6f}"
 
-    out: list[str] = []
-    out.append('<?xml version="1.0" encoding="UTF-8"?>')
-    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" '
-               f'width="{width + 0.0:.6f}" height="{height + 0.0:.6f}" '
-               f'viewBox="0 0 {width + 0.0:.6f} {height + 0.0:.6f}">')
-    out.append(f'<g transform="matrix({k + 0.0:.6f} 0 0 {-k + 0.0:.6f} {tx + 0.0:.6f} '
-               f'{ty + 0.0:.6f})" fill="none">')
-    for lbl, cx, cy, r, stroke in circles:
-        out.append(f'<circle cx="{cx + 0.0:.6f}" cy="{cy + 0.0:.6f}" r="{r + 0.0:.6f}" '
-                   f'stroke="{stroke}" stroke-width="{sw}"/>')
+    out = ['<?xml version="1.0" encoding="UTF-8"?>',
+           f'<svg xmlns="http://www.w3.org/2000/svg" '
+           f'width="{width + 0.0:.6f}" height="{height + 0.0:.6f}" '
+           f'viewBox="0 0 {width + 0.0:.6f} {height + 0.0:.6f}">',
+           f'<g transform="matrix({k + 0.0:.6f} 0 0 {-k + 0.0:.6f} {tx + 0.0:.6f} '
+           f'{ty + 0.0:.6f})" fill="none">']
+    out += [f'<circle cx="{cx + 0.0:.6f}" cy="{cy + 0.0:.6f}" r="{r + 0.0:.6f}" '
+            f'stroke="{stroke}" stroke-width="{sw}"/>' for (cx, cy), r, stroke in rings]
     for line in perspectrices:
         seg = _clip_line(line, (x0, y0, x1, y1))
         if seg is None:
@@ -180,15 +150,13 @@ def render_svg(config: WoodDesarguesConfiguration, style: RenderStyle = RenderSt
         out.append(f'<line x1="{ax + 0.0:.6f}" y1="{ay + 0.0:.6f}" '
                    f'x2="{bx + 0.0:.6f}" y2="{by + 0.0:.6f}" '
                    f'stroke="{_LINE_STROKE}" stroke-width="{sw}"/>')
-    for lbl, x, y in markers:
-        out.append(f'<rect x="{x - ms / 2 + 0.0:.6f}" y="{y - ms / 2 + 0.0:.6f}" '
-                   f'width="{ms_text}" height="{ms_text}" fill="#000000"/>')
+    out += [f'<rect x="{x - ms / 2 + 0.0:.6f}" y="{y - ms / 2 + 0.0:.6f}" '
+            f'width="{ms_text}" height="{ms_text}" fill="#000000"/>' for _, (x, y) in markers]
     out.append('</g>')
-    if markers:
+    if markers:  # labels in screen space, 5 units right of and above each marker
         out.append('<g font-family="monospace" font-size="12" fill="#000000">')
-        for lbl, x, y in markers:
-            sx, sy = to_screen(x, y)
-            out.append(f'<text x="{sx + 5.0 + 0.0:.6f}" y="{sy - 5.0 + 0.0:.6f}">{lbl}</text>')
+        out += [f'<text x="{k * x + tx + 5.0 + 0.0:.6f}" '
+                f'y="{ty - k * y - 5.0 + 0.0:.6f}">{lbl}</text>' for lbl, (x, y) in markers]
         out.append('</g>')
     out.append('</svg>')
     return "\n".join(out) + "\n"
