@@ -362,8 +362,8 @@ class ClaimSet:
 
 class CheckResult(_Value):
     """A check's name, status, witnesses and notes, with the records of the
-    claims behind them.  Set once like a kernel value; equality, hash and repr
-    leave out the claims."""
+    claims behind them.  Set once like a kernel value; equality and repr leave
+    out the claims.  Unhashable: its witnesses are a list."""
 
     __slots__ = ("name", "status", "witnesses", "notes", "records")
 
@@ -387,9 +387,6 @@ class CheckResult(_Value):
         if type(other) is not CheckResult:
             return NotImplemented
         return self._compared() == other._compared()
-
-    def __hash__(self) -> int:
-        return hash(self._compared())
 
     def __repr__(self) -> str:
         return "CheckResult(name={!r}, status={!r}, witnesses={!r}, notes={!r})".format(
