@@ -7,12 +7,15 @@ import os
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from wooddesargues import check_names, fuzz, verify_all
 from wooddesargues.cli import main
 
+from conftest import mutate_configuration
 from test_golden import REFERENCE_DOCUMENT, REFERENCE_REPORT, REFERENCE_SVG
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -228,6 +231,29 @@ def test_fuzz_exit_codes(tmp_path: Path):
                  "--max-retries", "5", "-o", str(out)]) == 3
     assert main(["fuzz", "--count", "0", "--rng-seed", "1", "--max-num", "5",
                  "-o", str(out)]) == 3
+
+
+def test_a_failing_campaign_exits_1_and_names_each_failed_check(tmp_path: Path, monkeypatch,
+                                                               capsys):
+    # every built configuration passes: verify each one with A moved by +3 in x
+    monkeypatch.setattr(fuzz, "verify_all", lambda config: verify_all(
+        mutate_configuration(config, "point", "A", "x", 3)))
+    out = tmp_path / "campaign.json"
+    assert main(["fuzz", "--count", "2", "--rng-seed", "42", "--max-num", "12",
+                 "-o", str(out)]) == 1
+    assert capsys.readouterr() == ("", "")
+    doc = json.loads(out.read_text())
+    order = {name: n for n, name in enumerate(check_names())}
+    fails = Counter()
+    for entry in doc["seeds"]:
+        for key in ("failedChecks", "degenerateChecks"):
+            names = entry.get(key, [])
+            assert names == sorted(names, key=order.__getitem__)
+        assert entry["fail"] == len(entry["failedChecks"])
+        fails.update(entry["failedChecks"])
+    assert {name: tally["fail"] for name, tally in doc["perCheck"].items()
+            if tally["fail"]} == fails
+    assert doc["summary"]["fail"] == sum(fails.values()) == 46
 
 
 def test_fuzz_campaign_bytes_are_deterministic(tmp_path: Path):
