@@ -28,6 +28,7 @@ from wooddesargues.kernel import (
     line_through,
     meet,
     midpoint,
+    parallel_through,
     perpendicular_at,
     point,
 )
@@ -428,6 +429,76 @@ def test_failing_witnesses_are_the_failing_claims(reference_config):
     assert len(failed) >= len(MUTATIONS)
     for result in failed:
         assert result.witnesses == [(c.label, c.witness) for c in result.claims if not c.holds]
+
+
+def _record_each_path(cs, config):
+    """One passing and one failing claim through each recording path of
+    ``ClaimSet``, keyed by the path, on the reference configuration."""
+    pts, circle, spiral = config.points, config.circles["ABCK"], config.build_maps[0]
+    A, B, C, K, a, b, c = (pts[x] for x in "ABCKabc")
+    ab, ac = line_through(A, B), line_through(A, C)
+    return {
+        "fail": lambda: cs.fail("fail", "a fixed phrase"),
+        "points_equal": lambda: (cs.points_equal("equal A A", A, A),
+                                 cs.points_equal("equal A B", A, B)),
+        "collinear": lambda: (cs.collinear("A K mid", A, K, midpoint(A, K)),
+                              cs.collinear("A B C", A, B, C)),
+        "on_line": lambda: (cs.on_line("A on AB", ab, A), cs.on_line("C on AB", ab, C)),
+        "on_circle": lambda: (cs.on_circle("A on ABCK", circle, A),
+                              cs.on_circle("1 on ABCK", circle, pts["1"])),
+        "scalars_equal": lambda: (cs.scalars_equal("one", F(1), F(1)),
+                                  cs.scalars_equal("two", F(2), F(1))),
+        "concyclic": lambda: (cs.concyclic("ABCK", A, B, C, K),
+                              cs.concyclic("ABC1", A, B, C, pts["1"])),
+        "maps_to": lambda: (cs.maps_to("A to a", spiral, A, a),
+                            cs.maps_to("A to b", spiral, A, b)),
+        "incidences": lambda: cs.incidences(
+            ("A B mid", "B on AB", "C on AB?", "A on AB"),
+            (verifier._collinear_residual, verifier._line_residual,
+             verifier._line_residual, verifier._line_residual),
+            ((A, B, midpoint(A, B)), (ab, B), (ab, C), (ab, A)), (True, True, False, True)),
+        "lines_meet_at": lambda: (cs.lines_meet_at("AB AC at A", ab, ac, A, True, "same"),
+                                  cs.lines_meet_at("AB AC at B", ab, ac, B, False, "same"),
+                                  cs.lines_meet_at("AB AB", ab, ab, A, True, "AB twice"),
+                                  cs.lines_meet_at("AB parallel", ab, parallel_through(C, ab),
+                                                   A, False, "same")),
+        "similarity": lambda: (cs.similarity("ABC~abc", (A, B, C), (a, b, c)),
+                               cs.similarity("ABK~abc", (A, B, K), (a, b, c)),
+                               cs.similarity("AAB~abc", (A, A, B), (a, b, c)),
+                               cs.similarity("ABC~aac", (A, B, C), (a, a, c))),
+        "fixed_at": lambda: (cs.fixed_at("spiral at J", spiral, config.j),
+                             cs.fixed_at("spiral at J, decided", spiral, None, True),
+                             cs.fixed_at("spiral at A", spiral, A)),
+    }
+
+
+RECORDING_PATHS = ("fail", "points_equal", "collinear", "on_line", "on_circle", "scalars_equal",
+                   "concyclic", "maps_to", "incidences", "lines_meet_at", "similarity",
+                   "fixed_at")
+
+
+@pytest.mark.parametrize("paths", [*([path] for path in RECORDING_PATHS),
+                                   RECORDING_PATHS, RECORDING_PATHS[::-1]],
+                         ids=[*RECORDING_PATHS, "all", "all-reversed"])
+def test_a_failing_result_names_its_failing_records_in_order(reference_config, paths):
+    # passing and failing claims through each recording path, with a
+    # degenerate note and an extra witness around them: the result fails, and
+    # its witnesses are the failing records' (label, witness) pairs in record
+    # order, with no extra witness among them
+    cs = verifier.ClaimSet()
+    record = _record_each_path(cs, reference_config)
+    cs.witness("extra", point(7, 7))
+    cs.scalars_equal("before", F(3), F(3))
+    for path in paths:
+        cs.degenerate(f"{path}: noted")
+        record[path]()
+    cs.witness("extra after", "a phrase")
+    result = cs.result("pinned")
+    failing = [(label, witness) for label, holds, witness, *_ in result.records if not holds]
+    assert result.status == FAIL and failing
+    assert result.witnesses == failing
+    assert not {"extra", "extra after"} & {label for label, _ in result.witnesses}
+    assert result.records == tuple(cs.claims)
 
 
 def test_each_claim_reads_its_record(reference_config):
