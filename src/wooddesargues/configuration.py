@@ -233,8 +233,17 @@ def _membership_violation(config: WoodDesarguesConfiguration) -> Optional[str]:
     another centre both pass through the point Q they share, Q not J, the two
     meet in J and Q only, so P lies on C exactly when P is J or Q.  Other
     pairs are tested with ``incident``.
+
+    So when all 20 labelled incidences hold, and the ten points, J and the
+    five centres are each distinct, every other pair is off its circle and
+    one test settles all 30, with no loop.  Otherwise the loop over the 50
+    pairs, in label order, names the first violation.
     """
     points, j, circles, on = config.points, config.j, config.circles, config.incidence
+    homs = {p.hom for p in points.values()}
+    if (all(on.values()) and len(homs) == len(points) and j.hom not in homs
+            and len({c.center.hom for c in circles.values()}) == len(circles)):
+        return None
     for plbl in POINT_LABELS:
         p = points[plbl]
         for clbl in CIRCLE_LABELS:

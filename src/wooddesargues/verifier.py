@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from typing import Callable, Optional, Sequence, Union
@@ -191,7 +191,9 @@ class ClaimSet:
     args)``, and the degeneracy/info notes of one check.
 
     Each primitive decides its claim on an integer that is exactly zero when
-    the claim holds; the witness is computed only for a failing claim.  A
+    the claim holds; the witness is computed only for a failing claim, and
+    its ``(label, witness)`` pair is kept in ``failures`` as it is recorded, so
+    ``result`` reads the failing claims in record order without a scan.  A
     perspective row whose claims all hold and name distinct points records its
     ten claims, decided on the row's line verdicts, in one pass through
     ``incidences``.
@@ -199,6 +201,7 @@ class ClaimSet:
 
     def __init__(self) -> None:
         self.claims: list[tuple] = []
+        self.failures: list[tuple[str, Witness]] = []
         self.degenerate_notes: list[str] = []
         self.info_notes: list[str] = []
         self.extra_witnesses: list[tuple[str, Witness]] = []
@@ -215,8 +218,13 @@ class ClaimSet:
         self.extra_witnesses.append((label, value))
 
     def fail(self, label: str, witness: Witness) -> bool:
-        self.claims.append((label, False, witness, _no_residual, ()))
+        self.claims.append((label, False, self._failed(label, witness), _no_residual, ()))
         return False
+
+    def _failed(self, label: str, witness: Witness) -> Witness:
+        """Keep a failing claim's label and witness; return the witness."""
+        self.failures.append((label, witness))
+        return witness
 
     def _held(self, label: str) -> bool:
         """Record a claim that holds outright, as a passing point equality does."""
@@ -233,14 +241,14 @@ class ClaimSet:
             return self._held(label)
         if holds is None:
             holds = is_collinear(a, b, c)
-        witness = None if holds else collinearity_residual(a, b, c)
+        witness = None if holds else self._failed(label, collinearity_residual(a, b, c))
         self.claims.append((label, holds, witness, _collinear_residual, (a, b, c)))
         return holds
 
     def on_line(self, label: str, line: Line, p: Point, holds: Optional[bool] = None) -> bool:
         if holds is None:
             holds = line._at(p) == 0
-        witness = None if holds else line.evaluate(p)
+        witness = None if holds else self._failed(label, line.evaluate(p))
         self.claims.append((label, holds, witness, _line_residual, (line, p)))
         return holds
 
@@ -250,14 +258,15 @@ class ClaimSet:
         by construction."""
         if holds is None:
             holds = circle._power(p) == 0
-        witness = None if holds else circle.power(p)
+        witness = None if holds else self._failed(label, circle.power(p))
         self.claims.append((label, holds, witness, _circle_residual, (circle, p)))
         return holds
 
     def points_equal(self, label: str, got: Point, expected: Point) -> bool:
         if got == expected:
             return self._held(label)
-        self.claims.append((label, False, got, _distance_residual, (got, expected)))
+        self.claims.append((label, False, self._failed(label, got), _distance_residual,
+                            (got, expected)))
         return False
 
     def lines_meet_at(self, label: str, l1: Line, l2: Line, target: Point, holds: bool,
@@ -278,12 +287,15 @@ class ClaimSet:
         true, that its ``args`` are three distinct points on a line, where its
         residual is ``_collinear_residual``, or a line and a point on it, where
         it is ``_line_residual``.  The records, appended in one pass, are those
-        ``collinear`` and ``on_line`` make."""
+        ``collinear`` and ``on_line`` make; a False verdict fails its claim,
+        with no witness."""
         self.claims += zip(labels, holds, repeat(None), residuals, args)
+        if not all(holds):
+            self.failures += [(label, None) for label, held in zip(labels, holds) if not held]
 
     def scalars_equal(self, label: str, got: Fraction, expected: Fraction) -> bool:
         holds = got == expected
-        witness = None if holds else got
+        witness = None if holds else self._failed(label, got)
         self.claims.append((label, holds, witness, _scalar_residual, (got, expected)))
         return holds
 
@@ -295,9 +307,9 @@ class ClaimSet:
         if not holds:
             det = concyclicity_determinant(a, b, c, d)
             if det != 0:
-                holds, witness = False, det
+                holds, witness = False, self._failed(label, det)
             elif collapses_to_line((a, b, c, d)):
-                holds, witness = False, "collinear-quadruple"
+                holds, witness = False, self._failed(label, "collinear-quadruple")
             else:
                 holds = True
         self.claims.append((label, holds, witness, _concyclic_residual, (a, b, c, d)))
@@ -306,7 +318,7 @@ class ClaimSet:
     def maps_to(self, label: str, sim: Similarity, src: Point, dst: Point,
                 holds: Optional[bool] = None) -> bool:
         holds = sim.sends(src, dst) if holds is None else holds
-        witness = None if holds else sim.apply(src)
+        witness = None if holds else self._failed(label, sim.apply(src))
         self.claims.append((label, holds, witness, _map_residual, (sim, src, dst)))
         return holds
 
@@ -349,21 +361,21 @@ class ClaimSet:
     # result ------------------------------------------------------------------
 
     def result(self, name: str) -> "CheckResult":
-        witnesses = [(label, w) for label, holds, w, _, _ in self.claims if not holds]
-        if witnesses:
-            status = FAIL
+        if self.failures:
+            status, witnesses = FAIL, self.failures
         else:
             status = DEGENERATE if self.degenerate_notes else PASS
-            witnesses = list(self.extra_witnesses)
+            witnesses = self.extra_witnesses
         notes = "; ".join(self.degenerate_notes + self.info_notes)
-        return CheckResult(name=name, status=status, witnesses=witnesses,
-                           notes=notes, claims=tuple(self.claims))
+        return CheckResult(name, status, list(witnesses), notes, tuple(self.claims))
 
 
 class CheckResult(_Value):
     """A check's name, status, witnesses and notes, with the records of the
-    claims behind them.  Set once like a kernel value; equality and repr leave
-    out the claims.  Unhashable: its witnesses are a list."""
+    claims behind them.  ``ClaimSet.result`` builds it positionally, with a
+    failing check's witnesses the failing claims as they were recorded.  Set
+    once like a kernel value; equality and repr leave out the claims.
+    Unhashable: its witnesses are a list."""
 
     __slots__ = ("name", "status", "witnesses", "notes", "records")
 
@@ -1053,8 +1065,8 @@ def verify_all(config: WoodDesarguesConfiguration) -> VerificationReport:
     Each check fills a fresh ClaimSet; its result takes the registry entry's name.
     """
     derived = derive_figures(config)
-    derived = replace(derived, quadrangle_maps=derive_quadrangle_maps(config),
-                      joins=derive_joins(config, derived.pentagon))
+    object.__setattr__(derived, "quadrangle_maps", derive_quadrangle_maps(config))
+    object.__setattr__(derived, "joins", derive_joins(config, derived.pentagon))
     results = []
     for name, check in CHECKS:
         cs = ClaimSet()

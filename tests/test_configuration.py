@@ -375,6 +375,42 @@ def test_membership_decisions_match_the_plain_loop(seed_text):
     assert reasons == {None: 1, "extra": 40, "missing": 30}
 
 
+def test_the_one_test_settles_every_built_seed_and_no_tampered_input(reference_config,
+                                                                     monkeypatch):
+    # per call of the build's membership test: whether it found no violation,
+    # and whether it reached the loop over the 50 pairs.  Every seed built by
+    # a campaign at magnitudes 12 and 10^12 is settled by the one
+    # distinctness test, and none of their draws is rejected for a
+    # membership violation; every tampered input but the untampered one
+    # reaches the loop, which names the plain loop's reason
+    loops, calls = [], Counter()
+
+    class Counted(tuple):
+        def __iter__(self):
+            loops.append(None)
+            return super().__iter__()
+
+    real = configuration._membership_violation
+
+    def counting(config):
+        before = len(loops)
+        reason = real(config)
+        calls[reason is None, len(loops) > before] += 1
+        return reason
+
+    monkeypatch.setattr(configuration, "POINT_LABELS", Counted(POINT_LABELS))
+    monkeypatch.setattr(configuration, "_membership_violation", counting)
+    for magnitude in (12, 10 ** 12):
+        for _ in generate_configurations(FuzzPolicy(200, 42, magnitude)):
+            pass
+    assert calls == {(True, False): 400}
+    calls.clear()
+    for points, circles in _tampered_memberships(reference_config):
+        reason = counting(dataclasses.replace(reference_config, points=points, circles=circles))
+        assert reason == _plain_membership_violation(points, circles)
+    assert calls == {(True, False): 1, (False, True): 70}
+
+
 def test_drawn_seeds_keep_their_reasons_and_documents():
     # 3000 draws at magnitude 3, where every rejection reason that can fire
     # does, then 200 at 10^12 from the same stream: the exact reason tally and
@@ -611,7 +647,8 @@ def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
     # build and per verify_all; python -O drops asserts, none of which makes
     # any.
     # Build: the 20 incidences the labels name, which the configuration
-    # keeps, the other 30 by point equality; one distance record per
+    # keeps, the other 30 by one test that the ten points, J and the five
+    # centres are distinct, which makes no call; one distance record per
     # circle-2 and Wood radius; the collinearity guard of the circumcentre of
     # J, U and V, whose assert compares no records; the spiral and the Wood
     # similarity.
