@@ -101,10 +101,6 @@ OTHER_CIRCLE = {(c, p): d for c in CIRCLE_LABELS for p in c for d in POINT_CIRCL
 QUADRANGLE_CENTRES = {c: tuple(CIRCLE_CENTER[OTHER_CIRCLE[c, p]] for p in c) for c in CIRCLE_LABELS}
 CENTERS_AVOIDING = {p: tuple(CIRCLE_CENTER[c] for c in CIRCLE_LABELS if c not in pair)
                     for p, pair in POINT_CIRCLES.items()}
-# per point P and circle C not through it: P's first circle and the point
-# named by that circle and C, their one labelled point in common
-_SHARED_WITH = {(p, c): (pair[0], _PAIR_POINT[frozenset((pair[0], c))])
-                for p, pair in POINT_CIRCLES.items() for c in CIRCLE_LABELS if c not in pair}
 
 # a row's two triangles are the quadrangles of the two circles through its
 # vertex, each without that vertex: so the orthocentres keyed (circle, v)
@@ -228,16 +224,16 @@ def _membership_violation(config: WoodDesarguesConfiguration) -> Optional[str]:
     """The reason code of the first (point, circle) pair, in label order, whose
     incidence is not the one the labels name, or None.
 
-    Labelled pairs are read off ``config.incidence``.  Each circle must pass
-    through J.  When P is on its first circle C1, and C1 and a circle C about
-    another centre both pass through the point Q they share, Q not J, the two
-    meet in J and Q only, so P lies on C exactly when P is J or Q.  Other
-    pairs are tested with ``incident``.
-
-    So when all 20 labelled incidences hold, and the ten points, J and the
-    five centres are each distinct, every other pair is off its circle and
-    one test settles all 30, with no loop.  Otherwise the loop over the 50
-    pairs, in label order, names the first violation.
+    One test settles all 50 pairs: the 20 labelled incidences, read off
+    ``config.incidence``, all hold; the ten points have ten distinct triples;
+    J's triple is not one of them; and the five centres are distinct.  Then
+    no other pair is an incidence.  A point P lies on its first circle C1,
+    and C1 shares one labelled point Q with a circle C not through P.  Both
+    pass through Q and, as every built circle does, through J; Q is not J
+    and the centres differ, so they meet in J and Q only, and P is neither.
+    When the test fails, the loop over the 50 pairs, in label order, reads
+    the labelled ones off the table, tests the other 30 with ``incident``
+    and names the first violation.
     """
     points, j, circles, on = config.points, config.j, config.circles, config.incidence
     homs = {p.hom for p in points.values()}
@@ -248,19 +244,11 @@ def _membership_violation(config: WoodDesarguesConfiguration) -> Optional[str]:
         p = points[plbl]
         for clbl in CIRCLE_LABELS:
             expected = on.get((clbl, plbl))
-            if expected is not None:
-                if not expected:
-                    return f"membership-violation:missing:{plbl}:{clbl}"
-                continue
-            own, qlbl = _SHARED_WITH[plbl, clbl]
-            q = points[qlbl].hom
-            if (on[own, plbl] and on[own, qlbl] and on[clbl, qlbl] and q != j.hom
-                    and circles[own].center.hom != circles[clbl].center.hom):
-                extra = p.hom == j.hom or p.hom == q
-            else:
-                extra = incident(circles[clbl], p)
-            if extra:
-                return f"membership-violation:extra:{plbl}:{clbl}"
+            if expected is None:
+                if incident(circles[clbl], p):
+                    return f"membership-violation:extra:{plbl}:{clbl}"
+            elif not expected:
+                return f"membership-violation:missing:{plbl}:{clbl}"
     return None
 
 

@@ -363,8 +363,8 @@ def _tampered_memberships(config):
 ])
 def test_membership_decisions_match_the_plain_loop(seed_text):
     # a point moved onto J, onto a point it shares a circle with or off its
-    # circles, and one circle made equal to another: the build's decision by
-    # point equality gives the first reason of the 50 incidence tests
+    # circles, and one circle made equal to another: the build's decision
+    # gives the first reason of the 50 incidence tests
     config = build_configuration(parse_seed_text(seed_text))
     reasons = Counter()
     for points, circles in _tampered_memberships(config):
@@ -647,8 +647,8 @@ def test_a_campaign_seed_decides_each_incidence_once(monkeypatch, magnitude):
     # build and per verify_all; python -O drops asserts, none of which makes
     # any.
     # Build: the 20 incidences the labels name, which the configuration
-    # keeps, the other 30 by one test that the ten points, J and the five
-    # centres are distinct, which makes no call; one distance record per
+    # keeps, the other 30 by one test that the ten points are distinct, J is
+    # none of them and the five centres are distinct, which makes no call; one distance record per
     # circle-2 and Wood radius; the collinearity guard of the circumcentre of
     # J, U and V, whose assert compares no records; the spiral and the Wood
     # similarity.

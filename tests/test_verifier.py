@@ -477,6 +477,14 @@ RECORDING_PATHS = ("fail", "points_equal", "collinear", "on_line", "on_circle", 
                    "fixed_at")
 
 
+def test_every_recording_path_is_pinned():
+    # each public ClaimSet method but the three note helpers and result
+    # records claims, so a new one must join the paths pinned below
+    public = {name for name, value in vars(verifier.ClaimSet).items()
+              if callable(value) and not name.startswith("_")}
+    assert public - {"degenerate", "info", "witness", "result"} == set(RECORDING_PATHS)
+
+
 @pytest.mark.parametrize("paths", [*([path] for path in RECORDING_PATHS),
                                    RECORDING_PATHS, RECORDING_PATHS[::-1]],
                          ids=[*RECORDING_PATHS, "all", "all-reversed"])
